@@ -374,6 +374,16 @@ def cmd_suite(args):
 # -- entry point ----------------------------------------------------------------
 
 
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="fibcat",
@@ -426,7 +436,7 @@ def build_parser():
     p = sub.add_parser("suite", help="randomized property suite")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--size", type=int, default=3)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--artifacts", default=None,
                    help="directory for failure artifacts")
     p.set_defaults(func=cmd_suite)

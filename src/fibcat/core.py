@@ -713,52 +713,63 @@ def comma(F, G):
     return cat, to_A, to_B
 
 
+def square_category(A, B, ends, commutes, _validate=False):
+    """A category of squares with legs in A and B.
+
+    Each object o has ends[o] = (a, b, d): an object of A, an object of B
+    and the data d connecting them.  A morphism o1 -> o2 is a pair
+    (u: a1 -> a2 in A, v: b1 -> b2 in B) with commutes(d1, u, v, d2), named
+    "(u,v):o1>o2"; pairs compose componentwise.  Candidate targets are
+    looked up by (tgt u, tgt v), not by trying every pair of objects.
+    Returns the category with its projections to A and B.
+    """
+    over = {}
+    for o, (a, b, d) in ends.items():
+        over.setdefault((a, b), []).append((o, d))
+    b_out = {b: [(v, B.tgt[v]) for v in B._from[b]] for b in B.objects}
+    morphisms = []
+    parts = {}
+    out = {}  # o1 -> the morphisms out of o1, as (id, target, u, v)
+    for o1, (a1, b1, d1) in ends.items():
+        out[o1] = arrows = []
+        for u in A._from[a1]:
+            a2 = A.tgt[u]
+            for v, b2 in b_out[b1]:
+                for o2, d2 in over.get((a2, b2), ()):
+                    if commutes(d1, u, v, d2):
+                        m = f"({u},{v}):{o1}>{o2}"
+                        morphisms.append((m, o1, o2))
+                        parts[m] = (u, v)
+                        arrows.append((m, o2, u, v))
+    identities = {o: f"({A.identity[a]},{B.identity[b]}):{o}>{o}"
+                  for o, (a, b, _) in ends.items()}
+    composition = {}
+    for m, o1, o2 in morphisms:
+        u, v = parts[m]
+        for m2, o3, u2, v2 in out[o2]:
+            composition[(m2, m)] = (f"({A.compose(u2, u)},{B.compose(v2, v)})"
+                                    f":{o1}>{o3}")
+    cat = FiniteCategory(list(ends), morphisms, identities, composition,
+                         _validate=_validate)
+    to_A = Functor(cat, A, {o: e[0] for o, e in ends.items()},
+                   {m: uv[0] for m, uv in parts.items()}, _validate=False)
+    to_B = Functor(cat, B, {o: e[1] for o, e in ends.items()},
+                   {m: uv[1] for m, uv in parts.items()}, _validate=False)
+    return cat, to_A, to_B
+
+
 def comma_with_data(F, G):
     """As comma, but also returns the map object -> connecting morphism."""
     if F.target != G.target:
         raise PreconditionError("comma requires a common target")
     A, B, C = F.source, G.source, F.target
-    objects = []
-    for a in A.objects:
-        for b in B.objects:
-            for k in C.hom(F.ob_map[a], G.ob_map[b]):
-                objects.append(comma_object_id(a, b, k))
-    obj_data = {comma_object_id(a, b, k): (a, b, k)
-                for a in A.objects for b in B.objects
-                for k in C.hom(F.ob_map[a], G.ob_map[b])}
-    morphisms = []
-    parts = {}
-    for o1, (a, b, k) in obj_data.items():
-        for o2, (a2, b2, k2) in obj_data.items():
-            for u in A.hom(a, a2):
-                fu = F.mor_map[u]
-                left = C.compose(k2, fu)
-                for v in B.hom(b, b2):
-                    if left == C.compose(G.mor_map[v], k):
-                        m = f"({u},{v}):{o1}>{o2}"
-                        morphisms.append((m, o1, o2))
-                        parts[m] = (u, v)
-    identities = {}
-    for o, (a, b, k) in obj_data.items():
-        identities[o] = f"({A.identity[a]},{B.identity[b]}):{o}>{o}"
-    composition = {}
-    by_src = {}
-    for m, o1, o2 in morphisms:
-        by_src.setdefault(o1, []).append((m, o2))
-    for m, o1, o2 in morphisms:
-        u, v = parts[m]
-        for m2, o3 in by_src.get(o2, ()):
-            u2, v2 = parts[m2]
-            composition[(m2, m)] = (f"({A.compose(u2, u)},{B.compose(v2, v)})"
-                                    f":{o1}>{o3}")
-    cat = FiniteCategory(objects, morphisms, identities, composition,
-                         _validate=False)
-    to_A = Functor(cat, A, {o: obj_data[o][0] for o in objects},
-                   {m: parts[m][0] for m, _, _ in morphisms}, _validate=False)
-    to_B = Functor(cat, B, {o: obj_data[o][1] for o in objects},
-                   {m: parts[m][1] for m, _, _ in morphisms}, _validate=False)
-    connecting = {o: obj_data[o][2] for o in objects}
-    return cat, to_A, to_B, connecting
+    ends = {comma_object_id(a, b, k): (a, b, k)
+            for a in A.objects for b in B.objects
+            for k in C.hom(F.ob_map[a], G.ob_map[b])}
+    Fu, Gv = F.mor_map, G.mor_map
+    cat, to_A, to_B = square_category(
+        A, B, ends, lambda k, u, v, k2: C.compose(k2, Fu[u]) == C.compose(Gv[v], k))
+    return cat, to_A, to_B, {o: k for o, (_, _, k) in ends.items()}
 
 
 def arrow_category(C):
@@ -766,36 +777,9 @@ def arrow_category(C):
 
     Returns (Ar(C), ev_s, ev_t).
     """
-    objects = list(C.morphisms)
-    morphisms = []
-    parts = {}
-    for f in objects:
-        for g in objects:
-            for u in C.hom(C.src[f], C.src[g]):
-                gu = C.compose(g, u)
-                for v in C.hom(C.tgt[f], C.tgt[g]):
-                    if C.compose(v, f) == gu:
-                        m = f"({u},{v}):{f}>{g}"
-                        morphisms.append((m, f, g))
-                        parts[m] = (u, v)
-    identities = {f: (f"({C.identity[C.src[f]]},{C.identity[C.tgt[f]]}):{f}>{f}")
-                  for f in objects}
-    composition = {}
-    by_src = {}
-    for m, f, g in morphisms:
-        by_src.setdefault(f, []).append((m, g))
-    for m, f, g in morphisms:
-        u, v = parts[m]
-        for m2, h in by_src.get(g, ()):
-            u2, v2 = parts[m2]
-            composition[(m2, m)] = f"({C.compose(u2, u)},{C.compose(v2, v)}):{f}>{h}"
-    cat = FiniteCategory(objects, morphisms, identities, composition,
-                         _validate=False)
-    ev_s = Functor(cat, C, {f: C.src[f] for f in objects},
-                   {m: parts[m][0] for m, _, _ in morphisms}, _validate=False)
-    ev_t = Functor(cat, C, {f: C.tgt[f] for f in objects},
-                   {m: parts[m][1] for m, _, _ in morphisms}, _validate=False)
-    return cat, ev_s, ev_t
+    return square_category(
+        C, C, {f: (C.src[f], C.tgt[f], f) for f in C.morphisms},
+        lambda f, u, v, g: C.compose(v, f) == C.compose(g, u))
 
 
 def twisted_arrows(C):
@@ -803,40 +787,11 @@ def twisted_arrows(C):
 
     Returns (TwAr(C), projection to opposite(C) x C).
     """
-    objects = list(C.morphisms)
-    morphisms = []
-    parts = {}
-    for f in objects:
-        for g in objects:
-            # u: src g -> src f, v: tgt f -> tgt g with g = v∘f∘u
-            for u in C.hom(C.src[g], C.src[f]):
-                fu = C.compose(f, u)
-                for v in C.hom(C.tgt[f], C.tgt[g]):
-                    if C.compose(v, fu) == g:
-                        m = f"({u},{v}):{f}>{g}"
-                        morphisms.append((m, f, g))
-                        parts[m] = (u, v)
-    identities = {f: (f"({C.identity[C.src[f]]},{C.identity[C.tgt[f]]}):{f}>{f}")
-                  for f in objects}
-    composition = {}
-    by_src = {}
-    for m, f, g in morphisms:
-        by_src.setdefault(f, []).append((m, g))
-    for m, f, g in morphisms:
-        u, v = parts[m]
-        for m2, h in by_src.get(g, ()):
-            u2, v2 = parts[m2]
-            # contravariant leg composes in C, reversed
-            composition[(m2, m)] = f"({C.compose(u, u2)},{C.compose(v2, v)}):{f}>{h}"
-    cat = FiniteCategory(objects, morphisms, identities, composition,
-                         _validate=False)
-    Cop = opposite(C)
-    P = product(Cop, C)
-    proj = Functor(cat, P,
-                   {f: pair_id(C.src[f], C.tgt[f]) for f in objects},
-                   {m: pair_id(parts[m][0], parts[m][1]) for m, _, _ in morphisms},
-                   _validate=False)
-    return cat, proj
+    # u: src g -> src f is a morphism src f -> src g of opposite(C)
+    cat, to_op, to_C = square_category(
+        opposite(C), C, {f: (C.src[f], C.tgt[f], f) for f in C.morphisms},
+        lambda f, u, v, g: C.compose(v, C.compose(f, u)) == g)
+    return cat, pairing_functor(to_op, to_C)
 
 
 # -- functor categories --------------------------------------------------
@@ -994,12 +949,6 @@ def natural_transformations(F, G, component_filter=None):
 
     backtrack(0, {})
     return results
-
-
-def functor_category(C, D, cap=None):
-    """Fun(C, D) as a finite category of functors and natural transformations."""
-    funs = all_functors(C, D, cap=cap)
-    return _functor_category_from(funs, C, D)
 
 
 def sections_category(p, q, cap=None):

@@ -399,14 +399,8 @@ class TwoSidedDiscreteFibration:
         return tuple(sorted(x for x in self.total.objects
                             if self.projection.ob_map[x] == target))
 
-    def legs(self):
-        P = self.projection
-        prod_objs = {o: pr for o, pr in
-                     ((o, P.ob_map[o]) for o in self.total.objects)}
-        return prod_objs
 
-
-def _bifib_components(pi, A, B):
+def _bifib_components(A, B):
     """(to-A, to-B) components of a morphism image in product(A, B)."""
     decode_obj = {}
     for a in A.objects:
@@ -427,7 +421,7 @@ def check_two_sided_discrete(X, pi, A, B):
     any two objects there is exactly one morphism over (alpha, gamma) when
     the induced transports match, none otherwise.
     """
-    decode_obj, decode_mor = _bifib_components(pi, A, B)
+    decode_obj, decode_mor = _bifib_components(A, B)
     over = {x: decode_obj[pi.ob_map[x]] for x in X.objects}
     rho = {}
     lam = {}
@@ -471,35 +465,11 @@ def corr_to_bifib(c):
     """Sections of the correspondence: objects are cross-morphisms,
     morphisms are commutative squares, projected to A x B by endpoints."""
     A, B, E = c.fiber_s, c.fiber_t, c.total
-    objects = sorted(c.cross_morphisms())
-    morphisms = []
-    parts = {}
-    for x in objects:
-        for y in objects:
-            for u in A.hom(E.src[x], E.src[y]):
-                yu = E.compose(y, u)
-                for v in B.hom(E.tgt[x], E.tgt[y]):
-                    if E.compose(v, x) == yu:
-                        m = f"({u},{v}):{x}>{y}"
-                        morphisms.append((m, x, y))
-                        parts[m] = (u, v)
-    identities = {x: (f"({A.identity[E.src[x]]},{B.identity[E.tgt[x]]}):{x}>{x}")
-                  for x in objects}
-    composition = {}
-    by_src = {}
-    for m, x, y in morphisms:
-        by_src.setdefault(x, []).append((m, y))
-    for m, x, y in morphisms:
-        u, v = parts[m]
-        for m2, z in by_src.get(y, ()):
-            u2, v2 = parts[m2]
-            composition[(m2, m)] = f"({A.compose(u2, u)},{B.compose(v2, v)}):{x}>{z}"
-    total = FiniteCategory(objects, [(m, s, t) for m, s, t in morphisms],
-                           identities, composition, _validate=False)
-    proj = Functor(total, core.product(A, B),
-                   {x: pair_id(E.src[x], E.tgt[x]) for x in objects},
-                   {m: pair_id(parts[m][0], parts[m][1])
-                    for m, _, _ in morphisms})
+    ends = {x: (E.src[x], E.tgt[x], x) for x in c.cross_morphisms()}
+    total, to_A, to_B = core.square_category(
+        A, B, ends, lambda x, u, v, y: E.compose(v, x) == E.compose(y, u))
+    proj = core.pairing_functor(to_A, to_B)
+    proj._validate()
     return TwoSidedDiscreteFibration(total, proj, A, B).validate()
 
 
@@ -514,42 +484,15 @@ def profunctor_to_bifib(P):
     exactly when x'·alpha = beta·x.
     """
     A, B = P.source, P.target
-    objects = []
-    data = {}
-    for (a, b), xs in P.elements.items():
-        for x in xs:
-            o = elt_object_id(a, b, x)
-            objects.append(o)
-            data[o] = (a, b, x)
-    morphisms = []
-    identities = {}
-    parts = {}
-    for o, (a, b, x) in data.items():
-        identities[o] = f"({A.identity[a]},{B.identity[b]}):{o}>{o}"
-    for o1, (a, b, x) in data.items():
-        for o2, (a2, b2, x2) in data.items():
-            for alpha in A.hom(a, a2):
-                pulled = P.lact[(alpha, b2)][x2]
-                for beta in B.hom(b, b2):
-                    if pulled == P.ract[(a, beta)][x]:
-                        m = f"({alpha},{beta}):{o1}>{o2}"
-                        morphisms.append((m, o1, o2))
-                        parts[m] = (alpha, beta)
-    composition = {}
-    by_src = {}
-    for m, o1, o2 in morphisms:
-        by_src.setdefault(o1, []).append((m, o2))
-    for m, o1, o2 in morphisms:
-        alpha, beta = parts[m]
-        for m2, o3 in by_src.get(o2, ()):
-            alpha2, beta2 = parts[m2]
-            composition[(m2, m)] = (f"({A.compose(alpha2, alpha)},"
-                                    f"{B.compose(beta2, beta)}):{o1}>{o3}")
-    total = FiniteCategory(objects, morphisms, identities, composition)
-    proj = Functor(total, core.product(A, B),
-                   {o: pair_id(data[o][0], data[o][1]) for o in objects},
-                   {m: pair_id(parts[m][0], parts[m][1])
-                    for m, _, _ in morphisms})
+    ends = {elt_object_id(a, b, x): (a, b, x)
+            for (a, b), xs in P.elements.items() for x in xs}
+
+    def commutes(x, alpha, beta, x2):
+        return P.lact[(alpha, B.tgt[beta])][x2] == P.ract[(A.src[alpha], beta)][x]
+
+    total, to_A, to_B = core.square_category(A, B, ends, commutes, _validate=True)
+    proj = core.pairing_functor(to_A, to_B)
+    proj._validate()
     return TwoSidedDiscreteFibration(total, proj, A, B).validate()
 
 
@@ -638,13 +581,13 @@ def roundtrip_bifib_prof(X):
     """X -> bimodule -> category of elements: iso over A x B."""
     P = bifib_to_profunctor(X)
     X2 = profunctor_to_bifib(P)
-    decode_obj, _ = _bifib_components(X.projection, X.left, X.right)
+    decode_obj, _ = _bifib_components(X.left, X.right)
     ob_map = {}
     for x in X.total.objects:
         a, b = decode_obj[X.projection.ob_map[x]]
         ob_map[x] = elt_object_id(a, b, x)
     mor_map = {}
-    _, decode_mor = _bifib_components(X.projection, X.left, X.right)
+    _, decode_mor = _bifib_components(X.left, X.right)
     for m in X.total.morphisms:
         alpha, beta = decode_mor[X.projection.mor_map[m]]
         mor_map[m] = (f"({alpha},{beta}):{ob_map[X.total.src[m]]}"
@@ -672,7 +615,7 @@ def roundtrip_bifib_corr(X):
     """X -> collage of its bimodule -> sections: iso over A x B."""
     c = bifib_to_corr(X)
     X2 = corr_to_bifib(c)
-    decode_obj, decode_mor = _bifib_components(X.projection, X.left, X.right)
+    decode_obj, decode_mor = _bifib_components(X.left, X.right)
     ob_map = {}
     for x in X.total.objects:
         a, b = decode_obj[X.projection.ob_map[x]]
@@ -900,8 +843,8 @@ def compose_bifib(X01, X12):
     if X01.right != X12.left:
         raise PreconditionError("middle categories differ; relabel first")
     A, B, C = X01.left, X01.right, X12.right
-    d1_obj, d1_mor = _bifib_components(X01.projection, A, B)
-    d2_obj, d2_mor = _bifib_components(X12.projection, B, C)
+    d1_obj, d1_mor = _bifib_components(A, B)
+    d2_obj, d2_mor = _bifib_components(B, C)
     over1 = {x: d1_obj[X01.projection.ob_map[x]] for x in X01.total.objects}
     over2 = {y: d2_obj[X12.projection.ob_map[y]] for y in X12.total.objects}
     # objects of the pullback: pairs agreeing over B

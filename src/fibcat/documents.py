@@ -58,6 +58,12 @@ def _require(doc, field, typ):
     return value
 
 
+def _require_ids(ids, where):
+    for x in ids:
+        if not isinstance(x, str):
+            raise DocumentError(f"{where}: ids must be strings, got {x!r}")
+
+
 # -- categories ---------------------------------------------------------------
 
 
@@ -77,18 +83,23 @@ def category_to_doc(C):
 def category_from_doc(doc):
     _expect(doc, "category")
     objects = _require(doc, "objects", list)
+    _require_ids(objects, "objects")
     raw_morphisms = _require(doc, "morphisms", list)
     morphisms = []
     for entry in raw_morphisms:
         if not isinstance(entry, dict) or not {"id", "src", "tgt"} <= set(entry):
             raise DocumentError(f"bad morphism entry: {entry!r}")
-        morphisms.append((entry["id"], entry["src"], entry["tgt"]))
+        triple = (entry["id"], entry["src"], entry["tgt"])
+        _require_ids(triple, "morphisms")
+        morphisms.append(triple)
     identities = _require(doc, "identities", dict)
+    _require_ids(identities.values(), "identities")
     compose_list = _require(doc, "compose", list)
     composition = {}
     for entry in compose_list:
         if not (isinstance(entry, list) and len(entry) == 3):
             raise DocumentError(f"bad compose entry: {entry!r}")
+        _require_ids(entry, "compose")
         g, f, h = entry
         if (g, f) in composition:
             raise DocumentError(f"composable pair listed twice: ({g},{f})")
@@ -120,6 +131,8 @@ def functor_from_doc(doc):
     target = category_from_doc(_require(doc, "target", dict))
     ob_map = _require(doc, "object_map", dict)
     mor_map = _require(doc, "morphism_map", dict)
+    _require_ids(ob_map.values(), "object_map")
+    _require_ids(mor_map.values(), "morphism_map")
     try:
         return Functor(source, target, ob_map, mor_map)
     except core.FunctorError as exc:

@@ -42,6 +42,14 @@ def _arrow_functor(K, phi):
                    _validate=False)
 
 
+def base_change_over_arrow(pi, phi):
+    """Base change of pi: E -> K along the arrow [1] -> K selecting phi.
+
+    Returns (projection to [1], functor to E, total category).
+    """
+    return core.base_change(pi, _arrow_functor(pi.target, phi))
+
+
 # -- (co)Cartesian morphisms and fibrations --------------------------------
 
 
@@ -106,7 +114,7 @@ def is_locally_cocartesian(pi):
     for phi in sorted(K.morphisms):
         if K.is_identity(phi):
             continue  # base change over an identity is a projection off [1]
-        proj, _, _ = core.base_change(pi, _arrow_functor(K, phi))
+        proj, _, _ = base_change_over_arrow(pi, phi)
         v = is_cocartesian_fibration(proj)
         if not v.ok:
             return Verdict(False, {"base_morphism": phi, "inner": v.witness})
@@ -351,9 +359,7 @@ def sections_over_arrow(pi, phi):
     Returns (sections category, ev_s, ev_t, fiber over source, fiber over
     target) for the base change of pi along phi.
     """
-    K = pi.target
-    arrow = _arrow_functor(K, phi)
-    proj, _, total = core.base_change(pi, arrow)
+    proj, _, total = base_change_over_arrow(pi, phi)
     I1 = core.interval(1)
     secs, ids, comps = core.sections_category(core.identity_functor(I1), proj)
     fib_s = core.fiber(proj, "0")
@@ -401,25 +407,6 @@ def check_section_restriction(pi, sigma, p):
 # -- left final / right initial fibrations ----------------------------------
 
 
-def fiber_inclusion_final_over_arrow(pi, phi):
-    """Is the target-fiber inclusion into the base change over phi final?"""
-    K = pi.target
-    arrow = _arrow_functor(K, phi)
-    proj, _, total_cat = core.base_change(pi, arrow)
-    fib_t = core.fiber(proj, "1")
-    inc = core.inclusion_functor(fib_t, proj.source)
-    return homology.is_final(inc)
-
-
-def fiber_inclusion_initial_over_arrow(pi, phi):
-    K = pi.target
-    arrow = _arrow_functor(K, phi)
-    proj, _, total_cat = core.base_change(pi, arrow)
-    fib_s = core.fiber(proj, "0")
-    inc = core.inclusion_functor(fib_s, proj.source)
-    return homology.is_initial(inc)
-
-
 def is_left_final_fibration(pi, certify_dim=None):
     """Exponentiable, and each target-fiber inclusion over an arrow is
     final."""
@@ -430,7 +417,7 @@ def is_left_final_fibration(pi, certify_dim=None):
     mode = "pi0" if certify_dim is None else ("certified", certify_dim)
     for phi in sorted(K.morphisms):
         fv = homology.is_final(
-            _fiber_inclusion(pi, phi, "1"), mode=mode)
+            fiber_inclusion_over_arrow(pi, phi, "1"), mode=mode)
         if not fv.ok:
             return Verdict(False, {"base_morphism": phi, "inner": fv.witness})
     return Verdict(True)
@@ -444,18 +431,17 @@ def is_right_initial_fibration(pi, certify_dim=None):
     mode = "pi0" if certify_dim is None else ("certified", certify_dim)
     for phi in sorted(K.morphisms):
         fv = homology.is_initial(
-            _fiber_inclusion(pi, phi, "0"), mode=mode)
+            fiber_inclusion_over_arrow(pi, phi, "0"), mode=mode)
         if not fv.ok:
             return Verdict(False, {"base_morphism": phi, "inner": fv.witness})
     return Verdict(True)
 
 
-def _fiber_inclusion(pi, phi, end):
-    K = pi.target
-    arrow = _arrow_functor(K, phi)
-    proj, _, _ = core.base_change(pi, arrow)
-    fib = core.fiber(proj, end)
-    return core.inclusion_functor(fib, proj.source)
+def fiber_inclusion_over_arrow(pi, phi, end):
+    """The inclusion of the fiber over end ("0" or "1") into the base
+    change of pi over phi."""
+    proj, _, _ = base_change_over_arrow(pi, phi)
+    return core.inclusion_functor(core.fiber(proj, end), proj.source)
 
 
 # -- the profile -------------------------------------------------------------

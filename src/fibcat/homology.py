@@ -106,14 +106,11 @@ def _check_face_relations(C, nrv):
             fs = _chain_faces(C, chain)
             for j in range(1, k + 1):
                 for i in range(j):
-                    left = _chain_faces(C, fs[j])[i] if k > 1 else None
-                    right = _chain_faces(C, fs[i])[j - 1] if k > 1 else None
-                    if k > 2 or True:
-                        lhs = _face_of_chain(C, fs[j], i)
-                        rhs = _face_of_chain(C, fs[i], j - 1)
-                        if lhs != rhs:
-                            raise AssertionError(
-                                f"face relation fails on {chain} (i={i}, j={j})")
+                    lhs = _face_of_chain(C, fs[j], i)
+                    rhs = _face_of_chain(C, fs[i], j - 1)
+                    if lhs != rhs:
+                        raise AssertionError(
+                            f"face relation fails on {chain} (i={i}, j={j})")
 
 
 def _face_of_chain(C, chain, i):

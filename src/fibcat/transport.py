@@ -90,40 +90,11 @@ def cocart_replacement(pi):
     fully faithful, and a right adjoint when pi was already coCartesian.
     """
     E, K = pi.source, pi.target
-    objects = []
-    data = {}
-    for e in E.objects:
-        for phi in K.morphisms_from(pi.ob_map[e]):
-            o = pair_id(e, phi)
-            objects.append(o)
-            data[o] = (e, phi)
-    morphisms = []
-    parts = {}
-    for o1, (e, phi) in data.items():
-        for o2, (e2, phi2) in data.items():
-            for u in E.hom(e, e2):
-                lhs = K.compose(phi2, pi.mor_map[u])
-                for v in K.hom(K.tgt[phi], K.tgt[phi2]):
-                    if lhs == K.compose(v, phi):
-                        m = f"({u},{v}):{o1}>{o2}"
-                        morphisms.append((m, o1, o2))
-                        parts[m] = (u, v)
-    identities = {o: (f"({E.identity[data[o][0]]},{K.identity[K.tgt[data[o][1]]]})"
-                      f":{o}>{o}") for o in objects}
-    composition = {}
-    by_src = {}
-    for m, o1, o2 in morphisms:
-        by_src.setdefault(o1, []).append((m, o2))
-    for m, o1, o2 in morphisms:
-        u, v = parts[m]
-        for m2, o3 in by_src.get(o2, ()):
-            u2, v2 = parts[m2]
-            composition[(m2, m)] = \
-                f"({E.compose(u2, u)},{K.compose(v2, v)}):{o1}>{o3}"
-    total = FiniteCategory(objects, morphisms, identities, composition,
-                           _validate=False)
-    proj = Functor(total, K, {o: K.tgt[data[o][1]] for o in objects},
-                   {m: parts[m][1] for m, _, _ in morphisms}, _validate=False)
+    ends = {pair_id(e, phi): (e, K.tgt[phi], phi)
+            for e in E.objects for phi in K.morphisms_from(pi.ob_map[e])}
+    total, _, proj = core.square_category(
+        E, K, ends,
+        lambda phi, u, v, phi2: K.compose(phi2, pi.mor_map[u]) == K.compose(v, phi))
     unit = Functor(E, total,
                    {e: pair_id(e, K.identity[pi.ob_map[e]]) for e in E.objects},
                    {u: (f"({u},{pi.mor_map[u]})"
@@ -140,40 +111,11 @@ def cocart_replacement(pi):
 def cart_replacement(pi):
     """Arrows of the base into the image, projected by the arrow source."""
     E, K = pi.source, pi.target
-    objects = []
-    data = {}
-    for e in E.objects:
-        for phi in K.morphisms_to(pi.ob_map[e]):
-            o = pair_id(phi, e)
-            objects.append(o)
-            data[o] = (phi, e)
-    morphisms = []
-    parts = {}
-    for o1, (phi, e) in data.items():
-        for o2, (phi2, e2) in data.items():
-            for u in E.hom(e, e2):
-                lhs = K.compose(pi.mor_map[u], phi)
-                for v in K.hom(K.src[phi], K.src[phi2]):
-                    if lhs == K.compose(phi2, v):
-                        m = f"({v},{u}):{o1}>{o2}"
-                        morphisms.append((m, o1, o2))
-                        parts[m] = (v, u)
-    identities = {o: (f"({K.identity[K.src[data[o][0]]]},{E.identity[data[o][1]]})"
-                      f":{o}>{o}") for o in objects}
-    composition = {}
-    by_src = {}
-    for m, o1, o2 in morphisms:
-        by_src.setdefault(o1, []).append((m, o2))
-    for m, o1, o2 in morphisms:
-        v, u = parts[m]
-        for m2, o3 in by_src.get(o2, ()):
-            v2, u2 = parts[m2]
-            composition[(m2, m)] = \
-                f"({K.compose(v2, v)},{E.compose(u2, u)}):{o1}>{o3}"
-    total = FiniteCategory(objects, morphisms, identities, composition,
-                           _validate=False)
-    proj = Functor(total, K, {o: K.src[data[o][0]] for o in objects},
-                   {m: parts[m][0] for m, _, _ in morphisms}, _validate=False)
+    ends = {pair_id(phi, e): (K.src[phi], e, phi)
+            for e in E.objects for phi in K.morphisms_to(pi.ob_map[e])}
+    total, proj, _ = core.square_category(
+        K, E, ends,
+        lambda phi, v, u, phi2: K.compose(pi.mor_map[u], phi) == K.compose(phi2, v))
     unit = Functor(E, total,
                    {e: pair_id(K.identity[pi.ob_map[e]], e) for e in E.objects},
                    {u: (f"({pi.mor_map[u]},{u})"
@@ -649,13 +591,6 @@ class Pushforward(NamedTuple):
     mor_functors: dict      # morphism id -> Functor (base-changed arrow -> Z)
 
 
-def _base_change_over_arrow(pi, phi):
-    K = pi.target
-    arrow = fibrations._arrow_functor(K, phi)
-    proj, to_E, total = core.base_change(pi, arrow)
-    return proj, to_E, total
-
-
 def pushforward_exponentiable(pi, zeta, cap=None):
     """Objects over x are functors from the fiber to Z over E; morphisms
     over phi are functors from the base change over phi to Z over E;
@@ -687,7 +622,7 @@ def pushforward_exponentiable(pi, zeta, cap=None):
     morphisms = []
     for phi in K.morphisms:
         x, y = K.src[phi], K.tgt[phi]
-        proj, to_E, total = _base_change_over_arrow(pi, phi)
+        proj, to_E, total = fibrations.base_change_over_arrow(pi, phi)
         funs = core.functors_over(to_E, zeta, cap=cap)
         arrow_data[phi] = (proj, to_E, total)
         for H in funs:

@@ -230,7 +230,8 @@ def _menu_finality(pi):
     K = pi.target
     a = b = True
     for phi in K.morphisms:
-        a = a and fib.fiber_inclusion_final_over_arrow(pi, phi).ok
+        a = a and homology.is_final(
+            fib.fiber_inclusion_over_arrow(pi, phi, "1")).ok
         secs, ev_s, ev_t, fs, ft, proj, total = fib.sections_over_arrow(
             pi, phi)
         b = b and homology.is_final(ev_s).ok

@@ -1,9 +1,11 @@
+import hashlib
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fibcat import core, randgen
+from fibcat import core, correspondences as corrs, documents as docs
+from fibcat import randgen, transport
 from fibcat.core import CategoryError, FiniteCategory
 
 
@@ -213,6 +215,61 @@ class TestArrowCategories:
         C = core.interval(2)
         Tw, proj = core.twisted_arrows(C)
         assert proj.target == core.product(core.opposite(C), C)
+
+
+def _replacement(build):
+    # on the functor of fixtures/ev_t_arrow_1.json
+    rep = build(core.arrow_category(core.interval(1))[2])
+    return rep.projection.source, rep.projection, rep.unit
+
+
+def _bifibration(build):
+    c = corrs.identity_correspondence(core.interval(1))
+    X = build(c)
+    return X.total, X.projection
+
+
+# Ids of the square-category constructions reach the reports, so each
+# construction's category, functor maps and extra data are pinned byte for
+# byte: (builder returning (category, *functors or dicts), SHA-256).
+SQUARE_CONSTRUCTIONS = {
+    "arrow_category": (
+        lambda: core.arrow_category(core.interval(2)),
+        "ca4a6e5f997fae440556bffa24e002e589d8f0deafb038231fb12cb5b4b417ab"),
+    "twisted_arrows": (
+        lambda: core.twisted_arrows(core.interval(2)),
+        "c765a1475be12deaec207fc76388236d2019fa5a042fda0bd440df8da655cab3"),
+    "comma_with_data": (
+        lambda: core.comma_with_data(core.point(core.interval(2), "1"),
+                                     core.identity_functor(core.interval(2))),
+        "624dd07ab03aad976f5b7a77c030713146db33ea79b19c6b91e5845cf90d1f5d"),
+    "cocart_replacement": (
+        lambda: _replacement(transport.cocart_replacement),
+        "2ab4cb27955f186a55c9270da8b284ed4d2a505545186c21cd964cf28e6df32d"),
+    "cart_replacement": (
+        lambda: _replacement(transport.cart_replacement),
+        "594f80a341120738650883a76895c73e914b53f6c4bb0e1412c838fca2c90600"),
+    "corr_to_bifib": (
+        lambda: _bifibration(corrs.corr_to_bifib),
+        "d2e14c218490f9cb77395cdc1a11c07ebeb9ee81fe78243c2c950d7393251044"),
+    "profunctor_to_bifib": (
+        lambda: _bifibration(lambda c: corrs.profunctor_to_bifib(
+            corrs.corr_to_profunctor(c))),
+        "bb07859ce051c39579eca80d3730ca90c97d5a7eb2a86a740697c80b35f6b81d"),
+}
+
+
+class TestSquareCategoryIds:
+    @pytest.mark.parametrize("name", sorted(SQUARE_CONSTRUCTIONS))
+    def test_ids_are_pinned(self, name):
+        build, expected = SQUARE_CONSTRUCTIONS[name]
+        cat, *rest = build()
+        h = hashlib.sha256(docs.dumps(docs.category_to_doc(cat)).encode())
+        for x in rest:
+            if isinstance(x, core.Functor):
+                x = {"ob": x.ob_map, "mor": x.mor_map}
+            h.update(docs.dumps(x).encode())
+        assert h.hexdigest() == expected
 
 
 class TestFunctorEnumeration:

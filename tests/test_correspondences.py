@@ -323,8 +323,8 @@ class TestProductsAndHandedness:
             core.constant_functor(A, B, "1"), core.identity_functor(B)))
         assert corrs.is_left_final_corr(cyl).ok
         assert not corrs.is_right_initial_corr(cyl).ok
-        assert fib.fiber_inclusion_initial_over_arrow(
-            cyl.projection, "0->1").ok is False
+        assert homology.is_initial(fib.fiber_inclusion_over_arrow(
+            cyl.projection, "0->1", "0")).ok is False
 
     def test_cocartesian_correspondences_are_left_final(self):
         rng = random.Random(12)

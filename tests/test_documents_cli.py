@@ -114,6 +114,21 @@ class TestCliExitContract:
         assert code == 4
         assert "precondition" in err
 
+    def test_non_string_id_is_a_parse_error(self, tmp_path):
+        doc = docs.category_to_doc(core.interval(1))
+        doc["objects"] = [["x"]]
+        bad = tmp_path / "list_id.json"
+        bad.write_text(json.dumps(doc))
+        code, out, err = run_cli("homology", str(bad))
+        assert code == 2
+        assert "parse error" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_suite_rejects_fewer_than_one_job(self, jobs):
+        code, out, err = run_cli("suite", "--jobs", jobs)
+        assert code == 2
+        assert out == ""
+
     def test_success_is_0_even_with_negative_verdicts(self, fixture_dir):
         code, out, err = run_cli(
             "classify", "--functor",

@@ -426,7 +426,8 @@ class TestEquivalenceMenus:
             pi = randgen.random_functor_over_1(rng)
             if not fib.is_exponentiable(pi).ok:
                 continue
-            a = fib.fiber_inclusion_final_over_arrow(pi, "0->1").ok
+            a = homology.is_final(
+                fib.fiber_inclusion_over_arrow(pi, "0->1", "1")).ok
             secs, ev_s, ev_t, fs, ft, proj, total = fib.sections_over_arrow(
                 pi, "0->1")
             b = homology.is_final(ev_s).ok
