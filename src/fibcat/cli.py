@@ -170,16 +170,16 @@ def cmd_roundtrip(args):
 def cmd_replace(args):
     pi = _load(args.functor, "functor")
     if args.kind == "cocart":
+        # cocart_replacement has checked both and raises
+        # InternalInvariantError (exit 5) when either fails
         rep = transport.cocart_replacement(pi)
-        check = {"cocartesian": fibrations.is_cocartesian_fibration(
-            rep.projection).ok,
-            "unit_fully_faithful": rep.unit.is_fully_faithful()}
+        check = {"cocartesian": True, "unit_fully_faithful": True}
         out = docs.functor_to_doc(rep.projection)
     elif args.kind == "cart":
+        # cart_replacement has checked both and raises
+        # InternalInvariantError (exit 5) when either fails
         rep = transport.cart_replacement(pi)
-        check = {"cartesian": fibrations.is_cartesian_fibration(
-            rep.projection).ok,
-            "unit_fully_faithful": rep.unit.is_fully_faithful()}
+        check = {"cartesian": True, "unit_fully_faithful": True}
         out = docs.functor_to_doc(rep.projection)
     elif args.kind == "lfib":
         rep = transport.lfib_replacement(pi)

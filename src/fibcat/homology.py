@@ -11,6 +11,8 @@ anything beyond degree d.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
+from itertools import compress
 
 from . import core
 from .core import PreconditionError
@@ -43,17 +45,13 @@ class TruncatedNerve:
 
 
 def _chain_faces(C, chain):
-    """All faces of a composable chain, as raw chains (before normalizing)."""
-    k = len(chain)
-    out = []
-    for i in range(k + 1):
-        if i == 0:
-            out.append(tuple(chain[1:]))
-        elif i == k:
-            out.append(tuple(chain[:-1]))
-        else:
-            comp = C.compose(chain[i], chain[i - 1])
-            out.append(tuple(chain[:i - 1]) + (comp,) + tuple(chain[i + 1:]))
+    """All faces of a composable chain (a tuple), as raw chains (before
+    normalizing)."""
+    out = [chain[1:]]
+    for i in range(1, len(chain)):
+        comp = C.compose(chain[i], chain[i - 1])
+        out.append(chain[:i - 1] + (comp,) + chain[i + 1:])
+    out.append(chain[:-1])
     return out
 
 
@@ -62,17 +60,16 @@ def nerve(C, d):
     if d < 0:
         raise PreconditionError("nerve requires d >= 0")
     non_id = C.non_identity_morphisms()
+    leaving = {}  # object -> non-identity morphisms out of it
+    for m in non_id:
+        leaving.setdefault(C.src[m], []).append(m)
     simplices = [tuple(sorted(C.objects))]
     for k in range(1, d + 2):
         if k == 1:
             chains = [(m,) for m in sorted(non_id)]
         else:
-            chains = []
-            for chain in simplices[k - 1]:
-                last = chain[-1]
-                for m in non_id:
-                    if C.src[m] == C.tgt[last]:
-                        chains.append(chain + (m,))
+            chains = [chain + (m,) for chain in simplices[k - 1]
+                      for m in leaving.get(C.tgt[chain[-1]], ())]
             chains.sort()
         simplices.append(tuple(chains))
     index = [{s: i for i, s in enumerate(level)} for level in simplices]
@@ -87,7 +84,9 @@ def nerve(C, d):
                     target = C.tgt[chain[0]] if i == 0 else C.src[chain[0]]
                     row.append(index[0][target])
                     continue
-                if any(C.is_identity(m) for m in face):
+                # a chain holds no identities, so only the composite made
+                # by an inner face can be one
+                if 0 < i < k and C.is_identity(face[i - 1]):
                     row.append(-1)
                 else:
                     row.append(index[k - 1][face])
@@ -103,20 +102,18 @@ def _check_face_relations(C, nrv):
     # identities hold before normalization
     for k in range(2, nrv.max_dim + 2):
         for chain in nrv.simplices[k]:
-            fs = _chain_faces(C, chain)
+            ffs = [_faces_of_face(C, face) for face in _chain_faces(C, chain)]
             for j in range(1, k + 1):
                 for i in range(j):
-                    lhs = _face_of_chain(C, fs[j], i)
-                    rhs = _face_of_chain(C, fs[i], j - 1)
-                    if lhs != rhs:
+                    if ffs[j][i] != ffs[i][j - 1]:
                         raise AssertionError(
                             f"face relation fails on {chain} (i={i}, j={j})")
 
 
-def _face_of_chain(C, chain, i):
+def _faces_of_face(C, chain):
     if len(chain) == 1:
-        return C.tgt[chain[0]] if i == 0 else C.src[chain[0]]
-    return _chain_faces(C, chain)[i]
+        return [C.tgt[chain[0]], C.src[chain[0]]]
+    return _chain_faces(C, chain)
 
 
 def boundary_matrix(nrv, k):
@@ -139,8 +136,83 @@ def boundary_matrix(nrv, k):
 def smith_normal_form(M):
     """Invariant factors of an integer matrix (d1 | d2 | ...), all positive.
 
-    Pivots are chosen by minimal absolute value (partial pivoting); all
-    arithmetic is exact.
+    The matrix is read into sparse columns and reduced on unit pivots
+    first.  Each ±1 entry, taken in order of least Markowitz cost (the
+    other entries of its column times the other entries of its row), is
+    eliminated from the other columns of its row; its row and column are
+    then dropped and contribute an invariant factor 1.  The block left when
+    no unit entry remains, which carries all the torsion, goes to a dense
+    Smith normal form.  All arithmetic is exact.
+    """
+    cols = {}  # column -> {row: nonzero value}
+    rows = {}  # row -> columns with a nonzero entry in that row
+    indices = list(range(len(M[0]) if M else 0))
+    for i, row in enumerate(M):
+        support = list(compress(indices, row))
+        if support:
+            rows[i] = set(support)
+            for j in support:
+                cols.setdefault(j, {})[i] = row[j]
+    units = 0
+    while True:
+        # unit entries created by fill-in wait for the next scan
+        heap = [((len(col) - 1) * (len(rows[i]) - 1), i, j)
+                for j, col in cols.items() for i, v in col.items()
+                if v == 1 or v == -1]
+        if not heap:
+            break
+        heapify(heap)
+        while heap:
+            cost, p, q = heappop(heap)
+            pivot_col = cols.get(q)
+            u = pivot_col.get(p) if pivot_col is not None else None
+            if u != 1 and u != -1:
+                continue  # eliminated or changed since it was queued
+            now = (len(pivot_col) - 1) * (len(rows[p]) - 1)
+            if now > cost:
+                heappush(heap, (now, p, q))
+                continue
+            _eliminate_unit(cols, rows, p, q)
+            units += 1
+    residual_rows = sorted(set().union(*cols.values()))
+    residual = [[col.get(r, 0) for col in cols.values()]
+                for r in residual_rows]
+    return [1] * units + _dense_smith_normal_form(residual)
+
+
+def _eliminate_unit(cols, rows, p, q):
+    """Clear row p outside the unit pivot (p, q), then drop row p and
+    column q."""
+    pivot_col = cols.pop(q)
+    u = pivot_col.pop(p)
+    pivot_row = rows.pop(p)
+    pivot_row.discard(q)
+    for r in pivot_col:
+        rows[r].discard(q)
+    entries = pivot_col.items()
+    for j in pivot_row:
+        col = cols[j]
+        f = col.pop(p) * u
+        for r, v in entries:
+            old = col.get(r)
+            if old is None:
+                col[r] = -f * v
+                rows[r].add(j)
+            else:
+                w = old - f * v
+                if w:
+                    col[r] = w
+                else:
+                    del col[r]
+                    rows[r].discard(j)
+        if not col:
+            del cols[j]
+
+
+def _dense_smith_normal_form(M):
+    """Invariant factors of a dense integer matrix (d1 | d2 | ...).
+
+    Pivots are chosen by minimal absolute value; all arithmetic is exact.
     """
     A = [row[:] for row in M]
     m = len(A)

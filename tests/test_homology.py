@@ -49,6 +49,14 @@ class TestNerve:
     def test_face_relations_hold(self):
         homology.nerve(core.retract_category(), 2)  # raises on violation
 
+    def test_face_relation_violation_raises(self, monkeypatch):
+        # g1∘g1 := g0 breaks associativity: (g1∘g1)∘g2 = g2 but
+        # g1∘(g1∘g2) = g1, so d1 d2 != d1 d1 on the chain (g2, g1, g1)
+        C = core.cyclic_group_category(3)
+        monkeypatch.setitem(C._comp, ("g1", "g1"), "g0")
+        with pytest.raises(AssertionError, match="face relation fails"):
+            homology.nerve(C, 2)
+
 
 class TestSmithNormalForm:
     def test_diagonal_divisibility(self):
@@ -71,6 +79,85 @@ class TestSmithNormalForm:
                             for i in range(min(diag.shape))
                             if diag[i, i] != 0)
             assert sorted(mine) == theirs
+
+
+def _sympy_divisors(M):
+    if not M or not M[0]:
+        return []
+    diag = sympy_snf(Matrix(M), domain=sympy.ZZ)
+    return sorted(abs(int(diag[i, i])) for i in range(min(diag.shape))
+                  if diag[i, i] != 0)
+
+
+def _assert_divisor_chain(divisors):
+    assert all(v > 0 for v in divisors)
+    for a, b in zip(divisors, divisors[1:]):
+        assert b % a == 0
+
+
+def _torus():
+    circle = core.poset_from_order(
+        ["a0", "a1", "b0", "b1"],
+        lambda p, q: p == q or (p[0] == "a" and q[0] == "b"))
+    return core.product(circle, circle)
+
+
+class TestSparseSmithNormalForm:
+    """The sparse unit-pivot engine against sympy and the dense routine."""
+
+    def test_random_sparse_matrices_match_both_oracles(self):
+        rng = random.Random(5)
+        values = [1, -1, 1, -1, 2, -2, 3, -4, 6]
+        for _ in range(120):
+            rows, cols = rng.randint(1, 12), rng.randint(1, 20)
+            density = rng.choice([0.1, 0.25, 0.5])
+            M = [[rng.choice(values) if rng.random() < density else 0
+                  for _ in range(cols)] for _ in range(rows)]
+            mine = homology.smith_normal_form(M)
+            _assert_divisor_chain(mine)
+            assert mine == homology._dense_smith_normal_form(M)
+            assert sorted(mine) == _sympy_divisors(M)
+
+    @pytest.mark.parametrize("M, expected", [
+        ([], []),                                  # 0 x n
+        ([[], [], []], []),                        # n x 0
+        ([[0, 0, 0], [0, 0, 0]], []),              # all zero
+        ([[2, 4], [6, 8]], [2, 4]),                # no unit entry
+        ([[2, 0, 0], [0, 3, 0], [0, 0, 0]], [1, 6]),
+        ([[1, 0], [0, 4], [0, 6]], [1, 2]),        # unit plus residual
+    ])
+    def test_edge_cases(self, M, expected):
+        assert homology.smith_normal_form(M) == expected
+        assert sorted(expected) == _sympy_divisors(M)
+
+    @pytest.mark.parametrize("name, C, d", [
+        ("Z/4", core.cyclic_group_category(4), 3),
+        ("Z/5", core.cyclic_group_category(5), 3),
+        ("torus", _torus(), 3),
+        ("Ar([3])", core.arrow_category(core.interval(3))[0], 3),
+    ])
+    def test_every_nerve_boundary_matches_dense(self, name, C, d):
+        nrv = homology.nerve(C, d)
+        for k in range(1, d + 2):
+            M = homology.boundary_matrix(nrv, k)
+            mine = homology.smith_normal_form(M)
+            _assert_divisor_chain(mine)
+            assert mine == homology._dense_smith_normal_form(M), (name, k)
+
+    def test_torus_homology(self):
+        rep = homology.homology(_torus(), 3)
+        assert rep.betti == [1, 2, 1, 0]
+        assert rep.torsion == [[], [], [], []]
+
+    def test_cyclic_group_eight_closed_form(self):
+        rep = homology.homology(core.cyclic_group_category(8), 3)
+        assert rep.betti == [1, 0, 0, 0]
+        assert rep.torsion == [[], [8], [], [8]]
+
+    def test_arrow_category_of_interval_four_is_contractible(self):
+        Ar4 = core.arrow_category(core.interval(4))[0]
+        rep = homology.homology(Ar4, 2)
+        assert rep.reduced_trivial_up_to(2)
 
 
 class TestHomology:
