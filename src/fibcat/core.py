@@ -503,39 +503,15 @@ def opposite_functor(F):
 
 def product(C, D):
     """Pairs of objects and morphisms with componentwise composition."""
-    objects = [pair_id(a, b) for a in C.objects for b in D.objects]
-    morphisms = [(pair_id(m, n), pair_id(C.src[m], D.src[n]),
-                  pair_id(C.tgt[m], D.tgt[n]))
-                 for m in C.morphisms for n in D.morphisms]
-    identities = {pair_id(a, b): pair_id(C.identity[a], D.identity[b])
-                  for a in C.objects for b in D.objects}
-    composition = {}
-    for m in C.morphisms:
-        for m2 in C.morphisms:
-            if C.tgt[m] != C.src[m2]:
-                continue
-            mm = C.compose(m2, m)
-            for n in D.morphisms:
-                for n2 in D.morphisms:
-                    if D.tgt[n] != D.src[n2]:
-                        continue
-                    composition[(pair_id(m2, n2), pair_id(m, n))] = \
-                        pair_id(mm, D.compose(n2, n))
-    return FiniteCategory(objects, morphisms, identities, composition,
-                          _validate=False)
+    return product_projections(C, D)[0]
 
 
 def product_projections(C, D):
-    P = product(C, D)
-    pr1 = Functor(P, C,
-                  {pair_id(a, b): a for a in C.objects for b in D.objects},
-                  {pair_id(m, n): m for m in C.morphisms for n in D.morphisms},
-                  _validate=False)
-    pr2 = Functor(P, D,
-                  {pair_id(a, b): b for a in C.objects for b in D.objects},
-                  {pair_id(m, n): n for m in C.morphisms for n in D.morphisms},
-                  _validate=False)
-    return P, pr1, pr2
+    """The product as the pullback of C -> terminal() <- D, with its two
+    projections."""
+    T = terminal()
+    sq = pullback(constant_functor(C, T, "*"), constant_functor(D, T, "*"))
+    return sq.total, sq.to_left, sq.to_right
 
 
 def pairing_functor(F, G):
@@ -560,56 +536,50 @@ def pullback(F, G):
     """Strict fiber product of F: A -> C and G: B -> C.
 
     Objects are pairs (a,b) with F(a) = G(b); morphisms are pairs of
-    morphisms with equal images, composed componentwise.
+    morphisms with equal images, composed componentwise.  Each pair is
+    built once, together with its images under both projections;
+    composable pairs are looked up by (src m, src n).
     """
     if F.target != G.target:
         raise PreconditionError("pullback requires a common target")
     A, B = F.source, G.source
-    objects = [pair_id(a, b) for a in A.objects for b in B.objects
-               if F.ob_map[a] == G.ob_map[b]]
+    b_over = {}
+    for b in B.objects:
+        b_over.setdefault(G.ob_map[b], []).append(b)
+    n_over = {}
+    for n in B.morphisms:
+        n_over.setdefault(G.mor_map[n], []).append(n)
+    objects = []
+    identities = {}
+    left_ob, right_ob = {}, {}
+    for a in A.objects:
+        for b in b_over.get(F.ob_map[a], ()):
+            p = pair_id(a, b)
+            objects.append(p)
+            identities[p] = pair_id(A.identity[a], B.identity[b])
+            left_ob[p] = a
+            right_ob[p] = b
     morphisms = []
+    mor_pairs = []
+    left_mor, right_mor = {}, {}
+    by_src = {}  # (src m, src n) -> [(id, m, n)]
     for m in A.morphisms:
-        for n in B.morphisms:
-            if F.mor_map[m] == G.mor_map[n]:
-                morphisms.append((pair_id(m, n),
-                                  pair_id(A.src[m], B.src[n]),
-                                  pair_id(A.tgt[m], B.tgt[n])))
-    mor_pairs = [(m, n) for m in A.morphisms for n in B.morphisms
-                 if F.mor_map[m] == G.mor_map[n]]
-    identities = {pair_id(a, b): pair_id(A.identity[a], B.identity[b])
-                  for a in A.objects for b in B.objects
-                  if F.ob_map[a] == G.ob_map[b]}
+        for n in n_over.get(F.mor_map[m], ()):
+            p = pair_id(m, n)
+            morphisms.append((p, pair_id(A.src[m], B.src[n]),
+                              pair_id(A.tgt[m], B.tgt[n])))
+            mor_pairs.append((p, m, n))
+            left_mor[p] = m
+            right_mor[p] = n
+            by_src.setdefault((A.src[m], B.src[n]), []).append((p, m, n))
     composition = {}
-    for (m, n) in mor_pairs:
-        for (m2, n2) in mor_pairs:
-            if A.tgt[m] == A.src[m2] and B.tgt[n] == B.src[n2]:
-                composition[(pair_id(m2, n2), pair_id(m, n))] = \
-                    pair_id(A.compose(m2, m), B.compose(n2, n))
+    for p, m, n in mor_pairs:
+        for p2, m2, n2 in by_src.get((A.tgt[m], B.tgt[n]), ()):
+            composition[(p2, p)] = pair_id(A.compose(m2, m), B.compose(n2, n))
     P = FiniteCategory(objects, morphisms, identities, composition,
                        _validate=False)
-    to_left = Functor(P, A, {pair_id(a, b): a for a, b in _decode_pairs(objects)},
-                      {pair_id(m, n): m for m, n in mor_pairs}, _validate=False)
-    to_right = Functor(P, B, {pair_id(a, b): b for a, b in _decode_pairs(objects)},
-                       {pair_id(m, n): n for m, n in mor_pairs}, _validate=False)
-    return PullbackSquare(P, to_left, to_right)
-
-
-def _decode_pairs(pair_ids):
-    # inverse of pair_id on ids it produced; splits at the comma balancing
-    # parentheses so that nested pair ids survive
-    out = []
-    for p in pair_ids:
-        body = p[1:-1]
-        depth = 0
-        for i, ch in enumerate(body):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            elif ch == "," and depth == 0:
-                out.append((body[:i], body[i + 1:]))
-                break
-    return out
+    return PullbackSquare(P, Functor(P, A, left_ob, left_mor, _validate=False),
+                          Functor(P, B, right_ob, right_mor, _validate=False))
 
 
 def base_change(pi, g):

@@ -1054,9 +1054,8 @@ def associativity_iso(P01, P12, P23):
 def product_corr(c1, c2):
     """Fiber product over [1] of the totals: fibers are products."""
     sq = core.pullback(c1.projection, c2.projection)
-    s_objects = [o for (o, (x, y)) in
-                 zip(sq.total.objects, core._decode_pairs(sq.total.objects))
-                 if c1.projection.ob_map[x] == "0"]
+    s_objects = [o for o in sq.total.objects
+                 if c1.projection.ob_map[sq.to_left.ob_map[o]] == "0"]
     return correspondence_from_total(sq.total, s_objects)
 
 

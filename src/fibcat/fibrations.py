@@ -104,8 +104,7 @@ def is_cocartesian_fibration(pi):
 
 
 def is_cartesian_fibration(pi):
-    v = is_cocartesian_fibration(core.opposite_functor(pi))
-    return v
+    return is_cocartesian_fibration(core.opposite_functor(pi))
 
 
 def is_locally_cocartesian(pi):
@@ -410,28 +409,26 @@ def check_section_restriction(pi, sigma, p):
 def is_left_final_fibration(pi, certify_dim=None):
     """Exponentiable, and each target-fiber inclusion over an arrow is
     final."""
-    v = is_exponentiable(pi, certify_dim=certify_dim)
-    if not v.ok:
-        return Verdict(False, {"exponentiable": v.witness})
-    K = pi.target
-    mode = "pi0" if certify_dim is None else ("certified", certify_dim)
-    for phi in sorted(K.morphisms):
-        fv = homology.is_final(
-            fiber_inclusion_over_arrow(pi, phi, "1"), mode=mode)
-        if not fv.ok:
-            return Verdict(False, {"base_morphism": phi, "inner": fv.witness})
-    return Verdict(True)
+    return _end_fibration(pi, is_exponentiable(pi, certify_dim=certify_dim),
+                          "1", certify_dim)
 
 
 def is_right_initial_fibration(pi, certify_dim=None):
-    v = is_exponentiable(pi, certify_dim=certify_dim)
-    if not v.ok:
-        return Verdict(False, {"exponentiable": v.witness})
-    K = pi.target
+    """Exponentiable, and each source-fiber inclusion over an arrow is
+    initial."""
+    return _end_fibration(pi, is_exponentiable(pi, certify_dim=certify_dim),
+                          "0", certify_dim)
+
+
+def _end_fibration(pi, exponentiable, end, certify_dim):
+    """Given pi's exponentiability verdict: is the inclusion of the fiber
+    over end of each arrow final (end "1") or initial (end "0")?"""
+    if not exponentiable.ok:
+        return Verdict(False, {"exponentiable": exponentiable.witness})
+    check = homology.is_final if end == "1" else homology.is_initial
     mode = "pi0" if certify_dim is None else ("certified", certify_dim)
-    for phi in sorted(K.morphisms):
-        fv = homology.is_initial(
-            fiber_inclusion_over_arrow(pi, phi, "0"), mode=mode)
+    for phi in sorted(pi.target.morphisms):
+        fv = check(fiber_inclusion_over_arrow(pi, phi, end), mode=mode)
         if not fv.ok:
             return Verdict(False, {"base_morphism": phi, "inner": fv.witness})
     return Verdict(True)
@@ -447,6 +444,9 @@ def fiber_inclusion_over_arrow(pi, phi, end):
 # -- the profile -------------------------------------------------------------
 
 
+# "discrete_opfib" and "discrete_fib" are is_left_fibration and
+# is_right_fibration: groupoid fibers are allowed.  They are not the strict
+# unique-lift is_strict_discrete_opfibration/is_strict_discrete_fibration.
 PROFILE_PROPERTIES = (
     "conservative", "discrete_opfib", "discrete_fib", "cocartesian",
     "cartesian", "locally_cocartesian", "locally_cartesian",
@@ -499,10 +499,12 @@ def classify(pi, certify_dim=None):
         "locally_cocartesian": is_locally_cocartesian(pi),
         "locally_cartesian": is_locally_cartesian(pi),
         "exponentiable": is_exponentiable(pi, certify_dim=certify_dim),
-        "left_final": is_left_final_fibration(pi, certify_dim=certify_dim),
-        "right_initial": is_right_initial_fibration(pi,
-                                                    certify_dim=certify_dim),
     }
+    # one exponentiability verdict serves both end checks
+    checks["left_final"] = _end_fibration(pi, checks["exponentiable"], "1",
+                                          certify_dim)
+    checks["right_initial"] = _end_fibration(pi, checks["exponentiable"], "0",
+                                             certify_dim)
     verdicts = {k: v.ok for k, v in checks.items()}
     witnesses = {k: v.witness for k, v in checks.items() if not v.ok}
     for name, hyps, concs in _IMPLICATIONS:

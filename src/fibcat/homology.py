@@ -669,18 +669,17 @@ def quillenB_pi0_square(f, pi):
     cls_X = pi0_map(pi.source)
     cls_Y = pi0_map(pi.target)
     cls_Yp = pi0_map(f.source)
+    yp_of, x_of = sq.to_left.ob_map, sq.to_right.ob_map
     pairs = {}
     for o in sq.total.objects:
-        yp, x = core._decode_pairs([o])[0]
         key = cls_Xp[o]
-        value = (cls_Yp[yp], cls_X[x])
+        value = (cls_Yp[yp_of[o]], cls_X[x_of[o]])
         if key in pairs and pairs[key] != value:
             return {"pullback": False, "reason": "map not constant on classes"}
     # rebuild: map classes of the corner to matching pairs
     corner = {}
     for o in sq.total.objects:
-        yp, x = core._decode_pairs([o])[0]
-        corner[cls_Xp[o]] = (cls_Yp[yp], cls_X[x])
+        corner[cls_Xp[o]] = (cls_Yp[yp_of[o]], cls_X[x_of[o]])
     matching = {(cls_Yp[yp], cls_X[x])
                 for yp in f.source.objects for x in pi.source.objects
                 if cls_Y[f.ob_map[yp]] == cls_Y[pi.ob_map[x]]}

@@ -639,7 +639,7 @@ def pushforward_exponentiable(pi, zeta, cap=None):
     for x in K.objects:
         for oid in objects_over[x]:
             identities[oid] = _degenerate_morphism_id(
-                K, x, obj_functors[oid], arrow_data, fibers)
+                K, x, obj_functors[oid], arrow_data)
     composition = {}
     by_src = {}
     for mid, s, t in morphisms:
@@ -666,21 +666,16 @@ def _restrict_end(H, fiber_cat, end):
     return Functor(fiber_cat, H.target, ob_map, mor_map, _validate=False)
 
 
-def _degenerate_morphism_id(K, x, F, arrow_data, fibers):
+def _degenerate_morphism_id(K, x, F, arrow_data):
     """The identity morphism of F: the arrow functor with identity
     components over id_x."""
     phi = K.identity[x]
-    proj, to_E, total = arrow_data[phi]
-    Z = F.target
-    ob_map = {}
-    mor_map = {}
-    for o in total.objects:
-        end, e = core._decode_pairs([o])[0]
-        ob_map[o] = F.ob_map[e]
-    for m in total.morphisms:
-        iv, u = core._decode_pairs([m])[0]
-        mor_map[m] = F.mor_map[u]
-    H = Functor(total, Z, ob_map, mor_map, _validate=False)
+    _, to_E, total = arrow_data[phi]
+    # to_E lands in the fiber over x, the source of F
+    H = Functor(total, F.target,
+                {o: F.ob_map[e] for o, e in to_E.ob_map.items()},
+                {m: F.mor_map[u] for m, u in to_E.mor_map.items()},
+                _validate=False)
     return f"{core.functor_object_id(H)}@{phi}"
 
 
@@ -694,13 +689,13 @@ def _glue_morphisms(pi, zeta, arrow_data, H1, H2, phi, psi):
     ob_map = {}
     mor_map = {}
     for o in total_c.objects:
-        end, e = core._decode_pairs([o])[0]
+        end, e = proj_c.ob_map[o], to_E_c.ob_map[o]
         if end == "0":
             ob_map[o] = H1.ob_map[pair_id("0", e)]
         else:
             ob_map[o] = H2.ob_map[pair_id("1", e)]
     for m in total_c.morphisms:
-        iv, u = core._decode_pairs([m])[0]
+        iv, u = proj_c.mor_map[m], to_E_c.mor_map[m]
         if iv == "0->0":
             mor_map[m] = H1.mor_map[pair_id("0->0", u)]
         elif iv == "1->1":
@@ -747,10 +742,10 @@ def pushforward_adjunction_check(pi, zeta, p, cap=None, push=None):
         mor_map = {}
         JE = sq.total
         for o in JE.objects:
-            j, e = core._decode_pairs([o])[0]
+            j, e = sq.to_left.ob_map[o], q.ob_map[o]
             ob_map[o] = push.obj_functors[T.ob_map[j]].ob_map[e]
         for m in JE.morphisms:
-            w, u = core._decode_pairs([m])[0]
+            w, u = sq.to_left.mor_map[m], q.mor_map[m]
             H = push.mor_functors[T.mor_map[w]]
             mor_map[m] = H.mor_map[pair_id("0->1", u)]
         return Functor(JE, zeta.source, ob_map, mor_map)

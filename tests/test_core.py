@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fibcat import core, correspondences as corrs, documents as docs
-from fibcat import randgen, transport
+from fibcat import fibrations, randgen, transport
 from fibcat.core import CategoryError, FiniteCategory
 
 
@@ -140,6 +140,20 @@ class TestProductsAndPullbacks:
         assert len(fib.objects) == 2
         assert len(fib.non_identity_morphisms()) == 1
 
+    def test_projections_of_unbalanced_ids_map_every_object(self):
+        # the one object is the pair id "((x,y))"
+        A = core.discrete_category(["(x"])
+        B = core.discrete_category(["y)"])
+        T = core.terminal()
+        sq = core.pullback(core.constant_functor(A, T, "*"),
+                           core.constant_functor(B, T, "*"))
+        _, pr1, pr2 = core.product_projections(A, B)
+        for proj, target in ((sq.to_left, A), (sq.to_right, B),
+                             (pr1, A), (pr2, B)):
+            assert proj.target == target
+            assert len(proj.ob_map) == len(proj.source.objects) == 1
+            proj._validate()
+
     def test_pullback_universal_property(self):
         # cones from every small test category factor uniquely
         rng = random.Random(5)
@@ -223,15 +237,33 @@ def _replacement(build):
     return rep.projection.source, rep.projection, rep.unit
 
 
+def _pairing():
+    C = core.retract_category()
+    Ar, ev_s, ev_t = core.arrow_category(C)
+    F = core.pairing_functor(ev_s, ev_t)
+    return F.target, F
+
+
+def _base_change_over_arrow():
+    Ar, ev_s, ev_t = core.arrow_category(core.interval(3))
+    proj, to_E, total = fibrations.base_change_over_arrow(ev_t, "0->2")
+    return total, proj, to_E
+
+
+def _identity_correspondence():
+    c = corrs.identity_correspondence(core.retract_category())
+    return c.total, c.projection
+
+
 def _bifibration(build):
     c = corrs.identity_correspondence(core.interval(1))
     X = build(c)
     return X.total, X.projection
 
 
-# Ids of the square-category constructions reach the reports, so each
-# construction's category, functor maps and extra data are pinned byte for
-# byte: (builder returning (category, *functors or dicts), SHA-256).
+# Ids of the square-category and pair constructions reach the reports, so
+# each construction's category, functor maps and extra data are pinned byte
+# for byte: (builder returning (category, *functors or dicts), SHA-256).
 SQUARE_CONSTRUCTIONS = {
     "arrow_category": (
         lambda: core.arrow_category(core.interval(2)),
@@ -256,6 +288,22 @@ SQUARE_CONSTRUCTIONS = {
         lambda: _bifibration(lambda c: corrs.profunctor_to_bifib(
             corrs.corr_to_profunctor(c))),
         "bb07859ce051c39579eca80d3730ca90c97d5a7eb2a86a740697c80b35f6b81d"),
+    "product": (
+        lambda: (core.product(core.interval(2), core.retract_category()),),
+        "13badb4a5438c87c87ba6c7277a2e26871649e795460653cbe7becbe4bca665f"),
+    "product_projections": (
+        lambda: core.product_projections(core.retract_category(),
+                                         core.interval(2)),
+        "961097fe0b48af03daa882cba1728b521f0e0c237a918532bbce1aba47f84b6e"),
+    "pairing_functor": (
+        _pairing,
+        "e2c99a42aed2ff262bacf17067a50b36c4cba7ffcef97ee1c077aa7d9f858d9f"),
+    "base_change_over_arrow": (
+        _base_change_over_arrow,
+        "e683407487afdc1a7c890f79baefdfd4449846242afd7b2728b79bb1d5e40202"),
+    "identity_correspondence": (
+        _identity_correspondence,
+        "26f4806f070144cd1555919b7365aca781463654b11d80118cd4d67af7fcb476"),
 }
 
 

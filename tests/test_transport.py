@@ -302,7 +302,7 @@ class TestMaximalSubfibrations:
         vertical = [m for m in sub.source.morphisms
                     if sub.mor_map[m] == "0->0"]
         assert all(sub.source.is_identity(m) or
-                   C.is_iso(core._decode_pairs([m])[0][0])
+                   C.is_iso(pr1.mor_map[m])
                    for m in vertical)
 
     def test_discrete_opfibration_is_its_own_maximal_left_part(self):
