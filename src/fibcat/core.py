@@ -68,40 +68,48 @@ def validate_category(objects, morphisms, identities, composition):
             report.append(f"identity of {x} is not a morphism: {i}")
         elif not (src[i] == x and tgt[i] == x):
             report.append(f"identity of {x} is not an endomorphism: {i}")
-    mor_set = set(src)
     for (g, f), h in composition.items():
-        if g not in mor_set or f not in mor_set:
+        if g not in src or f not in src:
             report.append(f"composition of unknown morphisms ({g},{f})")
             continue
         if tgt[f] != src[g]:
             report.append(f"composition defined on non-composable pair ({g},{f})")
             continue
-        if h not in mor_set:
+        if h not in src:
             report.append(f"composite of ({g},{f}) is unknown: {h}")
         elif not (src[h] == src[f] and tgt[h] == tgt[g]):
             report.append(f"composite of ({g},{f}) has wrong endpoints: {h}")
-    for f in mor_set:
-        for g in mor_set:
-            if tgt.get(f) == src.get(g) and (g, f) not in composition:
+    # composable pairs and triples are walked through a by-source index,
+    # in sorted morphism order so that the report order is fixed
+    mors = sorted(src)
+    out_of = {}
+    for m in mors:
+        out_of.setdefault(src[m], []).append(m)
+    for f in mors:
+        for g in out_of.get(tgt[f], ()):
+            if (g, f) not in composition:
                 report.append(f"missing composite for pair ({g},{f})")
     if report:
         return report
+    # after[f] lists g∘f for g in out_of[tgt f], so rows of morphisms with
+    # the same target line up
+    after = {f: [composition[(g, f)] for g in out_of[tgt[f]]] for f in mors}
     # unit laws, then associativity on every composable triple
-    for f in mor_set:
+    for f in mors:
         if composition[(identities[tgt[f]], f)] != f:
             report.append(f"left unit law fails at {f}")
         if composition[(f, identities[src[f]])] != f:
             report.append(f"right unit law fails at {f}")
-    for f in mor_set:
-        for g in mor_set:
-            if tgt[f] != src[g]:
+    for f in mors:
+        after_f = dict(zip(out_of[tgt[f]], after[f]))
+        compose_f = after_f.__getitem__
+        for g, gf in after_f.items():
+            # h∘(g∘f) against (h∘g)∘f for every h in out_of[tgt g]
+            hgf = after[gf]
+            if hgf == list(map(compose_f, after[g])):
                 continue
-            gf = composition[(g, f)]
-            for h in mor_set:
-                if tgt[g] != src[h]:
-                    continue
-                hg = composition[(h, g)]
-                if composition[(h, gf)] != composition[(hg, f)]:
+            for h, h_gf, hg in zip(out_of[tgt[g]], hgf, after[g]):
+                if h_gf != after_f[hg]:
                     report.append(f"associativity fails on ({h},{g},{f})")
     return report
 
@@ -232,12 +240,11 @@ class Functor:
         for x in C.objects:
             if self.mor_map[C.identity[x]] != D.identity[self.ob_map[x]]:
                 raise FunctorError(f"identity of {x} not preserved")
+        mor_map, comp_C, comp_D = self.mor_map, C._comp, D._comp
         for f in C.morphisms:
-            for g in C.morphisms:
-                if C.tgt[f] != C.src[g]:
-                    continue
-                if self.mor_map[C.compose(g, f)] != D.compose(
-                        self.mor_map[g], self.mor_map[f]):
+            image_f = mor_map[f]
+            for g in C._from[C.tgt[f]]:
+                if mor_map[comp_C[(g, f)]] != comp_D[(mor_map[g], image_f)]:
                     raise FunctorError(f"composition not preserved on ({g},{f})")
 
     def then(self, other):

@@ -83,9 +83,7 @@ class Profunctor:
                         raise PreconditionError(f"right identity action fails at {x}")
         # contravariant functoriality on the left, covariant on the right
         for alpha in A.morphisms:
-            for alpha2 in A.morphisms:
-                if A.tgt[alpha2] != A.src[alpha]:
-                    continue
+            for alpha2 in A.morphisms_to(A.src[alpha]):
                 comp = A.compose(alpha, alpha2)  # a'' -> a
                 for b in B.objects:
                     for x in self.elements[(A.tgt[alpha], b)]:
@@ -94,9 +92,7 @@ class Profunctor:
                             raise PreconditionError(
                                 f"left functoriality fails on ({alpha},{alpha2})")
         for beta in B.morphisms:
-            for beta2 in B.morphisms:
-                if B.tgt[beta] != B.src[beta2]:
-                    continue
+            for beta2 in B.morphisms_from(B.tgt[beta]):
                 comp = B.compose(beta2, beta)
                 for a in A.objects:
                     for x in self.elements[(a, B.src[beta])]:
@@ -450,8 +446,8 @@ def check_two_sided_discrete(X, pi, A, B):
             for alpha in A.hom(ax, ay):
                 for gamma in B.hom(bx, by):
                     want = pair_id(alpha, gamma)
-                    count = sum(1 for m in X.morphisms_from(x)
-                                if X.tgt[m] == y and pi.mor_map[m] == want)
+                    count = sum(1 for m in X.hom(x, y)
+                                if pi.mor_map[m] == want)
                     expected = 1 if rho[(x, gamma)] == lam[(y, alpha)] else 0
                     if count != expected:
                         return fibrations.Verdict(False, {

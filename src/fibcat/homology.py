@@ -654,11 +654,13 @@ def quillenB_pi0_square(f, pi):
     fibration, refused otherwise with the failing finality witness.
     """
     from . import fibrations
-    left = fibrations.is_left_final_fibration(pi)
+    # one exponentiability verdict serves both end checks, as in classify
+    exponentiable = fibrations.is_exponentiable(pi)
+    left = fibrations._end_fibration(pi, exponentiable, "1", None)
     if not left.ok:
         raise PreconditionError("right leg is not a left final fibration",
                                 left.witness)
-    right = fibrations.is_right_initial_fibration(pi)
+    right = fibrations._end_fibration(pi, exponentiable, "0", None)
     if not right.ok:
         raise PreconditionError("right leg is not a right initial fibration",
                                 right.witness)
@@ -670,13 +672,7 @@ def quillenB_pi0_square(f, pi):
     cls_Y = pi0_map(pi.target)
     cls_Yp = pi0_map(f.source)
     yp_of, x_of = sq.to_left.ob_map, sq.to_right.ob_map
-    pairs = {}
-    for o in sq.total.objects:
-        key = cls_Xp[o]
-        value = (cls_Yp[yp_of[o]], cls_X[x_of[o]])
-        if key in pairs and pairs[key] != value:
-            return {"pullback": False, "reason": "map not constant on classes"}
-    # rebuild: map classes of the corner to matching pairs
+    # both projections are functors, so each is constant on components
     corner = {}
     for o in sq.total.objects:
         corner[cls_Xp[o]] = (cls_Yp[yp_of[o]], cls_X[x_of[o]])

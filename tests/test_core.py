@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fibcat import core, correspondences as corrs, documents as docs
-from fibcat import fibrations, randgen, transport
+from fibcat import fibrations, fixtures, randgen, transport
 from fibcat.core import CategoryError, FiniteCategory
 
 
@@ -47,6 +47,226 @@ class TestValidation:
                 ["x"], [("id", "x", "x"), ("f", "x", "x")], {"x": "id"},
                 {("id", "id"): "id", ("id", "f"): "id",
                  ("f", "id"): "f", ("f", "f"): "f"})
+
+
+# -- all-pairs oracles for the structural validators --------------------------
+#
+# validate_category and Functor._validate walk composable pairs and triples
+# through a by-source index.  These are the all-pairs loops they replaced:
+# every pair (f, g), and for each composable pair every h, is scanned and
+# the non-composable ones are skipped.  Their report order follows set
+# iteration, so reports are compared sorted.
+
+
+def all_pairs_validate_category(objects, morphisms, identities, composition):
+    report = []
+    obj_set = set(objects)
+    if len(obj_set) != len(objects):
+        report.append("duplicate object ids")
+    mor_ids = [m for m, _, _ in morphisms]
+    if len(set(mor_ids)) != len(mor_ids):
+        report.append("duplicate morphism ids")
+    src = {m: s for m, s, _ in morphisms}
+    tgt = {m: t for m, _, t in morphisms}
+    for m, s, t in morphisms:
+        if s not in obj_set:
+            report.append(f"morphism {m} has unknown source {s}")
+        if t not in obj_set:
+            report.append(f"morphism {m} has unknown target {t}")
+    for x in objects:
+        i = identities.get(x)
+        if i is None:
+            report.append(f"object {x} has no identity")
+        elif i not in src:
+            report.append(f"identity of {x} is not a morphism: {i}")
+        elif not (src[i] == x and tgt[i] == x):
+            report.append(f"identity of {x} is not an endomorphism: {i}")
+    mor_set = set(src)
+    for (g, f), h in composition.items():
+        if g not in mor_set or f not in mor_set:
+            report.append(f"composition of unknown morphisms ({g},{f})")
+            continue
+        if tgt[f] != src[g]:
+            report.append(f"composition defined on non-composable pair ({g},{f})")
+            continue
+        if h not in mor_set:
+            report.append(f"composite of ({g},{f}) is unknown: {h}")
+        elif not (src[h] == src[f] and tgt[h] == tgt[g]):
+            report.append(f"composite of ({g},{f}) has wrong endpoints: {h}")
+    for f in mor_set:
+        for g in mor_set:
+            if tgt.get(f) == src.get(g) and (g, f) not in composition:
+                report.append(f"missing composite for pair ({g},{f})")
+    if report:
+        return report
+    for f in mor_set:
+        if composition[(identities[tgt[f]], f)] != f:
+            report.append(f"left unit law fails at {f}")
+        if composition[(f, identities[src[f]])] != f:
+            report.append(f"right unit law fails at {f}")
+    for f in mor_set:
+        for g in mor_set:
+            if tgt[f] != src[g]:
+                continue
+            gf = composition[(g, f)]
+            for h in mor_set:
+                if tgt[g] != src[h]:
+                    continue
+                hg = composition[(h, g)]
+                if composition[(h, gf)] != composition[(hg, f)]:
+                    report.append(f"associativity fails on ({h},{g},{f})")
+    return report
+
+
+def all_pairs_functor_error(F):
+    """The text of the FunctorError that F's first violation raises, or
+    None when F is a functor."""
+    C, D = F.source, F.target
+    for x in C.objects:
+        if F.ob_map.get(x) not in D.identity:
+            return f"object {x} not mapped to an object: {F.ob_map.get(x)}"
+    for m in C.morphisms:
+        fm = F.mor_map.get(m)
+        if fm not in D.src:
+            return f"morphism {m} not mapped to a morphism: {fm}"
+        if D.src[fm] != F.ob_map[C.src[m]] or D.tgt[fm] != F.ob_map[C.tgt[m]]:
+            return f"morphism {m} has incompatible image {fm}"
+    for x in C.objects:
+        if F.mor_map[C.identity[x]] != D.identity[F.ob_map[x]]:
+            return f"identity of {x} not preserved"
+    for f in C.morphisms:
+        for g in C.morphisms:
+            if C.tgt[f] != C.src[g]:
+                continue
+            if F.mor_map[C.compose(g, f)] != D.compose(F.mor_map[g],
+                                                        F.mor_map[f]):
+                return f"composition not preserved on ({g},{f})"
+    return None
+
+
+def functor_error(F):
+    try:
+        F._validate()
+    except core.FunctorError as exc:
+        return str(exc)
+    return None
+
+
+def assert_reports_agree(table):
+    report = core.validate_category(*table)
+    assert sorted(report) == sorted(all_pairs_validate_category(*table))
+    return report
+
+
+def table_of_doc(doc):
+    """The raw table of a category document, defects included."""
+    return (doc["objects"],
+            [(m["id"], m["src"], m["tgt"]) for m in doc["morphisms"]],
+            dict(doc["identities"]),
+            {(g, f): h for g, f, h in doc["compose"]})
+
+
+def docs_of_type(doc, kind):
+    """Every sub-document of the given type, depth first."""
+    if isinstance(doc, dict):
+        if doc.get("type") == kind:
+            yield doc
+        for value in doc.values():
+            yield from docs_of_type(value, kind)
+    elif isinstance(doc, list):
+        for value in doc:
+            yield from docs_of_type(value, kind)
+
+
+def redirected(F, m, image):
+    mor_map = dict(F.mor_map)
+    mor_map[m] = image
+    return core.Functor(F.source, F.target, F.ob_map, mor_map, _validate=False)
+
+
+class TestIndexedValidationOracle:
+    def test_fixture_categories(self):
+        seen = defects = 0
+        for name, doc in sorted(fixtures.build_fixtures().items()):
+            for cat in docs_of_type(doc, "category"):
+                seen += 1
+                if assert_reports_agree(table_of_doc(cat)):
+                    defects += 1
+        assert (seen, defects) == (27, 2)
+
+    def test_fixture_functors(self):
+        seen = 0
+        for name, doc in sorted(fixtures.build_fixtures().items()):
+            for fdoc in docs_of_type(doc, "functor"):
+                F = core.Functor(docs.category_from_doc(fdoc["source"]),
+                                 docs.category_from_doc(fdoc["target"]),
+                                 fdoc["object_map"], fdoc["morphism_map"],
+                                 _validate=False)
+                assert functor_error(F) == all_pairs_functor_error(F) is None
+                seen += 1
+        assert seen == 4
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_categories_and_functors(self, seed):
+        rng = random.Random(seed)
+        C = randgen.random_category(rng, 4, 12, prefix="c.")
+        D = randgen.random_category(rng, 3, 10, prefix="d.")
+        for cat in (C, D, core.product(C, D)):
+            assert assert_reports_agree(table_of(cat)) == []
+        F = randgen.random_functor_between(rng, C, D)
+        assert functor_error(F) == all_pairs_functor_error(F) is None
+        # one redirected morphism image
+        for F in (F, core.identity_functor(C), core.identity_functor(D)):
+            for m in F.source.non_identity_morphisms():
+                for other in F.target.morphisms:
+                    if other != F.mor_map[m]:
+                        G = redirected(F, m, other)
+                        assert functor_error(G) == all_pairs_functor_error(G)
+
+    def test_dropped_composite(self):
+        C = core.interval(3)
+        comp = C.composition_table()
+        del comp[("1->2", "0->1")]
+        report = assert_reports_agree(
+            (C.objects, C.morphism_triples(), C.identity, comp))
+        assert report == ["missing composite for pair (1->2,0->1)"]
+
+    def test_composite_with_wrong_endpoints(self):
+        C = core.interval(3)
+        comp = C.composition_table()
+        comp[("1->3", "0->1")] = "0->2"
+        report = assert_reports_agree(
+            (C.objects, C.morphism_triples(), C.identity, comp))
+        assert report == ["composite of (1->3,0->1) has wrong endpoints: 0->2"]
+
+    def test_broken_unit_law(self):
+        C = core.cyclic_group_category(4)
+        comp = C.composition_table()
+        comp[("g0", "g1")] = "g2"
+        report = assert_reports_agree(
+            (C.objects, C.morphism_triples(), C.identity, comp))
+        assert "left unit law fails at g1" in report
+
+    def test_broken_associativity(self):
+        C = core.cyclic_group_category(5)
+        comp = C.composition_table()
+        comp[("g1", "g2")], comp[("g1", "g3")] = \
+            comp[("g1", "g3")], comp[("g1", "g2")]
+        report = assert_reports_agree(
+            (C.objects, C.morphism_triples(), C.identity, comp))
+        assert report and all(line.startswith("associativity fails on ")
+                              for line in report)
+
+    def test_redirected_morphism_image(self):
+        Z = core.cyclic_group_category(4)
+        F = redirected(core.identity_functor(Z), "g1", "g3")
+        assert functor_error(F) == all_pairs_functor_error(F) == \
+            "composition not preserved on (g2,g1)"
+        I2 = core.interval(2)
+        inc = core.inclusion_functor(core.full_subcategory(I2, ["0", "2"]), I2)
+        G = redirected(inc, "0->2", "0->1")
+        assert functor_error(G) == all_pairs_functor_error(G) == \
+            "morphism 0->2 has incompatible image 0->1"
 
 
 class TestBuilders:

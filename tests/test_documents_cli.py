@@ -96,6 +96,32 @@ class TestCliExitContract:
         assert code == 3
         assert "missing composite" in err
 
+    def test_violation_order_is_independent_of_the_hash_seed(self, tmp_path):
+        # every composite of two non-identities in [7] is dropped: 56
+        # missing composites, more than the 20 lines stderr shows
+        doc = docs.category_to_doc(core.interval(7))
+        doc["compose"] = [[g, f, h] for g, f, h in doc["compose"]
+                          if g.split("->")[0] == g.split("->")[1]
+                          or f.split("->")[0] == f.split("->")[1]]
+        path = tmp_path / "missing.json"
+        path.write_text(docs.dumps(doc))
+        runs = []
+        for seed in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "fibcat.cli", "homology", str(path)],
+                capture_output=True, text=True,
+                env=dict(os.environ, PYTHONHASHSEED=seed))
+            assert proc.returncode == 3
+            runs.append(proc.stderr)
+        assert runs[0] == runs[1]
+        # (g, f) pairs in sorted order of f, then of g
+        shown = runs[0].splitlines()[1:]
+        pairs = sorted((f, g) for f in core.interval(7).non_identity_morphisms()
+                       for g in core.interval(7).non_identity_morphisms()
+                       if f.split("->")[1] == g.split("->")[0])
+        assert shown == [f"  missing composite for pair ({g},{f})"
+                         for f, g in pairs[:20]]
+
     def test_bad_composite_is_3(self, fixture_dir):
         code, out, err = run_cli(
             "homology", os.path.join(fixture_dir, "defect_bad_composite.json"))

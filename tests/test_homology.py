@@ -323,8 +323,26 @@ class TestTheoremBStyleChecks:
         assert fib.is_left_final_fibration(cyl.projection).ok
         assert not fib.is_right_initial_fibration(cyl.projection).ok
         f = core.point(core.interval(1), "0")
-        with pytest.raises(core.PreconditionError):
+        with pytest.raises(core.PreconditionError) as err:
             homology.quillenB_pi0_square(f, cyl.projection)
+        assert str(err.value) == "right leg is not a right initial fibration"
+        assert err.value.witness == \
+            fib.is_right_initial_fibration(cyl.projection).witness
+
+    def test_exponentiability_is_checked_once(self, monkeypatch):
+        from fibcat import fibrations as fib
+        calls = []
+        original = fib.is_exponentiable
+
+        def counting(pi, *args, **kwargs):
+            calls.append(pi)
+            return original(pi, *args, **kwargs)
+
+        monkeypatch.setattr(fib, "is_exponentiable", counting)
+        K = core.interval(1)
+        P, pr1, pr2 = core.product_projections(core.interval(1), K)
+        assert homology.quillenB_pi0_square(core.point(K, "0"), pr2)["pullback"]
+        assert calls == [pr2]
 
     def test_slice_comparison_hypothesis(self):
         # a left adjoint has contractible slices, so the certificate holds
