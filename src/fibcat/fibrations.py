@@ -6,6 +6,15 @@ connected" (the classical Giraud-Conduché reading), with an opt-in
 homology certificate up to a chosen degree.  Negative verdicts carry a
 minimal witness found by lexicographic search.
 
+Exponentiability, local (co)Cartesianness and the left-final/right-initial
+checks read the edge bimodules of pi: for an arrow phi: x -> y of K, the
+morphisms of E over phi, acted on by the fibers over x and y.  Conduché's
+criterion is then one union-find per composable pair of arrows (the coend
+E_psi ⊗ E_phi must match E_{psi∘phi}), and the end checks one union-find
+per arrow.  Factorization categories, base changes and comma categories
+are built only for homology certificates, which need the categories
+themselves.
+
 classify() runs every checker and asserts the implication closure between
 them; a violated implication is reported as an internal defect, never
 repaired.
@@ -17,6 +26,7 @@ from dataclasses import dataclass, field
 
 from . import core, homology
 from .core import Functor, PreconditionError
+from .unionfind import UnionFind
 
 
 class InternalInvariantError(RuntimeError):
@@ -108,15 +118,19 @@ def is_cartesian_fibration(pi):
 
 
 def is_locally_cocartesian(pi):
-    """Every base change over [1] is a coCartesian fibration."""
-    K = pi.target
-    for phi in sorted(K.morphisms):
-        if K.is_identity(phi):
-            continue  # base change over an identity is a projection off [1]
-        proj, _, _ = base_change_over_arrow(pi, phi)
-        v = is_cocartesian_fibration(proj)
-        if not v.ok:
-            return Verdict(False, {"base_morphism": phi, "inner": v.witness})
+    """Every base change over [1] is a coCartesian fibration.
+
+    Over a non-identity phi: x -> y this says that for every e over x,
+    E_phi(e, -) has an initial element: an f such that w |-> w∘f is a
+    bijection from the fiber maps out of tgt f onto E_phi(e, -).
+    """
+    E = pi.source
+    for phi, obj, elements, acts in _edge_elements(pi, "0"):
+        if not any(len(acts[f]) == len(elements)
+                   == len({E.compose(w, f) for w in acts[f]})
+                   for f in elements):
+            return Verdict(False, {"base_morphism": phi,
+                                   "inner": {"object": obj, "morphism": "0->1"}})
     return Verdict(True)
 
 
@@ -135,9 +149,13 @@ def every_morphism_cocartesian(pi):
 
 def is_left_fibration(pi):
     """CoCartesian with every morphism coCartesian (groupoid-fibered)."""
-    v = is_cocartesian_fibration(pi)
-    if not v.ok:
-        return v
+    return _left_fibration(pi, is_cocartesian_fibration(pi))
+
+
+def _left_fibration(pi, cocartesian):
+    """Given pi's coCartesian verdict: is every morphism coCartesian?"""
+    if not cocartesian.ok:
+        return cocartesian
     return every_morphism_cocartesian(pi)
 
 
@@ -272,33 +290,112 @@ def is_exponentiable(pi, certify_dim=None):
     interval) the two checks coincide and the direct one keeps witnesses in
     the caller's ids.
     """
+    homology._refuse_negative_degree(certify_dim)
     K0 = pi.target
     if any(not K0.is_identity(f) for f in K0.isomorphisms()):
         pi = isofibration_replacement(pi)
+    if certify_dim is None:
+        return _exponentiable_pi0(pi)
+    # a homology failure may come before a pi0 failure in this order, so
+    # each factorization category is built and checked in turn
+    for phi, psi, lifts in _composable_lifts(pi, *_edge_index(pi)):
+        for lift in lifts:
+            cat = factorization_category(pi, phi, psi, lift)
+            if not core.is_nonempty_connected(cat):
+                return Verdict(False, {
+                    "first": phi, "second": psi, "lift": lift,
+                    "factorizations": len(cat.objects)})
+            rep = homology.homology(cat, certify_dim)
+            if not rep.reduced_trivial_up_to(certify_dim):
+                return Verdict(False, {
+                    "first": phi, "second": psi, "lift": lift,
+                    "certificate_degree": certify_dim,
+                    "betti": rep.betti, "torsion": rep.torsion})
+    return Verdict(True)
+
+
+def _exponentiable_pi0(pi):
+    """Conduché's criterion as a coend per composable pair (phi, psi).
+
+    The factorizations (u over phi, v over psi) are identified along the
+    middle-fiber maps w by (u, v∘w) ~ (w∘u, v), which are exactly the
+    morphisms of the factorization categories.  Each lift of psi∘phi must
+    meet exactly one class.
+    """
     E, K = pi.source, pi.target
-    for phi in sorted(K.morphisms):
+    fibers, edges = _edge_index(pi)
+    for phi, psi, lifts in _composable_lifts(pi, fibers, edges):
+        mid = K.identity[K.tgt[phi]]
+        uf = UnionFind()
+        for e in fibers[K.src[phi]]:
+            for u in edges.get((e, phi), ()):
+                m = E.tgt[u]
+                for v in edges.get((m, psi), ()):
+                    uf.add((u, v))
+                for w in edges.get((m, mid), ()):
+                    wu = E.compose(w, u)
+                    for v in edges.get((E.tgt[w], psi), ()):
+                        uf.union((u, E.compose(v, w)), (wu, v))
+        count, classes = {}, {}
+        for (u, v), rep in uf.class_map().items():
+            lift = E.compose(v, u)
+            count[lift] = count.get(lift, 0) + 1
+            classes.setdefault(lift, set()).add(rep)
+        for lift in lifts:
+            if len(classes.get(lift, ())) != 1:
+                return Verdict(False, {"first": phi, "second": psi,
+                                       "lift": lift,
+                                       "factorizations": count.get(lift, 0)})
+    return Verdict(True)
+
+
+def _edge_index(pi):
+    """E grouped over K: fibers[x] lists the objects over x, and
+    edges[(e, phi)] the morphisms out of e over phi, in sorted order."""
+    E = pi.source
+    fibers = {x: [] for x in pi.target.objects}
+    for e in E.objects:
+        fibers[pi.ob_map[e]].append(e)
+    edges = {}
+    for f in E.morphisms:
+        edges.setdefault((E.src[f], pi.mor_map[f]), []).append(f)
+    return fibers, edges
+
+
+def _composable_lifts(pi, fibers, edges):
+    """Each composable pair (phi, psi) of non-identity arrows, in sorted
+    order, with the sorted lifts of psi∘phi."""
+    K = pi.target
+    for phi in K.morphisms:
         if K.is_identity(phi):
             continue
-        for psi in sorted(K.morphisms_from(K.tgt[phi])):
+        for psi in K.morphisms_from(K.tgt[phi]):
             if K.is_identity(psi):
                 continue
             comp = K.compose(psi, phi)
-            for lift in sorted(E.morphisms):
-                if pi.mor_map[lift] != comp:
-                    continue
-                cat = factorization_category(pi, phi, psi, lift)
-                if not core.is_nonempty_connected(cat):
-                    return Verdict(False, {
-                        "first": phi, "second": psi, "lift": lift,
-                        "factorizations": len(cat.objects)})
-                if certify_dim is not None:
-                    rep = homology.homology(cat, certify_dim)
-                    if not rep.reduced_trivial_up_to(certify_dim):
-                        return Verdict(False, {
-                            "first": phi, "second": psi, "lift": lift,
-                            "certificate_degree": certify_dim,
-                            "betti": rep.betti, "torsion": rep.torsion})
-    return Verdict(True)
+            yield phi, psi, sorted(f for e in fibers[K.src[phi]]
+                                   for f in edges.get((e, comp), ()))
+
+
+def _edge_elements(pi, near):
+    """The edge bimodules of pi, one element set at a time.
+
+    For each non-identity phi: x -> y and each e over x, in the order of
+    e's id pair_id(near, e) in the base change over phi: (phi, that id,
+    the morphisms out of e over phi, and for each of them the fiber maps
+    over y out of its target).
+    """
+    E, K = pi.source, pi.target
+    fibers, edges = _edge_index(pi)
+    for phi in K.morphisms:
+        if K.is_identity(phi):
+            continue
+        far = K.identity[K.tgt[phi]]
+        near_ids = {e: core.pair_id(near, e) for e in fibers[K.src[phi]]}
+        for e in sorted(near_ids, key=near_ids.get):
+            elements = edges.get((e, phi), ())
+            yield (phi, near_ids[e], elements,
+                   {f: edges.get((E.tgt[f], far), ()) for f in elements})
 
 
 # -- adjoints and initial/final objects ------------------------------------
@@ -422,15 +519,49 @@ def is_right_initial_fibration(pi, certify_dim=None):
 
 def _end_fibration(pi, exponentiable, end, certify_dim):
     """Given pi's exponentiability verdict: is the inclusion of the fiber
-    over end of each arrow final (end "1") or initial (end "0")?"""
+    over end of each arrow final (end "1") or initial (end "0")?
+
+    Over an identity arrow, and at the objects of the end fiber, every
+    comma has an initial (resp. final) object, so only the objects of the
+    other fiber over non-identity arrows are checked.  In pi0 mode that is
+    the edge bimodule: for end "1" and e over the source of phi, the
+    elements of E_phi(e, -) must be nonempty and connected under the
+    target fiber; end "0" is the dual, read in op(pi).
+    """
+    homology._refuse_negative_degree(certify_dim)
     if not exponentiable.ok:
         return Verdict(False, {"exponentiable": exponentiable.witness})
-    check = homology.is_final if end == "1" else homology.is_initial
-    mode = "pi0" if certify_dim is None else ("certified", certify_dim)
-    for phi in sorted(pi.target.morphisms):
-        fv = check(fiber_inclusion_over_arrow(pi, phi, end), mode=mode)
+    if certify_dim is None:
+        return _end_pi0(pi, end)
+    kind = "final" if end == "1" else "initial"
+    K = pi.target
+    for phi in K.morphisms:
+        if K.is_identity(phi):
+            continue
+        F = fiber_inclusion_over_arrow(pi, phi, end)
+        in_end = set(F.source.objects)
+        near = [d for d in F.target.objects if d not in in_end]
+        fv = homology._finality(F, ("certified", certify_dim), kind, near)
         if not fv.ok:
             return Verdict(False, {"base_morphism": phi, "inner": fv.witness})
+    return Verdict(True)
+
+
+def _end_pi0(pi, end):
+    near = "0"
+    if end == "0":
+        pi, near = core.opposite_functor(pi), "1"
+    E = pi.source
+    for phi, obj, elements, acts in _edge_elements(pi, near):
+        uf = UnionFind(elements)
+        for f in elements:
+            for w in acts[f]:
+                uf.union(f, E.compose(w, f))
+        nonempty = len(elements) > 0
+        connected = nonempty and len({uf.find(f) for f in elements}) == 1
+        if not connected:
+            return Verdict(False, {"base_morphism": phi, "inner": (
+                obj, {"nonempty": nonempty, "connected": connected})})
     return Verdict(True)
 
 
@@ -490,12 +621,14 @@ _IMPLICATIONS = [
 
 def classify(pi, certify_dim=None):
     """Run all checkers, assert the implication closure, attach witnesses."""
+    cocartesian = is_cocartesian_fibration(pi)
+    cartesian = is_cartesian_fibration(pi)
     checks = {
         "conservative": is_conservative(pi),
-        "discrete_opfib": is_left_fibration(pi),
-        "discrete_fib": is_right_fibration(pi),
-        "cocartesian": is_cocartesian_fibration(pi),
-        "cartesian": is_cartesian_fibration(pi),
+        "discrete_opfib": _left_fibration(pi, cocartesian),
+        "discrete_fib": _left_fibration(core.opposite_functor(pi), cartesian),
+        "cocartesian": cocartesian,
+        "cartesian": cartesian,
         "locally_cocartesian": is_locally_cocartesian(pi),
         "locally_cartesian": is_locally_cartesian(pi),
         "exponentiable": is_exponentiable(pi, certify_dim=certify_dim),

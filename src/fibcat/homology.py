@@ -380,12 +380,20 @@ def is_initial(F, mode="pi0"):
     return _finality(F, mode, "initial")
 
 
-def _finality(F, mode, kind):
+def _refuse_negative_degree(d):
+    """Refuse a negative certificate degree; None means no certificate."""
+    if d is not None and d < 0:
+        raise PreconditionError(f"certificate degree must be >= 0, got {d}")
+
+
+def _finality(F, mode, kind, objects=None):
+    """Check the commas at objects (default: every object of F's target)."""
+    cert_dim = mode[1] if isinstance(mode, tuple) else None
+    _refuse_negative_degree(cert_dim)
     per_object = {}
     ok = True
     witness = None
-    cert_dim = mode[1] if isinstance(mode, tuple) else None
-    for d in F.target.objects:
+    for d in F.target.objects if objects is None else objects:
         cat = _comma_under(F, d) if kind == "final" else _comma_over(F, d)
         nonempty = len(cat.objects) > 0
         connected = nonempty and core.is_connected(cat)

@@ -776,20 +776,20 @@ def kan_extend_along_fibration(pi, F, direction):
     if F.base != E:
         raise PreconditionError("diagram must live on the total category")
     if direction == "left":
-        ok = fibrations.is_cocartesian_fibration(pi).ok or \
-            fibrations.is_left_final_fibration(pi).ok
-        if not ok:
-            raise PreconditionError(
-                "left Kan extension along this functor is not fiberwise",
-                fibrations.is_left_final_fibration(pi).witness)
+        if not fibrations.is_cocartesian_fibration(pi).ok:
+            final = fibrations.is_left_final_fibration(pi)
+            if not final.ok:
+                raise PreconditionError(
+                    "left Kan extension along this functor is not fiberwise",
+                    final.witness)
         return _kan_left(pi, F)
     if direction == "right":
-        ok = fibrations.is_cartesian_fibration(pi).ok or \
-            fibrations.is_right_initial_fibration(pi).ok
-        if not ok:
-            raise PreconditionError(
-                "right Kan extension along this functor is not fiberwise",
-                fibrations.is_right_initial_fibration(pi).witness)
+        if not fibrations.is_cartesian_fibration(pi).ok:
+            initial = fibrations.is_right_initial_fibration(pi)
+            if not initial.ok:
+                raise PreconditionError(
+                    "right Kan extension along this functor is not fiberwise",
+                    initial.witness)
         return _kan_right(pi, F)
     raise PreconditionError("direction must be 'left' or 'right'")
 

@@ -155,6 +155,16 @@ class TestCliExitContract:
         assert code == 2
         assert out == ""
 
+    @pytest.mark.parametrize("command", ["classify", "final"])
+    def test_negative_certificate_degree_is_4(self, fixture_dir, command):
+        code, out, err = run_cli(
+            command, "--functor",
+            os.path.join(fixture_dir, "inclusion_02_in_2.json"),
+            "--certify-dim", "-1")
+        assert code == 4
+        assert out == ""
+        assert "certificate degree must be >= 0, got -1" in err
+
     def test_success_is_0_even_with_negative_verdicts(self, fixture_dir):
         code, out, err = run_cli(
             "classify", "--functor",

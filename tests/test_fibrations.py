@@ -9,29 +9,31 @@ from fibcat.core import PreconditionError
 def separating_functor_over_2():
     """Locally coCartesian but not exponentiable: fibers {a}, {b}, (c->d),
     step transports a|->b|->d, outer transport a|->c."""
-    I2 = core.interval(2)
-    objects = ["a", "b", "c", "d"]
-    morphisms = [
-        ("id_a", "a", "a"), ("id_b", "b", "b"), ("id_c", "c", "c"),
-        ("id_d", "d", "d"), ("w", "c", "d"),
-        ("p", "a", "b"), ("q", "b", "d"),
-        ("m", "a", "c"), ("n", "a", "d"),
-    ]
-    identities = {"a": "id_a", "b": "id_b", "c": "id_c", "d": "id_d"}
-    composition = {}
-    for mid, s, t in morphisms:
-        composition[(mid, identities[s])] = mid
-        composition[(identities[t], mid)] = mid
-    composition[("id_a", "id_a")] = "id_a"
-    composition[("w", "m")] = "n"      # the composite across the outer edge
-    composition[("q", "p")] = "n"      # chosen lifts do not compose to m
-    E = core.FiniteCategory(objects, morphisms, identities, composition)
-    pi = core.Functor(E, I2,
-                      {"a": "0", "b": "1", "c": "2", "d": "2"},
-                      {"id_a": "0->0", "id_b": "1->1", "id_c": "2->2",
-                       "id_d": "2->2", "w": "2->2", "p": "0->1",
-                       "q": "1->2", "m": "0->2", "n": "0->2"})
-    return pi
+    return functor_from_arrows(
+        core.interval(2), {"a": "0", "b": "1", "c": "2", "d": "2"},
+        [("w", "c", "d", "2->2"), ("p", "a", "b", "0->1"),
+         ("q", "b", "d", "1->2"), ("m", "a", "c", "0->2"),
+         ("n", "a", "d", "0->2")],
+        # the composite across the outer edge; chosen lifts do not
+        # compose to m
+        {("w", "m"): "n", ("q", "p"): "n"})
+
+
+def functor_from_arrows(K, over, arrows, composites=()):
+    """A category over K: objects over[e], non-identity arrows
+    (id, src, tgt, image) and the composites {(g, f): h} of the composable
+    non-identity pairs."""
+    identities = {e: f"id_{e}" for e in over}
+    morphisms = [(i, e, e) for e, i in identities.items()]
+    morphisms += [(m, s, t) for m, s, t, _ in arrows]
+    composition = dict(composites)
+    for m, s, t in morphisms:
+        composition[(m, identities[s])] = m
+        composition[(identities[t], m)] = m
+    E = core.FiniteCategory(list(over), morphisms, identities, composition)
+    mor_map = {i: K.identity[over[e]] for e, i in identities.items()}
+    mor_map.update({m: image for m, _, _, image in arrows})
+    return core.Functor(E, K, dict(over), mor_map)
 
 
 class TestCocartesianMorphisms:
@@ -339,6 +341,28 @@ class TestClassify:
                 continue
             fib.classify(pi)  # raises InternalInvariantError on violation
 
+    def test_cocartesian_checks_run_once_per_side(self, monkeypatch):
+        Ar, ev_s, ev_t = core.arrow_category(core.interval(2))
+        cases = [ev_t, ev_s, separating_functor_over_2()]
+        original = fib.is_cocartesian_fibration
+        calls = []
+        monkeypatch.setattr(fib, "is_cocartesian_fibration",
+                            lambda pi: calls.append(pi) or original(pi))
+        profiles = []
+        for pi in cases:
+            calls.clear()
+            profiles.append(fib.classify(pi))
+            # one check on pi and one on op(pi)
+            assert [c.source for c in calls] == [
+                pi.source, core.opposite(pi.source)]
+        monkeypatch.undo()
+        for pi, profile in zip(cases, profiles):
+            for key, check in (("discrete_opfib", fib.is_left_fibration),
+                               ("discrete_fib", fib.is_right_fibration)):
+                v = check(pi)
+                assert profile[key] == v.ok
+                assert profile.witnesses.get(key) == v.witness
+
     def test_op_duality_of_profiles(self):
         rng = random.Random(43)
         swap = {"conservative": "conservative",
@@ -529,3 +553,228 @@ class TestPrecondition:
             transport.pushforward_exponentiable(
                 inc, core.identity_functor(inc.source))
         assert err.value.witness["factorizations"] == 0
+
+
+# -- the routes the edge-bimodule engine replaced, kept as oracles -----------
+
+
+def oracle_is_exponentiable(pi, certify_dim=None):
+    """Conduché's criterion on every factorization category, one lift at a
+    time, over a scan of all of E's morphisms."""
+    K0 = pi.target
+    if any(not K0.is_identity(f) for f in K0.isomorphisms()):
+        pi = fib.isofibration_replacement(pi)
+    E, K = pi.source, pi.target
+    for phi in sorted(K.morphisms):
+        if K.is_identity(phi):
+            continue
+        for psi in sorted(K.morphisms_from(K.tgt[phi])):
+            if K.is_identity(psi):
+                continue
+            comp = K.compose(psi, phi)
+            for lift in sorted(E.morphisms):
+                if pi.mor_map[lift] != comp:
+                    continue
+                cat = fib.factorization_category(pi, phi, psi, lift)
+                if not core.is_nonempty_connected(cat):
+                    return fib.Verdict(False, {
+                        "first": phi, "second": psi, "lift": lift,
+                        "factorizations": len(cat.objects)})
+                if certify_dim is not None:
+                    rep = homology.homology(cat, certify_dim)
+                    if not rep.reduced_trivial_up_to(certify_dim):
+                        return fib.Verdict(False, {
+                            "first": phi, "second": psi, "lift": lift,
+                            "certificate_degree": certify_dim,
+                            "betti": rep.betti, "torsion": rep.torsion})
+    return fib.Verdict(True)
+
+
+def oracle_end_fibration(pi, exponentiable, end, certify_dim):
+    """Finality (end "1") or initiality (end "0") of the end-fiber
+    inclusion of every base change over an arrow, identities included, on
+    the comma at every object."""
+    if not exponentiable.ok:
+        return fib.Verdict(False, {"exponentiable": exponentiable.witness})
+    check = homology.is_final if end == "1" else homology.is_initial
+    mode = "pi0" if certify_dim is None else ("certified", certify_dim)
+    for phi in sorted(pi.target.morphisms):
+        fv = check(fib.fiber_inclusion_over_arrow(pi, phi, end), mode=mode)
+        if not fv.ok:
+            return fib.Verdict(False, {"base_morphism": phi,
+                                       "inner": fv.witness})
+    return fib.Verdict(True)
+
+
+def oracle_is_locally_cocartesian(pi):
+    """The coCartesian-fibration check on every base change over [1]."""
+    K = pi.target
+    for phi in sorted(K.morphisms):
+        if K.is_identity(phi):
+            continue
+        proj, _, _ = fib.base_change_over_arrow(pi, phi)
+        v = fib.is_cocartesian_fibration(proj)
+        if not v.ok:
+            return fib.Verdict(False, {"base_morphism": phi,
+                                       "inner": v.witness})
+    return fib.Verdict(True)
+
+
+ORACLE_BASES = {
+    "I1": lambda: core.interval(1),
+    "I2": lambda: core.interval(2),
+    "I3": lambda: core.interval(3),
+    "iso": core.walking_isomorphism,
+    "Z2": lambda: core.cyclic_group_category(2),
+    "retract": core.retract_category,
+    "idempotent": core.idempotent_category,
+}
+
+
+def oracle_sample(name, count):
+    """count random functors into the base name, with their opposites."""
+    K = ORACLE_BASES[name]()
+    rng = random.Random(f"edge-oracle:{name}")
+    for i in range(count):
+        if i % 3 == 1 and name == "I1":
+            pi = randgen.random_functor_over_1(rng)
+        elif i % 3 == 1 and name == "I2":
+            pi = randgen.random_functor_over_2(rng, max_objects=2,
+                                               max_morphisms=4,
+                                               max_generators=1)
+        elif i % 3 == 2:
+            J = randgen.random_category(rng, 3, 7, prefix="j.")
+            pi = randgen.random_functor_between(rng, J, K)
+        else:
+            pi = randgen.random_functor_over(rng, K)
+        yield pi
+        yield core.opposite_functor(pi)
+
+
+def assert_engine_matches_oracles(pi, certify_dim=None):
+    """Equal verdicts and witnesses from the engine and the old routes;
+    returns the names of the negative verdicts.  The end checks run with
+    an exponentiable verdict assumed, so that they are compared on every
+    functor."""
+    negative = set()
+    pairs = [("exponentiable", fib.is_exponentiable(pi, certify_dim),
+              oracle_is_exponentiable(pi, certify_dim))]
+    assumed = fib.Verdict(True)
+    for name, end in (("left_final", "1"), ("right_initial", "0")):
+        pairs.append((name, fib._end_fibration(pi, assumed, end, certify_dim),
+                      oracle_end_fibration(pi, assumed, end, certify_dim)))
+    if certify_dim is None:
+        pairs.append(("locally_cocartesian", fib.is_locally_cocartesian(pi),
+                      oracle_is_locally_cocartesian(pi)))
+        pairs.append(("locally_cartesian", fib.is_locally_cartesian(pi),
+                      oracle_is_locally_cocartesian(
+                          core.opposite_functor(pi))))
+    for name, new, old in pairs:
+        assert (new.ok, new.witness) == (old.ok, old.witness), name
+        if not new.ok:
+            negative.add(name)
+    return negative
+
+
+def two_lifts_over_1():
+    """E_phi(a, -) = {f1, f2} over a discrete target fiber: disconnected,
+    with no initial element."""
+    return functor_from_arrows(
+        core.interval(1), {"a": "0", "b1": "1", "b2": "1"},
+        [("f1", "a", "b1", "0->1"), ("f2", "a", "b2", "0->1")])
+
+
+class TestEdgeEngineOracles:
+    """The edge-bimodule engine against the factorization-category,
+    base-change and comma routes it replaced."""
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_BASES))
+    def test_random_functors_and_opposites(self, name):
+        negative = {}
+        for pi in oracle_sample(name, 100):
+            for key in assert_engine_matches_oracles(pi):
+                negative[key] = negative.get(key, 0) + 1
+        # the sample reaches the failure branches of every local check
+        for key in ("left_final", "right_initial", "locally_cocartesian",
+                    "locally_cartesian"):
+            assert negative.get(key, 0) > 0, key
+        if name in ("I2", "retract"):
+            assert negative.get("exponentiable", 0) > 0
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_arrow_evaluations(self, n):
+        Ar, ev_s, ev_t = core.arrow_category(core.interval(n))
+        for pi in (ev_s, ev_t):
+            for p in (pi, core.opposite_functor(pi)):
+                assert_engine_matches_oracles(p)
+
+    def test_empty_factorization_category(self):
+        I2 = core.interval(2)
+        inc = core.inclusion_functor(core.full_subcategory(I2, ["0", "2"]), I2)
+        for pi in (inc, separating_functor_over_2()):
+            assert "exponentiable" in assert_engine_matches_oracles(pi)
+            assert fib.is_exponentiable(pi).witness["factorizations"] == 0
+
+    def test_disconnected_factorization_category(self):
+        pi = functor_from_arrows(
+            core.interval(2), {"a": "0", "b1": "1", "b2": "1", "c": "2"},
+            [("u1", "a", "b1", "0->1"), ("u2", "a", "b2", "0->1"),
+             ("v1", "b1", "c", "1->2"), ("v2", "b2", "c", "1->2"),
+             ("n", "a", "c", "0->2")],
+            {("v1", "u1"): "n", ("v2", "u2"): "n"})
+        assert "exponentiable" in assert_engine_matches_oracles(pi)
+        assert fib.is_exponentiable(pi).witness == {
+            "first": "0->1", "second": "1->2", "lift": "n",
+            "factorizations": 2}
+
+    def test_empty_edge_bimodule(self):
+        from fibcat import correspondences as corrs
+        A = core.prefix_relabel(core.interval(1), "a.")
+        B = core.prefix_relabel(core.terminal(), "b.")
+        pi = corrs.collage(corrs.empty_profunctor(A, B)).projection
+        assert "left_final" in assert_engine_matches_oracles(pi)
+        v = fib.is_left_final_fibration(pi)
+        assert v.witness["inner"][1] == {"nonempty": False,
+                                         "connected": False}
+
+    def test_witnesses_follow_the_order_of_base_change_ids(self):
+        # "(0,x#)" sorts before "(0,x)" although "x" sorts before "x#"
+        pi = functor_from_arrows(core.interval(1),
+                                 {"x": "0", "x#": "0", "y": "1"}, [])
+        negative = assert_engine_matches_oracles(pi)
+        assert {"left_final", "locally_cocartesian"} <= negative
+        assert fib.is_left_final_fibration(pi).witness["inner"][0] == "(0,x#)"
+        assert fib.is_locally_cocartesian(pi).witness["inner"]["object"] == \
+            "(0,x#)"
+
+    def test_disconnected_edge_bimodule_and_incomparable_lifts(self):
+        pi = two_lifts_over_1()
+        negative = assert_engine_matches_oracles(pi)
+        assert negative == {"left_final", "locally_cocartesian"}
+        assert fib.is_left_final_fibration(pi).witness == {
+            "base_morphism": "0->1",
+            "inner": ("(0,a)", {"nonempty": True, "connected": False})}
+        assert fib.is_locally_cocartesian(pi).witness == {
+            "base_morphism": "0->1",
+            "inner": {"object": "(0,a)", "morphism": "0->1"}}
+
+    def test_certified_mode_against_the_full_comma_route(self):
+        from fibcat import correspondences as corrs
+        # a connected edge bimodule whose comma is Z/2: only the degree-1
+        # certificate refuses it
+        A = core.relabel(core.terminal(), {"*": "a*"}, {"id": "a.id"})
+        B = core.prefix_relabel(core.cyclic_group_category(2), "b.")
+        P = corrs.Profunctor(
+            A, B, {("a*", "b.*"): ("p",)}, {("a.id", "b.*"): {"p": "p"}},
+            {("a*", "b.g0"): {"p": "p"}, ("a*", "b.g1"): {"p": "p"}}
+        ).validate()
+        planted = corrs.collage(P).projection
+        assert "left_final" not in assert_engine_matches_oracles(planted)
+        assert "left_final" in assert_engine_matches_oracles(planted, 2)
+        inner = fib.is_left_final_fibration(planted, 2).witness["inner"]
+        assert inner[1]["homology_ok"] is False
+        negative = 0
+        for name in sorted(ORACLE_BASES):
+            for pi in oracle_sample(name, 15):
+                negative += len(assert_engine_matches_oracles(pi, 2))
+        assert negative > 0

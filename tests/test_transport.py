@@ -438,3 +438,22 @@ class TestKanExtension:
             {m: {"u": "u"} for m in inc.source.morphisms}).validate()
         with pytest.raises(PreconditionError):
             transport.kan_extend_along_fibration(inc, diag, "left")
+
+    @pytest.mark.parametrize("direction, check", [
+        ("left", "is_left_final_fibration"),
+        ("right", "is_right_initial_fibration")])
+    def test_refusal_runs_the_end_check_once(self, monkeypatch, direction,
+                                             check):
+        I2 = core.interval(2)
+        inc = core.inclusion_functor(core.full_subcategory(I2, ["0", "2"]), I2)
+        diag = SetValuedFunctor(
+            inc.source, {e: ("u",) for e in inc.source.objects},
+            {m: {"u": "u"} for m in inc.source.morphisms}).validate()
+        calls = []
+        original = getattr(fib, check)
+        monkeypatch.setattr(fib, check,
+                            lambda pi: calls.append(pi) or original(pi))
+        with pytest.raises(PreconditionError) as err:
+            transport.kan_extend_along_fibration(inc, diag, direction)
+        assert len(calls) == 1
+        assert err.value.witness == original(inc).witness
