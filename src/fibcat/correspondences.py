@@ -3,11 +3,11 @@
 A correspondence between finite categories A and B is presented three
 ways: as a category over [1] with identified strict fibers, as a
 set-valued bimodule (profunctor) with commuting two-sided actions, and as
-a two-sided discrete fibration over A x B.  This module implements the
-conversions between the presentations, the three composition rules
-(gluing over [2] then restricting, the set-level coend, and fiberwise
-components of the pulled-back bifibration), and identity and product
-operations.
+a two-sided discrete fibration, a span A <- X -> B.  This module
+implements the conversions between the presentations, the three
+composition rules (gluing over [2] then restricting, the set-level coend,
+and fiberwise components of the pulled-back bifibration), and identity
+and product operations.
 
 Profunctors are compared only up to explicit ProfunctorIso; coend classes
 have no canonical representatives, so the isomorphism object is the proof
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import core, fibrations, homology
-from .core import FiniteCategory, Functor, PreconditionError, pair_id
+from .core import FiniteCategory, Functor, PreconditionError
 from .unionfind import UnionFind
 
 
@@ -375,41 +375,41 @@ def corr_to_profunctor(c):
 
 @dataclass
 class TwoSidedDiscreteFibration:
-    """A category over A x B with unique source-fixed lifts in the
+    """A span A <- X -> B with unique source-fixed lifts in the
     B-direction, unique target-fixed lifts in the A-direction, and
     discrete homs over each base pair."""
     total: FiniteCategory
-    projection: Functor  # into product(A, B)
-    left: FiniteCategory
-    right: FiniteCategory
+    to_left: Functor   # X -> A
+    to_right: Functor  # X -> B
+
+    @property
+    def left(self):
+        return self.to_left.target
+
+    @property
+    def right(self):
+        return self.to_right.target
 
     def validate(self):
-        check = check_two_sided_discrete(self.total, self.projection,
-                                         self.left, self.right)
+        check = check_two_sided_discrete(self.total, self.to_left,
+                                         self.to_right)
         if not check.ok:
             raise BifibrationError("two-sided discreteness fails", check.witness)
         return self
 
     def fiber_elements(self, a, b):
-        target = pair_id(a, b)
+        L, R = self.to_left.ob_map, self.to_right.ob_map
         return tuple(sorted(x for x in self.total.objects
-                            if self.projection.ob_map[x] == target))
+                            if L[x] == a and R[x] == b))
 
 
-def _bifib_components(A, B):
-    """(to-A, to-B) components of a morphism image in product(A, B)."""
-    decode_obj = {}
-    for a in A.objects:
-        for b in B.objects:
-            decode_obj[pair_id(a, b)] = (a, b)
-    decode_mor = {}
-    for m in A.morphisms:
-        for n in B.morphisms:
-            decode_mor[pair_id(m, n)] = (m, n)
-    return decode_obj, decode_mor
+def _over_pairs(X, to_A, to_B):
+    """The (to_A, to_B) images of each object and each morphism of X."""
+    return ({x: (to_A.ob_map[x], to_B.ob_map[x]) for x in X.objects},
+            {m: (to_A.mor_map[m], to_B.mor_map[m]) for m in X.morphisms})
 
 
-def check_two_sided_discrete(X, pi, A, B):
+def check_two_sided_discrete(X, to_A, to_B):
     """Exhaustive two-sided discreteness check with witnesses.
 
     Conditions: (i) unique lifts with fixed source over (id, beta);
@@ -417,23 +417,23 @@ def check_two_sided_discrete(X, pi, A, B):
     any two objects there is exactly one morphism over (alpha, gamma) when
     the induced transports match, none otherwise.
     """
-    decode_obj, decode_mor = _bifib_components(A, B)
-    over = {x: decode_obj[pi.ob_map[x]] for x in X.objects}
+    A, B = to_A.target, to_B.target
+    over, legs = _over_pairs(X, to_A, to_B)
     rho = {}
     lam = {}
     for x in X.objects:
         a, b = over[x]
         for beta in B.morphisms_from(b):
-            want = pair_id(A.identity[a], beta)
-            lifts = [m for m in X.morphisms_from(x) if pi.mor_map[m] == want]
+            want = (A.identity[a], beta)
+            lifts = [m for m in X.morphisms_from(x) if legs[m] == want]
             if len(lifts) != 1:
                 return fibrations.Verdict(False, {
                     "kind": "source-fixed lift", "object": x,
                     "morphism": beta, "lifts": len(lifts)})
             rho[(x, beta)] = X.tgt[lifts[0]]
         for alpha in A.morphisms_to(a):
-            want = pair_id(alpha, B.identity[b])
-            lifts = [m for m in X.morphisms_to(x) if pi.mor_map[m] == want]
+            want = (alpha, B.identity[b])
+            lifts = [m for m in X.morphisms_to(x) if legs[m] == want]
             if len(lifts) != 1:
                 return fibrations.Verdict(False, {
                     "kind": "target-fixed lift", "object": x,
@@ -445,9 +445,8 @@ def check_two_sided_discrete(X, pi, A, B):
             ay, by = over[y]
             for alpha in A.hom(ax, ay):
                 for gamma in B.hom(bx, by):
-                    want = pair_id(alpha, gamma)
                     count = sum(1 for m in X.hom(x, y)
-                                if pi.mor_map[m] == want)
+                                if legs[m] == (alpha, gamma))
                     expected = 1 if rho[(x, gamma)] == lam[(y, alpha)] else 0
                     if count != expected:
                         return fibrations.Verdict(False, {
@@ -457,16 +456,21 @@ def check_two_sided_discrete(X, pi, A, B):
     return fibrations.Verdict(True, {"rho": rho, "lam": lam})
 
 
+def _bifibration(total, to_A, to_B):
+    """The span (total, to_A, to_B), its legs validated as functors and
+    the span as two-sided discrete."""
+    to_A._validate()
+    to_B._validate()
+    return TwoSidedDiscreteFibration(total, to_A, to_B).validate()
+
+
 def corr_to_bifib(c):
     """Sections of the correspondence: objects are cross-morphisms,
     morphisms are commutative squares, projected to A x B by endpoints."""
     A, B, E = c.fiber_s, c.fiber_t, c.total
     ends = {x: (E.src[x], E.tgt[x], x) for x in c.cross_morphisms()}
-    total, to_A, to_B = core.square_category(
-        A, B, ends, lambda x, u, v, y: E.compose(v, x) == E.compose(y, u))
-    proj = core.pairing_functor(to_A, to_B)
-    proj._validate()
-    return TwoSidedDiscreteFibration(total, proj, A, B).validate()
+    return _bifibration(*core.square_category(
+        A, B, ends, lambda x, u, v, y: E.compose(v, x) == E.compose(y, u)))
 
 
 def elt_object_id(a, b, x):
@@ -486,16 +490,14 @@ def profunctor_to_bifib(P):
     def commutes(x, alpha, beta, x2):
         return P.lact[(alpha, B.tgt[beta])][x2] == P.ract[(A.src[alpha], beta)][x]
 
-    total, to_A, to_B = core.square_category(A, B, ends, commutes, _validate=True)
-    proj = core.pairing_functor(to_A, to_B)
-    proj._validate()
-    return TwoSidedDiscreteFibration(total, proj, A, B).validate()
+    return _bifibration(*core.square_category(A, B, ends, commutes,
+                                              _validate=True))
 
 
 def bifib_to_profunctor(X):
     """Read fibers over (a, b) as element sets, transports as actions."""
     A, B = X.left, X.right
-    check = check_two_sided_discrete(X.total, X.projection, A, B)
+    check = check_two_sided_discrete(X.total, X.to_left, X.to_right)
     if not check.ok:
         raise BifibrationError("two-sided discreteness fails", check.witness)
     rho, lam = check.witness["rho"], check.witness["lam"]
@@ -545,83 +547,61 @@ def iso_over_interval(c1, c2, ob_map, mor_map):
     return F
 
 
+def _iso_onto_collage(c, c2):
+    """The iso over [1] from c onto a collage of its cross-homs: fibers
+    fixed, each cross morphism sent to its collage cross id."""
+    E = c.total
+    cross = set(c.cross_morphisms())
+    mor_map = {m: collage_cross_id(E.src[m], E.tgt[m], m) if m in cross else m
+               for m in E.morphisms}
+    return iso_over_interval(c, c2, {x: x for x in E.objects}, mor_map)
+
+
 def roundtrip_corr_prof(c):
     """c -> cross-hom bimodule -> collage: iso over [1] fixing the fibers."""
-    P = corr_to_profunctor(c)
-    c2 = collage(P)
-    E = c.total
-    ob_map = {x: x for x in E.objects}
-    mor_map = {}
-    for m in E.morphisms:
-        if m in c.cross_morphisms():
-            mor_map[m] = collage_cross_id(E.src[m], E.tgt[m], m)
-        else:
-            mor_map[m] = m
-    return iso_over_interval(c, c2, ob_map, mor_map)
+    return _iso_onto_collage(c, collage(corr_to_profunctor(c)))
 
 
 def iso_over_product(X1, X2, ob_map, mor_map):
     F = Functor(X1.total, X2.total, ob_map, mor_map)
     if not F.is_isomorphism():
         raise PreconditionError("not bijective on objects and morphisms")
+    legs = ((X1.to_left, X2.to_left), (X1.to_right, X2.to_right))
     for x in X1.total.objects:
-        if X2.projection.ob_map[F.ob_map[x]] != X1.projection.ob_map[x]:
+        if any(G.ob_map[F.ob_map[x]] != G1.ob_map[x] for G1, G in legs):
             raise PreconditionError(f"not over the product at {x}")
     for m in X1.total.morphisms:
-        if X2.projection.mor_map[F.mor_map[m]] != X1.projection.mor_map[m]:
+        if any(G.mor_map[F.mor_map[m]] != G1.mor_map[m] for G1, G in legs):
             raise PreconditionError(f"not over the product at {m}")
     return F
 
 
+def _iso_onto_squares(X, X2, object_id):
+    """The iso over A x B from X onto a square category: x over (a, b)
+    goes to object_id(a, b, x), a morphism to the square of its legs."""
+    L, R, src, tgt = X.to_left, X.to_right, X.total.src, X.total.tgt
+    ob_map = {x: object_id(L.ob_map[x], R.ob_map[x], x)
+              for x in X.total.objects}
+    mor_map = {m: (f"({L.mor_map[m]},{R.mor_map[m]}):{ob_map[src[m]]}"
+                   f">{ob_map[tgt[m]]}") for m in X.total.morphisms}
+    return iso_over_product(X, X2, ob_map, mor_map)
+
+
 def roundtrip_bifib_prof(X):
     """X -> bimodule -> category of elements: iso over A x B."""
-    P = bifib_to_profunctor(X)
-    X2 = profunctor_to_bifib(P)
-    decode_obj, _ = _bifib_components(X.left, X.right)
-    ob_map = {}
-    for x in X.total.objects:
-        a, b = decode_obj[X.projection.ob_map[x]]
-        ob_map[x] = elt_object_id(a, b, x)
-    mor_map = {}
-    _, decode_mor = _bifib_components(X.left, X.right)
-    for m in X.total.morphisms:
-        alpha, beta = decode_mor[X.projection.mor_map[m]]
-        mor_map[m] = (f"({alpha},{beta}):{ob_map[X.total.src[m]]}"
-                      f">{ob_map[X.total.tgt[m]]}")
-    return iso_over_product(X, X2, ob_map, mor_map)
+    return _iso_onto_squares(X, profunctor_to_bifib(bifib_to_profunctor(X)),
+                             elt_object_id)
 
 
 def roundtrip_corr_bifib(c):
     """c -> sections bifibration -> collage: iso over [1]."""
-    X = corr_to_bifib(c)
-    c2 = bifib_to_corr(X)
-    E = c.total
-    ob_map = {x: x for x in E.objects}
-    mor_map = {}
-    cross = set(c.cross_morphisms())
-    for m in E.morphisms:
-        if m in cross:
-            mor_map[m] = collage_cross_id(E.src[m], E.tgt[m], m)
-        else:
-            mor_map[m] = m
-    return iso_over_interval(c, c2, ob_map, mor_map)
+    return _iso_onto_collage(c, bifib_to_corr(corr_to_bifib(c)))
 
 
 def roundtrip_bifib_corr(X):
     """X -> collage of its bimodule -> sections: iso over A x B."""
-    c = bifib_to_corr(X)
-    X2 = corr_to_bifib(c)
-    decode_obj, decode_mor = _bifib_components(X.left, X.right)
-    ob_map = {}
-    for x in X.total.objects:
-        a, b = decode_obj[X.projection.ob_map[x]]
-        ob_map[x] = collage_cross_id(a, b, x)
-    mor_map = {}
-    for m in X.total.morphisms:
-        alpha, beta = decode_mor[X.projection.mor_map[m]]
-        mor_map[m] = (f"({alpha},{beta}):{ob_map[X.total.src[m]]}"
-                      f">{ob_map[X.total.tgt[m]]}")
-    return iso_over_product(X, X2, ob_map, mor_map)
+    return _iso_onto_squares(X, corr_to_bifib(bifib_to_corr(X)),
+                             collage_cross_id)
 
 
 def roundtrip_corr_prof_via_bifib(c):
@@ -839,17 +819,13 @@ def compose_bifib(X01, X12):
     if X01.right != X12.left:
         raise PreconditionError("middle categories differ; relabel first")
     A, B, C = X01.left, X01.right, X12.right
-    d1_obj, d1_mor = _bifib_components(A, B)
-    d2_obj, d2_mor = _bifib_components(B, C)
-    over1 = {x: d1_obj[X01.projection.ob_map[x]] for x in X01.total.objects}
-    over2 = {y: d2_obj[X12.projection.ob_map[y]] for y in X12.total.objects}
+    X1, X2 = X01.total, X12.total
+    over1, mor1 = _over_pairs(X1, X01.to_left, X01.to_right)
+    over2, mor2 = _over_pairs(X2, X12.to_left, X12.to_right)
     # objects of the pullback: pairs agreeing over B
-    pairs = [(x, y) for x in X01.total.objects for y in X12.total.objects
+    pairs = [(x, y) for x in X1.objects for y in X2.objects
              if over1[x][1] == over2[y][0]]
     uf = UnionFind(pairs)
-    X1, X2 = X01.total, X12.total
-    mor1 = {m: d1_mor[X01.projection.mor_map[m]] for m in X1.morphisms}
-    mor2 = {m: d2_mor[X12.projection.mor_map[m]] for m in X2.morphisms}
     for m in X1.morphisms:
         alpha, beta = mor1[m]
         if not A.is_identity(alpha):
@@ -865,10 +841,8 @@ def compose_bifib(X01, X12):
         return f"[{x}|{y}]"
 
     component = {pair: class_id(pair) for pair in pairs}
-    objects = sorted(set(component.values()))
-    over = {}
-    for pair, cid in component.items():
-        over[cid] = (over1[pair[0]][0], over2[pair[1]][1])
+    ends = {cid: (over1[x][0], over2[y][1], cid)
+            for (x, y), cid in component.items()}
 
     # induced transports on classes, each verified single-valued
     def rho(cid, gamma):
@@ -903,44 +877,18 @@ def compose_bifib(X01, X12):
 
     rho_tab = {}
     lam_tab = {}
-    for cid in objects:
-        a, c = over[cid]
+    for cid in sorted(ends):
+        a, c, _ = ends[cid]
         for gamma in C.morphisms_from(c):
             rho_tab[(cid, gamma)] = rho(cid, gamma)
         for alpha in A.morphisms_to(a):
             lam_tab[(cid, alpha)] = lam(cid, alpha)
 
-    morphisms = []
-    identities = {}
-    composition = {}
-    for cid in objects:
-        a, c = over[cid]
-        identities[cid] = f"({A.identity[a]},{C.identity[c]}):{cid}>{cid}"
-    homs = []
-    for u in objects:
-        au, cu = over[u]
-        for v in objects:
-            av, cv = over[v]
-            for alpha in A.hom(au, av):
-                for gamma in C.hom(cu, cv):
-                    if rho_tab[(u, gamma)] == lam_tab[(v, alpha)]:
-                        homs.append((u, v, alpha, gamma))
-                        morphisms.append(
-                            (f"({alpha},{gamma}):{u}>{v}", u, v))
-    for (u, v, alpha, gamma) in homs:
-        for (v2, w, alpha2, gamma2) in homs:
-            if v2 != v:
-                continue
-            composition[(f"({alpha2},{gamma2}):{v}>{w}",
-                         f"({alpha},{gamma}):{u}>{v}")] = \
-                (f"({A.compose(alpha2, alpha)},{C.compose(gamma2, gamma)})"
-                 f":{u}>{w}")
-    total = FiniteCategory(objects, morphisms, identities, composition)
-    proj = Functor(total, core.product(A, C),
-                   {cid: pair_id(*over[cid]) for cid in objects},
-                   {f"({alpha},{gamma}):{u}>{v}": pair_id(alpha, gamma)
-                    for (u, v, alpha, gamma) in homs})
-    return TwoSidedDiscreteFibration(total, proj, A, C).validate(), component
+    def commutes(u, alpha, gamma, v):
+        return rho_tab[(u, gamma)] == lam_tab[(v, alpha)]
+
+    return _bifibration(*core.square_category(A, C, ends, commutes,
+                                              _validate=True)), component
 
 
 def _class_members(class_of):

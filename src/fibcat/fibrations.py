@@ -621,16 +621,18 @@ _IMPLICATIONS = [
 
 def classify(pi, certify_dim=None):
     """Run all checkers, assert the implication closure, attach witnesses."""
+    # the Cartesian-side checks are the coCartesian ones on one opposite
+    op = core.opposite_functor(pi)
     cocartesian = is_cocartesian_fibration(pi)
-    cartesian = is_cartesian_fibration(pi)
+    cartesian = is_cocartesian_fibration(op)
     checks = {
         "conservative": is_conservative(pi),
         "discrete_opfib": _left_fibration(pi, cocartesian),
-        "discrete_fib": _left_fibration(core.opposite_functor(pi), cartesian),
+        "discrete_fib": _left_fibration(op, cartesian),
         "cocartesian": cocartesian,
         "cartesian": cartesian,
         "locally_cocartesian": is_locally_cocartesian(pi),
-        "locally_cartesian": is_locally_cartesian(pi),
+        "locally_cartesian": is_locally_cocartesian(op),
         "exponentiable": is_exponentiable(pi, certify_dim=certify_dim),
     }
     # one exponentiability verdict serves both end checks

@@ -336,10 +336,6 @@ def pi0_map(C):
     return uf.class_map()
 
 
-def is_connected(C):
-    return core.is_connected(C)
-
-
 # -- finality --------------------------------------------------------------
 
 

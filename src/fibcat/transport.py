@@ -21,7 +21,6 @@ from . import core, fibrations, homology
 from .core import FiniteCategory, Functor, PreconditionError, pair_id
 from .fibrations import InternalInvariantError
 from .homology import SetValuedFunctor
-from .unionfind import UnionFind
 
 
 @dataclass
@@ -387,15 +386,12 @@ def lfib_replacement(pi):
     """Value at x: components of the comma over x; transports by
     postcomposition."""
     J, K = pi.source, pi.target
-    commas = {}
     reps = {}
+    ends = {}  # x -> comma object -> (j, phi: pi j -> x)
     for x in K.objects:
-        cat, _, _ = core.comma(pi, core.point(K, x))
-        uf = UnionFind(cat.objects)
-        for m in cat.morphisms:
-            uf.union(cat.src[m], cat.tgt[m])
-        commas[x] = cat
-        reps[x] = uf.class_map()
+        cat, to_J, _, data = core.comma_with_data(pi, core.point(K, x))
+        reps[x] = homology.pi0_map(cat)
+        ends[x] = {o: (to_J.ob_map[o], data[o]) for o in cat.objects}
     values = {x: tuple(sorted(set(reps[x].values()))) for x in K.objects}
 
     def comma_obj(j, phi):
@@ -406,11 +402,8 @@ def lfib_replacement(pi):
         x, y = K.src[xi], K.tgt[xi]
         t = {}
         for rep in values[x]:
-            # decode the representative comma object: (j, *, phi)
-            for j in J.objects:
-                for phi in K.hom(pi.ob_map[j], x):
-                    if comma_obj(j, phi) == rep:
-                        t[rep] = reps[y][comma_obj(j, K.compose(xi, phi))]
+            j, phi = ends[x][rep]
+            t[rep] = reps[y][comma_obj(j, K.compose(xi, phi))]
         transports[xi] = t
     F = SetValuedFunctor(K, values, transports).validate()
     proj = unstraighten(F)
@@ -551,7 +544,8 @@ def maximal_left_subfibration(pi):
     if not v.ok:
         raise PreconditionError("not a coCartesian fibration", v.witness)
     E, K = pi.source, pi.target
-    keep = [f for f in E.morphisms if is_cocart(pi, f)]
+    keep = [f for f in E.morphisms
+            if fibrations.is_cocartesian_morphism(pi, f).ok]
     keep_set = set(keep)
     for f in keep:
         for g in keep:
@@ -567,10 +561,6 @@ def maximal_left_subfibration(pi):
     if not fibrations.is_left_fibration(proj).ok:
         raise InternalInvariantError("maximal subfibration is not a left fibration")
     return proj
-
-
-def is_cocart(pi, f):
-    return fibrations.is_cocartesian_morphism(pi, f).ok
 
 
 def maximal_right_subfibration(pi):

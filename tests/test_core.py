@@ -478,7 +478,15 @@ def _identity_correspondence():
 def _bifibration(build):
     c = corrs.identity_correspondence(core.interval(1))
     X = build(c)
-    return X.total, X.projection
+    return X.total, core.pairing_functor(X.to_left, X.to_right)
+
+
+def _compose_bifib():
+    # a pair whose composite has 10 objects and 36 morphisms
+    P01, P12 = randgen.random_composable_profunctors(random.Random(2))
+    X, _ = corrs.compose_bifib(corrs.profunctor_to_bifib(P01),
+                               corrs.profunctor_to_bifib(P12))
+    return X.total, core.pairing_functor(X.to_left, X.to_right)
 
 
 # Ids of the square-category and pair constructions reach the reports, so
@@ -508,6 +516,9 @@ SQUARE_CONSTRUCTIONS = {
         lambda: _bifibration(lambda c: corrs.profunctor_to_bifib(
             corrs.corr_to_profunctor(c))),
         "bb07859ce051c39579eca80d3730ca90c97d5a7eb2a86a740697c80b35f6b81d"),
+    "compose_bifib": (
+        _compose_bifib,
+        "4ddbb758efb730e6711c08f1de69ac9602a6a420d185b78d58e7176afff1f3f2"),
     "product": (
         lambda: (core.product(core.interval(2), core.retract_category()),),
         "13badb4a5438c87c87ba6c7277a2e26871649e795460653cbe7becbe4bca665f"),

@@ -107,21 +107,18 @@ class TestBifibrations:
         B = core.relabel(core.terminal(), {"*": "b"}, {"id": "ib"})
         # several objects in one fiber are fine
         X = core.discrete_category(["x", "y"])
-        proj = core.Functor(X, core.product(A, B),
-                            {"x": core.pair_id("a", "b"),
-                             "y": core.pair_id("a", "b")},
-                            {"id_x": core.pair_id("ia", "ib"),
-                             "id_y": core.pair_id("ia", "ib")})
-        assert corrs.check_two_sided_discrete(X, proj, A, B).ok
+        assert corrs.check_two_sided_discrete(
+            X, core.constant_functor(X, A, "a"),
+            core.constant_functor(X, B, "b")).ok
         # a non-identity vertical morphism breaks lift uniqueness
         X2 = core.interval(1)
-        proj2 = core.constant_functor(X2, core.product(A, B),
-                                      core.pair_id("a", "b"))
-        check = corrs.check_two_sided_discrete(X2, proj2, A, B)
+        to_A = core.constant_functor(X2, A, "a")
+        to_B = core.constant_functor(X2, B, "b")
+        check = corrs.check_two_sided_discrete(X2, to_A, to_B)
         assert not check.ok
         assert check.witness["kind"] == "source-fixed lift"
         with pytest.raises(corrs.BifibrationError):
-            corrs.TwoSidedDiscreteFibration(X2, proj2, A, B).validate()
+            corrs.TwoSidedDiscreteFibration(X2, to_A, to_B).validate()
 
     def test_ret_fiber_of_the_inclusion_correspondence(self):
         # cross-homs of the collage of the idempotent/retraction bimodule
@@ -251,7 +248,7 @@ class TestComposition:
                                        corrs.profunctor_to_bifib(P12))
             # validated on construction; re-run the checker explicitly
             check = corrs.check_two_sided_discrete(
-                X.total, X.projection, X.left, X.right)
+                X.total, X.to_left, X.to_right)
             assert check.ok
 
 

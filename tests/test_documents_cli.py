@@ -291,6 +291,58 @@ class TestCliCommands:
         assert out1 == out2
 
 
+def colliding_profunctor():
+    """discrete{a, "a,b"} -> discrete{"b,c", c} with one element per pair.
+
+    The pairs (a, "b,c") and ("a,b", c) both print as "(a,b,c)"; the
+    element names differ from pair to pair.
+    """
+    A = core.discrete_category(["a", "a,b"])
+    B = core.discrete_category(["b,c", "c"])
+    elements = {(a, b): (f"x{i}",) for i, (a, b) in enumerate(
+        (a, b) for a in A.objects for b in B.objects)}
+    lact = {(A.identity[a], b): {x: x for x in xs}
+            for (a, b), xs in elements.items()}
+    ract = {(a, B.identity[b]): {x: x for x in xs}
+            for (a, b), xs in elements.items()}
+    return corrs.Profunctor(A, B, elements, lact, ract).validate()
+
+
+class TestCollidingPairIds:
+    def test_compose_and_roundtrip_accept_colliding_pairs(self, tmp_path):
+        P = colliding_profunctor()
+        paths = {}
+        for name, doc in (
+                ("P", docs.profunctor_to_doc(P)),
+                ("H", docs.profunctor_to_doc(corrs.hom_profunctor(P.target))),
+                ("C", docs.correspondence_to_doc(corrs.collage(P)))):
+            paths[name] = str(tmp_path / f"{name}.json")
+            with open(paths[name], "w") as fh:
+                fh.write(docs.dumps(doc))
+        for mode in ("prof", "bifib"):
+            code, out, err = run_cli("compose", "--mode", mode,
+                                     paths["P"], paths["H"])
+            assert code == 0, err
+            composite = json.loads(out)["composite"]["elements"]
+            # P composed with the hom bimodule of B is P again
+            assert all(len(composite[a][b]) == 1
+                       for a in P.source.objects for b in P.target.objects)
+        code, out, err = run_cli("roundtrip", paths["C"])
+        assert code == 0, err
+        assert all(json.loads(out)["verdicts"].values())
+
+    def test_composition_routes_accept_colliding_pairs(self):
+        P = colliding_profunctor()
+        B = P.target
+        H = corrs.relabel_profunctor(
+            corrs.hom_profunctor(B),
+            target=({b: f"c.{b}" for b in B.objects},
+                    {m: f"c.{m}" for m in B.morphisms}))
+        routes = corrs.composition_routes(P, H)
+        assert routes["iso_corr"].source is routes["coend"]
+        assert routes["iso_bifib"].target is routes["via_bifib"]
+
+
 class TestSuiteRunner:
     def test_suite_passes_and_is_thread_invariant(self, tmp_path):
         code1, out1, err1 = run_cli("suite", "--seed", "5", "--size", "1")

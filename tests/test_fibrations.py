@@ -363,6 +363,29 @@ class TestClassify:
                 assert profile[key] == v.ok
                 assert profile.witnesses.get(key) == v.witness
 
+    def test_cartesian_checks_share_one_opposite(self, monkeypatch):
+        Ar, ev_s, ev_t = core.arrow_category(core.interval(2))
+        # the right-initial end check builds its own opposite, and only
+        # for an exponentiable functor
+        cases = [(ev_t, 2), (ev_s, 2), (separating_functor_over_2(), 1)]
+        original = core.opposite_functor
+        calls = []
+        monkeypatch.setattr(core, "opposite_functor",
+                            lambda F: calls.append(F) or original(F))
+        profiles = []
+        for pi, expected in cases:
+            calls.clear()
+            profiles.append(fib.classify(pi))
+            assert calls == [pi] * expected
+        monkeypatch.undo()
+        for (pi, _), profile in zip(cases, profiles):
+            for key, check in (
+                    ("cartesian", fib.is_cartesian_fibration),
+                    ("locally_cartesian", fib.is_locally_cartesian)):
+                v = check(pi)
+                assert profile[key] == v.ok
+                assert profile.witnesses.get(key) == v.witness
+
     def test_op_duality_of_profiles(self):
         rng = random.Random(43)
         swap = {"conservative": "conservative",
