@@ -110,13 +110,17 @@ def _relabel_for_check(P01, P12):
 
 
 def _route_coherence_flag(P01, P12):
+    """Run the three composition routes and check their canonical isos.
+
+    Returns the flag and the routes when they ran on P01, P12 as given,
+    or None when outer ids had to be relabeled first (their composites
+    then carry the relabeled ids)."""
     try:
-        corrs.composition_routes(P01, P12)
-        return True
+        return True, corrs.composition_routes(P01, P12)
     except core.PreconditionError:
         Q01, Q12 = _relabel_for_check(P01, P12)
         corrs.composition_routes(Q01, Q12)
-        return True
+        return True, None
 
 
 def cmd_compose(args):
@@ -127,8 +131,8 @@ def cmd_compose(args):
             raise core.PreconditionError(
                 "middle fibers differ; relabel so they agree on the nose")
         composite, _ = corrs.compose_corr(c01, c12)
-        flag = _route_coherence_flag(corrs.corr_to_profunctor(c01),
-                                     corrs.corr_to_profunctor(c12))
+        flag, _ = _route_coherence_flag(corrs.corr_to_profunctor(c01),
+                                        corrs.corr_to_profunctor(c12))
         out = docs.correspondence_to_doc(composite)
     else:
         P01 = _load(args.inputs[0], "profunctor")
@@ -136,14 +140,17 @@ def cmd_compose(args):
         if P01.target != P12.source:
             raise core.PreconditionError(
                 "middle categories differ; relabel so they agree on the nose")
-        flag = _route_coherence_flag(P01, P12)
+        flag, routes = _route_coherence_flag(P01, P12)
         if args.mode == "prof":
-            composite, _ = corrs.compose_prof(P01, P12)
-            out = docs.profunctor_to_doc(composite)
-        else:  # bifib
+            composite = (routes["coend"] if routes
+                         else corrs.compose_prof(P01, P12)[0])
+        elif routes:  # bifib
+            composite = routes["via_bifib"]
+        else:
             X, _ = corrs.compose_bifib(corrs.profunctor_to_bifib(P01),
                                        corrs.profunctor_to_bifib(P12))
-            out = docs.profunctor_to_doc(corrs.bifib_to_profunctor(X))
+            composite = corrs.bifib_to_profunctor(X)
+        out = docs.profunctor_to_doc(composite)
     _report(args, {"route_coherence_checked": flag}, extra={"composite": out})
     return 0
 

@@ -3,7 +3,8 @@
 Everything downstream (fibration checkers, the correspondence calculus,
 homology certificates) consumes the two types defined here.  A
 FiniteCategory stores its objects, morphisms, identities and the *total*
-composition table; validity is checked exhaustively at construction.
+composition table; validity is checked exhaustively at construction,
+except where a builder guarantees it (square_category checks guards).
 Object and morphism ids are opaque strings, and every construction orders
 its output lexicographically so that results are reproducible.
 """
@@ -690,7 +691,11 @@ def comma(F, G):
     return cat, to_A, to_B
 
 
-def square_category(A, B, ends, commutes, _validate=False):
+def _square_id(u, v, o1, o2):
+    return f"({u},{v}):{o1}>{o2}"
+
+
+def square_category(A, B, ends, commutes):
     """A category of squares with legs in A and B.
 
     Each object o has ends[o] = (a, b, d): an object of A, an object of B
@@ -699,6 +704,13 @@ def square_category(A, B, ends, commutes, _validate=False):
     "(u,v):o1>o2"; pairs compose componentwise.  Candidate targets are
     looked up by (tgt u, tgt v), not by trying every pair of objects.
     Returns the category with its projections to A and B.
+
+    The result is a category by construction: every square is keyed by
+    the tuple (u, v, o1, o2), and three guards are checked, namely that
+    the ids are injective, that each identity square is a morphism and
+    that each componentwise composite is one.  The unit and associativity
+    laws then follow from those of A and B.  If a guard fails, the table
+    the ids name is validated in full and CategoryError reports it.
     """
     over = {}
     for o, (a, b, d) in ends.items():
@@ -706,6 +718,7 @@ def square_category(A, B, ends, commutes, _validate=False):
     b_out = {b: [(v, B.tgt[v]) for v in B._from[b]] for b in B.objects}
     morphisms = []
     parts = {}
+    key_of = {}  # (u, v, o1, o2) -> id
     out = {}  # o1 -> the morphisms out of o1, as (id, target, u, v)
     for o1, (a1, b1, d1) in ends.items():
         out[o1] = arrows = []
@@ -714,20 +727,37 @@ def square_category(A, B, ends, commutes, _validate=False):
             for v, b2 in b_out[b1]:
                 for o2, d2 in over.get((a2, b2), ()):
                     if commutes(d1, u, v, d2):
-                        m = f"({u},{v}):{o1}>{o2}"
+                        m = key_of[(u, v, o1, o2)] = _square_id(u, v, o1, o2)
                         morphisms.append((m, o1, o2))
                         parts[m] = (u, v)
                         arrows.append((m, o2, u, v))
-    identities = {o: f"({A.identity[a]},{B.identity[b]}):{o}>{o}"
-                  for o, (a, b, _) in ends.items()}
+    # the guards; a failing one still names its square, as the table
+    # that validate_category then reports on
+    closed = len(parts) == len(key_of)
+    identities = {}
+    for o, (a, b, _) in ends.items():
+        key = (A.identity[a], B.identity[b], o, o)
+        closed = closed and key in key_of
+        identities[o] = _square_id(*key)
     composition = {}
+    comp_A, comp_B = A._comp, B._comp
     for m, o1, o2 in morphisms:
         u, v = parts[m]
         for m2, o3, u2, v2 in out[o2]:
-            composition[(m2, m)] = (f"({A.compose(u2, u)},{B.compose(v2, v)})"
-                                    f":{o1}>{o3}")
+            key = (comp_A[(u2, u)], comp_B[(v2, v)], o1, o3)
+            h = key_of.get(key)
+            if h is None:
+                closed = False
+                h = _square_id(*key)
+            composition[(m2, m)] = h
+    if not closed:
+        report = validate_category(list(ends), morphisms, identities,
+                                   composition)
+        raise CategoryError("; ".join(report[:8]) or
+                            "squares are not closed under identities and "
+                            "composition")
     cat = FiniteCategory(list(ends), morphisms, identities, composition,
-                         _validate=_validate)
+                         _validate=False)
     to_A = Functor(cat, A, {o: e[0] for o, e in ends.items()},
                    {m: uv[0] for m, uv in parts.items()}, _validate=False)
     to_B = Functor(cat, B, {o: e[1] for o, e in ends.items()},

@@ -17,7 +17,7 @@ relation, with lexicographically least representatives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from . import core, fibrations, homology
@@ -381,6 +381,8 @@ class TwoSidedDiscreteFibration:
     total: FiniteCategory
     to_left: Functor   # X -> A
     to_right: Functor  # X -> B
+    # (rho, lam): the transports along the unique lifts, kept by validate
+    transports: tuple = field(default=None, repr=False, compare=False)
 
     @property
     def left(self):
@@ -395,6 +397,7 @@ class TwoSidedDiscreteFibration:
                                          self.to_right)
         if not check.ok:
             raise BifibrationError("two-sided discreteness fails", check.witness)
+        self.transports = (check.witness["rho"], check.witness["lam"])
         return self
 
     def fiber_elements(self, a, b):
@@ -407,6 +410,14 @@ def _over_pairs(X, to_A, to_B):
     """The (to_A, to_B) images of each object and each morphism of X."""
     return ({x: (to_A.ob_map[x], to_B.ob_map[x]) for x in X.objects},
             {m: (to_A.mor_map[m], to_B.mor_map[m]) for m in X.morphisms})
+
+
+def _by_legs(morphisms, legs):
+    """The morphisms grouped by their legs, in the order given."""
+    groups = {}
+    for m in morphisms:
+        groups.setdefault(legs[m], []).append(m)
+    return groups
 
 
 def check_two_sided_discrete(X, to_A, to_B):
@@ -423,17 +434,17 @@ def check_two_sided_discrete(X, to_A, to_B):
     lam = {}
     for x in X.objects:
         a, b = over[x]
+        out_of = _by_legs(X.morphisms_from(x), legs)
         for beta in B.morphisms_from(b):
-            want = (A.identity[a], beta)
-            lifts = [m for m in X.morphisms_from(x) if legs[m] == want]
+            lifts = out_of.get((A.identity[a], beta), ())
             if len(lifts) != 1:
                 return fibrations.Verdict(False, {
                     "kind": "source-fixed lift", "object": x,
                     "morphism": beta, "lifts": len(lifts)})
             rho[(x, beta)] = X.tgt[lifts[0]]
+        into = _by_legs(X.morphisms_to(x), legs)
         for alpha in A.morphisms_to(a):
-            want = (alpha, B.identity[b])
-            lifts = [m for m in X.morphisms_to(x) if legs[m] == want]
+            lifts = into.get((alpha, B.identity[b]), ())
             if len(lifts) != 1:
                 return fibrations.Verdict(False, {
                     "kind": "target-fixed lift", "object": x,
@@ -443,24 +454,27 @@ def check_two_sided_discrete(X, to_A, to_B):
         ax, bx = over[x]
         for y in X.objects:
             ay, by = over[y]
-            for alpha in A.hom(ax, ay):
+            alphas = A.hom(ax, ay)
+            if not alphas:
+                continue
+            count = {}
+            for m in X.hom(x, y):
+                count[legs[m]] = count.get(legs[m], 0) + 1
+            for alpha in alphas:
                 for gamma in B.hom(bx, by):
-                    count = sum(1 for m in X.hom(x, y)
-                                if legs[m] == (alpha, gamma))
+                    got = count.get((alpha, gamma), 0)
                     expected = 1 if rho[(x, gamma)] == lam[(y, alpha)] else 0
-                    if count != expected:
+                    if got != expected:
                         return fibrations.Verdict(False, {
                             "kind": "hom discreteness", "from": x, "to": y,
-                            "over": (alpha, gamma), "count": count,
+                            "over": (alpha, gamma), "count": got,
                             "expected": expected})
     return fibrations.Verdict(True, {"rho": rho, "lam": lam})
 
 
 def _bifibration(total, to_A, to_B):
-    """The span (total, to_A, to_B), its legs validated as functors and
-    the span as two-sided discrete."""
-    to_A._validate()
-    to_B._validate()
+    """The span (total, to_A, to_B) of a square category, validated as
+    two-sided discrete; its legs are functors by construction."""
     return TwoSidedDiscreteFibration(total, to_A, to_B).validate()
 
 
@@ -484,23 +498,31 @@ def profunctor_to_bifib(P):
     exactly when x'·alpha = beta·x.
     """
     A, B = P.source, P.target
-    ends = {elt_object_id(a, b, x): (a, b, x)
-            for (a, b), xs in P.elements.items() for x in xs}
+    ends = {}
+    for (a, b), xs in P.elements.items():
+        for x in xs:
+            o = elt_object_id(a, b, x)
+            if o in ends:
+                raise PreconditionError(
+                    f"elements {ends[o]} and {(a, b, x)} share the object "
+                    f"id {o}", witness=[ends[o], (a, b, x)])
+            ends[o] = (a, b, x)
 
     def commutes(x, alpha, beta, x2):
         return P.lact[(alpha, B.tgt[beta])][x2] == P.ract[(A.src[alpha], beta)][x]
 
-    return _bifibration(*core.square_category(A, B, ends, commutes,
-                                              _validate=True))
+    return _bifibration(*core.square_category(A, B, ends, commutes))
 
 
 def bifib_to_profunctor(X):
-    """Read fibers over (a, b) as element sets, transports as actions."""
+    """Read fibers over (a, b) as element sets, transports as actions.
+
+    The transports are those X.validate kept; an X not yet validated is
+    validated here."""
     A, B = X.left, X.right
-    check = check_two_sided_discrete(X.total, X.to_left, X.to_right)
-    if not check.ok:
-        raise BifibrationError("two-sided discreteness fails", check.witness)
-    rho, lam = check.witness["rho"], check.witness["lam"]
+    if X.transports is None:
+        X.validate()
+    rho, lam = X.transports
     elements = {(a, b): X.fiber_elements(a, b)
                 for a in A.objects for b in B.objects}
     lact = {}
@@ -826,52 +848,47 @@ def compose_bifib(X01, X12):
     pairs = [(x, y) for x in X1.objects for y in X2.objects
              if over1[x][1] == over2[y][0]]
     uf = UnionFind(pairs)
+    # X1 morphisms over (identity, beta) meet X2 morphisms over
+    # (beta, identity) through beta; the first X1 morphism over
+    # (alpha, identity) into x, and the first X2 morphism over
+    # (identity, gamma) out of y, are the lifts of the transports
+    vertical1 = {}
+    lift_into1 = {}
     for m in X1.morphisms:
         alpha, beta = mor1[m]
-        if not A.is_identity(alpha):
-            continue
-        for n in X2.morphisms:
-            beta2, gamma = mor2[n]
-            if beta2 != beta or not C.is_identity(gamma):
-                continue
-            uf.union((X1.src[m], X2.src[n]), (X1.tgt[m], X2.tgt[n]))
+        if A.is_identity(alpha):
+            vertical1.setdefault(beta, []).append(m)
+        if B.is_identity(beta):
+            lift_into1.setdefault((X1.tgt[m], alpha), X1.src[m])
+    lift_out_of2 = {}
+    for n in X2.morphisms:
+        beta, gamma = mor2[n]
+        if B.is_identity(beta):
+            lift_out_of2.setdefault((X2.src[n], gamma), X2.tgt[n])
+        if C.is_identity(gamma):
+            for m in vertical1.get(beta, ()):
+                uf.union((X1.src[m], X2.src[n]), (X1.tgt[m], X2.tgt[n]))
 
-    def class_id(pair):
-        x, y = uf.find(pair)
-        return f"[{x}|{y}]"
-
-    component = {pair: class_id(pair) for pair in pairs}
+    component = {}
+    rep_of = {}   # class id -> its least pair
+    members = {}  # class id -> the pairs of its class
+    for pair in pairs:
+        rep = uf.find(pair)
+        cid = component[pair] = f"[{rep[0]}|{rep[1]}]"
+        if rep_of.setdefault(cid, rep) != rep:
+            raise PreconditionError(
+                f"classes of {rep_of[cid]} and {rep} share the class id "
+                f"{cid}", witness=[rep_of[cid], rep])
+        members.setdefault(cid, []).append(pair)
     ends = {cid: (over1[x][0], over2[y][1], cid)
-            for (x, y), cid in component.items()}
+            for cid, (x, y) in rep_of.items()}
 
     # induced transports on classes, each verified single-valued
-    def rho(cid, gamma):
-        images = set()
-        for pair, c2 in component.items():
-            if c2 != cid:
-                continue
-            x, y = pair
-            lift = [n for n in X2.morphisms_from(y)
-                    if mor2[n] == (B.identity[over2[y][0]], gamma)]
-            images.add(component[(x, X2.tgt[lift[0]])])
+    def transport(cid, arrow, move):
+        images = {component[move(x, y)] for x, y in members[cid]}
         if len(images) != 1:
             raise BifibrationError(
-                f"component transport not well-defined at ({cid},{gamma})",
-                sorted(images))
-        return images.pop()
-
-    def lam(cid, alpha):
-        images = set()
-        for pair, c2 in component.items():
-            if c2 != cid:
-                continue
-            x, y = pair
-            lift = [n for n in X1.morphisms_to(x)
-                    if mor1[n] == (alpha, B.identity[over1[x][1]])]
-            images.add(component[(X1.src[lift[0]], y)])
-        if len(images) != 1:
-            raise BifibrationError(
-                f"component transport not well-defined at ({cid},{alpha})",
+                f"component transport not well-defined at ({cid},{arrow})",
                 sorted(images))
         return images.pop()
 
@@ -880,15 +897,16 @@ def compose_bifib(X01, X12):
     for cid in sorted(ends):
         a, c, _ = ends[cid]
         for gamma in C.morphisms_from(c):
-            rho_tab[(cid, gamma)] = rho(cid, gamma)
+            rho_tab[(cid, gamma)] = transport(
+                cid, gamma, lambda x, y: (x, lift_out_of2[(y, gamma)]))
         for alpha in A.morphisms_to(a):
-            lam_tab[(cid, alpha)] = lam(cid, alpha)
+            lam_tab[(cid, alpha)] = transport(
+                cid, alpha, lambda x, y: (lift_into1[(x, alpha)], y))
 
     def commutes(u, alpha, gamma, v):
         return rho_tab[(u, gamma)] == lam_tab[(v, alpha)]
 
-    return _bifibration(*core.square_category(A, C, ends, commutes,
-                                              _validate=True)), component
+    return _bifibration(*core.square_category(A, C, ends, commutes)), component
 
 
 def _class_members(class_of):
@@ -920,13 +938,15 @@ def composition_routes(P01, P12):
     Returns a dict with the three composite bimodules (coend, through the
     glued correspondence, through the pulled-back bifibration) and the
     isos from the coend to each.  Ids of the outer categories must not
-    collide with each other or the middle; relabel first if they do.
+    collide with each other or the middle; relabel first if they do.  The
+    collages are built first, so colliding ids are refused before any
+    composite is computed.
     """
-    coend, class_of = compose_prof(P01, P12)
     c01 = collage(P01)
     c12 = collage(P12)
     comp_c, glued = compose_corr(c01, c12)
     via_corr = corr_to_profunctor(comp_c)
+    coend, class_of = compose_prof(P01, P12)
     X02, component = compose_bifib(profunctor_to_bifib(P01),
                                    profunctor_to_bifib(P12))
     via_bifib = bifib_to_profunctor(X02)

@@ -551,6 +551,108 @@ class TestSquareCategoryIds:
         assert h.hexdigest() == expected
 
 
+def _named_squares(A, B, ends, commutes):
+    """The table of squares as square_category names it, built without
+    its guards: each identity and composite id is formatted from its
+    legs, in square_category's order, and never looked up."""
+    name = "({},{}):{}>{}".format
+    morphisms, parts, out = [], {}, {}
+    for o1, (a1, b1, d1) in ends.items():
+        out[o1] = []
+        for u in A.morphisms_from(a1):
+            for v in B.morphisms_from(b1):
+                for o2, (a2, b2, d2) in ends.items():
+                    if (a2, b2) == (A.tgt[u], B.tgt[v]) and \
+                            commutes(d1, u, v, d2):
+                        m = name(u, v, o1, o2)
+                        morphisms.append((m, o1, o2))
+                        parts[m] = (u, v)
+                        out[o1].append((m, o2))
+    identities = {o: name(A.identity[a], B.identity[b], o, o)
+                  for o, (a, b, _) in ends.items()}
+    composition = {}
+    for m, o1, o2 in morphisms:
+        u, v = parts[m]
+        for m2, o3 in out[o2]:
+            u2, v2 = parts[m2]
+            composition[(m2, m)] = name(A.compose(u2, u), B.compose(v2, v),
+                                        o1, o3)
+    return list(ends), morphisms, identities, composition
+
+
+def _short_steps():
+    # the one-step squares of [2] over the point: (1->2)∘(0->1) is missing
+    A, T = core.interval(2), core.terminal()
+    ends = {x: (x, "*", None) for x in A.objects}
+    return A, T, ends, lambda d, u, v, d2: u != "0->2", "composite of"
+
+
+def _no_identities():
+    A, T = core.interval(1), core.terminal()
+    ends = {x: (x, "*", None) for x in A.objects}
+    return (A, T, ends, lambda d, u, v, d2: not A.is_identity(u),
+            "identity of 0 is not a morphism: (0->0,id):0>0")
+
+
+def _colliding_ids():
+    # "(id,id):a>b>c" names both a -> "b>c" and "a>b" -> c
+    T = core.terminal()
+    ends = {o: ("*", "*", None) for o in ("a", "a>b", "b>c", "c")}
+    return T, T, ends, lambda d, u, v, d2: True, "duplicate morphism ids"
+
+
+class TestSquareCategoryGuards:
+    """square_category checks three guards instead of validating; a
+    failing guard reports what validate_category says of its table."""
+
+    @pytest.mark.parametrize("planted", [_short_steps, _no_identities,
+                                         _colliding_ids])
+    def test_planted_defect_raises_the_validation_report(self, planted):
+        A, B, ends, commutes, expected = planted()
+        report = core.validate_category(
+            *_named_squares(A, B, ends, commutes))
+        assert any(line.startswith(expected) for line in report)
+        with pytest.raises(CategoryError) as exc:
+            core.square_category(A, B, ends, commutes)
+        assert str(exc.value) == "; ".join(report[:8])
+
+    def test_every_output_is_a_category_over_random_draws(self, monkeypatch):
+        # validate_category and Functor._validate stay the oracle for
+        # every category of squares the constructions build
+        real = core.square_category
+        built = []
+
+        def checked(A, B, ends, commutes):
+            cat, to_A, to_B = real(A, B, ends, commutes)
+            table = _named_squares(A, B, ends, commutes)
+            assert core.validate_category(*table_of(cat)) == []
+            assert table_of(cat) == (tuple(sorted(table[0])),
+                                     tuple(sorted(table[1])), *table[2:])
+            to_A._validate()
+            to_B._validate()
+            built.append(cat)
+            return cat, to_A, to_B
+
+        monkeypatch.setattr(core, "square_category", checked)
+        draws = 200
+        for i in range(draws):
+            rng = random.Random(f"squares:{i}")
+            C = randgen.random_category(rng, 3, 6)
+            core.arrow_category(C)
+            core.twisted_arrows(C)
+            core.comma(core.point(C, rng.choice(C.objects)),
+                       core.identity_functor(C))
+            pi = randgen.random_functor_over(
+                rng, randgen.random_poset(rng, 3, prefix="k"))
+            transport.cocart_replacement(pi)
+            transport.cart_replacement(pi)
+            P01, P12 = randgen.random_composable_profunctors(rng)
+            corrs.compose_bifib(corrs.profunctor_to_bifib(P01),
+                                corrs.profunctor_to_bifib(P12))
+            corrs.corr_to_bifib(corrs.collage(P01))
+        assert len(built) == 9 * draws
+
+
 class TestFunctorEnumeration:
     def test_functors_interval_to_interval(self):
         I1 = core.interval(1)

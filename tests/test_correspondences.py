@@ -4,7 +4,7 @@ import pytest
 
 from fibcat import core, correspondences as corrs, fibrations as fib
 from fibcat import homology, randgen
-from fibcat.core import PreconditionError
+from fibcat.core import FiniteCategory, PreconditionError
 
 
 def idem_ret_bimodules():
@@ -129,6 +129,134 @@ class TestBifibrations:
         assert X.fiber_elements("a*", "y") == (corrs.elt_object_id(
             "a*", "y", "e"), corrs.elt_object_id("a*", "y", "id_y"))
         assert len(X.fiber_elements("a*", "x")) == 1
+
+
+def old_check_two_sided_discrete(X, to_A, to_B):
+    """check_two_sided_discrete as it was before its indexes: lifts found
+    by scanning, hom-discreteness counted by one sum per (alpha, gamma)."""
+    A, B = to_A.target, to_B.target
+    legs = {m: (to_A.mor_map[m], to_B.mor_map[m]) for m in X.morphisms}
+    over = {x: (to_A.ob_map[x], to_B.ob_map[x]) for x in X.objects}
+    rho, lam = {}, {}
+    for x in X.objects:
+        a, b = over[x]
+        for beta in B.morphisms_from(b):
+            lifts = [m for m in X.morphisms_from(x)
+                     if legs[m] == (A.identity[a], beta)]
+            if len(lifts) != 1:
+                return False, {"kind": "source-fixed lift", "object": x,
+                               "morphism": beta, "lifts": len(lifts)}
+            rho[(x, beta)] = X.tgt[lifts[0]]
+        for alpha in A.morphisms_to(a):
+            lifts = [m for m in X.morphisms_to(x)
+                     if legs[m] == (alpha, B.identity[b])]
+            if len(lifts) != 1:
+                return False, {"kind": "target-fixed lift", "object": x,
+                               "morphism": alpha, "lifts": len(lifts)}
+            lam[(x, alpha)] = X.src[lifts[0]]
+    for x in X.objects:
+        for y in X.objects:
+            for alpha in A.hom(over[x][0], over[y][0]):
+                for gamma in B.hom(over[x][1], over[y][1]):
+                    count = sum(1 for m in X.hom(x, y)
+                                if legs[m] == (alpha, gamma))
+                    expected = 1 if rho[(x, gamma)] == lam[(y, alpha)] else 0
+                    if count != expected:
+                        return False, {
+                            "kind": "hom discreteness", "from": x, "to": y,
+                            "over": (alpha, gamma), "count": count,
+                            "expected": expected}
+    return True, {"rho": rho, "lam": lam}
+
+
+def doubled_diagonal():
+    """A square over [1] x [1] with two diagonals p -> s: every lift is
+    unique, but p -> s has two morphisms over (0->1, 0->1)."""
+    I1 = core.interval(1)
+    legs = {"a": ("0->1", "0->0"), "b": ("0->0", "0->1"),
+            "c": ("1->1", "0->1"), "d": ("0->1", "1->1"),
+            "e1": ("0->1", "0->1"), "e2": ("0->1", "0->1")}
+    ends = {"p": ("0", "0"), "q": ("1", "0"), "r": ("0", "1"), "s": ("1", "1")}
+    morphisms = [(f"id_{x}", x, x) for x in ends] + [
+        ("a", "p", "q"), ("b", "p", "r"), ("c", "q", "s"), ("d", "r", "s"),
+        ("e1", "p", "s"), ("e2", "p", "s")]
+    identities = {x: f"id_{x}" for x in ends}
+    composition = {("c", "a"): "e1", ("d", "b"): "e1"}
+    for m, x, y in morphisms:
+        composition[(m, identities[x])] = m
+        composition[(identities[y], m)] = m
+    X = FiniteCategory(list(ends), morphisms, identities, composition)
+    for x, e in ends.items():
+        legs[identities[x]] = tuple(f"{i}->{i}" for i in e)
+    return X, *(core.Functor(X, I1, {x: e[k] for x, e in ends.items()},
+                             {m: lg[k] for m, lg in legs.items()})
+                for k in (0, 1))
+
+
+class TestTwoSidedDiscreteness:
+    def test_indexed_check_matches_the_scanning_check(self):
+        spans = [doubled_diagonal()]
+        rng = random.Random(12)
+        for _ in range(150):
+            X = randgen.random_category(rng, 3, 6, prefix="x.")
+            A = randgen.random_category(rng, 2, 4, prefix="a.")
+            B = randgen.random_category(rng, 2, 4, prefix="b.")
+            spans.append((X, randgen.random_functor_between(rng, X, A),
+                          randgen.random_functor_between(rng, X, B)))
+        for _ in range(30):
+            Y = corrs.profunctor_to_bifib(
+                randgen.random_composable_profunctors(rng)[0])
+            spans.append((Y.total, Y.to_left, Y.to_right))
+        kinds = set()
+        for X, to_A, to_B in spans:
+            check = corrs.check_two_sided_discrete(X, to_A, to_B)
+            assert (check.ok, check.witness) == \
+                old_check_two_sided_discrete(X, to_A, to_B)
+            kinds.add(check.witness.get("kind", "ok"))
+        assert kinds == {"ok", "source-fixed lift", "target-fixed lift",
+                         "hom discreteness"}
+
+    def test_doubled_diagonal_is_rejected_with_witness(self):
+        check = corrs.check_two_sided_discrete(*doubled_diagonal())
+        assert check.witness == {
+            "kind": "hom discreteness", "from": "p", "to": "s",
+            "over": ("0->1", "0->1"), "count": 2, "expected": 1}
+
+    def test_validate_keeps_the_transports(self, monkeypatch):
+        rng = random.Random(3)
+        P = randgen.random_composable_profunctors(rng)[0]
+        X = corrs.profunctor_to_bifib(P)
+        check = corrs.check_two_sided_discrete(X.total, X.to_left, X.to_right)
+        assert X.transports == (check.witness["rho"], check.witness["lam"])
+        calls = []
+        real = corrs.check_two_sided_discrete
+        monkeypatch.setattr(corrs, "check_two_sided_discrete",
+                            lambda *a: calls.append(a) or real(*a))
+        Q = corrs.bifib_to_profunctor(X)
+        assert calls == []
+        # a span nobody validated is checked once, on the way
+        fresh = corrs.TwoSidedDiscreteFibration(X.total, X.to_left,
+                                                X.to_right)
+        assert fresh == X and fresh.transports is None
+        assert corrs.bifib_to_profunctor(fresh).elements == Q.elements
+        assert len(calls) == 1 and fresh.transports == X.transports
+
+    def test_colliding_class_ids_are_refused(self):
+        # classes of ("p", "q|r") and ("p|q", "r") both print "[p|q|r]"
+        A, B, C = (core.relabel(core.terminal(), {"*": x}, {"id": f"1{x}"})
+                   for x in "abc")
+
+        def discrete_span(objects, L, R):
+            X = core.discrete_category(objects)
+            return corrs.TwoSidedDiscreteFibration(
+                X, core.constant_functor(X, L, L.objects[0]),
+                core.constant_functor(X, R, R.objects[0])).validate()
+
+        with pytest.raises(PreconditionError) as exc:
+            corrs.compose_bifib(discrete_span(["p", "p|q"], A, B),
+                                discrete_span(["q|r", "r"], B, C))
+        assert exc.value.witness == [("p", "q|r"), ("p|q", "r")]
+        assert "[p|q|r]" in str(exc.value)
 
 
 class TestRoundTrips:

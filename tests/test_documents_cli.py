@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import random
@@ -291,15 +293,15 @@ class TestCliCommands:
         assert out1 == out2
 
 
-def colliding_profunctor():
+def colliding_profunctor(element=None):
     """discrete{a, "a,b"} -> discrete{"b,c", c} with one element per pair.
 
     The pairs (a, "b,c") and ("a,b", c) both print as "(a,b,c)"; the
-    element names differ from pair to pair.
+    element names differ from pair to pair, or are all `element`.
     """
     A = core.discrete_category(["a", "a,b"])
     B = core.discrete_category(["b,c", "c"])
-    elements = {(a, b): (f"x{i}",) for i, (a, b) in enumerate(
+    elements = {(a, b): (element or f"x{i}",) for i, (a, b) in enumerate(
         (a, b) for a in A.objects for b in B.objects)}
     lact = {(A.identity[a], b): {x: x for x in xs}
             for (a, b), xs in elements.items()}
@@ -341,6 +343,97 @@ class TestCollidingPairIds:
         routes = corrs.composition_routes(P, H)
         assert routes["iso_corr"].source is routes["coend"]
         assert routes["iso_bifib"].target is routes["via_bifib"]
+
+    def test_colliding_element_ids_are_refused(self):
+        with pytest.raises(core.PreconditionError) as exc:
+            corrs.profunctor_to_bifib(colliding_profunctor("x"))
+        assert exc.value.witness == [("a", "b,c", "x"), ("a,b", "c", "x")]
+        assert "(a,b,c,x)" in str(exc.value)
+
+    def test_compose_refuses_colliding_element_ids(self, tmp_path):
+        # with the element x at every pair, two elements print as
+        # "(a,b,c,x)"
+        P = colliding_profunctor("x")
+        paths = []
+        for name, Q in (("P", P), ("H", corrs.hom_profunctor(P.target))):
+            paths.append(str(tmp_path / f"{name}.json"))
+            with open(paths[-1], "w") as fh:
+                fh.write(docs.dumps(docs.profunctor_to_doc(Q)))
+        for mode in ("bifib", "prof"):
+            code, out, err = run_cli("compose", "--mode", mode, *paths)
+            assert code == cli.EXIT_PRECONDITION, err
+            assert out == "" and "Traceback" not in err
+            assert "share the object id (chk0.a,b,c,x)" in err
+
+
+def run_in_process(argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(argv)
+    return code, buf.getvalue()
+
+
+def old_compose_report(argv, mode, P01, P12):
+    """The report compose printed when it ran its own route after the
+    coherence check: the route is run again, on the inputs as given."""
+    if mode == "prof":
+        composite, _ = corrs.compose_prof(P01, P12)
+    else:
+        X, _ = corrs.compose_bifib(corrs.profunctor_to_bifib(P01),
+                                   corrs.profunctor_to_bifib(P12))
+        composite = corrs.bifib_to_profunctor(X)
+    return docs.dumps({
+        "format_version": docs.FORMAT_VERSION, "command": argv,
+        "verdicts": {"route_coherence_checked": True}, "witnesses": {},
+        "certificate_degree": None, "timing_s": None,
+        "composite": cli._json_safe(docs.profunctor_to_doc(composite))})
+
+
+class TestComposeReusesItsRoute:
+    """compose prints the composite its coherence check computed; only
+    the relabeled fallback runs the mode's route on its own."""
+
+    def inputs(self, fixture_dir, tmp_path, overlap):
+        if overlap:  # Idem -> Ret -> Idem: the outer ids meet
+            names = ("idem_to_ret_bimodule", "ret_to_idem_bimodule")
+            return [os.path.join(fixture_dir, f"{n}.json") for n in names]
+        paths = []
+        for name in ("two_step_left", "two_step_right"):
+            with open(os.path.join(fixture_dir, f"{name}.json")) as fh:
+                _, c = docs.parse_any(fh.read())
+            paths.append(str(tmp_path / f"{name}_bimodule.json"))
+            with open(paths[-1], "w") as fh:
+                fh.write(docs.dumps(docs.profunctor_to_doc(
+                    corrs.corr_to_profunctor(c))))
+        return paths
+
+    @pytest.mark.parametrize("mode", ["prof", "bifib"])
+    @pytest.mark.parametrize("overlap", [False, True])
+    def test_report_matches_the_route_run_alone(self, fixture_dir, tmp_path,
+                                                monkeypatch, mode, overlap):
+        paths = self.inputs(fixture_dir, tmp_path, overlap)
+        P01, P12 = (docs.parse_any(open(p).read())[1] for p in paths)
+        argv = ["compose", "--mode", mode, *paths]
+        expected = old_compose_report(argv, mode, P01, P12)
+        calls = {"relabel": 0, "compose_prof": 0, "compose_bifib": 0}
+
+        def counted(module, name, key):
+            real = getattr(module, name)
+
+            def wrapper(*args):
+                calls[key] += 1
+                return real(*args)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(cli, "_relabel_for_check", "relabel")
+        counted(corrs, "compose_prof", "compose_prof")
+        counted(corrs, "compose_bifib", "compose_bifib")
+        assert run_in_process(argv) == (0, expected)
+        route = "compose_prof" if mode == "prof" else "compose_bifib"
+        # the check runs each route once; the fallback runs the mode's
+        # route again on the inputs as given, the reuse path never does
+        assert calls == {"relabel": int(overlap), "compose_prof": 1,
+                         "compose_bifib": 1, route: 1 + overlap}
 
 
 class TestSuiteRunner:
