@@ -412,7 +412,7 @@ class TestComposeReusesItsRoute:
     def test_report_matches_the_route_run_alone(self, fixture_dir, tmp_path,
                                                 monkeypatch, mode, overlap):
         paths = self.inputs(fixture_dir, tmp_path, overlap)
-        P01, P12 = (docs.parse_any(open(p).read())[1] for p in paths)
+        P01, P12 = (cli._load(p, "profunctor") for p in paths)
         argv = ["compose", "--mode", mode, *paths]
         expected = old_compose_report(argv, mode, P01, P12)
         calls = {"relabel": 0, "compose_prof": 0, "compose_bifib": 0}
