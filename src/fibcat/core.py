@@ -618,61 +618,26 @@ def fiber(pi, x):
 # -- slices, commas, arrows ----------------------------------------------
 
 
-def tri_id(u, a, b):
-    return f"({u}:{a}>{b})"
-
-
 def slice_category(C, x):
-    """C_{/x}: objects are morphisms into x."""
+    """C_{/x}: objects are morphisms f into x, a morphism f -> g is a
+    u: src f -> src g with g∘u = f.  Returns the category with its
+    forgetful functor to C."""
     if x not in C.identity:
         raise PreconditionError(f"unknown object {x}")
-    objects = sorted(C.morphisms_to(x))
-    morphisms = []
-    composition = {}
-    homs = {}
-    for f in objects:
-        for g in objects:
-            for u in C.hom(C.src[f], C.src[g]):
-                if C.compose(g, u) == f:
-                    m = tri_id(u, f, g)
-                    morphisms.append((m, f, g))
-                    homs[m] = u
-    identities = {f: tri_id(C.identity[C.src[f]], f, f) for f in objects}
-    for m, f, g in morphisms:
-        for m2, g2, h in morphisms:
-            if g == g2:
-                composition[(m2, m)] = tri_id(C.compose(homs[m2], homs[m]), f, h)
-    cat = FiniteCategory(objects, morphisms, identities, composition,
-                         _validate=False)
-    forget = Functor(cat, C, {f: C.src[f] for f in objects},
-                     {m: homs[m] for m, _, _ in morphisms}, _validate=False)
+    cat, forget, _ = square_category(
+        C, terminal(), {f: (C.src[f], "*", f) for f in C.morphisms_to(x)},
+        lambda f, u, v, g: C.compose(g, u) == f)
     return cat, forget
 
 
 def coslice_category(C, x):
-    """C^{x/}: objects are morphisms out of x."""
+    """C^{x/}: objects are morphisms f out of x, a morphism f -> g is a
+    u: tgt f -> tgt g with u∘f = g."""
     if x not in C.identity:
         raise PreconditionError(f"unknown object {x}")
-    objects = sorted(C.morphisms_from(x))
-    morphisms = []
-    composition = {}
-    homs = {}
-    for f in objects:
-        for g in objects:
-            for u in C.hom(C.tgt[f], C.tgt[g]):
-                if C.compose(u, f) == g:
-                    m = tri_id(u, f, g)
-                    morphisms.append((m, f, g))
-                    homs[m] = u
-    identities = {f: tri_id(C.identity[C.tgt[f]], f, f) for f in objects}
-    for m, f, g in morphisms:
-        for m2, g2, h in morphisms:
-            if g == g2:
-                composition[(m2, m)] = tri_id(C.compose(homs[m2], homs[m]), f, h)
-    cat = FiniteCategory(objects, morphisms, identities, composition,
-                         _validate=False)
-    forget = Functor(cat, C, {f: C.tgt[f] for f in objects},
-                     {m: homs[m] for m, _, _ in morphisms}, _validate=False)
+    cat, forget, _ = square_category(
+        C, terminal(), {f: (C.tgt[f], "*", f) for f in C.morphisms_from(x)},
+        lambda f, u, v, g: C.compose(u, f) == g)
     return cat, forget
 
 

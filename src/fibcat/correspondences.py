@@ -351,23 +351,15 @@ def collage(P):
 
 def corr_to_profunctor(c):
     """Elements(a, b) = cross-homs of the total category, with
-    pre/post-composition actions."""
-    A, B, E = c.fiber_s, c.fiber_t, c.total
-    elements = {(a, b): tuple(sorted(E.hom(a, b)))
-                for a in A.objects for b in B.objects}
-    lact = {}
-    for alpha in A.morphisms:
-        a1, a0 = A.src[alpha], A.tgt[alpha]
-        for b in B.objects:
-            lact[(alpha, b)] = {x: E.compose(x, alpha)
-                                for x in elements[(a0, b)]}
-    ract = {}
-    for beta in B.morphisms:
-        b0, b1 = B.src[beta], B.tgt[beta]
-        for a in A.objects:
-            ract[(a, beta)] = {x: E.compose(beta, x)
-                               for x in elements[(a, b0)]}
-    return Profunctor(A, B, elements, lact, ract).validate()
+    pre/post-composition actions: the hom bimodule along the two fiber
+    inclusions, which are subcategories by construction."""
+    E = c.total
+
+    def inclusion(F):
+        return Functor(F, E, {x: x for x in F.objects},
+                       {m: m for m in F.morphisms}, _validate=False)
+
+    return hom_profunctor_along(inclusion(c.fiber_s), inclusion(c.fiber_t))
 
 
 # -- two-sided discrete fibrations -------------------------------------------
@@ -604,8 +596,9 @@ def _iso_onto_squares(X, X2, object_id):
     L, R, src, tgt = X.to_left, X.to_right, X.total.src, X.total.tgt
     ob_map = {x: object_id(L.ob_map[x], R.ob_map[x], x)
               for x in X.total.objects}
-    mor_map = {m: (f"({L.mor_map[m]},{R.mor_map[m]}):{ob_map[src[m]]}"
-                   f">{ob_map[tgt[m]]}") for m in X.total.morphisms}
+    mor_map = {m: core._square_id(L.mor_map[m], R.mor_map[m],
+                                  ob_map[src[m]], ob_map[tgt[m]])
+               for m in X.total.morphisms}
     return iso_over_product(X, X2, ob_map, mor_map)
 
 
@@ -766,71 +759,47 @@ def compose_prof(P01, P12):
         b, x, y = triple
         return f"[{b}:{x}|{y}]"
 
-    ufs = {}
     elements = {}
     class_of = {}
     for a in A.objects:
         for c in C.objects:
             uf = coend_pairs(P01, P12, a, c)
-            ufs[(a, c)] = uf
             ids = set()
             for triple in uf.parent:
                 rep = uf.find(triple)
                 class_of[(a, c) + triple] = class_id(rep)
                 ids.add(class_id(rep))
             elements[(a, c)] = tuple(sorted(ids))
+    members = _class_members(class_of)
 
-    rep_triple = {}
-    for (a, c), uf in ufs.items():
-        for triple in uf.parent:
-            rep = uf.find(triple)
-            rep_triple[(a, c, class_id(rep))] = rep
-
-    def act_left_class(alpha, c, cid):
-        a0 = A.tgt[alpha]
-        a1 = A.src[alpha]
-        images = set()
-        uf = ufs[(a0, c)]
-        for triple in uf.parent:
-            if class_of[(a0, c) + triple] != cid:
-                continue
-            b, x, y = triple
-            moved = (b, P01.lact[(alpha, b)][x], y)
-            images.add(class_of[(a1, c) + moved])
+    def act_on_class(side, at, here, there, cid, move):
+        # the class at there of move(b, x, y), for every member at here
+        images = {class_of[there + move(*triple)]
+                  for triple in members[here + (cid,)]}
         if len(images) != 1:
             raise BifibrationError(
-                f"left action on coend classes not well-defined at "
-                f"({alpha},{c},{cid})", sorted(images))
-        return images.pop()
-
-    def act_right_class(a, gamma, cid):
-        c0, c1 = C.src[gamma], C.tgt[gamma]
-        images = set()
-        uf = ufs[(a, c0)]
-        for triple in uf.parent:
-            if class_of[(a, c0) + triple] != cid:
-                continue
-            b, x, y = triple
-            moved = (b, x, P12.ract[(b, gamma)][y])
-            images.add(class_of[(a, c1) + moved])
-        if len(images) != 1:
-            raise BifibrationError(
-                f"right action on coend classes not well-defined at "
-                f"({a},{gamma},{cid})", sorted(images))
+                f"{side} action on coend classes not well-defined at "
+                f"({at[0]},{at[1]},{cid})", sorted(images))
         return images.pop()
 
     lact = {}
     for alpha in A.morphisms:
-        a0 = A.tgt[alpha]
+        a1, a0 = A.src[alpha], A.tgt[alpha]
         for c in C.objects:
-            lact[(alpha, c)] = {cid: act_left_class(alpha, c, cid)
-                                for cid in elements[(a0, c)]}
+            lact[(alpha, c)] = {
+                cid: act_on_class(
+                    "left", (alpha, c), (a0, c), (a1, c), cid,
+                    lambda b, x, y: (b, P01.lact[(alpha, b)][x], y))
+                for cid in elements[(a0, c)]}
     ract = {}
     for gamma in C.morphisms:
-        c0 = C.src[gamma]
+        c0, c1 = C.src[gamma], C.tgt[gamma]
         for a in A.objects:
-            ract[(a, gamma)] = {cid: act_right_class(a, gamma, cid)
-                                for cid in elements[(a, c0)]}
+            ract[(a, gamma)] = {
+                cid: act_on_class(
+                    "right", (a, gamma), (a, c0), (a, c1), cid,
+                    lambda b, x, y: (b, x, P12.ract[(b, gamma)][y]))
+                for cid in elements[(a, c0)]}
     P = Profunctor(A, C, elements, lact, ract).validate()
     return P, class_of
 

@@ -64,6 +64,22 @@ def _require_ids(ids, where):
             raise DocumentError(f"{where}: ids must be strings, got {x!r}")
 
 
+def _row(table, key, where):
+    """table[key] as a JSON object; an absent row is empty."""
+    row = table.get(key, {})
+    if not isinstance(row, dict):
+        raise DocumentError(f"{where} row {key!r} must be a JSON object")
+    return row
+
+
+def _id_map(table, where):
+    """A JSON object mapping ids to ids."""
+    if not isinstance(table, dict):
+        raise DocumentError(f"{where} must be a JSON object")
+    _require_ids(table.values(), where)
+    return dict(table)
+
+
 # -- categories ---------------------------------------------------------------
 
 
@@ -170,23 +186,27 @@ def profunctor_from_doc(doc):
     raw_elements = _require(doc, "elements", dict)
     elements = {}
     for a in source.objects:
+        row = _row(raw_elements, a, "elements")
         for b in target.objects:
-            xs = raw_elements.get(a, {}).get(b, [])
+            xs = row.get(b, [])
             if not isinstance(xs, list):
                 raise DocumentError(f"element set at ({a},{b}) must be a list")
+            _require_ids(xs, f"elements at ({a},{b})")
             elements[(a, b)] = tuple(sorted(xs))
     raw_left = _require(doc, "left_action", dict)
     lact = {}
     for alpha in source.morphisms:
+        row = _row(raw_left, alpha, "left_action")
         for b in target.objects:
-            t = raw_left.get(alpha, {}).get(b, {})
-            lact[(alpha, b)] = dict(t)
+            lact[(alpha, b)] = _id_map(row.get(b, {}),
+                                       f"left_action at ({alpha},{b})")
     raw_right = _require(doc, "right_action", dict)
     ract = {}
     for a in source.objects:
+        row = _row(raw_right, a, "right_action")
         for beta in target.morphisms:
-            t = raw_right.get(a, {}).get(beta, {})
-            ract[(a, beta)] = dict(t)
+            ract[(a, beta)] = _id_map(row.get(beta, {}),
+                                      f"right_action at ({a},{beta})")
     try:
         return Profunctor(source, target, elements, lact, ract).validate()
     except core.PreconditionError as exc:
@@ -209,6 +229,7 @@ def correspondence_from_doc(doc):
     _expect(doc, "correspondence")
     total = category_from_doc(_require(doc, "total", dict))
     s_objects = _require(doc, "fiber_s_objects", list)
+    _require_ids(s_objects, "fiber_s_objects")
     unknown = [o for o in s_objects if o not in total.identity]
     if unknown:
         raise DocumentError(f"unknown fiber objects: {unknown}")
@@ -235,8 +256,11 @@ def set_valued_to_doc(F):
 def set_valued_from_doc(doc):
     _expect(doc, "set_valued_functor")
     base = category_from_doc(_require(doc, "base", dict))
-    values = {x: tuple(v) for x, v in _require(doc, "values", dict).items()}
-    transports = {m: dict(t)
+    raw_values = _require(doc, "values", dict)
+    values = {x: tuple(_require(raw_values, x, list)) for x in raw_values}
+    for x, v in values.items():
+        _require_ids(v, f"values at {x}")
+    transports = {m: _id_map(t, f"transports at {m}")
                   for m, t in _require(doc, "transports", dict).items()}
     try:
         return SetValuedFunctor(base, values, transports).validate()
@@ -258,6 +282,6 @@ def parse_any(text):
     if not isinstance(doc, dict) or "type" not in doc:
         raise DocumentError("document must be an object with a 'type' field")
     kind = doc["type"]
-    if kind not in _PARSERS:
+    if not isinstance(kind, str) or kind not in _PARSERS:
         raise DocumentError(f"unknown document type {kind!r}")
     return kind, _PARSERS[kind](doc)

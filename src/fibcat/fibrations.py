@@ -208,7 +208,9 @@ def factorization_category(pi, phi, psi, lift):
     """Factorizations of a lift of psi∘phi through the middle fiber.
 
     Objects are pairs (u over phi, v over psi) with v∘u = lift; morphisms
-    are middle-fiber maps commuting with both legs.
+    are middle-fiber maps w with w∘u1 = u2 and v2∘w = v1, as squares over
+    the point.  Two factorizations whose pair ids print alike are refused,
+    never merged.
     """
     E, K = pi.source, pi.target
     if K.tgt[phi] != K.src[psi]:
@@ -216,41 +218,26 @@ def factorization_category(pi, phi, psi, lift):
     if pi.mor_map[lift] != K.compose(psi, phi):
         raise PreconditionError("lift does not lie over the composite")
     e0, e2 = E.src[lift], E.tgt[lift]
-    objects = []
-    legs = {}
+    ends = {}
     for u in E.morphisms_from(e0):
         if pi.mor_map[u] != phi:
             continue
-        m = E.tgt[u]
-        for v in E.hom(m, e2):
+        for v in E.hom(E.tgt[u], e2):
             if pi.mor_map[v] == psi and E.compose(v, u) == lift:
                 o = core.pair_id(u, v)
-                objects.append(o)
-                legs[o] = (u, v)
+                if o in ends:
+                    raise PreconditionError(
+                        f"factorizations {ends[o][2]} and {(u, v)} share "
+                        f"the object id {o}", witness=[ends[o][2], (u, v)])
+                ends[o] = (E.tgt[u], "*", (u, v))
     mid_id = K.identity[K.tgt[phi]]
-    morphisms = []
-    parts = {}
-    for o1 in objects:
-        u1, v1 = legs[o1]
-        for o2 in objects:
-            u2, v2 = legs[o2]
-            for w in E.hom(E.tgt[u1], E.tgt[u2]):
-                if pi.mor_map[w] != mid_id:
-                    continue
-                if E.compose(w, u1) == u2 and E.compose(v2, w) == v1:
-                    m = f"({w}):{o1}>{o2}"
-                    morphisms.append((m, o1, o2))
-                    parts[m] = w
-    identities = {o: f"({E.identity[E.tgt[legs[o][0]]]}):{o}>{o}" for o in objects}
-    composition = {}
-    by_src = {}
-    for m, o1, o2 in morphisms:
-        by_src.setdefault(o1, []).append((m, o2))
-    for m, o1, o2 in morphisms:
-        for m2, o3 in by_src.get(o2, ()):
-            composition[(m2, m)] = f"({E.compose(parts[m2], parts[m])}):{o1}>{o3}"
-    return core.FiniteCategory(objects, morphisms, identities, composition,
-                               _validate=False)
+
+    def commutes(uv1, w, _, uv2):
+        (u1, v1), (u2, v2) = uv1, uv2
+        return (pi.mor_map[w] == mid_id and E.compose(w, u1) == u2
+                and E.compose(v2, w) == v1)
+
+    return core.square_category(E, core.terminal(), ends, commutes)[0]
 
 
 def isofibration_replacement(pi):

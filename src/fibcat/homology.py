@@ -628,6 +628,7 @@ def theoremB_hypothesis(F, d):
     reach and is not claimed.
     """
     C, D = F.source, F.target
+    point_id = core.terminal().identity["*"]
     for phi in sorted(D.morphisms):
         if D.is_identity(phi):
             continue
@@ -643,8 +644,7 @@ def theoremB_hypothesis(F, d):
         for m in over_x.morphisms:
             u = to_C_x.mor_map[m]
             o1, o2 = over_x.src[m], over_x.tgt[m]
-            mor_map[m] = (f"({u},{core.terminal().identity['*']})"
-                          f":{ob_map[o1]}>{ob_map[o2]}")
+            mor_map[m] = core._square_id(u, point_id, ob_map[o1], ob_map[o2])
         post = core.Functor(over_x, over_y, ob_map, mor_map)
         if not chain_map_induces_homology_iso(post, d):
             return False, {"base_morphism": phi}

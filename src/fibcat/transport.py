@@ -94,11 +94,10 @@ def cocart_replacement(pi):
     total, _, proj = core.square_category(
         E, K, ends,
         lambda phi, u, v, phi2: K.compose(phi2, pi.mor_map[u]) == K.compose(v, phi))
-    unit = Functor(E, total,
-                   {e: pair_id(e, K.identity[pi.ob_map[e]]) for e in E.objects},
-                   {u: (f"({u},{pi.mor_map[u]})"
-                        f":{pair_id(E.src[u], K.identity[pi.ob_map[E.src[u]]])}"
-                        f">{pair_id(E.tgt[u], K.identity[pi.ob_map[E.tgt[u]]])}")
+    unit_ob = {e: pair_id(e, K.identity[pi.ob_map[e]]) for e in E.objects}
+    unit = Functor(E, total, unit_ob,
+                   {u: core._square_id(u, pi.mor_map[u], unit_ob[E.src[u]],
+                                       unit_ob[E.tgt[u]])
                     for u in E.morphisms})
     if not fibrations.is_cocartesian_fibration(proj).ok:
         raise InternalInvariantError("replacement is not coCartesian")
@@ -115,11 +114,10 @@ def cart_replacement(pi):
     total, proj, _ = core.square_category(
         K, E, ends,
         lambda phi, v, u, phi2: K.compose(pi.mor_map[u], phi) == K.compose(phi2, v))
-    unit = Functor(E, total,
-                   {e: pair_id(K.identity[pi.ob_map[e]], e) for e in E.objects},
-                   {u: (f"({pi.mor_map[u]},{u})"
-                        f":{pair_id(K.identity[pi.ob_map[E.src[u]]], E.src[u])}"
-                        f">{pair_id(K.identity[pi.ob_map[E.tgt[u]]], E.tgt[u])}")
+    unit_ob = {e: pair_id(K.identity[pi.ob_map[e]], e) for e in E.objects}
+    unit = Functor(E, total, unit_ob,
+                   {u: core._square_id(pi.mor_map[u], u, unit_ob[E.src[u]],
+                                       unit_ob[E.tgt[u]])
                     for u in E.morphisms})
     if not fibrations.is_cartesian_fibration(proj).ok:
         raise InternalInvariantError("replacement is not Cartesian")
@@ -473,58 +471,25 @@ def relative_classifying_space(pi):
         return sources.pop()
 
     if handed == "left":
-        transports = {}
-        for phi in K.morphisms:
-            x = K.src[phi]
-            t = {}
-            for rep in values[x]:
-                t[rep] = transport(phi, rep)
-            transports[phi] = t
-        F = SetValuedFunctor(K, values, transports).validate()
-        proj = unstraighten(F)
-        quotient = Functor(
-            E, proj.source,
-            {e: pair_id(pi.ob_map[e], comp[pi.ob_map[e]][e]) for e in E.objects},
-            {u: (f"({pi.mor_map[u]}@{comp[pi.ob_map[E.src[u]]][E.src[u]]})")
-             for u in E.morphisms})
-        straightened = F
+        straightened = SetValuedFunctor(K, values, {
+            phi: {rep: transport(phi, rep) for rep in values[K.src[phi]]}
+            for phi in K.morphisms})
+        proj = unstraighten(straightened)
+        end = E.src
     else:
-        # contravariant data; total category built directly
-        back = {}
-        for phi in K.morphisms:
-            y = K.tgt[phi]
-            back[phi] = {rep: transport_back(phi, rep) for rep in values[y]}
-        objects = [pair_id(x, r) for x in K.objects for r in values[x]]
-        morphisms = []
-        base_of = {}
-        for phi in K.morphisms:
-            x, y = K.src[phi], K.tgt[phi]
-            for r in values[y]:
-                m = f"({phi}@{r})"
-                morphisms.append((m, pair_id(x, back[phi][r]), pair_id(y, r)))
-                base_of[m] = phi
-        identities = {pair_id(x, r): f"({K.identity[x]}@{r})"
-                      for x in K.objects for r in values[x]}
-        composition = {}
-        for phi in K.morphisms:
-            for psi in K.morphisms:
-                if K.tgt[phi] != K.src[psi]:
-                    continue
-                comp_m = K.compose(psi, phi)
-                for r in values[K.tgt[psi]]:
-                    composition[(f"({psi}@{r})", f"({phi}@{back[psi][r]})")] = \
-                        f"({comp_m}@{r})"
-        total = FiniteCategory(objects, morphisms, identities, composition)
-        proj = Functor(total, K,
-                       {pair_id(x, r): x for x in K.objects for r in values[x]},
-                       base_of)
-        quotient = Functor(
-            E, total,
-            {e: pair_id(pi.ob_map[e], comp[pi.ob_map[e]][e]) for e in E.objects},
-            {u: (f"({pi.mor_map[u]}@{comp[pi.ob_map[E.tgt[u]]][E.tgt[u]]})")
-             for u in E.morphisms})
+        # contravariant data: the opposite of its Grothendieck construction
         straightened = SetValuedFunctor(core.opposite(K), values, {
-            phi: dict(back[phi]) for phi in K.morphisms}).validate()
+            phi: {rep: transport_back(phi, rep) for rep in values[K.tgt[phi]]}
+            for phi in K.morphisms})
+        proj = core.opposite_functor(unstraighten(straightened))
+        end = E.tgt
+    # u goes to the collapsed morphism over pi(u) indexed by the component
+    # of its source (left-handed) or of its target (right-handed)
+    quotient = Functor(
+        E, proj.source,
+        {e: pair_id(pi.ob_map[e], comp[pi.ob_map[e]][e]) for e in E.objects},
+        {u: f"({pi.mor_map[u]}@{comp[pi.ob_map[end[u]]][end[u]]})"
+         for u in E.morphisms})
     if not fibrations.is_conservative(proj).ok:
         raise InternalInvariantError("relative classifying space not conservative")
     for x in K.objects:

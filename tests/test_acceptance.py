@@ -174,10 +174,8 @@ def _fiber_into_slice(pi, y):
     fib_y = core.fiber(pi, y)
     idy = K.identity[y]
     ob_map = {e: core.pair_id(e, idy) for e in fib_y.objects}
-    mor_map = {}
-    for m in fib_y.morphisms:
-        slice_id = core.tri_id(idy, idy, idy)
-        mor_map[m] = core.pair_id(m, slice_id)
+    slice_id = core._square_id(idy, "id", idy, idy)
+    mor_map = {m: core.pair_id(m, slice_id) for m in fib_y.morphisms}
     return core.Functor(fib_y, sq.total, ob_map, mor_map)
 
 
@@ -188,7 +186,7 @@ def _fiber_into_coslice(pi, x):
     fib_x = core.fiber(pi, x)
     idx = K.identity[x]
     ob_map = {e: core.pair_id(e, idx) for e in fib_x.objects}
-    mor_map = {m: core.pair_id(m, core.tri_id(idx, idx, idx))
+    mor_map = {m: core.pair_id(m, core._square_id(idx, "id", idx, idx))
                for m in fib_x.morphisms}
     return core.Functor(fib_x, sq.total, ob_map, mor_map)
 

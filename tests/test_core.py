@@ -329,7 +329,7 @@ class TestDuality:
         for m in op_sl.morphisms:
             f, g = op_sl.src[m], op_sl.tgt[m]  # m was g -> f in the slice
             u = sl_forget.mor_map[m]
-            mor_map[m] = core.tri_id(u, f, g)
+            mor_map[m] = core._square_id(u, "id", f, g)
         iso = core.Functor(op_sl, co, ob_map, mor_map)
         assert iso.is_isomorphism()
 
@@ -425,6 +425,95 @@ class TestSlicesAndCommas:
         assert_valid(sl)
         cm, _, _ = core.comma(core.identity_functor(C), core.point(C, x))
         assert_valid(cm)
+
+
+# -- the hand-built slices that square_category replaced, kept as oracles ----
+
+
+def _tri_id(u, a, b):
+    return f"({u}:{a}>{b})"
+
+
+def oracle_slice_category(C, x):
+    objects = sorted(C.morphisms_to(x))
+    morphisms = []
+    composition = {}
+    homs = {}
+    for f in objects:
+        for g in objects:
+            for u in C.hom(C.src[f], C.src[g]):
+                if C.compose(g, u) == f:
+                    m = _tri_id(u, f, g)
+                    morphisms.append((m, f, g))
+                    homs[m] = u
+    identities = {f: _tri_id(C.identity[C.src[f]], f, f) for f in objects}
+    for m, f, g in morphisms:
+        for m2, g2, h in morphisms:
+            if g == g2:
+                composition[(m2, m)] = _tri_id(C.compose(homs[m2], homs[m]),
+                                               f, h)
+    cat = FiniteCategory(objects, morphisms, identities, composition,
+                         _validate=False)
+    forget = core.Functor(cat, C, {f: C.src[f] for f in objects},
+                          {m: homs[m] for m, _, _ in morphisms},
+                          _validate=False)
+    return cat, forget
+
+
+def oracle_coslice_category(C, x):
+    objects = sorted(C.morphisms_from(x))
+    morphisms = []
+    composition = {}
+    homs = {}
+    for f in objects:
+        for g in objects:
+            for u in C.hom(C.tgt[f], C.tgt[g]):
+                if C.compose(u, f) == g:
+                    m = _tri_id(u, f, g)
+                    morphisms.append((m, f, g))
+                    homs[m] = u
+    identities = {f: _tri_id(C.identity[C.tgt[f]], f, f) for f in objects}
+    for m, f, g in morphisms:
+        for m2, g2, h in morphisms:
+            if g == g2:
+                composition[(m2, m)] = _tri_id(C.compose(homs[m2], homs[m]),
+                                               f, h)
+    cat = FiniteCategory(objects, morphisms, identities, composition,
+                         _validate=False)
+    forget = core.Functor(cat, C, {f: C.tgt[f] for f in objects},
+                          {m: homs[m] for m, _, _ in morphisms},
+                          _validate=False)
+    return cat, forget
+
+
+def assert_isomorphic_by_leg(old, old_forget, new, new_forget):
+    """old ≅ new by the identity on objects and m |-> (u,id):f>g on
+    morphisms, u the leg of m in the common base; the forgetful functors
+    agree along it."""
+    assert_valid(new)
+    mor_map = {m: core._square_id(old_forget.mor_map[m], "id", old.src[m],
+                                  old.tgt[m]) for m in old.morphisms}
+    iso = core.Functor(old, new, {o: o for o in old.objects}, mor_map)
+    assert iso.is_isomorphism()
+    assert iso.then(new_forget) == old_forget
+
+
+class TestSlicesMatchTheirOracles:
+    def test_slices_and_coslices_over_random_draws(self):
+        seen = 0
+        for i in range(200):
+            rng = random.Random(f"slices:{i}")
+            C = randgen.random_category(rng, 4, 10)
+            for x in C.objects:
+                for build, oracle in ((core.slice_category,
+                                       oracle_slice_category),
+                                      (core.coslice_category,
+                                       oracle_coslice_category)):
+                    new, new_forget = build(C, x)
+                    old, old_forget = oracle(C, x)
+                    assert_isomorphic_by_leg(old, old_forget, new, new_forget)
+                    seen += len(new.non_identity_morphisms())
+        assert seen > 500
 
 
 class TestArrowCategories:

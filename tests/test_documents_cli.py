@@ -151,6 +151,46 @@ class TestCliExitContract:
         assert code == 2
         assert "parse error" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("kind, path, value", [
+        ("profunctor", ("left_action", "0->1", "1"), "x"),
+        ("profunctor", ("left_action", "0->1"), []),
+        ("profunctor", ("elements", "0"), []),
+        ("profunctor", ("elements", "0", "1"), ["0->1", 1]),
+        ("profunctor", ("elements", "0", "1"), [["0->1"]]),
+        ("profunctor", ("right_action", "0", "0->1"), {"0->0": ["0->1"]}),
+        ("correspondence", ("fiber_s_objects",), [["0"]]),
+        ("set_valued_functor", ("transports", "0->1"), "ab"),
+        ("set_valued_functor", ("values", "0"), "ab"),
+        ("set_valued_functor", ("type",), ["set_valued_functor"]),
+    ], ids=["action_cell_string", "action_row_list", "elements_row_list",
+            "mixed_element_types", "nested_element", "nested_action_image",
+            "non_string_fiber_object", "transport_string", "values_string",
+            "type_list"])
+    def test_malformed_document_is_a_parse_error(self, tmp_path, kind, path,
+                                                 value):
+        doc = self._well_formed(kind)
+        where = doc
+        for key in path[:-1]:
+            where = where[key]
+        where[path[-1]] = value
+        bad = tmp_path / "malformed.json"
+        bad.write_text(json.dumps(doc))
+        code, out, err = run_cli("homology", str(bad))
+        assert code == 2
+        assert "parse error" in err and "Traceback" not in err
+
+    @staticmethod
+    def _well_formed(kind):
+        I1 = core.interval(1)
+        if kind == "profunctor":
+            return docs.profunctor_to_doc(corrs.hom_profunctor(I1))
+        if kind == "correspondence":
+            return docs.correspondence_to_doc(
+                corrs.identity_correspondence(I1))
+        return docs.set_valued_to_doc(SetValuedFunctor(
+            I1, {"0": ("a",), "1": ("b",)},
+            {"0->0": {"a": "a"}, "1->1": {"b": "b"}, "0->1": {"a": "b"}}))
+
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_suite_rejects_fewer_than_one_job(self, jobs):
         code, out, err = run_cli("suite", "--jobs", jobs)

@@ -160,6 +160,21 @@ class TestExponentiability:
             core.identity_functor(I2), "0->1", "1->2", "0->2")
         assert len(cat.objects) == 1
 
+    def test_colliding_factorization_ids_are_refused(self):
+        # ("a,b", "c") and ("a", "b,c") both print as "(a,b,c)"; merged,
+        # the two disconnected factorizations would certify as one
+        pi = functor_from_arrows(
+            core.interval(2), {"x": "0", "m1": "1", "m2": "1", "y": "2"},
+            [("a,b", "x", "m1", "0->1"), ("a", "x", "m2", "0->1"),
+             ("c", "m1", "y", "1->2"), ("b,c", "m2", "y", "1->2"),
+             ("n", "x", "y", "0->2")],
+            {("c", "a,b"): "n", ("b,c", "a"): "n"})
+        assert fib.is_exponentiable(pi).witness["factorizations"] == 2
+        with pytest.raises(PreconditionError) as err:
+            fib.is_exponentiable(pi, certify_dim=2)
+        assert "share the object id (a,b,c)" in str(err.value)
+        assert err.value.witness == [("a", "b,c"), ("a,b", "c")]
+
     def test_homology_certificate_mode(self):
         rng = random.Random(2)
         pi = randgen.random_functor_over_1(rng)
@@ -438,7 +453,7 @@ class TestEquivalenceMenus:
                 for m in fib_y.morphisms:
                     o1 = ob_map[fib_y.src[m]]
                     o2 = ob_map[fib_y.tgt[m]]
-                    mor_map[m] = f"({m},{core.terminal().identity['*']}):{o1}>{o2}"
+                    mor_map[m] = core._square_id(m, "id", o1, o2)
                 inc = core.Functor(fib_y, cm, ob_map, mor_map)
                 b = b and fib.is_right_adjoint(inc).ok
             assert a == b
@@ -654,6 +669,51 @@ ORACLE_BASES = {
 }
 
 
+def oracle_factorization_category(pi, phi, psi, lift):
+    """The hand-built factorization category square_category replaced,
+    with the middle-fiber map w of each morphism."""
+    E, K = pi.source, pi.target
+    e0, e2 = E.src[lift], E.tgt[lift]
+    objects = []
+    legs = {}
+    for u in E.morphisms_from(e0):
+        if pi.mor_map[u] != phi:
+            continue
+        m = E.tgt[u]
+        for v in E.hom(m, e2):
+            if pi.mor_map[v] == psi and E.compose(v, u) == lift:
+                o = core.pair_id(u, v)
+                objects.append(o)
+                legs[o] = (u, v)
+    mid_id = K.identity[K.tgt[phi]]
+    morphisms = []
+    parts = {}
+    for o1 in objects:
+        u1, v1 = legs[o1]
+        for o2 in objects:
+            u2, v2 = legs[o2]
+            for w in E.hom(E.tgt[u1], E.tgt[u2]):
+                if pi.mor_map[w] != mid_id:
+                    continue
+                if E.compose(w, u1) == u2 and E.compose(v2, w) == v1:
+                    m = f"({w}):{o1}>{o2}"
+                    morphisms.append((m, o1, o2))
+                    parts[m] = w
+    identities = {o: f"({E.identity[E.tgt[legs[o][0]]]}):{o}>{o}"
+                  for o in objects}
+    composition = {}
+    by_src = {}
+    for m, o1, o2 in morphisms:
+        by_src.setdefault(o1, []).append((m, o2))
+    for m, o1, o2 in morphisms:
+        for m2, o3 in by_src.get(o2, ()):
+            composition[(m2, m)] = \
+                f"({E.compose(parts[m2], parts[m])}):{o1}>{o3}"
+    cat = core.FiniteCategory(objects, morphisms, identities, composition,
+                              _validate=False)
+    return cat, parts
+
+
 def oracle_sample(name, count):
     """count random functors into the base name, with their opposites."""
     K = ORACLE_BASES[name]()
@@ -801,3 +861,39 @@ class TestEdgeEngineOracles:
             for pi in oracle_sample(name, 15):
                 negative += len(assert_engine_matches_oracles(pi, 2))
         assert negative > 0
+
+
+class TestFactorizationCategoryOracle:
+    """factorization_category, a category of squares over the point,
+    against the hand-built construction it replaced."""
+
+    def test_random_functors_and_arrow_evaluations(self):
+        sample = [pi for name in sorted(ORACLE_BASES)
+                  for pi in oracle_sample(name, 20)]
+        for n in (2, 3):
+            _, ev_s, ev_t = core.arrow_category(core.interval(n))
+            sample += [ev_s, ev_t, core.opposite_functor(ev_t)]
+        sizes = set()
+        for pi in sample:
+            E, K = pi.source, pi.target
+            for phi in K.morphisms:
+                for psi in K.morphisms_from(K.tgt[phi]):
+                    over = K.compose(psi, phi)
+                    for lift in E.morphisms:
+                        if pi.mor_map[lift] != over:
+                            continue
+                        new = fib.factorization_category(pi, phi, psi, lift)
+                        old, w_of = oracle_factorization_category(
+                            pi, phi, psi, lift)
+                        assert core.validate_category(
+                            new.objects, new.morphism_triples(), new.identity,
+                            new.composition_table()) == []
+                        iso = core.Functor(
+                            old, new, {o: o for o in old.objects},
+                            {m: core._square_id(w_of[m], "id", old.src[m],
+                                                old.tgt[m])
+                             for m in old.morphisms})
+                        assert iso.is_isomorphism()
+                        sizes.add(len(new.objects))
+        # empty, single and multi-object factorization categories all occur
+        assert {0, 1} <= sizes and max(sizes) > 2

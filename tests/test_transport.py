@@ -293,6 +293,107 @@ class TestRelativeClassifyingSpace:
                 len(core.fiber(r2.projection, x).objects)
 
 
+def oracle_relative_classifying_space(pi):
+    """The collapse as built before: the left-handed branch through
+    unstraighten, the right-handed one by hand on the contravariant data.
+    Takes only inputs that relative_classifying_space accepts."""
+    from fibcat.core import pair_id
+    left = fib.is_left_final_fibration(pi)
+    E, K = pi.source, pi.target
+    comp = {x: homology.pi0_map(core.fiber(pi, x)) for x in K.objects}
+    values = {x: tuple(sorted(set(comp[x].values()))) for x in K.objects}
+    if left.ok:
+        transports = {}
+        for phi in K.morphisms:
+            t = {}
+            for rep in values[K.src[phi]]:
+                (t[rep],) = {comp[K.tgt[phi]][E.tgt[u]]
+                             for u in E.morphisms_from(rep)
+                             if pi.mor_map[u] == phi}
+            transports[phi] = t
+        F = SetValuedFunctor(K, values, transports).validate()
+        proj = transport.unstraighten(F)
+        quotient = core.Functor(
+            E, proj.source,
+            {e: pair_id(pi.ob_map[e], comp[pi.ob_map[e]][e])
+             for e in E.objects},
+            {u: f"({pi.mor_map[u]}@{comp[pi.ob_map[E.src[u]]][E.src[u]]})"
+             for u in E.morphisms})
+        return proj, quotient, F
+    back = {}
+    for phi in K.morphisms:
+        back[phi] = {}
+        for rep in values[K.tgt[phi]]:
+            (back[phi][rep],) = {comp[K.src[phi]][E.src[u]]
+                                 for u in E.morphisms_to(rep)
+                                 if pi.mor_map[u] == phi}
+    objects = [pair_id(x, r) for x in K.objects for r in values[x]]
+    morphisms = []
+    base_of = {}
+    for phi in K.morphisms:
+        x, y = K.src[phi], K.tgt[phi]
+        for r in values[y]:
+            m = f"({phi}@{r})"
+            morphisms.append((m, pair_id(x, back[phi][r]), pair_id(y, r)))
+            base_of[m] = phi
+    identities = {pair_id(x, r): f"({K.identity[x]}@{r})"
+                  for x in K.objects for r in values[x]}
+    composition = {}
+    for phi in K.morphisms:
+        for psi in K.morphisms:
+            if K.tgt[phi] != K.src[psi]:
+                continue
+            comp_m = K.compose(psi, phi)
+            for r in values[K.tgt[psi]]:
+                composition[(f"({psi}@{r})", f"({phi}@{back[psi][r]})")] = \
+                    f"({comp_m}@{r})"
+    total = core.FiniteCategory(objects, morphisms, identities, composition)
+    proj = core.Functor(total, K,
+                        {pair_id(x, r): x for x in K.objects
+                         for r in values[x]}, base_of)
+    quotient = core.Functor(
+        E, total,
+        {e: pair_id(pi.ob_map[e], comp[pi.ob_map[e]][e]) for e in E.objects},
+        {u: f"({pi.mor_map[u]}@{comp[pi.ob_map[E.tgt[u]]][E.tgt[u]]})"
+         for u in E.morphisms})
+    straightened = SetValuedFunctor(core.opposite(K), values, {
+        phi: dict(back[phi]) for phi in K.morphisms}).validate()
+    return proj, quotient, straightened
+
+
+class TestCollapseMatchesItsOracle:
+    def test_documents_are_byte_identical(self):
+        from fibcat import documents as docs
+        draws = (
+            lambda rng: core.opposite_functor(
+                randgen.random_final_functor(rng)),
+            lambda rng: core.opposite_functor(
+                randgen.random_functor_over_1(rng)),
+            lambda rng: core.opposite_functor(transport.unstraighten(
+                randgen.random_set_valued(rng, randgen.random_poset(rng, 3)))),
+            lambda rng: randgen.random_two_handed_fibration(rng),
+        )
+        handed = {"left": 0, "right": 0}
+        for i in range(200):
+            rng = random.Random(f"collapse:{i}")
+            pi = draws[i % len(draws)](rng)
+            try:
+                rcs = transport.relative_classifying_space(pi)
+            except PreconditionError:
+                continue
+            proj, quotient, straightened = \
+                oracle_relative_classifying_space(pi)
+            assert docs.dumps(docs.functor_to_doc(rcs.projection)) == \
+                docs.dumps(docs.functor_to_doc(proj))
+            assert docs.dumps(docs.functor_to_doc(rcs.quotient)) == \
+                docs.dumps(docs.functor_to_doc(quotient))
+            assert docs.dumps(docs.set_valued_to_doc(rcs.straightened)) == \
+                docs.dumps(docs.set_valued_to_doc(straightened))
+            assert rcs.straightened == straightened
+            handed[rcs.handed] += 1
+        assert handed["right"] >= 40 and handed["left"] >= 40
+
+
 class TestMaximalSubfibrations:
     def test_product_projection_keeps_invertible_components(self):
         C = core.retract_category()
