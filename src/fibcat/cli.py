@@ -30,8 +30,13 @@ EXIT_INTERNAL = 5
 
 
 def _json_safe(value):
+    # strings, and lists of them, are most of a report: they pass as they are
+    if type(value) is str:
+        return value
     if isinstance(value, dict):
         return {str(k): _json_safe(v) for k, v in value.items()}
+    if type(value) is list and all(type(v) is str for v in value):
+        return value
     if isinstance(value, (list, tuple, set, frozenset)):
         items = [_json_safe(v) for v in value]
         if isinstance(value, (set, frozenset)):

@@ -316,10 +316,15 @@ def constant_functor(C, D, d):
 # -- builders -----------------------------------------------------------
 
 
+_TERMINAL = FiniteCategory(["*"], [("id", "*", "*")], {"*": "id"},
+                           {("id", "id"): "id"}, _validate=False)
+_INTERVALS = {}  # n -> interval(n); categories are immutable, so shared
+
+
 def terminal():
-    """The category with one object and one morphism."""
-    return FiniteCategory(["*"], [("id", "*", "*")], {"*": "id"},
-                          {("id", "id"): "id"}, _validate=False)
+    """The category with one object and one morphism (one shared
+    instance)."""
+    return _TERMINAL
 
 
 def point(C, x):
@@ -332,10 +337,17 @@ def point(C, x):
 def interval(n):
     """The poset [n] = {0 < 1 < ... < n} as a category.
 
-    Morphism i -> j is named "i->j"; identities are "i->i".
+    Morphism i -> j is named "i->j"; identities are "i->i".  Each n is
+    built once and the instance is shared.
     """
     if n < 0:
         raise PreconditionError("interval requires n >= 0")
+    if n not in _INTERVALS:
+        _INTERVALS[n] = _build_interval(n)
+    return _INTERVALS[n]
+
+
+def _build_interval(n):
     objects = [str(i) for i in range(n + 1)]
     morphisms = [(f"{i}->{j}", str(i), str(j))
                  for i in range(n + 1) for j in range(i, n + 1)]
@@ -546,7 +558,8 @@ def pullback(F, G):
     Objects are pairs (a,b) with F(a) = G(b); morphisms are pairs of
     morphisms with equal images, composed componentwise.  Each pair is
     built once, together with its images under both projections;
-    composable pairs are looked up by (src m, src n).
+    composable pairs are looked up by (src m, src n).  Two pairs whose ids
+    print alike are refused, never merged.
     """
     if F.target != G.target:
         raise PreconditionError("pullback requires a common target")
@@ -563,6 +576,9 @@ def pullback(F, G):
     for a in A.objects:
         for b in b_over.get(F.ob_map[a], ()):
             p = pair_id(a, b)
+            if p in left_ob:
+                _refuse_shared_pair_id("object", p, (left_ob[p], right_ob[p]),
+                                       (a, b))
             objects.append(p)
             identities[p] = pair_id(A.identity[a], B.identity[b])
             left_ob[p] = a
@@ -574,6 +590,9 @@ def pullback(F, G):
     for m in A.morphisms:
         for n in n_over.get(F.mor_map[m], ()):
             p = pair_id(m, n)
+            if p in left_mor:
+                _refuse_shared_pair_id("morphism", p,
+                                       (left_mor[p], right_mor[p]), (m, n))
             morphisms.append((p, pair_id(A.src[m], B.src[n]),
                               pair_id(A.tgt[m], B.tgt[n])))
             mor_pairs.append((p, m, n))
@@ -588,6 +607,12 @@ def pullback(F, G):
                        _validate=False)
     return PullbackSquare(P, Functor(P, A, left_ob, left_mor, _validate=False),
                           Functor(P, B, right_ob, right_mor, _validate=False))
+
+
+def _refuse_shared_pair_id(kind, p, first, second):
+    raise PreconditionError(
+        f"pairs {first} and {second} share the {kind} id {p}",
+        witness=[first, second])
 
 
 def base_change(pi, g):
@@ -680,15 +705,15 @@ def square_category(A, B, ends, commutes):
     over = {}
     for o, (a, b, d) in ends.items():
         over.setdefault((a, b), []).append((o, d))
-    b_out = {b: [(v, B.tgt[v]) for v in B._from[b]] for b in B.objects}
+    a_out = _legs_between(A, {a for a, _ in over})
+    b_out = _legs_between(B, {b for _, b in over})
     morphisms = []
     parts = {}
     key_of = {}  # (u, v, o1, o2) -> id
     out = {}  # o1 -> the morphisms out of o1, as (id, target, u, v)
     for o1, (a1, b1, d1) in ends.items():
         out[o1] = arrows = []
-        for u in A._from[a1]:
-            a2 = A.tgt[u]
+        for u, a2 in a_out[a1]:
             for v, b2 in b_out[b1]:
                 for o2, d2 in over.get((a2, b2), ()):
                     if commutes(d1, u, v, d2):
@@ -728,6 +753,14 @@ def square_category(A, B, ends, commutes):
     to_B = Functor(cat, B, {o: e[1] for o, e in ends.items()},
                    {m: uv[1] for m, uv in parts.items()}, _validate=False)
     return cat, to_A, to_B
+
+
+def _legs_between(C, xs):
+    """{x: [(m, tgt m) for m out of x with tgt m in xs]} for x in xs, in
+    the order of morphisms_from(x).  Only such legs can join two ends of
+    a square, and the others are most of C when the ends are few."""
+    return {x: [(m, C.tgt[m]) for m in C._from[x] if C.tgt[m] in xs]
+            for x in xs}
 
 
 def comma_with_data(F, G):
@@ -987,6 +1020,25 @@ def evaluation_functor(sections, ids, comps, at_object, E):
 
 
 # -- connectivity --------------------------------------------------------
+
+
+def _cone_point(C):
+    """An initial object of C (exactly one morphism to every object) or a
+    terminal one (exactly one from every object), or None.
+
+    A category with a cone point has a contractible nerve (Quillen), so
+    its reduced homology vanishes in every degree.
+    """
+    n = len(C.objects)
+    unique_out, unique_in = {}, {}
+    for (a, b), ms in C._hom.items():
+        if len(ms) == 1:
+            unique_out[a] = unique_out.get(a, 0) + 1
+            unique_in[b] = unique_in.get(b, 0) + 1
+    for x in C.objects:
+        if unique_out.get(x) == n or unique_in.get(x) == n:
+            return x
+    return None
 
 
 def connected_components(C):

@@ -269,7 +269,9 @@ def is_exponentiable(pi, certify_dim=None):
     factorization category then has an initial or final object.  With
     certify_dim=d, reduced homology of each factorization category must
     additionally vanish up to degree d; that is a bounded certificate
-    toward contractibility, not a proof.
+    toward contractibility, not a proof.  A factorization category with
+    an initial or a terminal object is contractible, so it passes without
+    a nerve.
 
     Over a base with non-identity isomorphisms, strict fibers misrepresent
     the invariant content unless pi is an isofibration, so the check runs
@@ -288,6 +290,8 @@ def is_exponentiable(pi, certify_dim=None):
     for phi, psi, lifts in _composable_lifts(pi, *_edge_index(pi)):
         for lift in lifts:
             cat = factorization_category(pi, phi, psi, lift)
+            if core._cone_point(cat) is not None:
+                continue
             if not core.is_nonempty_connected(cat):
                 return Verdict(False, {
                     "first": phi, "second": psi, "lift": lift,
@@ -506,32 +510,49 @@ def is_right_initial_fibration(pi, certify_dim=None):
 
 def _end_fibration(pi, exponentiable, end, certify_dim):
     """Given pi's exponentiability verdict: is the inclusion of the fiber
-    over end of each arrow final (end "1") or initial (end "0")?
+    over end of each arrow final (end "1") or initial (end "0")?"""
+    return _end_fibrations(pi, exponentiable, (end,), certify_dim)[0]
+
+
+def _end_fibrations(pi, exponentiable, ends, certify_dim):
+    """The verdict of _end_fibration for each of ends, in order.
 
     Over an identity arrow, and at the objects of the end fiber, every
     comma has an initial (resp. final) object, so only the objects of the
     other fiber over non-identity arrows are checked.  In pi0 mode that is
     the edge bimodule: for end "1" and e over the source of phi, the
     elements of E_phi(e, -) must be nonempty and connected under the
-    target fiber; end "0" is the dual, read in op(pi).
+    target fiber; end "0" is the dual, read in op(pi).  In certified mode
+    the commas are built, from one base change per arrow for all ends;
+    each end keeps its own first failure.
     """
     homology._refuse_negative_degree(certify_dim)
     if not exponentiable.ok:
-        return Verdict(False, {"exponentiable": exponentiable.witness})
+        return [Verdict(False, {"exponentiable": exponentiable.witness})
+                for _ in ends]
     if certify_dim is None:
-        return _end_pi0(pi, end)
-    kind = "final" if end == "1" else "initial"
+        return [_end_pi0(pi, end) for end in ends]
+    failed = {}
     K = pi.target
     for phi in K.morphisms:
         if K.is_identity(phi):
             continue
-        F = fiber_inclusion_over_arrow(pi, phi, end)
-        in_end = set(F.source.objects)
-        near = [d for d in F.target.objects if d not in in_end]
-        fv = homology._finality(F, ("certified", certify_dim), kind, near)
-        if not fv.ok:
-            return Verdict(False, {"base_morphism": phi, "inner": fv.witness})
-    return Verdict(True)
+        open_ends = [end for end in ends if end not in failed]
+        if not open_ends:
+            break
+        proj, _, total = base_change_over_arrow(pi, phi)
+        for end in open_ends:
+            end_fiber = core.fiber(proj, end)
+            F = core.inclusion_functor(end_fiber, total)
+            in_end = set(end_fiber.objects)
+            near = [d for d in total.objects if d not in in_end]
+            fv = homology._finality(F, ("certified", certify_dim),
+                                    "final" if end == "1" else "initial",
+                                    near)
+            if not fv.ok:
+                failed[end] = Verdict(False, {"base_morphism": phi,
+                                              "inner": fv.witness})
+    return [failed.get(end, Verdict(True)) for end in ends]
 
 
 def _end_pi0(pi, end):
@@ -622,11 +643,10 @@ def classify(pi, certify_dim=None):
         "locally_cartesian": is_locally_cocartesian(op),
         "exponentiable": is_exponentiable(pi, certify_dim=certify_dim),
     }
-    # one exponentiability verdict serves both end checks
-    checks["left_final"] = _end_fibration(pi, checks["exponentiable"], "1",
-                                          certify_dim)
-    checks["right_initial"] = _end_fibration(pi, checks["exponentiable"], "0",
-                                             certify_dim)
+    # one exponentiability verdict and one base change per arrow serve
+    # both end checks
+    checks["left_final"], checks["right_initial"] = _end_fibrations(
+        pi, checks["exponentiable"], ("1", "0"), certify_dim)
     verdicts = {k: v.ok for k, v in checks.items()}
     witnesses = {k: v.witness for k, v in checks.items() if not v.ok}
     for name, hyps, concs in _IMPLICATIONS:

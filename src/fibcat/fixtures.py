@@ -4,7 +4,8 @@ Run as `python -m fibcat.fixtures <directory>` to (re)write the canonical
 example documents: intervals, the idempotent and retraction categories,
 the walking isomorphism, arrow categories with their evaluations, the
 standard non-example inclusion, the bimodules of the idempotent/retraction
-inclusion, an identity correspondence, and two documents with planted
+inclusion, an identity correspondence, two posets over the point whose
+finality certificates need a nerve, and two documents with planted
 defects for the exit-status contract.
 """
 
@@ -78,6 +79,21 @@ def build_fixtures():
         corrs.collage(left))
     out["two_step_right.json"] = docs.correspondence_to_doc(
         corrs.collage(right))
+
+    # posets over the point with neither an initial nor a terminal
+    # object, so that finality certificates need their nerves: the
+    # contractible zigzag a -> b <- c -> d, and the circle a0, a1 < b0, b1
+    # (H_1 = Z)
+    T = core.terminal()
+    zigzag = core.poset_from_order(
+        ["a", "b", "c", "d"],
+        lambda x, y: x == y or (x, y) in {("a", "b"), ("c", "b"), ("c", "d")})
+    out["zigzag_to_point.json"] = docs.functor_to_doc(
+        core.constant_functor(zigzag, T, "*"))
+    circle = core.poset_from_order(
+        ["a0", "a1", "b0", "b1"], lambda x, y: x == y or x < "b" <= y)
+    out["circle_to_point.json"] = docs.functor_to_doc(
+        core.constant_functor(circle, T, "*"))
 
     # planted defects: a missing composite, and a broken associativity
     broken = docs.category_to_doc(I2)

@@ -383,7 +383,11 @@ def _refuse_negative_degree(d):
 
 
 def _finality(F, mode, kind, objects=None):
-    """Check the commas at objects (default: every object of F's target)."""
+    """Check the commas at objects (default: every object of F's target).
+
+    In certified mode a comma with an initial or a terminal object is
+    contractible, so it passes without a nerve.
+    """
     cert_dim = mode[1] if isinstance(mode, tuple) else None
     _refuse_negative_degree(cert_dim)
     per_object = {}
@@ -391,6 +395,10 @@ def _finality(F, mode, kind, objects=None):
     witness = None
     for d in F.target.objects if objects is None else objects:
         cat = _comma_under(F, d) if kind == "final" else _comma_over(F, d)
+        if cert_dim is not None and core._cone_point(cat) is not None:
+            per_object[d] = {"nonempty": True, "connected": True,
+                             "homology_ok": True}
+            continue
         nonempty = len(cat.objects) > 0
         connected = nonempty and core.is_connected(cat)
         entry = {"nonempty": nonempty, "connected": connected}

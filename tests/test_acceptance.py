@@ -8,7 +8,7 @@ integer/set arithmetic; there are no tolerances to tune.
 import io
 import json
 import random
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
@@ -429,3 +429,30 @@ def test_criterion_12_determinism_across_thread_counts():
     report = json.loads(outputs[0])
     ok &= report["verdicts"]["all_passed"]
     criterion(12, "suite reports byte-identical across thread counts", ok)
+
+
+def _category_state(C):
+    C.isomorphisms()
+    return {slot: getattr(C, slot) for slot in core.FiniteCategory.__slots__}
+
+
+def test_shared_builders_survive_the_cli_workflows(tmp_path):
+    """terminal() and interval(n) hand one instance to every caller, so no
+    workflow may change them: after the suite workflow of criterion 12 and
+    every subcommand on the bundled fixtures, each equals a fresh build."""
+    from fibcat import fixtures
+    shared = {n: core.interval(n) for n in range(6)}
+    terminal = core.terminal()
+    fixtures.write_fixtures(str(tmp_path))
+    test_criterion_12_determinism_across_thread_counts()
+    from test_documents_cli import fixture_commands
+    for argv in fixture_commands(str(tmp_path)):
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            cli.main(argv)
+    assert core.terminal() is terminal
+    fresh = core.FiniteCategory(["*"], [("id", "*", "*")], {"*": "id"},
+                                {("id", "id"): "id"})
+    assert _category_state(terminal) == _category_state(fresh)
+    for n, C in shared.items():
+        assert core.interval(n) is C
+        assert _category_state(C) == _category_state(core._build_interval(n))

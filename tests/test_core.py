@@ -192,7 +192,7 @@ class TestIndexedValidationOracle:
                 seen += 1
                 if assert_reports_agree(table_of_doc(cat)):
                     defects += 1
-        assert (seen, defects) == (27, 2)
+        assert (seen, defects) == (31, 2)
 
     def test_fixture_functors(self):
         seen = 0
@@ -204,7 +204,7 @@ class TestIndexedValidationOracle:
                                  _validate=False)
                 assert functor_error(F) == all_pairs_functor_error(F) is None
                 seen += 1
-        assert seen == 4
+        assert seen == 6
 
     @pytest.mark.parametrize("seed", range(8))
     def test_random_categories_and_functors(self, seed):
@@ -291,6 +291,12 @@ class TestBuilders:
         assert I.compose("e", "e") == "e"
         assert not I.is_iso("e")
 
+    def test_fixed_builders_are_shared(self):
+        assert core.terminal() is core.terminal()
+        for n in range(4):
+            assert core.interval(n) is core.interval(n)
+            assert core.interval(n) == core._build_interval(n)
+
 
 class TestDuality:
     @given(st.integers(min_value=0, max_value=3))
@@ -373,6 +379,26 @@ class TestProductsAndPullbacks:
             assert proj.target == target
             assert len(proj.ob_map) == len(proj.source.objects) == 1
             proj._validate()
+
+    def test_colliding_object_ids_are_refused(self):
+        # ("a", "b,c") and ("a,b", "c") both print as "(a,b,c)": the product
+        # listed 4 objects of which only 3 were distinct
+        with pytest.raises(core.PreconditionError) as exc:
+            core.product(core.discrete_category(["a", "a,b"]),
+                         core.discrete_category(["c", "b,c"]))
+        assert exc.value.witness == [("a", "b,c"), ("a,b", "c")]
+        assert "share the object id (a,b,c)" in str(exc.value)
+
+    def test_colliding_morphism_ids_are_refused(self):
+        # the object pairs are distinct, the identity pairs are not
+        A = core.relabel(core.discrete_category(["x", "y"]),
+                         morphism_map={"id_x": "a", "id_y": "a,b"})
+        B = core.relabel(core.discrete_category(["w", "z"]),
+                         morphism_map={"id_w": "c", "id_z": "b,c"})
+        with pytest.raises(core.PreconditionError) as exc:
+            core.product(A, B)
+        assert exc.value.witness == [("a", "b,c"), ("a,b", "c")]
+        assert "share the morphism id (a,b,c)" in str(exc.value)
 
     def test_pullback_universal_property(self):
         # cones from every small test category factor uniquely
@@ -769,6 +795,33 @@ class TestFunctorEnumeration:
             core.all_functors(big, big)
         monkeypatch.delenv("FIBCAT_ENUM_CAP")
         assert core.enumeration_cap() == 10 ** 6
+
+
+class TestConePoint:
+    """core._cone_point against has_initial_object/has_final_object."""
+
+    def test_against_initial_and_final_objects(self):
+        found = {True: 0, False: 0}
+        for i in range(300):
+            rng = random.Random(f"cone:{i}")
+            C = randgen.random_category(rng, 4, 9)
+            x = core._cone_point(C)
+            exists = (fibrations.has_initial_object(C).ok
+                      or fibrations.has_final_object(C).ok)
+            assert (x is not None) == exists
+            if x is not None:
+                assert (all(len(C.hom(x, y)) == 1 for y in C.objects)
+                        or all(len(C.hom(y, x)) == 1 for y in C.objects))
+            found[exists] += 1
+        assert min(found.values()) > 20
+
+    def test_examples(self):
+        assert core._cone_point(core.interval(3)) == "0"
+        assert core._cone_point(core.discrete_category([])) is None
+        assert core._cone_point(core.discrete_category(["a", "b"])) is None
+        # one object, but two endomorphisms: neither initial nor terminal
+        assert core._cone_point(core.cyclic_group_category(2)) is None
+        assert core._cone_point(core.walking_isomorphism()) == "a"
 
 
 class TestConnectivity:

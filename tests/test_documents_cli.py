@@ -7,6 +7,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fibcat import cli, core, correspondences as corrs, documents as docs
 from fibcat import fixtures, randgen
@@ -289,6 +290,45 @@ class TestCliCommands:
         assert code == 0
         assert json.loads(out)["verdicts"]["initial"]
 
+    @pytest.mark.parametrize("certify_dim", ["0", "2", "3"])
+    def test_zigzag_certificate_goes_through_the_nerve(self, fixture_dir,
+                                                       monkeypatch,
+                                                       certify_dim):
+        # a -> b <- c -> d has no initial or terminal object, but it is
+        # contractible
+        from fibcat import homology
+        nerves = []
+        real = homology.nerve
+        monkeypatch.setattr(homology, "nerve", lambda C, d:
+                            nerves.append(d) or real(C, d))
+        code, out = run_in_process([
+            "final", "--functor",
+            os.path.join(fixture_dir, "zigzag_to_point.json"),
+            "--certify-dim", certify_dim])
+        assert code == 0
+        report = json.loads(out)
+        assert report["verdicts"] == {"final": True}
+        assert report["per_object"] == {"*": {
+            "nonempty": True, "connected": True, "homology_ok": True}}
+        assert nerves == [int(certify_dim)]
+
+    def test_circle_fails_the_degree_one_certificate(self, fixture_dir):
+        # a0, a1 < b0, b1 is connected with H_1 = Z
+        path = os.path.join(fixture_dir, "circle_to_point.json")
+        entry = {"nonempty": True, "connected": True}
+        for argv, ok, extra in (([], True, {}),
+                                (["--certify-dim", "0"], True,
+                                 {"homology_ok": True}),
+                                (["--certify-dim", "1"], False,
+                                 {"homology_ok": False})):
+            code, out, err = run_cli("final", "--functor", path, *argv)
+            assert code == 0
+            report = json.loads(out)
+            assert report["verdicts"] == {"final": ok}
+            assert report["per_object"] == {"*": {**entry, **extra}}
+            assert report["witnesses"]["failing_object"] == (
+                None if ok else ["*", {**entry, **extra}])
+
     def test_replace_cart_and_rfib(self, fixture_dir):
         path = os.path.join(fixture_dir, "ev_t_arrow_1.json")
         code, out, err = run_cli("replace", "--kind", "cart",
@@ -406,6 +446,24 @@ class TestCollidingPairIds:
             assert "share the object id (chk0.a,b,c,x)" in err
 
 
+    def test_classify_refuses_colliding_replacement_ids(self, tmp_path):
+        # over a base with isomorphisms classify reads the isofibration
+        # replacement, a pullback whose pairs ("a", "b,c") and ("a,b", "c")
+        # both print as "(a,b,c)"; they were merged silently
+        K = core.relabel(core.walking_isomorphism(),
+                         morphism_map={"id_a": "c", "id_b": "b,c"})
+        E = core.discrete_category(["a", "a,b"])
+        pi = core.Functor(E, K, {"a": "b", "a,b": "a"},
+                          {"id_a": "b,c", "id_a,b": "c"})
+        path = tmp_path / "colliding.json"
+        path.write_text(docs.dumps(docs.functor_to_doc(pi)))
+        code, out, err = run_cli("classify", "--functor", str(path))
+        assert code == cli.EXIT_PRECONDITION, err
+        assert out == "" and "Traceback" not in err
+        assert ("pairs ('a', 'b,c') and ('a,b', 'c') share the object id "
+                "(a,b,c)") in err
+
+
 def run_in_process(argv):
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
@@ -504,3 +562,88 @@ class TestSuiteRunner:
         with contextlib.redirect_stdout(buf):
             code = args.func(args)
         assert (art / "planted__instance.json").exists()
+
+
+def old_json_safe(value):
+    """cli._json_safe before strings and lists of strings were passed
+    through as they are: the oracle for the conversion."""
+    if isinstance(value, dict):
+        return {str(k): old_json_safe(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple, set, frozenset)):
+        items = [old_json_safe(v) for v in value]
+        if isinstance(value, (set, frozenset)):
+            items = sorted(items, key=repr)
+        return items
+    if isinstance(value, (str, int, float, bool)) or value is None:
+        return value
+    return repr(value)
+
+
+def fixture_commands(fixture_dir):
+    """Every subcommand on every bundled fixture it accepts."""
+    by_type = {}
+    for name in sorted(os.listdir(fixture_dir)):
+        path = os.path.join(fixture_dir, name)
+        with open(path, encoding="utf-8") as fh:
+            by_type.setdefault(json.load(fh).get("type"), []).append(path)
+    for path in by_type["functor"]:
+        for command in ("classify", "final", "initial"):
+            yield [command, "--functor", path]
+            yield [command, "--functor", path, "--certify-dim", "2"]
+        for kind in ("cocart", "cart", "lfib", "rfib"):
+            yield ["replace", "--kind", kind, "--functor", path]
+    for path in by_type["category"]:
+        yield ["homology", path, "--max-dim", "2"]
+    for path in by_type["correspondence"]:
+        yield ["roundtrip", path]
+    for a in by_type["profunctor"]:
+        for b in by_type["profunctor"]:
+            for mode in ("prof", "bifib"):
+                yield ["compose", "--mode", mode, a, b]
+    yield ["compose", "--mode", "corr",
+           os.path.join(fixture_dir, "two_step_left.json"),
+           os.path.join(fixture_dir, "two_step_right.json")]
+
+
+_hashable = st.none() | st.booleans() | st.integers() | st.text(max_size=3)
+_values = st.recursive(
+    _hashable | st.floats(allow_nan=False)
+    | st.sampled_from([core.interval(1), core.PreconditionError("x")]),
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(st.text(max_size=3), max_size=4)
+        | st.tuples(children, children)
+        | st.sets(_hashable, max_size=4)
+        | st.frozensets(st.tuples(_hashable, _hashable), max_size=3)
+        | st.dictionaries(_hashable | st.tuples(st.integers(), _hashable),
+                          children, max_size=3)),
+    max_leaves=12)
+
+
+class TestJsonSafe:
+    def test_fixture_reports_convert_as_before(self, fixture_dir,
+                                               monkeypatch):
+        real = cli._json_safe
+        checked = []
+
+        def compare(value):
+            new = real(value)
+            old = old_json_safe(value)
+            assert new == old
+            assert json.dumps(new, sort_keys=True) == \
+                json.dumps(old, sort_keys=True)
+            checked.append(type(value))
+            return new
+
+        monkeypatch.setattr(cli, "_json_safe", compare)
+        for argv in fixture_commands(fixture_dir):
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                assert cli.main(argv) in (0, cli.EXIT_VALIDATION,
+                                          cli.EXIT_PRECONDITION), argv
+        assert {dict, list, str, bool} <= set(checked)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_values)
+    def test_values_convert_as_before(self, value):
+        assert cli._json_safe(value) == old_json_safe(value)

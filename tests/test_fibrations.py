@@ -1,8 +1,11 @@
+import contextlib
+import io
 import random
 
 import pytest
 
-from fibcat import core, fibrations as fib, homology, randgen
+from fibcat import cli, core, documents as docs, fibrations as fib, fixtures
+from fibcat import homology, randgen
 from fibcat.core import PreconditionError
 
 
@@ -842,16 +845,7 @@ class TestEdgeEngineOracles:
             "inner": {"object": "(0,a)", "morphism": "0->1"}}
 
     def test_certified_mode_against_the_full_comma_route(self):
-        from fibcat import correspondences as corrs
-        # a connected edge bimodule whose comma is Z/2: only the degree-1
-        # certificate refuses it
-        A = core.relabel(core.terminal(), {"*": "a*"}, {"id": "a.id"})
-        B = core.prefix_relabel(core.cyclic_group_category(2), "b.")
-        P = corrs.Profunctor(
-            A, B, {("a*", "b.*"): ("p",)}, {("a.id", "b.*"): {"p": "p"}},
-            {("a*", "b.g0"): {"p": "p"}, ("a*", "b.g1"): {"p": "p"}}
-        ).validate()
-        planted = corrs.collage(P).projection
+        planted = z2_comma_collage()
         assert "left_final" not in assert_engine_matches_oracles(planted)
         assert "left_final" in assert_engine_matches_oracles(planted, 2)
         inner = fib.is_left_final_fibration(planted, 2).witness["inner"]
@@ -897,3 +891,182 @@ class TestFactorizationCategoryOracle:
                         sizes.add(len(new.objects))
         # empty, single and multi-object factorization categories all occur
         assert {0, 1} <= sizes and max(sizes) > 2
+
+
+# -- cone points: certificates without nerves --------------------------------
+
+
+def parent_finality(F, d, kind, objects):
+    """homology._finality before cone points: every comma gets its
+    components and, with a degree d (None in pi0 mode), a nerve
+    certificate."""
+    per_object, witness = {}, None
+    for x in objects:
+        cat = (homology._comma_under(F, x) if kind == "final"
+               else homology._comma_over(F, x))
+        nonempty = len(cat.objects) > 0
+        connected = nonempty and core.is_connected(cat)
+        entry = {"nonempty": nonempty, "connected": connected}
+        good = nonempty and connected
+        if good and d is not None:
+            entry["homology_ok"] = homology.homology(
+                cat, d).reduced_trivial_up_to(d)
+            good = entry["homology_ok"]
+        per_object[x] = entry
+        if not good and witness is None:
+            witness = (x, entry)
+    return per_object, witness
+
+
+def parent_certified_is_exponentiable(pi, d):
+    """is_exponentiable(pi, certify_dim=d) before cone points."""
+    K0 = pi.target
+    if any(not K0.is_identity(f) for f in K0.isomorphisms()):
+        pi = fib.isofibration_replacement(pi)
+    for phi, psi, lifts in fib._composable_lifts(pi, *fib._edge_index(pi)):
+        for lift in lifts:
+            cat = fib.factorization_category(pi, phi, psi, lift)
+            if not core.is_nonempty_connected(cat):
+                return fib.Verdict(False, {
+                    "first": phi, "second": psi, "lift": lift,
+                    "factorizations": len(cat.objects)})
+            rep = homology.homology(cat, d)
+            if not rep.reduced_trivial_up_to(d):
+                return fib.Verdict(False, {
+                    "first": phi, "second": psi, "lift": lift,
+                    "certificate_degree": d,
+                    "betti": rep.betti, "torsion": rep.torsion})
+    return fib.Verdict(True)
+
+
+def parent_certified_end_fibration(pi, exponentiable, end, d):
+    """_end_fibration(pi, exponentiable, end, d) before cone points and
+    shared base changes: one base change per arrow and end."""
+    if not exponentiable.ok:
+        return fib.Verdict(False, {"exponentiable": exponentiable.witness})
+    kind = "final" if end == "1" else "initial"
+    K = pi.target
+    for phi in K.morphisms:
+        if K.is_identity(phi):
+            continue
+        F = fib.fiber_inclusion_over_arrow(pi, phi, end)
+        in_end = set(F.source.objects)
+        near = [x for x in F.target.objects if x not in in_end]
+        _, witness = parent_finality(F, d, kind, near)
+        if witness is not None:
+            return fib.Verdict(False, {"base_morphism": phi,
+                                       "inner": witness})
+    return fib.Verdict(True)
+
+
+def z2_comma_collage():
+    """A connected edge bimodule whose comma is Z/2: only certificates of
+    degree >= 1 refuse it."""
+    from fibcat import correspondences as corrs
+    A = core.relabel(core.terminal(), {"*": "a*"}, {"id": "a.id"})
+    B = core.prefix_relabel(core.cyclic_group_category(2), "b.")
+    P = corrs.Profunctor(
+        A, B, {("a*", "b.*"): ("p",)}, {("a.id", "b.*"): {"p": "p"}},
+        {("a*", "b.g0"): {"p": "p"}, ("a*", "b.g1"): {"p": "p"}}
+    ).validate()
+    return corrs.collage(P).projection
+
+
+class TestConePointCertificates:
+    """Certificates settled by an initial or terminal object, against the
+    nerve route they skip."""
+
+    def test_cone_point_implies_trivial_reduced_homology(self, monkeypatch):
+        built = []
+        for module, name in ((fib, "factorization_category"),
+                             (homology, "_comma_under"),
+                             (homology, "_comma_over")):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, real=real:
+                                built.append(real(*a)) or built[-1])
+        for n in (2, 3, 4):
+            _, _, ev_t = core.arrow_category(core.interval(n))
+            assert fib.classify(ev_t, certify_dim=3)["left_final"]
+        assert len(built) > 100
+        built += [randgen.random_category(random.Random(f"cone-hom:{i}"),
+                                          4, 9) for i in range(200)]
+        coned = 0
+        for C in built:
+            if core._cone_point(C) is not None:
+                assert homology.homology(C, 3).reduced_trivial_up_to(3)
+                coned += 1
+        assert coned > 150
+
+    @pytest.mark.parametrize("d", [0, 1, 2])
+    def test_classify_matches_the_nerve_route(self, d):
+        sample = [pi for name in sorted(ORACLE_BASES)
+                  for pi in oracle_sample(name, 12)]
+        for n in (2, 3):
+            _, ev_s, ev_t = core.arrow_category(core.interval(n))
+            sample += [ev_s, ev_t, core.opposite_functor(ev_t)]
+        planted = z2_comma_collage()
+        sample += [planted, core.opposite_functor(planted)]
+        negative = {}
+        for pi in sample:
+            exp = fib.is_exponentiable(pi, d)
+            old_exp = parent_certified_is_exponentiable(pi, d)
+            assert (exp.ok, exp.witness) == (old_exp.ok, old_exp.witness)
+            for assumed in {exp.ok: exp, True: fib.Verdict(True)}.values():
+                new = fib._end_fibrations(pi, assumed, ("1", "0"), d)
+                old = [parent_certified_end_fibration(pi, assumed, end, d)
+                       for end in ("1", "0")]
+                assert [(v.ok, v.witness) for v in new] == \
+                    [(v.ok, v.witness) for v in old]
+                for key, v in zip(("left_final", "right_initial"), new):
+                    negative[key] = negative.get(key, 0) + (not v.ok)
+            negative["exponentiable"] = (negative.get("exponentiable", 0)
+                                         + (not exp.ok))
+        assert all(negative[key] > 0 for key in
+                   ("exponentiable", "left_final", "right_initial"))
+
+    def test_homology_failures_keep_their_witnesses(self):
+        planted = z2_comma_collage()
+        for pi, end in ((planted, "1"), (core.opposite_functor(planted), "0")):
+            new = fib._end_fibration(pi, fib.Verdict(True), end, 1)
+            assert new.witness["inner"][1] == {
+                "nonempty": True, "connected": True, "homology_ok": False}
+            old = parent_certified_end_fibration(pi, fib.Verdict(True),
+                                                 end, 1)
+            assert (new.ok, new.witness) == (old.ok, old.witness)
+
+    @pytest.mark.parametrize("d", [None, 0, 1, 2])
+    def test_finality_per_object_matches_the_nerve_route(self, d):
+        bundled = fixtures.build_fixtures()
+        # posets over the point whose commas have no cone point
+        sample = [docs.functor_from_doc(bundled[name]) for name in
+                  ("zigzag_to_point.json", "circle_to_point.json")]
+        for i in range(60):
+            rng = random.Random(f"cone-final:{i}")
+            sample.append(randgen.random_final_functor(rng) if i % 2 else
+                          randgen.random_functor_between(
+                              rng,
+                              randgen.random_category(rng, 3, 7, prefix="j."),
+                              randgen.random_category(rng, 3, 7, prefix="k.")))
+        for F in sample:
+            for kind in ("final", "initial"):
+                fv = homology._finality(
+                    F, "pi0" if d is None else ("certified", d), kind)
+                per_object, witness = parent_finality(
+                    F, d, kind, F.target.objects)
+                assert fv.per_object == per_object
+                assert fv.witness == witness and fv.ok == (witness is None)
+
+    def test_classify_builds_each_base_change_once(self, monkeypatch,
+                                                   tmp_path):
+        _, _, ev_t = core.arrow_category(core.interval(4))
+        path = tmp_path / "ev_t_Ar4.json"
+        path.write_text(docs.dumps(docs.functor_to_doc(ev_t)))
+        calls = []
+        real = core.base_change
+        monkeypatch.setattr(core, "base_change", lambda pi, g:
+                            calls.append(g) or real(pi, g))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["classify", "--functor", str(path),
+                             "--certify-dim", "2"]) == 0
+        # one per non-identity arrow of [4], not one per arrow and end
+        assert len(calls) == 10
