@@ -47,7 +47,11 @@ def _json_safe(value):
     return repr(value)
 
 
-def _report(args, verdicts, witnesses=None, extra=None, certificate=None):
+def _report(args, verdicts, witnesses=None, extra=None, certificate=None,
+            documents=None):
+    """Write the report.  verdicts, witnesses and extra are made JSON-safe;
+    documents maps report keys to subtrees built by documents.*_to_doc,
+    which are JSON already and are passed through as they are."""
     doc = {
         "format_version": docs.FORMAT_VERSION,
         "command": list(args._echo),
@@ -59,6 +63,8 @@ def _report(args, verdicts, witnesses=None, extra=None, certificate=None):
     }
     if extra:
         doc.update(_json_safe(extra))
+    if documents:
+        doc.update(documents)
     sys.stdout.write(docs.dumps(doc))
 
 
@@ -156,7 +162,8 @@ def cmd_compose(args):
                                        corrs.profunctor_to_bifib(P12))
             composite = corrs.bifib_to_profunctor(X)
         out = docs.profunctor_to_doc(composite)
-    _report(args, {"route_coherence_checked": flag}, extra={"composite": out})
+    _report(args, {"route_coherence_checked": flag},
+            documents={"composite": out})
     return 0
 
 
@@ -205,7 +212,7 @@ def cmd_replace(args):
         check = {"discrete_fibration":
                  fibrations.is_strict_discrete_fibration(rep.projection).ok}
         out = docs.set_valued_to_doc(rep.straightened)
-    _report(args, check, extra={"replacement": out})
+    _report(args, check, documents={"replacement": out})
     return 0
 
 
@@ -230,8 +237,8 @@ def cmd_pushforward(args):
     spot = transport.pushforward_adjunction_check(
         pi, zeta, core.identity_functor(pi.target))
     _report(args, {"adjunction_spot_check": spot["bijective"]},
-            extra={"pushforward": docs.functor_to_doc(push.projection),
-                   "sections": spot})
+            extra={"sections": spot},
+            documents={"pushforward": docs.functor_to_doc(push.projection)})
     return 0
 
 
@@ -396,8 +403,34 @@ def _positive_int(text):
     return value
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
+class _Fallback(Exception):
+    """Raised where argparse would print or exit."""
+
+
+class _QuietParser(argparse.ArgumentParser):
+    """A parser that raises _Fallback instead of printing or exiting, so
+    that the full parser can produce the exact output instead."""
+
+    def _print_message(self, message, file=None):
+        raise _Fallback
+
+    def exit(self, status=0, message=None):
+        raise _Fallback
+
+
+class _Skipped:
+    """Stands in for a subcommand parser that a parse does not need."""
+
+    def add_argument(self, *args, **kwargs):
+        pass
+
+    set_defaults = add_argument
+
+
+def build_parser(_only=None):
+    """The CLI's argument parser.  With _only, a quiet parser that has
+    only the subcommand named _only (see _parse_args)."""
+    parser = (argparse.ArgumentParser if _only is None else _QuietParser)(
         prog="fibcat",
         description="Exact workbench for finite categories: fibration "
                     "classifiers, the correspondence calculus, and "
@@ -405,47 +438,52 @@ def build_parser():
     parser.add_argument("--timings", action="store_true",
                         help="include wall-clock timing in reports "
                              "(breaks byte determinism)")
-    sub = parser.add_subparsers(dest="command", required=True)
+    subparsers = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("classify", help="full fibration profile of a functor")
+    def add_parser(name, **kwargs):
+        if _only is None or name == _only:
+            return subparsers.add_parser(name, **kwargs)
+        return _Skipped()
+
+    p = add_parser("classify", help="full fibration profile of a functor")
     p.add_argument("--functor", required=True)
     p.add_argument("--certify-dim", type=int, default=None)
     p.set_defaults(func=cmd_classify)
 
     for kind in ("final", "initial"):
-        p = sub.add_parser(kind, help=f"{kind}ity of a functor")
+        p = add_parser(kind, help=f"{kind}ity of a functor")
         p.add_argument("--functor", required=True)
         p.add_argument("--certify-dim", type=int, default=None)
         p.set_defaults(func=cmd_final if kind == "final" else cmd_initial)
 
-    p = sub.add_parser("compose", help="compose two correspondences")
+    p = add_parser("compose", help="compose two correspondences")
     p.add_argument("--mode", choices=["corr", "prof", "bifib"], required=True)
     p.add_argument("inputs", nargs=2)
     p.set_defaults(func=cmd_compose)
 
-    p = sub.add_parser("roundtrip",
-                       help="triangle of presentations of a correspondence")
+    p = add_parser("roundtrip",
+                   help="triangle of presentations of a correspondence")
     p.add_argument("correspondence")
     p.set_defaults(func=cmd_roundtrip)
 
-    p = sub.add_parser("replace", help="fibration replacements")
+    p = add_parser("replace", help="fibration replacements")
     p.add_argument("--kind", choices=["cocart", "cart", "lfib", "rfib"],
                    required=True)
     p.add_argument("--functor", required=True)
     p.set_defaults(func=cmd_replace)
 
-    p = sub.add_parser("pushforward",
-                       help="push a category over the total down to the base")
+    p = add_parser("pushforward",
+                   help="push a category over the total down to the base")
     p.add_argument("--fibration", required=True)
     p.add_argument("--over", required=True)
     p.set_defaults(func=cmd_pushforward)
 
-    p = sub.add_parser("homology", help="truncated nerve homology")
+    p = add_parser("homology", help="truncated nerve homology")
     p.add_argument("category")
     p.add_argument("--max-dim", type=int, default=2)
     p.set_defaults(func=cmd_homology)
 
-    p = sub.add_parser("suite", help="randomized property suite")
+    p = add_parser("suite", help="randomized property suite")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--size", type=int, default=3)
     p.add_argument("--jobs", type=_positive_int, default=1)
@@ -456,10 +494,27 @@ def build_parser():
     return parser
 
 
+def _parse_args(argv):
+    """Parse argv with a parser that has only the invoked subcommand.
+
+    Whatever that parser accepts, the full one parses to the same
+    namespace: its one choice of subcommand sits where the full parser
+    reads the subcommand, and is defined by the same lines.  Whenever
+    argparse would print or exit (help, usage, any error), argv is parsed
+    again by the full parser, so all such output is its own.
+    """
+    name = next((token for token in argv if not token.startswith("-")), None)
+    if name is not None:
+        try:
+            return build_parser(_only=name).parse_args(argv)
+        except _Fallback:
+            pass
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(argv)
     # the echo records the logical command; thread count is an execution
     # detail and must not break report determinism
     echo = []

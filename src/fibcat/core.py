@@ -92,6 +92,11 @@ def validate_category(objects, morphisms, identities, composition):
                 report.append(f"missing composite for pair ({g},{f})")
     if report:
         return report
+    # in a thin category (at most one morphism per hom-set) both sides of
+    # a unit or associativity law lie in the same hom-set of size one, so
+    # the laws hold once the endpoints above are right
+    if len({(src[m], tgt[m]) for m in mors}) == len(mors):
+        return report
     # after[f] lists g∘f for g in out_of[tgt f], so rows of morphisms with
     # the same target line up
     after = {f: [composition[(g, f)] for g in out_of[tgt[f]]] for f in mors}
@@ -241,6 +246,10 @@ class Functor:
         for x in C.objects:
             if self.mor_map[C.identity[x]] != D.identity[self.ob_map[x]]:
                 raise FunctorError(f"identity of {x} not preserved")
+        if len(D._hom) == len(D.morphisms):
+            # thin target: both images of a composite share a hom-set of
+            # size one, since endpoints are preserved
+            return
         mor_map, comp_C, comp_D = self.mor_map, C._comp, D._comp
         for f in C.morphisms:
             image_f = mor_map[f]
@@ -577,8 +586,8 @@ def pullback(F, G):
         for b in b_over.get(F.ob_map[a], ()):
             p = pair_id(a, b)
             if p in left_ob:
-                _refuse_shared_pair_id("object", p, (left_ob[p], right_ob[p]),
-                                       (a, b))
+                _refuse_shared_id("pairs", "object", p,
+                                  (left_ob[p], right_ob[p]), (a, b))
             objects.append(p)
             identities[p] = pair_id(A.identity[a], B.identity[b])
             left_ob[p] = a
@@ -591,8 +600,8 @@ def pullback(F, G):
         for n in n_over.get(F.mor_map[m], ()):
             p = pair_id(m, n)
             if p in left_mor:
-                _refuse_shared_pair_id("morphism", p,
-                                       (left_mor[p], right_mor[p]), (m, n))
+                _refuse_shared_id("pairs", "morphism", p,
+                                  (left_mor[p], right_mor[p]), (m, n))
             morphisms.append((p, pair_id(A.src[m], B.src[n]),
                               pair_id(A.tgt[m], B.tgt[n])))
             mor_pairs.append((p, m, n))
@@ -609,10 +618,22 @@ def pullback(F, G):
                           Functor(P, B, right_ob, right_mor, _validate=False))
 
 
-def _refuse_shared_pair_id(kind, p, first, second):
+def _refuse_shared_id(what, kind, p, first, second):
     raise PreconditionError(
-        f"pairs {first} and {second} share the {kind} id {p}",
+        f"{what} {first} and {second} share the {kind} id {p}",
         witness=[first, second])
+
+
+def _ends_by_id(what, items):
+    """{id: end} from (id, key, end) items.  Two keys whose ids print
+    alike are refused, never merged."""
+    ends, key_of = {}, {}
+    for o, key, end in items:
+        if o in ends:
+            _refuse_shared_id(what, "object", o, key_of[o], key)
+        ends[o] = end
+        key_of[o] = key
+    return ends
 
 
 def base_change(pi, g):
@@ -768,9 +789,10 @@ def comma_with_data(F, G):
     if F.target != G.target:
         raise PreconditionError("comma requires a common target")
     A, B, C = F.source, G.source, F.target
-    ends = {comma_object_id(a, b, k): (a, b, k)
-            for a in A.objects for b in B.objects
-            for k in C.hom(F.ob_map[a], G.ob_map[b])}
+    ends = _ends_by_id("triples", (
+        (comma_object_id(a, b, k), (a, b, k), (a, b, k))
+        for a in A.objects for b in B.objects
+        for k in C.hom(F.ob_map[a], G.ob_map[b])))
     Fu, Gv = F.mor_map, G.mor_map
     cat, to_A, to_B = square_category(
         A, B, ends, lambda k, u, v, k2: C.compose(k2, Fu[u]) == C.compose(Gv[v], k))

@@ -490,15 +490,9 @@ def profunctor_to_bifib(P):
     exactly when x'·alpha = beta·x.
     """
     A, B = P.source, P.target
-    ends = {}
-    for (a, b), xs in P.elements.items():
-        for x in xs:
-            o = elt_object_id(a, b, x)
-            if o in ends:
-                raise PreconditionError(
-                    f"elements {ends[o]} and {(a, b, x)} share the object "
-                    f"id {o}", witness=[ends[o], (a, b, x)])
-            ends[o] = (a, b, x)
+    ends = core._ends_by_id("elements", (
+        (elt_object_id(a, b, x), (a, b, x), (a, b, x))
+        for (a, b), xs in P.elements.items() for x in xs))
 
     def commutes(x, alpha, beta, x2):
         return P.lact[(alpha, B.tgt[beta])][x2] == P.ract[(A.src[alpha], beta)][x]

@@ -32,7 +32,72 @@ class ValidationFailure(ValueError):
 
 
 def dumps(doc):
-    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    """Canonical text: exactly json.dumps(doc, sort_keys=True, indent=2,
+    ensure_ascii=False) plus a newline.
+
+    With an indent, json encodes in pure Python, node by node.  Strings,
+    lists, tuples and dicts with str keys, nearly all of a document, are
+    written here by joins instead, a row of strings in one join; every
+    other value is handed to json.
+    """
+    parts = []
+    encode = json.JSONEncoder(sort_keys=True, indent=2,
+                              ensure_ascii=False).encode
+    _dump(doc, "\n", encode, parts.append)
+    parts.append("\n")
+    return "".join(parts)
+
+
+_encode_str = json.encoder.encode_basestring
+_SCALARS = (int, float, bool, type(None))
+
+
+def _dump(value, newline, encode, out):
+    """Write value's canonical text through out.  newline is a line break
+    and the indent of the line that value starts on."""
+    kind = type(value)
+    if kind is str:
+        out(_encode_str(value))
+        return
+    if (kind is list or kind is tuple or kind is dict) and not value:
+        out("{}" if kind is dict else "[]")
+        return
+    inner = newline + "  "
+    sep = "," + inner
+    if kind is list or kind is tuple:
+        try:  # a row of strings; _encode_str raises TypeError on others
+            out("[" + inner + sep.join(map(_encode_str, value)) + newline
+                + "]")
+            return
+        except TypeError:
+            pass
+        head = "[" + inner
+        for item in value:
+            out(head)
+            head = sep
+            _dump(item, inner, encode, out)
+        out(newline + "]")
+        return
+    if kind is dict:
+        try:  # str keys only; json sorts and converts any others
+            items = sorted(value.items())
+            keys = [_encode_str(k) for k, _ in items]
+        except TypeError:
+            pass
+        else:
+            head = "{" + inner
+            for key, (_, item) in zip(keys, items):
+                out(head + key + ": ")
+                head = sep
+                _dump(item, inner, encode, out)
+            out(newline + "}")
+            return
+    if kind in _SCALARS:
+        out(json.dumps(value))
+        return
+    # json's text starts at indent 0; its raw newlines are separators only,
+    # never inside a string, so the indent is added after each of them
+    out(encode(value).replace("\n", newline))
 
 
 def loads(text):

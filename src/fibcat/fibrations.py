@@ -218,18 +218,11 @@ def factorization_category(pi, phi, psi, lift):
     if pi.mor_map[lift] != K.compose(psi, phi):
         raise PreconditionError("lift does not lie over the composite")
     e0, e2 = E.src[lift], E.tgt[lift]
-    ends = {}
-    for u in E.morphisms_from(e0):
-        if pi.mor_map[u] != phi:
-            continue
-        for v in E.hom(E.tgt[u], e2):
-            if pi.mor_map[v] == psi and E.compose(v, u) == lift:
-                o = core.pair_id(u, v)
-                if o in ends:
-                    raise PreconditionError(
-                        f"factorizations {ends[o][2]} and {(u, v)} share "
-                        f"the object id {o}", witness=[ends[o][2], (u, v)])
-                ends[o] = (E.tgt[u], "*", (u, v))
+    ends = core._ends_by_id("factorizations", (
+        (core.pair_id(u, v), (u, v), (E.tgt[u], "*", (u, v)))
+        for u in E.morphisms_from(e0) if pi.mor_map[u] == phi
+        for v in E.hom(E.tgt[u], e2)
+        if pi.mor_map[v] == psi and E.compose(v, u) == lift))
     mid_id = K.identity[K.tgt[phi]]
 
     def commutes(uv1, w, _, uv2):

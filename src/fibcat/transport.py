@@ -89,8 +89,9 @@ def cocart_replacement(pi):
     fully faithful, and a right adjoint when pi was already coCartesian.
     """
     E, K = pi.source, pi.target
-    ends = {pair_id(e, phi): (e, K.tgt[phi], phi)
-            for e in E.objects for phi in K.morphisms_from(pi.ob_map[e])}
+    ends = core._ends_by_id("pairs", (
+        (pair_id(e, phi), (e, phi), (e, K.tgt[phi], phi))
+        for e in E.objects for phi in K.morphisms_from(pi.ob_map[e])))
     total, _, proj = core.square_category(
         E, K, ends,
         lambda phi, u, v, phi2: K.compose(phi2, pi.mor_map[u]) == K.compose(v, phi))
@@ -109,8 +110,9 @@ def cocart_replacement(pi):
 def cart_replacement(pi):
     """Arrows of the base into the image, projected by the arrow source."""
     E, K = pi.source, pi.target
-    ends = {pair_id(phi, e): (K.src[phi], e, phi)
-            for e in E.objects for phi in K.morphisms_to(pi.ob_map[e])}
+    ends = core._ends_by_id("pairs", (
+        (pair_id(phi, e), (phi, e), (K.src[phi], e, phi))
+        for e in E.objects for phi in K.morphisms_to(pi.ob_map[e])))
     total, proj, _ = core.square_category(
         K, E, ends,
         lambda phi, v, u, phi2: K.compose(pi.mor_map[u], phi) == K.compose(phi2, v))

@@ -269,6 +269,160 @@ class TestIndexedValidationOracle:
             "morphism 0->2 has incompatible image 0->1"
 
 
+# -- the law loops that thin tables skip, kept as oracles ---------------------
+#
+# A thin category has at most one morphism per hom-set, so once endpoints
+# are right its unit and associativity laws cannot fail: validate_category
+# and Functor._validate skip their law loops there.  These are the indexed
+# validators as they were before, law loops included on every table.  The
+# report order is the same, so reports are compared as they are.
+
+
+def law_walking_validate_category(objects, morphisms, identities,
+                                  composition):
+    report = []
+    obj_set = set(objects)
+    if len(obj_set) != len(objects):
+        report.append("duplicate object ids")
+    mor_ids = [m for m, _, _ in morphisms]
+    if len(set(mor_ids)) != len(mor_ids):
+        report.append("duplicate morphism ids")
+    src = {m: s for m, s, _ in morphisms}
+    tgt = {m: t for m, _, t in morphisms}
+    for m, s, t in morphisms:
+        if s not in obj_set:
+            report.append(f"morphism {m} has unknown source {s}")
+        if t not in obj_set:
+            report.append(f"morphism {m} has unknown target {t}")
+    for x in objects:
+        i = identities.get(x)
+        if i is None:
+            report.append(f"object {x} has no identity")
+        elif i not in src:
+            report.append(f"identity of {x} is not a morphism: {i}")
+        elif not (src[i] == x and tgt[i] == x):
+            report.append(f"identity of {x} is not an endomorphism: {i}")
+    for (g, f), h in composition.items():
+        if g not in src or f not in src:
+            report.append(f"composition of unknown morphisms ({g},{f})")
+            continue
+        if tgt[f] != src[g]:
+            report.append(f"composition defined on non-composable pair ({g},{f})")
+            continue
+        if h not in src:
+            report.append(f"composite of ({g},{f}) is unknown: {h}")
+        elif not (src[h] == src[f] and tgt[h] == tgt[g]):
+            report.append(f"composite of ({g},{f}) has wrong endpoints: {h}")
+    mors = sorted(src)
+    out_of = {}
+    for m in mors:
+        out_of.setdefault(src[m], []).append(m)
+    for f in mors:
+        for g in out_of.get(tgt[f], ()):
+            if (g, f) not in composition:
+                report.append(f"missing composite for pair ({g},{f})")
+    if report:
+        return report
+    for f in mors:
+        if composition[(identities[tgt[f]], f)] != f:
+            report.append(f"left unit law fails at {f}")
+        if composition[(f, identities[src[f]])] != f:
+            report.append(f"right unit law fails at {f}")
+    for f in mors:
+        for g in out_of[tgt[f]]:
+            gf = composition[(g, f)]
+            for h in out_of[tgt[g]]:
+                if composition[(h, gf)] != composition[(composition[(h, g)], f)]:
+                    report.append(f"associativity fails on ({h},{g},{f})")
+    return report
+
+
+def law_walking_functor_error(F):
+    """As functor_error, with the composition loop run on every target."""
+    C, D = F.source, F.target
+    try:
+        core.Functor._validate(F)
+    except core.FunctorError as exc:
+        return str(exc)
+    for f in C.morphisms:
+        for g in C._from[C.tgt[f]]:
+            if F.mor_map[C.compose(g, f)] != D.compose(F.mor_map[g],
+                                                       F.mor_map[f]):
+                return f"composition not preserved on ({g},{f})"
+    return None
+
+
+def is_thin(C):
+    return len(C._hom) == len(C.morphisms)
+
+
+def assert_law_walk_agrees(table):
+    report = core.validate_category(*table)
+    assert report == law_walking_validate_category(*table)
+    return report
+
+
+def planted_poset_defects(P):
+    """(label, table) for each planted defect of the poset P: a composite
+    with wrong endpoints, a missing composite, and an identity that is
+    not an endomorphism."""
+    comp = P.composition_table()
+    for (g, f), h in sorted(comp.items()):
+        if not (P.is_identity(g) or P.is_identity(f)):
+            bad = dict(comp)
+            bad[(g, f)] = f
+            yield "wrong endpoints", (P.objects, P.morphism_triples(),
+                                      P.identity, bad)
+            missing = dict(comp)
+            del missing[(g, f)]
+            yield "missing", (P.objects, P.morphism_triples(), P.identity,
+                              missing)
+    for m in P.non_identity_morphisms():
+        identities = dict(P.identity)
+        identities[P.src[m]] = m
+        yield "not an endomorphism", (P.objects, P.morphism_triples(),
+                                      identities, comp)
+
+
+class TestThinTablesSkipOnlyLawsThatCannotFail:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_thin_and_dense_categories_and_functors(self, seed):
+        rng = random.Random(seed)
+        P = randgen.random_poset(rng, 5, prefix="p")
+        C = randgen.random_category(rng, 4, 12, prefix="c.")
+        Z = core.cyclic_group_category(rng.randint(2, 4))
+        assert is_thin(P) and not is_thin(Z)
+        for cat in (P, C, Z, core.product(P, C), core.arrow_category(P)[0]):
+            assert assert_law_walk_agrees(table_of(cat)) == []
+        for source in (P, C, Z):
+            for target in (P, C, Z):
+                F = randgen.random_functor_between(rng, source, target)
+                assert functor_error(F) == law_walking_functor_error(F) is None
+                for m in source.non_identity_morphisms():
+                    for image in target.morphisms:
+                        G = redirected(F, m, image)
+                        assert functor_error(G) == law_walking_functor_error(G)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_planted_defects_in_posets(self, seed):
+        rng = random.Random(seed)
+        P = randgen.random_poset(rng, 4, edge_p=0.8, prefix="p")
+        P = core.disjoint_union(P, core.interval(2))
+        kinds = set()
+        for label, table in planted_poset_defects(P):
+            report = assert_law_walk_agrees(table)
+            assert report, label
+            kinds.add(label)
+        assert kinds == {"wrong endpoints", "missing", "not an endomorphism"}
+
+    def test_thin_target_still_checks_endpoints_and_identities(self):
+        I2 = core.interval(2)
+        inc = core.inclusion_functor(core.full_subcategory(I2, ["0", "2"]), I2)
+        assert functor_error(redirected(inc, "0->0", "0->2")) == \
+            law_walking_functor_error(redirected(inc, "0->0", "0->2")) == \
+            "morphism 0->0 has incompatible image 0->2"
+
+
 class TestBuilders:
     def test_interval_shape(self):
         for n in range(4):
@@ -440,6 +594,17 @@ class TestSlicesAndCommas:
         I1 = core.interval(1)
         cm, _, _ = core.comma(core.point(I1, "1"), core.identity_functor(I1))
         assert len(cm.objects) == 1
+
+    def test_colliding_comma_object_ids_are_refused(self):
+        # ("a", "b,c", "id") and ("a,b", "c", "id") both print as
+        # "(a,b,c,id)": the comma had 3 objects where 4 are distinct
+        T = core.terminal()
+        F = core.constant_functor(core.discrete_category(["a", "a,b"]), T, "*")
+        G = core.constant_functor(core.discrete_category(["b,c", "c"]), T, "*")
+        with pytest.raises(core.PreconditionError) as exc:
+            core.comma(F, G)
+        assert exc.value.witness == [("a", "b,c", "id"), ("a,b", "c", "id")]
+        assert "share the object id (a,b,c,id)" in str(exc.value)
 
     @settings(max_examples=10, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))

@@ -463,6 +463,32 @@ class TestCollidingPairIds:
         assert ("pairs ('a', 'b,c') and ('a,b', 'c') share the object id "
                 "(a,b,c)") in err
 
+    @pytest.mark.parametrize("kind", ["cocart", "cart"])
+    def test_replace_refuses_colliding_end_ids(self, tmp_path, kind):
+        # the ends (a, "b,c") and ("a,b", c) of the coCartesian
+        # replacement, or (a, "b,c") and ("a,b", c) of the Cartesian one,
+        # both print as "(a,b,c)"; they were merged silently
+        if kind == "cocart":
+            K = core.relabel(core.walking_isomorphism(),
+                             morphism_map={"id_a": "c", "id_b": "b,c"})
+            E = core.discrete_category(["a", "a,b"])
+            pi = core.Functor(E, K, {"a": "b", "a,b": "a"},
+                              {"id_a": "b,c", "id_a,b": "c"})
+        else:
+            K = core.relabel(core.walking_isomorphism(),
+                             morphism_map={"id_a": "a", "id_b": "a,b"})
+            E = core.discrete_category(["b,c", "c"])
+            pi = core.Functor(E, K, {"b,c": "a", "c": "b"},
+                              {"id_b,c": "a", "id_c": "a,b"})
+        path = tmp_path / "colliding.json"
+        path.write_text(docs.dumps(docs.functor_to_doc(pi)))
+        code, out, err = run_cli("replace", "--kind", kind,
+                                 "--functor", str(path))
+        assert code == cli.EXIT_PRECONDITION, err
+        assert out == "" and "Traceback" not in err
+        assert ("pairs ('a', 'b,c') and ('a,b', 'c') share the object id "
+                "(a,b,c)") in err
+
 
 def run_in_process(argv):
     buf = io.StringIO()
@@ -647,3 +673,137 @@ class TestJsonSafe:
     @given(_values)
     def test_values_convert_as_before(self, value):
         assert cli._json_safe(value) == old_json_safe(value)
+
+
+# -- the canonical emitter against json's own --------------------------------
+
+
+def stdlib_dumps(doc):
+    """The canonical text as json writes it: the oracle for docs.dumps."""
+    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+
+def outcome(dump, value):
+    try:
+        return dump(value)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+# quotes, backslashes, control characters, a non-BMP character and a
+# separator-like pair inside the strings
+_text = st.text(alphabet=st.sampled_from(
+    ['a', 'b', ',', ' ', ':', '"', '\\', '\n', '\t', '\x00', '\x1f', '\x7f',
+     'é', ' ', '\U0001f600']), max_size=5)
+_scalars = (st.none() | st.booleans() | st.integers() | st.floats()
+            | st.sampled_from([float("nan"), float("inf"), float("-inf"),
+                               -0.0, 0.0, 1e300]) | _text)
+_documents = st.recursive(
+    _scalars,
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(_text, max_size=4)
+        | st.lists(children, max_size=3).map(tuple)
+        | st.dictionaries(_text, children, max_size=4)
+        | st.dictionaries(st.integers(), children, max_size=3)
+        | st.dictionaries(st.floats(allow_nan=False), children, max_size=3)
+        | st.dictionaries(st.booleans() | st.none(), children, max_size=2)
+        | st.dictionaries(_text | st.integers(), children, max_size=3)),
+    max_leaves=16)
+
+
+class TestCanonicalEmitter:
+    @settings(max_examples=400, deadline=None)
+    @given(_documents)
+    def test_values_emit_as_json_does(self, value):
+        assert outcome(docs.dumps, value) == outcome(stdlib_dumps, value)
+
+    @pytest.mark.parametrize("value", [
+        {}, [], (), "", {"": {}}, [[], {}, ()], {"a": [[]]}, -0.0,
+        {"b": 1, "a": {"d": [1.5, None, True], "c": ("x", "y")}},
+        [["a", "b"], ["c", 1], [["d"]]], {2: "x", 10: "y"},
+        {"k": {2: [{"a": "b"}], 10: None}}, {"x": {2: "a", "1": "b"}}])
+    def test_edge_values(self, value):
+        assert outcome(docs.dumps, value) == outcome(stdlib_dumps, value)
+
+    def test_every_fixture_document(self):
+        for name, doc in sorted(fixtures.build_fixtures().items()):
+            assert docs.dumps(doc) == stdlib_dumps(doc), name
+
+    def test_every_report_of_a_fixture_sweep(self, fixture_dir, monkeypatch):
+        real = docs.dumps
+        seen = []
+
+        def compare(doc):
+            text = real(doc)
+            assert text == stdlib_dumps(doc)
+            seen.append(len(text))
+            return text
+
+        monkeypatch.setattr(docs, "dumps", compare)
+        for argv in fixture_commands(fixture_dir):
+            with contextlib.redirect_stdout(io.StringIO()) as out, \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main(argv)
+            assert (code == 0) == bool(out.getvalue()), argv
+        assert len(seen) > 70
+
+
+# -- the one-subcommand parser against the full one ----------------------------
+
+
+def parse_outcome(parse, argv):
+    """(stdout, stderr, exit status or the parsed namespace) of parse."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = parse(argv)
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+    return out.getvalue(), err.getvalue(), result
+
+
+# argv on which argparse prints or exits, then argv that parse
+ARGV_EXITS = [
+    [], ["-h"], ["--help"], ["classify", "-h"], ["suite", "--help"],
+    ["nope"], ["classify"], ["classify", "--functor"],
+    ["suite", "--jobs", "0"], ["suite", "--jobs", "x"],
+    ["classify", "--functor", "f.json", "--certify-dim", "two"],
+    ["classify", "--functor", "f.json", "extra"],
+    ["--timings=1", "classify", "--functor", "f.json"],
+    ["-x", "classify", "--functor", "f.json"],
+    ["--", "classify", "--functor", "f.json"],
+    ["compose", "--mode", "corr", "a.json"],
+    ["compose", "--mode", "nope", "a.json", "b.json"],
+    ["replace", "--functor", "f.json"],
+]
+ARGV_PARSES = [
+    ["--timings", "classify", "--functor", "f.json"],
+    ["--tim", "classify", "--functor", "f.json"],
+    ["classify", "--fun", "f.json", "--certify-dim", "2"],
+    ["homology", "c.json", "--max-dim", "3"],
+    ["suite", "--jobs", "2", "--size", "1", "--seed", "7"],
+]
+
+
+class TestSubcommandParser:
+    @pytest.mark.parametrize("argv", ARGV_EXITS + ARGV_PARSES, ids=" ".join)
+    def test_parses_as_the_full_parser(self, argv):
+        full = parse_outcome(lambda a: cli.build_parser().parse_args(a), argv)
+        assert parse_outcome(cli._parse_args, argv) == full
+        assert isinstance(full[2], tuple) == (argv in ARGV_EXITS)
+
+    @pytest.mark.parametrize("argv", ARGV_EXITS, ids=" ".join)
+    def test_main_prints_and_exits_as_the_full_parser(self, argv):
+        full = parse_outcome(lambda a: cli.build_parser().parse_args(a), argv)
+        assert parse_outcome(cli.main, argv) == full
+
+    @pytest.mark.parametrize("argv", [
+        ["--timings", "homology", "FX/cyclic_2.json"],
+        ["--tim", "homology", "FX/cyclic_2.json"]])
+    def test_timings_before_the_subcommand(self, argv, fixture_dir):
+        argv = [a.replace("FX", fixture_dir) for a in argv]
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert cli.main(argv) == 0
+        assert json.loads(buf.getvalue())["timing_s"] is not None
