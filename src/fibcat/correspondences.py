@@ -9,6 +9,12 @@ composition rules (gluing over [2] then restricting, the set-level coend,
 and fiberwise components of the pulled-back bifibration), and identity
 and product operations.
 
+A category over [n] is the same thing as its fibers, the edge bimodules
+between them and the composition of their elements; `glue` builds it
+from exactly that data.  A collage is the gluing over [1] of one
+bimodule, and `glue_over_triangle` the gluing over [2] of two
+correspondences and their coend.
+
 Profunctors are compared only up to explicit ProfunctorIso; coend classes
 have no canonical representatives, so the isomorphism object is the proof
 artifact.  Quotients are taken by union-find over the zigzag-generated
@@ -265,21 +271,6 @@ class Correspondence:
     fiber_s: FiniteCategory
     fiber_t: FiniteCategory
 
-    def validate(self):
-        I1 = core.interval(1)
-        if self.projection.target != I1:
-            raise PreconditionError("projection must land in the 1-cell")
-        if self.projection.source != self.total:
-            raise PreconditionError("projection source mismatch")
-        self.projection._validate()
-        fs = core.fiber(self.projection, "0")
-        ft = core.fiber(self.projection, "1")
-        if fs != self.fiber_s:
-            raise PreconditionError("source fiber differs from the named category")
-        if ft != self.fiber_t:
-            raise PreconditionError("target fiber differs from the named category")
-        return self
-
     def cross_morphisms(self):
         p = self.projection
         return tuple(m for m in self.total.morphisms
@@ -299,18 +290,72 @@ def correspondence_from_total(total, fiber_s_objects):
                                     "s-side; not a functor to the 1-cell")
         mor_map[m] = f"{a}->{b}"
     proj = Functor(total, I1, ob_map, mor_map)
-    fs = core.fiber(proj, "0")
-    ft = core.fiber(proj, "1")
-    return Correspondence(total, proj, fs, ft).validate()
+    return Correspondence(total, proj, core.fiber(proj, "0"),
+                          core.fiber(proj, "1"))
 
 
 def identity_correspondence(C):
     """The projection C x [1] -> [1]."""
-    I1 = core.interval(1)
-    P, pr1, pr2 = core.product_projections(C, I1)
-    fs = core.fiber(pr2, "0")
-    ft = core.fiber(pr2, "1")
-    return Correspondence(P, pr2, fs, ft).validate()
+    P, pr1, pr2 = core.product_projections(C, core.interval(1))
+    return Correspondence(P, pr2, core.fiber(pr2, "0"), core.fiber(pr2, "1"))
+
+
+# -- gluing over [n] -----------------------------------------------------------
+
+
+def glue(K, fibers, edges, pairings):
+    """The category over K = interval(n) presented by its fibers, its edge
+    bimodules and the composition of their elements; returns the
+    projection to K.
+
+    fibers[x] is the fiber over the object x; fiber ids must be disjoint.
+    For each non-identity arrow phi, edges[phi] = (P, name): the element
+    e of P at (a, b) is the morphism name(a, b, e) over phi, and it
+    composes with the fibers through P's actions.  For each composable
+    pair of non-identity arrows, pairings[(phi, psi)](a, c, b, e, f) is
+    the element over psi∘phi that the composite f∘e is.  The total is
+    validated in full, so colliding ids and pairings that are not
+    compatible with the actions are refused as CategoryError.
+    """
+    side, mor_map = {}, {}
+    objects, morphisms, identities, composition = [], [], {}, {}
+    for x in K.objects:
+        F = fibers[x]
+        objects += F.objects
+        morphisms += F.morphism_triples()
+        identities.update(F.identity)
+        composition.update(F.composition_table())
+        side.update(dict.fromkeys(F.objects, x))
+        mor_map.update(dict.fromkeys(F.morphisms, K.identity[x]))
+    for phi, (P, name) in edges.items():
+        A, B = fibers[K.src[phi]], fibers[K.tgt[phi]]
+        for (a, b), es in P.elements.items():
+            into, out_of = A.morphisms_to(a), B.morphisms_from(b)
+            for e in es:
+                m = name(a, b, e)
+                morphisms.append((m, a, b))
+                mor_map[m] = phi
+                for alpha in into:
+                    composition[(m, alpha)] = name(
+                        A.src[alpha], b, P.lact[(alpha, b)][e])
+                for beta in out_of:
+                    composition[(beta, m)] = name(
+                        a, B.tgt[beta], P.ract[(a, beta)][e])
+    for (phi, psi), pairing in pairings.items():
+        (P, name_phi), (Q, name_psi) = edges[phi], edges[psi]
+        name_psi_phi = edges[K.compose(psi, phi)][1]
+        ends = fibers[K.tgt[psi]].objects
+        for (a, b), es in P.elements.items():
+            for c in ends:
+                for f in Q.elements[(b, c)]:
+                    g = name_psi(b, c, f)
+                    for e in es:
+                        composition[(g, name_phi(a, b, e))] = name_psi_phi(
+                            a, c, pairing(a, c, b, e, f))
+    total = FiniteCategory(objects, morphisms, identities, composition)
+    # a functor by construction: every morphism lies over the arrow
+    # between its ends' fibers, and K is a poset
+    return Functor(total, K, side, mor_map, _validate=False)
 
 
 def collage_cross_id(a, b, x):
@@ -318,35 +363,17 @@ def collage_cross_id(a, b, x):
 
 
 def collage(P):
-    """The category A ⊔ B with cross-homs the element sets of P.
+    """The category A ⊔ B with cross-homs the element sets of P: the
+    gluing over [1] of the fibers A and B along the edge P.
 
-    Composition of a cross element with morphisms of A and B is given by
-    the two actions.  Object and morphism ids of A and B must be disjoint.
+    Object and morphism ids of A and B must be disjoint.
     """
     A, B = P.source, P.target
     if set(A.objects) & set(B.objects) or set(A.morphisms) & set(B.morphisms):
         raise PreconditionError("collage requires disjoint ids; relabel first")
-    objects = list(A.objects) + list(B.objects)
-    morphisms = list(A.morphism_triples()) + list(B.morphism_triples())
-    cross = {}
-    for (a, b), xs in P.elements.items():
-        for x in xs:
-            m = collage_cross_id(a, b, x)
-            morphisms.append((m, a, b))
-            cross[m] = (a, b, x)
-    identities = {**A.identity, **B.identity}
-    composition = {**A.composition_table(), **B.composition_table()}
-    for m, (a, b, x) in cross.items():
-        for alpha in A.morphisms_to(a):
-            a1 = A.src[alpha]
-            composition[(m, alpha)] = collage_cross_id(
-                a1, b, P.lact[(alpha, b)][x])
-        for beta in B.morphisms_from(b):
-            b1 = B.tgt[beta]
-            composition[(beta, m)] = collage_cross_id(
-                a, b1, P.ract[(a, beta)][x])
-    total = FiniteCategory(objects, morphisms, identities, composition)
-    return correspondence_from_total(total, A.objects)
+    proj = glue(core.interval(1), {"0": A, "1": B},
+                {"0->1": (P, collage_cross_id)}, {})
+    return Correspondence(proj.source, proj, A, B)
 
 
 def corr_to_profunctor(c):
@@ -649,80 +676,67 @@ def coend_pairs(P01, P12, a, c):
     return uf
 
 
+def _as_named(a, b, e):
+    """The cross-homs of a correspondence, read as a bimodule, are
+    elements named by their own morphism ids."""
+    return e
+
+
 def glue_over_triangle(c01, c12):
     """The pushout of two correspondences along their shared middle fiber,
     as a category over [2].
 
     Homs within each input are unchanged; cross-homs from the 0-side to
     the 2-side are coend classes of composable pairs through the middle,
-    computed by union-find over the zigzag relation.  Requires the middle
-    fiber to match on the nose and ids away from it to be disjoint.
+    computed by union-find over the zigzag relation and named
+    [p|q] after their least pair.  Requires the middle fiber to match on
+    the nose and ids away from it to be disjoint; two classes whose names
+    print alike are refused.
     """
     B = c01.fiber_t
     if c12.fiber_s != B:
         raise PreconditionError("middle fibers differ; relabel first")
     E01, E12 = c01.total, c12.total
-    shared_obj = set(E01.objects) & set(E12.objects)
-    if shared_obj != set(B.objects):
+    if set(E01.objects) & set(E12.objects) != set(B.objects):
         raise PreconditionError("object ids must overlap exactly in the middle")
-    shared_mor = set(E01.morphisms) & set(E12.morphisms)
-    if shared_mor != set(B.morphisms):
+    if set(E01.morphisms) & set(E12.morphisms) != set(B.morphisms):
         raise PreconditionError("morphism ids must overlap exactly in the middle")
     A, C = c01.fiber_s, c12.fiber_t
     P01 = corr_to_profunctor(c01)
     P12 = corr_to_profunctor(c12)
-    objects = list(E01.objects) + [o for o in E12.objects if o not in shared_obj]
-    morphisms = list(E01.morphism_triples()) + \
-        [t for t in E12.morphism_triples() if t[0] not in shared_mor]
-    identities = {**E01.identity, **E12.identity}
-    composition = {**E01.composition_table(), **E12.composition_table()}
-
-    def class_id(uf, triple):
-        b, p, q = uf.find(triple)
-        return f"[{p}|{q}]"
-
-    cross_class = {}
+    classes = {}      # (a, c) -> [(class id, least triple)], by class id
+    rep_of = {}       # class id -> its least triple (b, p, q), over all (a, c)
+    cross_class = {}  # (p, q) -> class id
     for a in A.objects:
-        for cobj in C.objects:
-            uf = coend_pairs(P01, P12, a, cobj)
+        for c in C.objects:
+            uf = coend_pairs(P01, P12, a, c)
             reps = {}
             for triple in uf.parent:
-                cid = class_id(uf, triple)
-                cross_class[(triple[1], triple[2])] = cid
-                reps[cid] = True
-            for cid in sorted(reps):
-                morphisms.append((cid, a, cobj))
-    # composition into and out of the glued cross classes
-    for (p, q), cid in cross_class.items():
-        a = E01.src[p]
-        b = E01.tgt[p]
-        cobj = E12.tgt[q]
-        # q∘p is the class itself; precompose with A, postcompose with C
-        composition[(q, p)] = cid
-        for alpha in A.morphisms_to(a):
-            p2 = E01.compose(p, alpha)
-            composition.setdefault((cid, alpha), cross_class[(p2, q)])
-        for gamma in C.morphisms_from(cobj):
-            q2 = E12.compose(gamma, q)
-            composition.setdefault((gamma, cid), cross_class[(p, q2)])
-    # the A- and C-actions on a class are independent of the chosen pair:
-    # the zigzag relation is stable under both; validation below would
-    # catch any failure as an associativity defect
-    total = FiniteCategory(objects, morphisms, identities, composition)
-    I2 = core.interval(2)
-    side = {}
-    for o in objects:
-        if o in set(A.objects):
-            side[o] = "0"
-        elif o in shared_obj:
-            side[o] = "1"
-        else:
-            side[o] = "2"
-    mor_map = {}
-    for m in total.morphisms:
-        mor_map[m] = f"{side[total.src[m]]}->{side[total.tgt[m]]}"
-    proj = Functor(total, I2, side, mor_map)
-    return GluedTriangle(total, proj, cross_class)
+                rep = uf.find(triple)
+                cid = cross_class[triple[1:]] = f"[{rep[1]}|{rep[2]}]"
+                if rep_of.setdefault(cid, rep) != rep:
+                    raise PreconditionError(
+                        f"classes of {rep_of[cid]} and {rep} share the "
+                        f"class id {cid}", witness=[rep_of[cid], rep])
+                reps[cid] = rep
+            classes[(a, c)] = sorted(reps.items())
+    # the A- and C-actions on a class, read off its least triple: the
+    # zigzag relation is stable under both, and the full validation of
+    # the glued total would catch any failure as an associativity defect
+    lact = {(alpha, c): {cid: cross_class[(P01.lact[(alpha, b)][p], q)]
+                         for cid, (b, p, q) in classes[(A.tgt[alpha], c)]}
+            for alpha in A.morphisms for c in C.objects}
+    ract = {(a, gamma): {cid: cross_class[(p, P12.ract[(b, gamma)][q])]
+                         for cid, (b, p, q) in classes[(a, C.src[gamma])]}
+            for a in A.objects for gamma in C.morphisms}
+    elements = {key: tuple(cid for cid, _ in reps)
+                for key, reps in classes.items()}
+    P02 = Profunctor(A, C, elements, lact, ract)
+    proj = glue(core.interval(2), {"0": A, "1": B, "2": C},
+                {"0->1": (P01, _as_named), "1->2": (P12, _as_named),
+                 "0->2": (P02, _as_named)},
+                {("0->1", "1->2"): lambda a, c, b, p, q: cross_class[(p, q)]})
+    return GluedTriangle(proj.source, proj, cross_class)
 
 
 def restrict_triangle(glued, lower, upper):

@@ -341,69 +341,13 @@ def category_over_2(P01, P12, P02, pairing):
     With P02 the coend and the class pairing this is the glued pushout;
     other choices realize non-exponentiable functors over [2].
     """
-    A, B = P01.source, P01.target
-    C = P12.target
-    objects = list(A.objects) + list(B.objects) + list(C.objects)
-    morphisms = (list(A.morphism_triples()) + list(B.morphism_triples())
-                 + list(C.morphism_triples()))
-    cross01 = {}
-    for (a, b), els in P01.elements.items():
-        for x in els:
-            m = corrs.collage_cross_id(a, b, x)
-            morphisms.append((m, a, b))
-            cross01[m] = (a, b, x)
-    cross12 = {}
-    for (b, c), els in P12.elements.items():
-        for y in els:
-            m = corrs.collage_cross_id(b, c, y)
-            morphisms.append((m, b, c))
-            cross12[m] = (b, c, y)
-    cross02 = {}
-    for (a, c), els in P02.elements.items():
-        for z in els:
-            m = f"{z}::{a}>{c}"
-            morphisms.append((m, a, c))
-            cross02[m] = (a, c, z)
-    identities = {**A.identity, **B.identity, **C.identity}
-    composition = {**A.composition_table(), **B.composition_table(),
-                   **C.composition_table()}
-    for m, (a, b, x) in cross01.items():
-        for alpha in A.morphisms_to(a):
-            composition[(m, alpha)] = corrs.collage_cross_id(
-                A.src[alpha], b, P01.lact[(alpha, b)][x])
-        for beta in B.morphisms_from(b):
-            composition[(beta, m)] = corrs.collage_cross_id(
-                a, B.tgt[beta], P01.ract[(a, beta)][x])
-    for m, (b, c, y) in cross12.items():
-        for beta in B.morphisms_to(b):
-            composition[(m, beta)] = corrs.collage_cross_id(
-                B.src[beta], c, P12.lact[(beta, c)][y])
-        for gamma in C.morphisms_from(c):
-            composition[(gamma, m)] = corrs.collage_cross_id(
-                b, C.tgt[gamma], P12.ract[(b, gamma)][y])
-    for m, (a, c, z) in cross02.items():
-        for alpha in A.morphisms_to(a):
-            composition[(m, alpha)] = \
-                f"{P02.lact[(alpha, c)][z]}::{A.src[alpha]}>{c}"
-        for gamma in C.morphisms_from(c):
-            composition[(gamma, m)] = \
-                f"{P02.ract[(a, gamma)][z]}::{a}>{C.tgt[gamma]}"
-    for m1, (a, b, x) in cross01.items():
-        for m2, (b2, c, y) in cross12.items():
-            if b2 == b:
-                composition[(m2, m1)] = f"{pairing(a, c, b, x, y)}::{a}>{c}"
-    total = FiniteCategory(objects, morphisms, identities, composition)
-    I2 = core.interval(2)
-    side = {}
-    for o in A.objects:
-        side[o] = "0"
-    for o in B.objects:
-        side[o] = "1"
-    for o in C.objects:
-        side[o] = "2"
-    return Functor(total, I2, side,
-                   {m: f"{side[total.src[m]]}->{side[total.tgt[m]]}"
-                    for m in total.morphisms})
+    return corrs.glue(
+        core.interval(2),
+        {"0": P01.source, "1": P01.target, "2": P12.target},
+        {"0->1": (P01, corrs.collage_cross_id),
+         "1->2": (P12, corrs.collage_cross_id),
+         "0->2": (P02, lambda a, c, z: f"{z}::{a}>{c}")},
+        {("0->1", "1->2"): pairing})
 
 
 def random_functor_over_1(rng, max_objects=2, max_morphisms=5,

@@ -125,6 +125,20 @@ class TestCliExitContract:
         assert shown == [f"  missing composite for pair ({g},{f})"
                          for f, g in pairs[:20]]
 
+    def test_correspondence_with_a_backward_morphism_is_3(self, tmp_path):
+        # declaring the t-side of C x [1] as the s-side turns every cross
+        # morphism into one from the t-side to the s-side
+        doc = docs.correspondence_to_doc(
+            corrs.identity_correspondence(core.interval(1)))
+        s_side = set(doc["fiber_s_objects"])
+        doc["fiber_s_objects"] = sorted(set(doc["total"]["objects"]) - s_side)
+        path = tmp_path / "backward.json"
+        path.write_text(docs.dumps(doc))
+        code, out, err = run_cli("roundtrip", str(path))
+        assert code == cli.EXIT_VALIDATION, err
+        assert out == "" and "Traceback" not in err
+        assert "goes from the t-side to the s-side" in err
+
     def test_bad_composite_is_3(self, fixture_dir):
         code, out, err = run_cli(
             "homology", os.path.join(fixture_dir, "defect_bad_composite.json"))
@@ -445,6 +459,35 @@ class TestCollidingPairIds:
             assert out == "" and "Traceback" not in err
             assert "share the object id (chk0.a,b,c,x)" in err
 
+
+    def test_compose_corr_refuses_glued_classes_that_print_alike(
+            self, tmp_path):
+        # the coend at (a, c) has two classes, through b1 and through b2;
+        # both used to be named [u|v|w] and were merged into one morphism
+        def corr(objects, cross, s_objects):
+            ids = {o: f"1{o}" for o in objects}
+            composition = {(i, i): i for i in ids.values()}
+            for m, a, b in cross:
+                composition[(ids[b], m)] = composition[(m, ids[a])] = m
+            total = core.FiniteCategory(
+                objects, [(i, o, o) for o, i in ids.items()] + cross, ids,
+                composition)
+            return corrs.correspondence_from_total(total, s_objects)
+
+        c01 = corr(["a", "b1", "b2"],
+                   [("u|v", "a", "b1"), ("u", "a", "b2")], ["a"])
+        c12 = corr(["b1", "b2", "c"],
+                   [("w", "b1", "c"), ("v|w", "b2", "c")], ["b1", "b2"])
+        paths = []
+        for name, c in (("E01", c01), ("E12", c12)):
+            paths.append(str(tmp_path / f"{name}.json"))
+            with open(paths[-1], "w") as fh:
+                fh.write(docs.dumps(docs.correspondence_to_doc(c)))
+        code, out, err = run_cli("compose", "--mode", "corr", *paths)
+        assert code == cli.EXIT_PRECONDITION, err
+        assert out == "" and "Traceback" not in err
+        assert ("classes of ('b1', 'u|v', 'w') and ('b2', 'u', 'v|w') share "
+                "the class id [u|v|w]") in err
 
     def test_classify_refuses_colliding_replacement_ids(self, tmp_path):
         # over a base with isomorphisms classify reads the isofibration
