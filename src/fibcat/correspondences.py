@@ -909,18 +909,24 @@ def _iso_on_classes(coend, other, class_of, image_of_member, label):
     return profunctor_iso_from_map(coend, other, mapping)
 
 
-def composition_routes(P01, P12):
+def composition_routes(P01, P12, pair=None):
     """Compose by all three rules and exhibit the canonical isomorphisms.
 
     Returns a dict with the three composite bimodules (coend, through the
     glued correspondence, through the pulled-back bifibration) and the
     isos from the coend to each.  Ids of the outer categories must not
-    collide with each other or the middle; relabel first if they do.  The
-    collages are built first, so colliding ids are refused before any
-    composite is computed.
+    collide with each other or the middle; relabel first if they do.
+
+    The glued route composes pair = (c01, c12), correspondences whose
+    cross-hom bimodules are P01 and P12 with the element x naming the
+    cross morphism x, as corr_to_profunctor reads them.  By default it
+    composes the collages of P01 and P12, built first, so colliding ids
+    are refused before any composite is computed.
     """
-    c01 = collage(P01)
-    c12 = collage(P12)
+    if pair is None:
+        c01, c12, cross = collage(P01), collage(P12), collage_cross_id
+    else:
+        (c01, c12), cross = pair, _as_named
     comp_c, glued = compose_corr(c01, c12)
     via_corr = corr_to_profunctor(comp_c)
     coend, class_of = compose_prof(P01, P12)
@@ -930,7 +936,7 @@ def composition_routes(P01, P12):
     iso_corr = _iso_on_classes(
         coend, via_corr, class_of,
         lambda a, c, b, x, y: glued.cross_class[
-            (collage_cross_id(a, b, x), collage_cross_id(b, c, y))],
+            (cross(a, b, x), cross(b, c, y))],
         "coend vs glued-correspondence route")
     iso_bifib = _iso_on_classes(
         coend, via_bifib, class_of,

@@ -2,11 +2,11 @@
 
 CoCartesian/Cartesian replacement by arrows out of/into the image,
 left/right fibration replacement by fiberwise components of the comma,
-relative classifying spaces for left-final/right-initial fibrations,
-Grothendieck constructions in set- and category-valued flavors with
-cleavage extraction, maximal sub-left/right fibrations, pushforward along
-exponentiable fibrations, and fiberwise Kan extension of set-valued
-diagrams.
+relative classifying spaces for left-final/right-initial fibrations (the
+right-handed one by duality), one Grothendieck construction (a set-valued
+functor is one with discrete values) with cleavage extraction, maximal
+sub-left/right fibrations, pushforward along exponentiable fibrations,
+and fiberwise Kan extension of set-valued diagrams.
 
 Choices (cleavages, class representatives, factorizations) are always the
 lexicographically least candidate, so outputs are reproducible.
@@ -128,45 +128,78 @@ def cart_replacement(pi):
     return Replacement(proj, unit)
 
 
-# -- set-valued straightening -----------------------------------------------
+# -- the Grothendieck construction --------------------------------------------
+
+
+def _lift_id(phi, e):
+    """The morphism over phi out of (src phi, e) whose fiber part is an
+    identity."""
+    return f"({phi}@{e})"
+
+
+def _cat_mor_id(phi, e, rho, identity_rho):
+    # canonical lifts sort before every other lift of the same (phi, e)
+    return _lift_id(phi, e) if rho == identity_rho else f"({phi}@{e};{rho})"
+
+
+def _grothendieck(F, _validate):
+    """Total category and projection of strictly functorial fiber data F.
+
+    Objects are pairs (x, e) with e in F(x); a morphism (x,e) -> (y,e')
+    is a pair (phi: x -> y, rho: F(phi)(e) -> e'), and (psi, sigma) after
+    (phi, rho) is (psi∘phi, sigma∘F(psi)(rho)), composed through an index
+    of the morphisms out of each object.
+    """
+    K, fibers, transports = F.base, F.values, F.transports
+    objects, morphisms, identities, ob_map = [], [], {}, {}
+    data = {}    # morphism -> (phi, e, rho)
+    out_of = {}  # object -> the morphisms out of it
+    for x in K.objects:
+        for e in fibers[x].objects:
+            o = pair_id(x, e)
+            objects.append(o)
+            identities[o] = _lift_id(K.identity[x], e)
+            ob_map[o] = x
+            out_of[o] = []
+    for phi in K.morphisms:
+        x, y = K.src[phi], K.tgt[phi]
+        T, fib_y = transports[phi], fibers[y]
+        for e in fibers[x].objects:
+            o, te = pair_id(x, e), T.ob_map[e]
+            for rho in fib_y.morphisms_from(te):
+                m = _cat_mor_id(phi, e, rho, fib_y.identity[te])
+                morphisms.append((m, o, pair_id(y, fib_y.tgt[rho])))
+                data[m] = (phi, e, rho)
+                out_of[o].append(m)
+    composition = {}
+    for m, _, o2 in morphisms:
+        phi, e, rho = data[m]
+        for m2 in out_of[o2]:
+            psi, _, sigma = data[m2]
+            comp, fib_z = K.compose(psi, phi), fibers[K.tgt[psi]]
+            composition[(m2, m)] = _cat_mor_id(
+                comp, e, fib_z.compose(sigma, transports[psi].mor_map[rho]),
+                fib_z.identity[transports[comp].ob_map[e]])
+    total = FiniteCategory(objects, morphisms, identities, composition,
+                           _validate=_validate)
+    return Functor(total, K, ob_map, {m: d[0] for m, d in data.items()})
 
 
 def unstraighten(F):
-    """Total category of a set-valued functor: a discrete opfibration."""
+    """Total category of a set-valued functor: the Grothendieck
+    construction on its values taken as discrete categories, a discrete
+    opfibration."""
     F.validate()
     K = F.base
-    objects = []
-    for x in K.objects:
-        for a in F.values[x]:
-            objects.append(pair_id(x, a))
-    morphisms = []
+    fibers = {x: core.discrete_category(F.values[x]) for x in K.objects}
+    transports = {}
     for m in K.morphisms:
-        x, y = K.src[m], K.tgt[m]
-        for a in F.values[x]:
-            morphisms.append((f"({m}@{a})", pair_id(x, a),
-                              pair_id(y, F.transports[m][a])))
-    identities = {pair_id(x, a): f"({K.identity[x]}@{a})"
-                  for x in K.objects for a in F.values[x]}
-    composition = {}
-    for m in K.morphisms:
-        for m2 in K.morphisms:
-            if K.tgt[m] != K.src[m2]:
-                continue
-            comp = K.compose(m2, m)
-            for a in F.values[K.src[m]]:
-                composition[(f"({m2}@{F.transports[m][a]})", f"({m}@{a})")] = \
-                    f"({comp}@{a})"
-    total = FiniteCategory(objects, morphisms, identities, composition,
-                           _validate=False)
-    ob_map = {}
-    mor_map = {}
-    for x in K.objects:
-        for a in F.values[x]:
-            ob_map[pair_id(x, a)] = x
-    for m in K.morphisms:
-        for a in F.values[K.src[m]]:
-            mor_map[f"({m}@{a})"] = m
-    proj = Functor(total, K, ob_map, mor_map)
+        A, B, t = fibers[K.src[m]], fibers[K.tgt[m]], F.transports[m]
+        transports[m] = Functor(A, B, t, {A.identity[a]: B.identity[b]
+                                          for a, b in t.items()},
+                                _validate=False)
+    proj = _grothendieck(CatValuedFunctor(K, fibers, transports),
+                         _validate=False)
     v = fibrations.is_strict_discrete_opfibration(proj)
     if not v.ok:
         raise InternalInvariantError(f"unstraightening not discrete: {v.witness}")
@@ -192,14 +225,6 @@ def straighten_discrete_opfib(pi):
     return SetValuedFunctor(K, values, transports).validate()
 
 
-# -- category-valued straightening -------------------------------------------
-
-
-def _cat_mor_id(phi, e, rho, identity_rho):
-    # canonical lifts sort before every other lift of the same (phi, e)
-    return f"({phi}@{e})" if rho == identity_rho else f"({phi}@{e};{rho})"
-
-
 def unstraighten_cat(F):
     """Classical total category of a category-valued functor.
 
@@ -209,58 +234,22 @@ def unstraighten_cat(F):
     straighten_cocart.
     """
     F.validate()
-    K = F.base
-    objects = []
-    for x in K.objects:
-        for e in F.values[x].objects:
-            objects.append(pair_id(x, e))
-    morphisms = []
-    data = {}
-    for phi in K.morphisms:
-        x, y = K.src[phi], K.tgt[phi]
-        T = F.transports[phi]
-        fib_y = F.values[y]
-        for e in F.values[x].objects:
-            te = T.ob_map[e]
-            for rho in fib_y.morphisms_from(te):
-                m = _cat_mor_id(phi, e, rho, fib_y.identity[te])
-                morphisms.append((m, pair_id(x, e), pair_id(y, fib_y.tgt[rho])))
-                data[m] = (phi, e, rho)
-    identities = {}
-    for x in K.objects:
-        fib = F.values[x]
-        for e in fib.objects:
-            identities[pair_id(x, e)] = _cat_mor_id(
-                K.identity[x], e, fib.identity[e], fib.identity[e])
-    composition = {}
-    for m, o1, o2 in morphisms:
-        phi, e, rho = data[m]
-        y = K.tgt[phi]
-        for m2, o2b, o3 in morphisms:
-            if o2b != o2:
-                continue
-            psi, e2, sigma = data[m2]
-            if K.src[psi] != y:
-                continue
-            comp = K.compose(psi, phi)
-            z = K.tgt[psi]
-            T_psi = F.transports[psi]
-            fib_z = F.values[z]
-            rho_pushed = T_psi.mor_map[rho]
-            total_rho = fib_z.compose(sigma, rho_pushed)
-            te = F.transports[comp].ob_map[e]
-            composition[(m2, m)] = _cat_mor_id(
-                comp, e, total_rho, fib_z.identity[te])
-    total = FiniteCategory(objects, morphisms, identities, composition)
-    proj = Functor(total, K,
-                   {o: o_x for o, o_x in
-                    ((pair_id(x, e), x) for x in K.objects
-                     for e in F.values[x].objects)},
-                   {m: data[m][0] for m, _, _ in morphisms})
+    proj = _grothendieck(F, _validate=True)
     v = fibrations.is_cocartesian_fibration(proj)
     if not v.ok:
         raise InternalInvariantError(f"unstraightening not coCartesian: {v.witness}")
     return proj
+
+
+def _vertical_filler(pi, lift, want, message):
+    """The unique w over an identity with w∘lift = want."""
+    E, K = pi.source, pi.target
+    over = K.identity[pi.ob_map[E.tgt[want]]]
+    fillers = [w for w in E.hom(E.tgt[lift], E.tgt[want])
+               if pi.mor_map[w] == over and E.compose(w, lift) == want]
+    if len(fillers) != 1:
+        raise InternalInvariantError(message)
+    return fillers[0]
 
 
 def straighten_cocart(pi):
@@ -286,49 +275,35 @@ def straighten_cocart(pi):
                 chosen[(e, phi)] = fibrations.cocartesian_lifts(pi, e, phi)[0]
 
     def transport_of(phi):
-        x, y = K.src[phi], K.tgt[phi]
-        fib_x, fib_y = fibers[x], fibers[y]
+        fib_x, fib_y = fibers[K.src[phi]], fibers[K.tgt[phi]]
         ob_map = {e: E.tgt[chosen[(e, phi)]] for e in fib_x.objects}
-        mor_map = {}
-        for vmor in fib_x.morphisms:
-            e, e2 = fib_x.src[vmor], fib_x.tgt[vmor]
-            want = E.compose(chosen[(e2, phi)], vmor)
-            fillers = [w for w in E.hom(ob_map[e], ob_map[e2])
-                       if pi.mor_map[w] == K.identity[y]
-                       and E.compose(w, chosen[(e, phi)]) == want]
-            if len(fillers) != 1:
-                raise InternalInvariantError(
-                    f"coCartesian filler not unique for {vmor} over {phi}")
-            mor_map[vmor] = fillers[0]
+        mor_map = {
+            vmor: _vertical_filler(
+                pi, chosen[(fib_x.src[vmor], phi)],
+                E.compose(chosen[(fib_x.tgt[vmor], phi)], vmor),
+                f"coCartesian filler not unique for {vmor} over {phi}")
+            for vmor in fib_x.morphisms}
         return Functor(fib_x, fib_y, ob_map, mor_map)
 
     transports = {phi: transport_of(phi) for phi in K.morphisms}
     comparisons = {}
     split = True
     for phi in K.morphisms:
-        for psi in K.morphisms:
-            if K.tgt[phi] != K.src[psi]:
-                continue
+        for psi in K.morphisms_from(K.tgt[phi]):
             comp = K.compose(psi, phi)
-            z = K.tgt[psi]
             for e in fibers[K.src[phi]].objects:
                 via = E.compose(chosen[(E.tgt[chosen[(e, phi)]], psi)],
                                 chosen[(e, phi)])
                 direct = chosen[(e, comp)]
-                fillers = [w for w in E.hom(E.tgt[direct], E.tgt[via])
-                           if pi.mor_map[w] == K.identity[z]
-                           and E.compose(w, direct) == via]
-                if len(fillers) != 1:
-                    raise InternalInvariantError(
-                        f"comparison not unique over ({psi},{phi}) at {e}")
-                w = fillers[0]
-                comparisons[(phi, psi, e)] = w
+                w = comparisons[(phi, psi, e)] = _vertical_filler(
+                    pi, direct, via,
+                    f"comparison not unique over ({psi},{phi}) at {e}")
                 if not E.is_iso(w):
                     raise InternalInvariantError(
                         f"comparison over ({psi},{phi}) at {e} is not invertible")
                 if w != E.identity[E.tgt[direct]]:
                     split = False
-    _check_cleavage_cocycle(pi, K, E, fibers, chosen, transports, comparisons)
+    _check_cleavage_cocycle(K, E, fibers, transports, comparisons)
     report = CleavageReport(chosen, comparisons, split)
     if not split:
         return None, report
@@ -336,21 +311,17 @@ def straighten_cocart(pi):
     return F, report
 
 
-def _check_cleavage_cocycle(pi, K, E, fibers, chosen, transports, comparisons):
-    # the two regroupings of a triple composite agree up to the recorded isos
+def _check_cleavage_cocycle(K, E, fibers, transports, comparisons):
+    # the two regroupings of a triple composite agree up to the recorded
+    # isos; a comparison over psi is pushed along chi by the transport
     for phi in K.morphisms:
-        for psi in K.morphisms:
-            if K.tgt[phi] != K.src[psi]:
-                continue
-            for chi in K.morphisms:
-                if K.tgt[psi] != K.src[chi]:
-                    continue
+        for psi in K.morphisms_from(K.tgt[phi]):
+            for chi in K.morphisms_from(K.tgt[psi]):
                 psiphi = K.compose(psi, phi)
                 chipsi = K.compose(chi, psi)
                 for e in fibers[K.src[phi]].objects:
                     one = E.compose(
-                        _push_vertical(pi, E, K, chosen, chi,
-                                       comparisons[(phi, psi, e)]),
+                        transports[chi].mor_map[comparisons[(phi, psi, e)]],
                         comparisons[(psiphi, chi, e)])
                     other = E.compose(
                         comparisons[(psi, chi, transports[phi].ob_map[e])],
@@ -358,19 +329,6 @@ def _check_cleavage_cocycle(pi, K, E, fibers, chosen, transports, comparisons):
                     if one != other:
                         raise InternalInvariantError(
                             f"cleavage cocycle fails on ({chi},{psi},{phi}) at {e}")
-
-
-def _push_vertical(pi, E, K, chosen, chi, w):
-    """Image of a vertical morphism under the chosen transport along chi."""
-    e, e2 = E.src[w], E.tgt[w]
-    z = K.tgt[chi]
-    want = E.compose(chosen[(e2, chi)], w)
-    fillers = [u for u in E.hom(E.tgt[chosen[(e, chi)]], E.tgt[chosen[(e2, chi)]])
-               if pi.mor_map[u] == K.identity[z]
-               and E.compose(u, chosen[(e, chi)]) == want]
-    if len(fillers) != 1:
-        raise InternalInvariantError("transport of a vertical morphism not unique")
-    return fillers[0]
 
 
 # -- left/right fibration replacement ----------------------------------------
@@ -416,7 +374,7 @@ def lfib_replacement(pi):
         phi = pi.mor_map[u]
         j = J.src[u]
         x = pi.ob_map[j]
-        unit_mor[u] = f"({phi}@{reps[x][comma_obj(j, K.identity[x])]})"
+        unit_mor[u] = _lift_id(phi, reps[x][comma_obj(j, K.identity[x])])
     unit = Functor(J, proj.source, unit_ob, unit_mor)
     return LfibReplacement(F, proj, unit)
 
@@ -438,59 +396,48 @@ def rfib_replacement(pi):
 def relative_classifying_space(pi):
     """Fiberwise component collapse, defined when pi is left final or right
     initial (otherwise the localization may leave the finite world; the
-    refusal carries the failing finality witness)."""
+    refusal carries the failing finality witness).  The right-handed
+    collapse is the opposite of the left-handed collapse of the opposite,
+    with contravariant straightened data."""
     left = fibrations.is_left_final_fibration(pi)
-    right = None
-    if not left.ok:
-        right = fibrations.is_right_initial_fibration(pi)
-        if not right.ok:
-            raise PreconditionError(
-                "relative classifying space needs a left-final or "
-                "right-initial fibration",
-                {"left_final": left.witness, "right_initial": right.witness})
+    if left.ok:
+        return _left_collapse(pi)
+    right = fibrations.is_right_initial_fibration(pi)
+    if not right.ok:
+        raise PreconditionError(
+            "relative classifying space needs a left-final or "
+            "right-initial fibration",
+            {"left_final": left.witness, "right_initial": right.witness})
+    op = _left_collapse(core.opposite_functor(pi))
+    proj = core.opposite_functor(op.projection)
+    quotient = Functor(pi.source, proj.source, op.quotient.ob_map,
+                       op.quotient.mor_map, _validate=False)
+    return RelativeClassifyingSpace(proj, quotient, op.straightened, "right")
+
+
+def _left_collapse(pi):
     E, K = pi.source, pi.target
-    fibers = {x: core.fiber(pi, x) for x in K.objects}
-    comp = {x: homology.pi0_map(fibers[x]) for x in K.objects}
+    comp = {x: homology.pi0_map(core.fiber(pi, x)) for x in K.objects}
     values = {x: tuple(sorted(set(comp[x].values()))) for x in K.objects}
-    handed = "left" if left.ok else "right"
 
     def transport(phi, e):
-        x, y = K.src[phi], K.tgt[phi]
-        targets = {comp[y][E.tgt[u]] for u in E.morphisms_from(e)
+        targets = {comp[K.tgt[phi]][E.tgt[u]] for u in E.morphisms_from(e)
                    if pi.mor_map[u] == phi}
         if len(targets) != 1:
             raise InternalInvariantError(
                 f"component transport along {phi} not single-valued at {e}")
         return targets.pop()
 
-    def transport_back(phi, e):
-        x, y = K.src[phi], K.tgt[phi]
-        sources = {comp[x][E.src[u]] for u in E.morphisms_to(e)
-                   if pi.mor_map[u] == phi}
-        if len(sources) != 1:
-            raise InternalInvariantError(
-                f"component transport back along {phi} not single-valued at {e}")
-        return sources.pop()
-
-    if handed == "left":
-        straightened = SetValuedFunctor(K, values, {
-            phi: {rep: transport(phi, rep) for rep in values[K.src[phi]]}
-            for phi in K.morphisms})
-        proj = unstraighten(straightened)
-        end = E.src
-    else:
-        # contravariant data: the opposite of its Grothendieck construction
-        straightened = SetValuedFunctor(core.opposite(K), values, {
-            phi: {rep: transport_back(phi, rep) for rep in values[K.tgt[phi]]}
-            for phi in K.morphisms})
-        proj = core.opposite_functor(unstraighten(straightened))
-        end = E.tgt
-    # u goes to the collapsed morphism over pi(u) indexed by the component
-    # of its source (left-handed) or of its target (right-handed)
+    straightened = SetValuedFunctor(K, values, {
+        phi: {rep: transport(phi, rep) for rep in values[K.src[phi]]}
+        for phi in K.morphisms})
+    proj = unstraighten(straightened)
+    # u goes to the collapsed morphism over pi(u) at the component of its
+    # source
     quotient = Functor(
         E, proj.source,
         {e: pair_id(pi.ob_map[e], comp[pi.ob_map[e]][e]) for e in E.objects},
-        {u: f"({pi.mor_map[u]}@{comp[pi.ob_map[end[u]]][end[u]]})"
+        {u: _lift_id(pi.mor_map[u], comp[pi.ob_map[E.src[u]]][E.src[u]])
          for u in E.morphisms})
     if not fibrations.is_conservative(proj).ok:
         raise InternalInvariantError("relative classifying space not conservative")
@@ -499,7 +446,7 @@ def relative_classifying_space(pi):
         want = sorted(pair_id(x, r) for r in values[x])
         if got != want:
             raise InternalInvariantError("fiber of the collapse is wrong")
-    return RelativeClassifyingSpace(proj, quotient, straightened, handed)
+    return RelativeClassifyingSpace(proj, quotient, straightened, "left")
 
 
 # -- maximal sub-left/right fibrations ----------------------------------------

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from fibcat import core, correspondences as corrs, fibrations as fib
-from fibcat import homology, randgen
+from fibcat import fixtures, homology, randgen
 from fibcat.core import FiniteCategory, PreconditionError
 
 
@@ -325,6 +325,26 @@ class TestComposition:
         for _ in range(15):
             P01, P12 = randgen.random_composable_profunctors(rng)
             corrs.composition_routes(P01, P12)
+
+    def test_given_pair_is_the_glued_route(self):
+        from fibcat import documents as docs
+        rng = random.Random(9)
+        pairs = [randgen.random_composable_profunctors(rng) for _ in range(10)]
+        inputs = [(corrs.collage(P01), corrs.collage(P12))
+                  for P01, P12 in pairs]
+        built = fixtures.build_fixtures()
+        inputs.append(tuple(
+            docs.parse_any(docs.dumps(built[f"two_step_{side}.json"]))[1]
+            for side in ("left", "right")))
+        for c01, c12 in inputs:
+            P01, P12 = corrs.corr_to_profunctor(c01), corrs.corr_to_profunctor(c12)
+            routes = corrs.composition_routes(P01, P12, (c01, c12))
+            composite, _ = corrs.compose_corr(c01, c12)
+            assert docs.dumps(docs.correspondence_to_doc(
+                routes["composite_corr"])) == docs.dumps(
+                docs.correspondence_to_doc(composite))
+            assert docs.profunctor_to_doc(routes["via_corr"]) == \
+                docs.profunctor_to_doc(corrs.corr_to_profunctor(composite))
 
     def test_glue_restricts_to_its_inputs(self):
         rng = random.Random(8)

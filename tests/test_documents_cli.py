@@ -603,7 +603,37 @@ class TestComposeReusesItsRoute:
                          "compose_bifib": 1, route: 1 + overlap}
 
 
+    def test_corr_glues_its_inputs_once(self, fixture_dir, monkeypatch):
+        paths = [os.path.join(fixture_dir, f"{n}.json")
+                 for n in ("two_step_left", "two_step_right")]
+        c01, c12 = (cli._load(p, "correspondence") for p in paths)
+        argv = ["compose", "--mode", "corr", *paths]
+        expected = docs.dumps({
+            "format_version": docs.FORMAT_VERSION, "command": argv,
+            "verdicts": {"route_coherence_checked": True}, "witnesses": {},
+            "certificate_degree": None, "timing_s": None,
+            "composite": docs.correspondence_to_doc(
+                corrs.compose_corr(c01, c12)[0])})
+        calls = {"compose_corr": 0, "collage": 0}
+        for name in calls:
+            real = getattr(corrs, name)
+            monkeypatch.setattr(
+                corrs, name,
+                lambda *args, real=real, name=name:
+                    calls.__setitem__(name, calls[name] + 1) or real(*args))
+        assert run_in_process(argv) == (0, expected)
+        assert calls == {"compose_corr": 1, "collage": 0}
+
+
 class TestSuiteRunner:
+    def test_importing_the_cli_leaves_out_thread_pools(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, fibcat.cli; "
+             "print('concurrent.futures' in sys.modules)"],
+            capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
     def test_suite_passes_and_is_thread_invariant(self, tmp_path):
         code1, out1, err1 = run_cli("suite", "--seed", "5", "--size", "1")
         assert code1 == 0, err1

@@ -130,6 +130,32 @@ class TestCatValuedStraightening:
         assert G.transports["0->1"].ob_map[core.pair_id("0", "0")] == \
             core.pair_id("1", "1")
 
+    def test_involution_over_a_group(self):
+        # Z/2 swaps the two objects of the walking isomorphism: g1∘g1 is
+        # the identity of the base, so the lifts of g1 are invertible
+        K = core.cyclic_group_category(2)
+        W = core.walking_isomorphism()
+        swap = core.Functor(W, W, {"a": "b", "b": "a"},
+                            {"id_a": "id_b", "id_b": "id_a", "i": "j", "j": "i"})
+        F = transport.CatValuedFunctor(
+            K, {"*": W}, {"g0": core.identity_functor(W), "g1": swap})
+        proj = transport.unstraighten_cat(F)
+        total = proj.source
+        a, b = core.pair_id("*", "a"), core.pair_id("*", "b")
+        assert total.objects == (a, b)
+        assert len(total.morphisms) == 8
+        assert total.src["(g1@a)"] == a and total.tgt["(g1@a)"] == b
+        assert total.tgt["(g1@a;j)"] == a
+        assert total.compose("(g1@b)", "(g1@a)") == total.identity[a]
+        assert total.compose("(g1@a;j)", "(g1@a;j)") == total.identity[a]
+        assert total.compose("(g1@b)", "(g0@a;i)") == "(g1@a;j)"
+        assert all(total.is_iso(m) for m in total.morphisms)
+        G, report = transport.straighten_cocart(proj)
+        assert report.split
+        assert report.chosen_lifts[(a, "g1")] == "(g1@a)"
+        assert G.transports["g1"].ob_map == {a: b, b: a}
+        assert G.transports["g1"].mor_map["(g0@a;i)"] == "(g0@b;j)"
+
     def test_cleavage_report_on_grothendieck_construction(self):
         proj = transport.unstraighten(small_diagram())
         G, report = transport.straighten_cocart(proj)
