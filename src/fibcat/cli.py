@@ -17,6 +17,7 @@ import json
 import os
 import random
 import sys
+import threading
 import time
 
 from . import core, correspondences as corrs, documents as docs
@@ -124,18 +125,19 @@ def _route_coherence_flag(P01, P12, pair=None):
     the glued route composes pair when it is given (see
     composition_routes).
 
-    Returns the flag and the routes when they ran on P01, P12 as given,
-    or None when outer ids had to be relabeled first (their composites
-    then carry the relabeled ids)."""
+    Returns the flag and the routes when they ran on P01, P12 as given.
+    When outer ids had to be relabeled first, their composites carry the
+    relabeled ids, so only the pair's glued composite is returned, or
+    None when there is no pair."""
     try:
         return True, corrs.composition_routes(P01, P12, pair)
     except core.PreconditionError:
-        if pair is not None:
-            # a refusal to glue the pair itself is the command's refusal
-            corrs.compose_corr(*pair)
+        # a refusal to glue the pair itself is the command's refusal
+        routes = (None if pair is None
+                  else {"composite_corr": corrs.compose_corr(*pair)[0]})
         Q01, Q12 = _relabel_for_check(P01, P12)
         corrs.composition_routes(Q01, Q12)
-        return True, None
+        return True, routes
 
 
 def cmd_compose(args):
@@ -148,9 +150,7 @@ def cmd_compose(args):
         flag, routes = _route_coherence_flag(corrs.corr_to_profunctor(c01),
                                              corrs.corr_to_profunctor(c12),
                                              (c01, c12))
-        composite = (routes["composite_corr"] if routes
-                     else corrs.compose_corr(c01, c12)[0])
-        out = docs.correspondence_to_doc(composite)
+        out = docs.correspondence_to_doc(routes["composite_corr"])
     else:
         P01 = _load(args.inputs[0], "profunctor")
         P12 = _load(args.inputs[1], "profunctor")
@@ -365,13 +365,30 @@ def _suite_cases(seed, size):
 
 
 def cmd_suite(args):
-    results = []
-    for name, thunk in _suite_cases(args.seed, args.size):
-        try:
-            ok, artifacts = thunk()
-            results.append((name, ok, None, artifacts))
-        except Exception as exc:  # property failure with context
-            results.append((name, False, f"{type(exc).__name__}: {exc}", {}))
+    cases = _suite_cases(args.seed, args.size)
+    results = [None] * len(cases)
+
+    def run_cases(first, step):
+        for i in range(first, len(cases), step):
+            name, thunk = cases[i]
+            try:
+                ok, artifacts = thunk()
+                results[i] = name, ok, None, artifacts
+            except Exception as exc:  # property failure with context
+                results[i] = name, False, f"{type(exc).__name__}: {exc}", {}
+
+    # plain threads: concurrent.futures would import logging and queue on
+    # every such run, and under the GIL no pool runs the cases faster
+    step = min(args.jobs, len(cases))
+    if step > 1:
+        threads = [threading.Thread(target=run_cases, args=(k, step))
+                   for k in range(step)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    else:
+        run_cases(0, 1)
     failures = [(n, err, art) for (n, ok, err, art) in results if not ok]
     if failures and args.artifacts:
         os.makedirs(args.artifacts, exist_ok=True)
@@ -485,8 +502,7 @@ def build_parser(_only=None):
     p = add_parser("suite", help="randomized property suite")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--size", type=int, default=3)
-    p.add_argument("--jobs", type=_positive_int, default=1,
-                   help="accepted and ignored: cases run in order")
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--artifacts", default=None,
                    help="directory for failure artifacts")
     p.set_defaults(func=cmd_suite)
@@ -515,8 +531,8 @@ def _parse_args(argv):
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     args = _parse_args(argv)
-    # the echo records the logical command; --jobs is accepted and
-    # ignored, and left out so that it cannot change a report
+    # the echo records the logical command; thread count is an execution
+    # detail and must not break report determinism
     echo = []
     skip = False
     for token in argv:

@@ -624,6 +624,45 @@ class TestComposeReusesItsRoute:
         assert run_in_process(argv) == (0, expected)
         assert calls == {"compose_corr": 1, "collage": 0}
 
+    def test_corr_fallback_prints_the_pair_glued(self, tmp_path,
+                                                 monkeypatch):
+        # the elements (b, c, d,e) and (b,c, d, e) of P12 both print as
+        # "(b,c,d,e)", so the routes refuse the inputs as given and run
+        # again on relabeled outer ids; the report shows the pair glued
+        def corr(objects, cross, s_objects):
+            ids = {o: f"1{o}" for o in objects}
+            composition = {(i, i): i for i in ids.values()}
+            for m, a, b in cross:
+                composition[(ids[b], m)] = composition[(m, ids[a])] = m
+            total = core.FiniteCategory(
+                objects, [(i, o, o) for o, i in ids.items()] + cross, ids,
+                composition)
+            return corrs.correspondence_from_total(total, s_objects)
+
+        c01 = corr(["a", "b", "b,c"],
+                   [("f", "a", "b"), ("g", "a", "b,c")], ["a"])
+        c12 = corr(["b", "b,c", "c", "d"],
+                   [("d,e", "b", "c"), ("e", "b,c", "d")], ["b", "b,c"])
+        paths = []
+        for name, c in (("E01", c01), ("E12", c12)):
+            paths.append(str(tmp_path / f"{name}.json"))
+            with open(paths[-1], "w") as fh:
+                fh.write(docs.dumps(docs.correspondence_to_doc(c)))
+        argv = ["compose", "--mode", "corr", *paths]
+        composite = corrs.compose_corr(c01, c12)[0]
+        assert sorted(composite.total.morphisms)[-2:] == ["[f|d,e]", "[g|e]"]
+        expected = docs.dumps({
+            "format_version": docs.FORMAT_VERSION, "command": argv,
+            "verdicts": {"route_coherence_checked": True}, "witnesses": {},
+            "certificate_degree": None, "timing_s": None,
+            "composite": docs.correspondence_to_doc(composite)})
+        relabeled = []
+        real = cli._relabel_for_check
+        monkeypatch.setattr(cli, "_relabel_for_check",
+                            lambda *args: relabeled.append(1) or real(*args))
+        assert run_in_process(argv) == (0, expected)
+        assert relabeled == [1]
+
 
 class TestSuiteRunner:
     def test_importing_the_cli_leaves_out_thread_pools(self):
