@@ -6,8 +6,8 @@ and flags; timing is only included under --timings, which deliberately
 opts out of determinism.
 
 Exit status: 0 success (verdicts, even negative ones, are data), 2 parse
-error, 3 validation error, 4 precondition refusal, 5 violated internal
-invariant.
+error, 3 validation error, 4 precondition refusal (an enumeration over
+its cap included), 5 violated internal invariant.
 """
 
 from __future__ import annotations
@@ -147,8 +147,7 @@ def cmd_compose(args):
         if c12.fiber_s != c01.fiber_t:
             raise core.PreconditionError(
                 "middle fibers differ; relabel so they agree on the nose")
-        flag, routes = _route_coherence_flag(corrs.corr_to_profunctor(c01),
-                                             corrs.corr_to_profunctor(c12),
+        flag, routes = _route_coherence_flag(c01.bimodule(), c12.bimodule(),
                                              (c01, c12))
         out = docs.correspondence_to_doc(routes["composite_corr"])
     else:
@@ -564,6 +563,10 @@ def main(argv=None):
         sys.stderr.write(f"precondition failed: {exc}\n")
         if exc.witness is not None:
             sys.stderr.write(f"  witness: {_json_safe(exc.witness)}\n")
+        return EXIT_PRECONDITION
+    except core.EnumerationCapExceeded as exc:
+        sys.stderr.write(f"enumeration refused: {exc}; FIBCAT_ENUM_CAP "
+                         "sets the cap\n")
         return EXIT_PRECONDITION
     except fibrations.InternalInvariantError as exc:
         sys.stderr.write(f"internal invariant violated: {exc}\n")

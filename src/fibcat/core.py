@@ -219,17 +219,42 @@ class FiniteCategory:
 
 
 class Functor:
-    """A structure-preserving map between finite categories."""
+    """A structure-preserving map between finite categories.
 
-    __slots__ = ("source", "target", "ob_map", "mor_map")
+    The source grouped over the target (the objects over each object, the
+    morphisms out of each object over each morphism) is built on first
+    use and kept; instances are immutable after construction.
+    """
+
+    __slots__ = ("source", "target", "ob_map", "mor_map", "_index")
 
     def __init__(self, source, target, ob_map, mor_map, _validate=True):
         self.source = source
         self.target = target
         self.ob_map = dict(ob_map)
         self.mor_map = dict(mor_map)
+        self._index = None
         if _validate:
             self._validate()
+
+    def over(self, x):
+        """The objects over x, in sorted order."""
+        return self._grouped()[0].get(x, ())
+
+    def lifts(self, e, phi):
+        """The morphisms out of e over phi, in sorted order."""
+        return self._grouped()[1].get((e, phi), ())
+
+    def _grouped(self):
+        if self._index is None:
+            C, over, lifts = self.source, {}, {}
+            for x in C.objects:
+                over.setdefault(self.ob_map[x], []).append(x)
+            for m in C.morphisms:
+                lifts.setdefault((C.src[m], self.mor_map[m]), []).append(m)
+            self._index = ({x: tuple(es) for x, es in over.items()},
+                           {k: tuple(fs) for k, fs in lifts.items()})
+        return self._index
 
     def _validate(self):
         C, D = self.source, self.target
@@ -573,9 +598,6 @@ def pullback(F, G):
     if F.target != G.target:
         raise PreconditionError("pullback requires a common target")
     A, B = F.source, G.source
-    b_over = {}
-    for b in B.objects:
-        b_over.setdefault(G.ob_map[b], []).append(b)
     n_over = {}
     for n in B.morphisms:
         n_over.setdefault(G.mor_map[n], []).append(n)
@@ -583,7 +605,7 @@ def pullback(F, G):
     identities = {}
     left_ob, right_ob = {}, {}
     for a in A.objects:
-        for b in b_over.get(F.ob_map[a], ()):
+        for b in G.over(F.ob_map[a]):
             p = pair_id(a, b)
             if p in left_ob:
                 _refuse_shared_id("pairs", "object", p,
@@ -647,17 +669,12 @@ def base_change(pi, g):
 
 def fiber(pi, x):
     """The strict fiber of pi: E -> K over the object x, as a subcategory."""
-    E, K = pi.source, pi.target
-    objects = [e for e in E.objects if pi.ob_map[e] == x]
-    idx = K.identity[x]
-    keep = set(objects)
-    morphisms = [(m, E.src[m], E.tgt[m]) for m in E.morphisms
-                 if pi.mor_map[m] == idx and E.src[m] in keep and E.tgt[m] in keep]
-    mor_keep = {m for m, _, _ in morphisms}
-    identities = {e: E.identity[e] for e in objects}
-    composition = {(g2, f2): h for (g2, f2), h in E._comp.items()
-                   if g2 in mor_keep and f2 in mor_keep}
-    return FiniteCategory(objects, morphisms, identities, composition,
+    E, idx, objects = pi.source, pi.target.identity[x], pi.over(x)
+    morphisms = [(m, e, E.tgt[m]) for e in objects for m in pi.lifts(e, idx)]
+    composition = {(g, f): E._comp[(g, f)] for f, _, t in morphisms
+                   for g in pi.lifts(t, idx)}
+    return FiniteCategory(objects, morphisms,
+                          {e: E.identity[e] for e in objects}, composition,
                           _validate=False)
 
 
@@ -830,7 +847,16 @@ _DEFAULT_ENUM_CAP = 10 ** 6
 def enumeration_cap():
     import os
     value = os.environ.get("FIBCAT_ENUM_CAP")
-    return int(value) if value else _DEFAULT_ENUM_CAP
+    if not value:
+        return _DEFAULT_ENUM_CAP
+    try:
+        cap = int(value)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise PreconditionError(
+            f"FIBCAT_ENUM_CAP must be a positive integer, got {value!r}")
+    return cap
 
 
 def all_functors(C, D, ob_constraint=None, mor_constraint=None, cap=None):
@@ -927,15 +953,12 @@ def all_functors(C, D, ob_constraint=None, mor_constraint=None, cap=None):
 def functors_over(p, q, cap=None):
     """All functors F: J -> E with pi∘F = p, for p: J -> K and q: E -> K."""
     J, E = p.source, q.source
-    by_image_obj = {}
-    for e in E.objects:
-        by_image_obj.setdefault(q.ob_map[e], []).append(e)
     by_image_mor = {}
     for m in E.morphisms:
         by_image_mor.setdefault(q.mor_map[m], []).append(m)
     return all_functors(
         J, E,
-        ob_constraint=lambda x: by_image_obj.get(p.ob_map[x], []),
+        ob_constraint=lambda x: q.over(p.ob_map[x]),
         mor_constraint=lambda m: by_image_mor.get(p.mor_map[m], []),
         cap=cap)
 

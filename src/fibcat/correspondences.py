@@ -270,6 +270,14 @@ class Correspondence:
     projection: Functor
     fiber_s: FiniteCategory
     fiber_t: FiniteCategory
+    _bimodule: Profunctor = field(default=None, init=False, repr=False,
+                                  compare=False)
+
+    def bimodule(self):
+        """The cross-hom bimodule, corr_to_profunctor(self), read once."""
+        if self._bimodule is None:
+            self._bimodule = corr_to_profunctor(self)
+        return self._bimodule
 
     def cross_morphisms(self):
         p = self.projection
@@ -420,9 +428,8 @@ class TwoSidedDiscreteFibration:
         return self
 
     def fiber_elements(self, a, b):
-        L, R = self.to_left.ob_map, self.to_right.ob_map
-        return tuple(sorted(x for x in self.total.objects
-                            if L[x] == a and R[x] == b))
+        R = self.to_right.ob_map
+        return tuple(x for x in self.to_left.over(a) if R[x] == b)
 
 
 def _over_pairs(X, to_A, to_B):
@@ -702,8 +709,7 @@ def glue_over_triangle(c01, c12):
     if set(E01.morphisms) & set(E12.morphisms) != set(B.morphisms):
         raise PreconditionError("morphism ids must overlap exactly in the middle")
     A, C = c01.fiber_s, c12.fiber_t
-    P01 = corr_to_profunctor(c01)
-    P12 = corr_to_profunctor(c12)
+    P01, P12 = c01.bimodule(), c12.bimodule()
     classes = {}      # (a, c) -> [(class id, least triple)], by class id
     rep_of = {}       # class id -> its least triple (b, p, q), over all (a, c)
     cross_class = {}  # (p, q) -> class id

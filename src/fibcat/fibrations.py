@@ -93,9 +93,7 @@ def is_cartesian_morphism(pi, f):
 
 def cocartesian_lifts(pi, e, phi):
     """All coCartesian morphisms out of e over phi, sorted by id."""
-    E = pi.source
-    return [f for f in sorted(E.morphisms_from(e))
-            if pi.mor_map[f] == phi and is_cocartesian_morphism(pi, f).ok]
+    return [f for f in pi.lifts(e, phi) if is_cocartesian_morphism(pi, f).ok]
 
 
 def is_cocartesian_fibration(pi):
@@ -107,8 +105,8 @@ def is_cocartesian_fibration(pi):
         for phi in sorted(K.morphisms_from(x)):
             if K.is_identity(phi):
                 continue  # identity lifts are always coCartesian
-            if not any(pi.mor_map[f] == phi and is_cocartesian_morphism(pi, f).ok
-                       for f in E.morphisms_from(e)):
+            if not any(is_cocartesian_morphism(pi, f).ok
+                       for f in pi.lifts(e, phi)):
                 return Verdict(False, {"object": e, "morphism": phi})
     return Verdict(True)
 
@@ -174,7 +172,7 @@ def is_strict_discrete_opfibration(pi):
     for e in sorted(E.objects):
         x = pi.ob_map[e]
         for phi in sorted(K.morphisms_from(x)):
-            lifts = [f for f in E.morphisms_from(e) if pi.mor_map[f] == phi]
+            lifts = pi.lifts(e, phi)
             if len(lifts) != 1:
                 return Verdict(False, {"object": e, "morphism": phi,
                                        "lifts": len(lifts)})
@@ -183,12 +181,6 @@ def is_strict_discrete_opfibration(pi):
 
 def is_strict_discrete_fibration(pi):
     return is_strict_discrete_opfibration(core.opposite_functor(pi))
-
-
-# the unqualified names mean the strict unique-lift notion; the
-# groupoid-fibered variant is is_left_fibration / is_right_fibration
-is_discrete_opfibration = is_strict_discrete_opfibration
-is_discrete_fibration = is_strict_discrete_fibration
 
 
 def is_conservative(pi):
@@ -220,9 +212,8 @@ def factorization_category(pi, phi, psi, lift):
     e0, e2 = E.src[lift], E.tgt[lift]
     ends = core._ends_by_id("factorizations", (
         (core.pair_id(u, v), (u, v), (E.tgt[u], "*", (u, v)))
-        for u in E.morphisms_from(e0) if pi.mor_map[u] == phi
-        for v in E.hom(E.tgt[u], e2)
-        if pi.mor_map[v] == psi and E.compose(v, u) == lift))
+        for u in pi.lifts(e0, phi) for v in pi.lifts(E.tgt[u], psi)
+        if E.compose(v, u) == lift))
     mid_id = K.identity[K.tgt[phi]]
 
     def commutes(uv1, w, _, uv2):
@@ -280,7 +271,7 @@ def is_exponentiable(pi, certify_dim=None):
         return _exponentiable_pi0(pi)
     # a homology failure may come before a pi0 failure in this order, so
     # each factorization category is built and checked in turn
-    for phi, psi, lifts in _composable_lifts(pi, *_edge_index(pi)):
+    for phi, psi, lifts in _composable_lifts(pi):
         for lift in lifts:
             cat = factorization_category(pi, phi, psi, lift)
             if core._cone_point(cat) is not None:
@@ -307,18 +298,17 @@ def _exponentiable_pi0(pi):
     meet exactly one class.
     """
     E, K = pi.source, pi.target
-    fibers, edges = _edge_index(pi)
-    for phi, psi, lifts in _composable_lifts(pi, fibers, edges):
+    for phi, psi, lifts in _composable_lifts(pi):
         mid = K.identity[K.tgt[phi]]
         uf = UnionFind()
-        for e in fibers[K.src[phi]]:
-            for u in edges.get((e, phi), ()):
+        for e in pi.over(K.src[phi]):
+            for u in pi.lifts(e, phi):
                 m = E.tgt[u]
-                for v in edges.get((m, psi), ()):
+                for v in pi.lifts(m, psi):
                     uf.add((u, v))
-                for w in edges.get((m, mid), ()):
+                for w in pi.lifts(m, mid):
                     wu = E.compose(w, u)
-                    for v in edges.get((E.tgt[w], psi), ()):
+                    for v in pi.lifts(E.tgt[w], psi):
                         uf.union((u, E.compose(v, w)), (wu, v))
         count, classes = {}, {}
         for (u, v), rep in uf.class_map().items():
@@ -333,20 +323,7 @@ def _exponentiable_pi0(pi):
     return Verdict(True)
 
 
-def _edge_index(pi):
-    """E grouped over K: fibers[x] lists the objects over x, and
-    edges[(e, phi)] the morphisms out of e over phi, in sorted order."""
-    E = pi.source
-    fibers = {x: [] for x in pi.target.objects}
-    for e in E.objects:
-        fibers[pi.ob_map[e]].append(e)
-    edges = {}
-    for f in E.morphisms:
-        edges.setdefault((E.src[f], pi.mor_map[f]), []).append(f)
-    return fibers, edges
-
-
-def _composable_lifts(pi, fibers, edges):
+def _composable_lifts(pi):
     """Each composable pair (phi, psi) of non-identity arrows, in sorted
     order, with the sorted lifts of psi∘phi."""
     K = pi.target
@@ -357,8 +334,8 @@ def _composable_lifts(pi, fibers, edges):
             if K.is_identity(psi):
                 continue
             comp = K.compose(psi, phi)
-            yield phi, psi, sorted(f for e in fibers[K.src[phi]]
-                                   for f in edges.get((e, comp), ()))
+            yield phi, psi, sorted(f for e in pi.over(K.src[phi])
+                                   for f in pi.lifts(e, comp))
 
 
 def _edge_elements(pi, near):
@@ -370,16 +347,15 @@ def _edge_elements(pi, near):
     over y out of its target).
     """
     E, K = pi.source, pi.target
-    fibers, edges = _edge_index(pi)
     for phi in K.morphisms:
         if K.is_identity(phi):
             continue
         far = K.identity[K.tgt[phi]]
-        near_ids = {e: core.pair_id(near, e) for e in fibers[K.src[phi]]}
+        near_ids = {e: core.pair_id(near, e) for e in pi.over(K.src[phi])}
         for e in sorted(near_ids, key=near_ids.get):
-            elements = edges.get((e, phi), ())
+            elements = pi.lifts(e, phi)
             yield (phi, near_ids[e], elements,
-                   {f: edges.get((E.tgt[f], far), ()) for f in elements})
+                   {f: pi.lifts(E.tgt[f], far) for f in elements})
 
 
 # -- adjoints and initial/final objects ------------------------------------
@@ -535,13 +511,10 @@ def _end_fibrations(pi, exponentiable, ends, certify_dim):
             break
         proj, _, total = base_change_over_arrow(pi, phi)
         for end in open_ends:
-            end_fiber = core.fiber(proj, end)
-            F = core.inclusion_functor(end_fiber, total)
-            in_end = set(end_fiber.objects)
-            near = [d for d in total.objects if d not in in_end]
+            F = core.inclusion_functor(core.fiber(proj, end), total)
             fv = homology._finality(F, ("certified", certify_dim),
                                     "final" if end == "1" else "initial",
-                                    near)
+                                    proj.over("0" if end == "1" else "1"))
             if not fv.ok:
                 failed[end] = Verdict(False, {"base_morphism": phi,
                                               "inner": fv.witness})
@@ -574,16 +547,6 @@ def fiber_inclusion_over_arrow(pi, phi, end):
 
 
 # -- the profile -------------------------------------------------------------
-
-
-# "discrete_opfib" and "discrete_fib" are is_left_fibration and
-# is_right_fibration: groupoid fibers are allowed.  They are not the strict
-# unique-lift is_strict_discrete_opfibration/is_strict_discrete_fibration.
-PROFILE_PROPERTIES = (
-    "conservative", "discrete_opfib", "discrete_fib", "cocartesian",
-    "cartesian", "locally_cocartesian", "locally_cartesian",
-    "exponentiable", "left_final", "right_initial",
-)
 
 
 @dataclass
@@ -628,6 +591,9 @@ def classify(pi, certify_dim=None):
     cartesian = is_cocartesian_fibration(op)
     checks = {
         "conservative": is_conservative(pi),
+        # "discrete_opfib" and "discrete_fib" are is_left_fibration and
+        # is_right_fibration: groupoid fibers are allowed.  They are not
+        # the strict unique-lift is_strict_discrete_(op)fibration.
         "discrete_opfib": _left_fibration(pi, cocartesian),
         "discrete_fib": _left_fibration(op, cartesian),
         "cocartesian": cocartesian,

@@ -212,16 +212,9 @@ def straighten_discrete_opfib(pi):
     if not v.ok:
         raise PreconditionError("not a discrete opfibration", v.witness)
     E, K = pi.source, pi.target
-    values = {x: tuple(sorted(e for e in E.objects if pi.ob_map[e] == x))
-              for x in K.objects}
-    transports = {}
-    for m in K.morphisms:
-        x = K.src[m]
-        t = {}
-        for e in values[x]:
-            lift = [f for f in E.morphisms_from(e) if pi.mor_map[f] == m][0]
-            t[e] = E.tgt[lift]
-        transports[m] = t
+    values = {x: pi.over(x) for x in K.objects}
+    transports = {m: {e: E.tgt[pi.lifts(e, m)[0]] for e in values[K.src[m]]}
+                  for m in K.morphisms}
     return SetValuedFunctor(K, values, transports).validate()
 
 
@@ -244,9 +237,9 @@ def unstraighten_cat(F):
 def _vertical_filler(pi, lift, want, message):
     """The unique w over an identity with w∘lift = want."""
     E, K = pi.source, pi.target
-    over = K.identity[pi.ob_map[E.tgt[want]]]
-    fillers = [w for w in E.hom(E.tgt[lift], E.tgt[want])
-               if pi.mor_map[w] == over and E.compose(w, lift) == want]
+    vertical = K.identity[pi.ob_map[E.tgt[want]]]
+    fillers = [w for w in pi.lifts(E.tgt[lift], vertical)
+               if E.compose(w, lift) == want]
     if len(fillers) != 1:
         raise InternalInvariantError(message)
     return fillers[0]
@@ -421,8 +414,7 @@ def _left_collapse(pi):
     values = {x: tuple(sorted(set(comp[x].values()))) for x in K.objects}
 
     def transport(phi, e):
-        targets = {comp[K.tgt[phi]][E.tgt[u]] for u in E.morphisms_from(e)
-                   if pi.mor_map[u] == phi}
+        targets = {comp[K.tgt[phi]][E.tgt[u]] for u in pi.lifts(e, phi)}
         if len(targets) != 1:
             raise InternalInvariantError(
                 f"component transport along {phi} not single-valued at {e}")
@@ -442,9 +434,7 @@ def _left_collapse(pi):
     if not fibrations.is_conservative(proj).ok:
         raise InternalInvariantError("relative classifying space not conservative")
     for x in K.objects:
-        got = sorted(core.fiber(proj, x).objects)
-        want = sorted(pair_id(x, r) for r in values[x])
-        if got != want:
+        if list(proj.over(x)) != sorted(pair_id(x, r) for r in values[x]):
             raise InternalInvariantError("fiber of the collapse is wrong")
     return RelativeClassifyingSpace(proj, quotient, straightened, "left")
 
@@ -616,17 +606,13 @@ def _glue_morphisms(pi, zeta, arrow_data, H1, H2, phi, psi):
 
 def _least_factorization(pi, phi, psi, lift):
     E = pi.source
-    candidates = []
-    for u in sorted(E.morphisms_from(E.src[lift])):
-        if pi.mor_map[u] != phi:
-            continue
-        for v in sorted(E.hom(E.tgt[u], E.tgt[lift])):
-            if pi.mor_map[v] == psi and E.compose(v, u) == lift:
-                candidates.append((u, v))
-    if not candidates:
-        raise InternalInvariantError(
-            f"no factorization of {lift} over ({phi},{psi})")
-    return min(candidates)
+    # the first is the least: both lift lists are sorted
+    for u in pi.lifts(E.src[lift], phi):
+        for v in pi.lifts(E.tgt[u], psi):
+            if E.compose(v, u) == lift:
+                return u, v
+    raise InternalInvariantError(
+        f"no factorization of {lift} over ({phi},{psi})")
 
 
 def pushforward_adjunction_check(pi, zeta, p, cap=None, push=None):
@@ -724,10 +710,8 @@ def _kan_left(pi, F):
         x, y = K.src[phi], K.tgt[phi]
         t = {}
         for (e, a), rep in class_maps[x].items():
-            targets = set()
-            for u in E.morphisms_from(e):
-                if pi.mor_map[u] == phi:
-                    targets.add(class_id(y, E.tgt[u], F.transports[u][a]))
+            targets = {class_id(y, E.tgt[u], F.transports[u][a])
+                       for u in pi.lifts(e, phi)}
             if len(targets) != 1:
                 raise InternalInvariantError(
                     f"colimit transport along {phi} not single-valued at ({e},{a})")
@@ -773,14 +757,12 @@ def _kan_right(pi, F):
         values[x] = tuple(_family_id(f) for f in fam)
 
     def transport(phi, fam):
-        x, y = K.src[phi], K.tgt[phi]
+        images = {e2: set() for e2 in pi.over(K.tgt[phi])}
+        for e, a in fam:
+            for u in pi.lifts(e, phi):
+                images[E.tgt[u]].add(F.transports[u][a])
         out = {}
-        lookup = dict(fam)
-        for e2 in fibers[y].objects:
-            vals = set()
-            for u in E.morphisms_to(e2):
-                if pi.mor_map[u] == phi and pi.ob_map[E.src[u]] == x:
-                    vals.add(F.transports[u][lookup[E.src[u]]])
+        for e2, vals in images.items():
             if len(vals) != 1:
                 raise InternalInvariantError(
                     f"limit transport along {phi} not single-valued at {e2}")
@@ -817,7 +799,7 @@ def _check_kan_right_against_comma(pi, F, fams):
         for fam in comma_fams:
             lookup = dict(fam)
             entries = []
-            for e in core.fiber(pi, x).objects:
+            for e in pi.over(x):
                 o = core.comma_object_id("*", e, K.identity[x])
                 entries.append((e, lookup[o]))
             restricted.add(_family_id(tuple(sorted(entries))))

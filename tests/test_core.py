@@ -961,6 +961,13 @@ class TestFunctorEnumeration:
         monkeypatch.delenv("FIBCAT_ENUM_CAP")
         assert core.enumeration_cap() == 10 ** 6
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5"])
+    def test_enumeration_cap_must_be_a_positive_integer(self, monkeypatch,
+                                                        value):
+        monkeypatch.setenv("FIBCAT_ENUM_CAP", value)
+        with pytest.raises(core.PreconditionError, match="FIBCAT_ENUM_CAP"):
+            core.enumeration_cap()
+
 
 class TestConePoint:
     """core._cone_point against has_initial_object/has_final_object."""

@@ -16,10 +16,10 @@ from fibcat.homology import SetValuedFunctor
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 
 
-def run_cli(*argv):
+def run_cli(*argv, env=None):
     proc = subprocess.run(
         [sys.executable, "-m", "fibcat.cli", *argv],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, **(env or {})})
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -221,6 +221,26 @@ class TestCliExitContract:
         assert code == 4
         assert out == ""
         assert "certificate degree must be >= 0, got -1" in err
+
+    def test_enumeration_over_its_cap_is_4(self, fixture_dir):
+        code, out, err = run_cli(
+            "replace", "--kind", "lfib", "--functor",
+            os.path.join(fixture_dir, "ev_t_arrow_2.json"),
+            env={"FIBCAT_ENUM_CAP": "3"})
+        assert code == 4
+        assert out == ""
+        assert err == ("enumeration refused: functor enumeration exceeded "
+                       "cap 3; FIBCAT_ENUM_CAP sets the cap\n")
+
+    def test_a_cap_that_is_not_a_positive_integer_is_4(self, fixture_dir):
+        code, out, err = run_cli(
+            "replace", "--kind", "lfib", "--functor",
+            os.path.join(fixture_dir, "ev_t_arrow_2.json"),
+            env={"FIBCAT_ENUM_CAP": "abc"})
+        assert code == 4
+        assert out == ""
+        assert err == ("precondition failed: FIBCAT_ENUM_CAP must be a "
+                       "positive integer, got 'abc'\n")
 
     def test_success_is_0_even_with_negative_verdicts(self, fixture_dir):
         code, out, err = run_cli(
@@ -614,7 +634,7 @@ class TestComposeReusesItsRoute:
             "certificate_degree": None, "timing_s": None,
             "composite": docs.correspondence_to_doc(
                 corrs.compose_corr(c01, c12)[0])})
-        calls = {"compose_corr": 0, "collage": 0}
+        calls = {"compose_corr": 0, "collage": 0, "corr_to_profunctor": 0}
         for name in calls:
             real = getattr(corrs, name)
             monkeypatch.setattr(
@@ -622,7 +642,10 @@ class TestComposeReusesItsRoute:
                 lambda *args, real=real, name=name:
                     calls.__setitem__(name, calls[name] + 1) or real(*args))
         assert run_in_process(argv) == (0, expected)
-        assert calls == {"compose_corr": 1, "collage": 0}
+        # each input's cross-hom bimodule is read once, and the composite's
+        # once by the glued route
+        assert calls == {"compose_corr": 1, "collage": 0,
+                         "corr_to_profunctor": 3}
 
     def test_corr_fallback_prints_the_pair_glued(self, tmp_path,
                                                  monkeypatch):

@@ -7,6 +7,7 @@ import pytest
 from fibcat import cli, core, documents as docs, fibrations as fib, fixtures
 from fibcat import homology, randgen
 from fibcat.core import PreconditionError
+from test_index import oracle_composable_lifts
 
 
 def separating_functor_over_2():
@@ -923,7 +924,7 @@ def parent_certified_is_exponentiable(pi, d):
     K0 = pi.target
     if any(not K0.is_identity(f) for f in K0.isomorphisms()):
         pi = fib.isofibration_replacement(pi)
-    for phi, psi, lifts in fib._composable_lifts(pi, *fib._edge_index(pi)):
+    for phi, psi, lifts in oracle_composable_lifts(pi):
         for lift in lifts:
             cat = fib.factorization_category(pi, phi, psi, lift)
             if not core.is_nonempty_connected(cat):
