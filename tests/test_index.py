@@ -11,11 +11,11 @@ the same category on every draw, and the oracle's fibers of all draws are
 pinned by a SHA-256 digest.
 """
 
-import hashlib
 import random
 
 from fibcat import core, documents as docs, fibrations as fib, randgen
 from fibcat.core import FiniteCategory
+from test_grothendieck import _digest, _is_poset
 
 
 # -- the oracles ----------------------------------------------------------------
@@ -107,18 +107,6 @@ def draws():
             pi = randgen.random_functor_over(rng, random_base(rng, i))
         yield pi
         yield core.opposite_functor(pi)
-
-
-def _is_poset(K):
-    return all(len(K.hom(a, b)) <= 1 and (a == b or not K.hom(b, a))
-               for a in K.objects for b in K.objects)
-
-
-def _digest(texts):
-    h = hashlib.sha256()
-    for text in texts:
-        h.update(text.encode())
-    return h.hexdigest()
 
 
 FIBERS_DIGEST = (
