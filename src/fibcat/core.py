@@ -4,7 +4,9 @@ Everything downstream (fibration checkers, the correspondence calculus,
 homology certificates) consumes the two types defined here.  A
 FiniteCategory stores its objects, morphisms, identities and the *total*
 composition table; validity is checked exhaustively at construction,
-except where a builder guarantees it (square_category checks guards).
+except where a builder guarantees it: square_category checks guards, and
+categories derived from a valid one are built by FiniteCategory._derived
+from tables that are already sorted and indexed.
 Object and morphism ids are opaque strings, and every construction orders
 its output lexicographically so that results are reproducible.
 """
@@ -124,7 +126,8 @@ class FiniteCategory:
     """A category with finitely many objects and morphisms.
 
     The composition table is total on composable pairs and validated
-    exhaustively; instances are immutable after construction.
+    exhaustively, unless a builder guarantees it; instances are immutable
+    after construction, so derived categories may share their tables.
     """
 
     __slots__ = (
@@ -138,19 +141,35 @@ class FiniteCategory:
             report = validate_category(objects, morphisms, identities, composition)
             if report:
                 raise CategoryError("; ".join(report[:8]))
-        self.objects = tuple(sorted(objects))
-        self.morphisms = tuple(sorted(m for m, _, _ in morphisms))
-        self.src = {m: s for m, s, _ in morphisms}
-        self.tgt = {m: t for m, _, t in morphisms}
-        self.identity = dict(identities)
-        self._comp = dict(composition)
-        self._from = {x: [] for x in self.objects}
-        self._to = {x: [] for x in self.objects}
-        self._hom = {}
-        for m in self.morphisms:
-            self._from[self.src[m]].append(m)
-            self._to[self.tgt[m]].append(m)
-            self._hom.setdefault((self.src[m], self.tgt[m]), []).append(m)
+        self._adopt(tuple(sorted(objects)),
+                    tuple(sorted(m for m, _, _ in morphisms)),
+                    {m: s for m, s, _ in morphisms},
+                    {m: t for m, _, t in morphisms},
+                    dict(identities), dict(composition))
+
+    @classmethod
+    def _derived(cls, *tables):
+        """A category on tables derived from a valid category's, as
+        _adopt takes them: nothing is checked, sorted or copied, so the
+        tables may be shared with categories that nothing mutates."""
+        C = cls.__new__(cls)
+        C._adopt(*tables)
+        return C
+
+    def _adopt(self, objects, morphisms, src, tgt, identity, comp, index=None):
+        """Keep sorted object and morphism tuples, the src, tgt, identity
+        and composition dicts, and index = (_from, _to, _hom) when the
+        caller has it; otherwise the index is built here."""
+        self.objects, self.morphisms = objects, morphisms
+        self.src, self.tgt, self.identity, self._comp = src, tgt, identity, comp
+        if index is None:
+            _from, _to, _hom = index = ({x: [] for x in objects},
+                                        {x: [] for x in objects}, {})
+            for m in morphisms:
+                _from[src[m]].append(m)
+                _to[tgt[m]].append(m)
+                _hom.setdefault((src[m], tgt[m]), []).append(m)
+        self._from, self._to, self._hom = index
         self._isos = None
 
     # -- basic queries ---------------------------------------------------
@@ -426,11 +445,11 @@ def monoid_category(elements, unit, mul, object_id="*"):
 
 
 def discrete_category(objects):
-    morphisms = [(f"id_{x}", x, x) for x in objects]
     identities = {x: f"id_{x}" for x in objects}
-    composition = {(f"id_{x}", f"id_{x}"): f"id_{x}" for x in objects}
-    return FiniteCategory(objects, morphisms, identities, composition,
-                          _validate=False)
+    ends = {i: x for x, i in identities.items()}
+    return FiniteCategory._derived(
+        tuple(sorted(identities)), tuple(sorted(ends)), ends, ends,
+        identities, {(i, i): i for i in ends})
 
 
 def walking_isomorphism():
@@ -492,14 +511,14 @@ def relabel(C, object_map=None, morphism_map=None):
     """A copy of C with object/morphism ids renamed by the given injections."""
     omap = object_map or {}
     mmap = morphism_map or {}
-    ob = lambda x: omap.get(x, x)
-    mo = lambda m: mmap.get(m, m)
-    objects = [ob(x) for x in C.objects]
-    morphisms = [(mo(m), ob(C.src[m]), ob(C.tgt[m])) for m in C.morphisms]
-    identities = {ob(x): mo(i) for x, i in C.identity.items()}
-    composition = {(mo(g), mo(f)): mo(h) for (g, f), h in C._comp.items()}
-    return FiniteCategory(objects, morphisms, identities, composition,
-                          _validate=False)
+    ob = {x: omap.get(x, x) for x in C.objects}
+    mo = {m: mmap.get(m, m) for m in C.morphisms}
+    return FiniteCategory._derived(
+        tuple(sorted(ob.values())), tuple(sorted(mo.values())),
+        {mo[m]: ob[x] for m, x in C.src.items()},
+        {mo[m]: ob[x] for m, x in C.tgt.items()},
+        {ob[x]: mo[i] for x, i in C.identity.items()},
+        {(mo[g], mo[f]): mo[h] for (g, f), h in C._comp.items()})
 
 
 def prefix_relabel(C, prefix):
@@ -512,25 +531,25 @@ def disjoint_union(C, D):
     """Coproduct; ids must already be disjoint."""
     if set(C.objects) & set(D.objects) or set(C.morphisms) & set(D.morphisms):
         raise PreconditionError("disjoint_union requires disjoint ids")
-    objects = list(C.objects) + list(D.objects)
-    morphisms = list(C.morphism_triples()) + list(D.morphism_triples())
-    identities = {**C.identity, **D.identity}
-    composition = {**C.composition_table(), **D.composition_table()}
-    return FiniteCategory(objects, morphisms, identities, composition,
-                          _validate=False)
+    return FiniteCategory._derived(
+        tuple(sorted(C.objects + D.objects)),
+        tuple(sorted(C.morphisms + D.morphisms)),
+        {**C.src, **D.src}, {**C.tgt, **D.tgt}, {**C.identity, **D.identity},
+        {**C._comp, **D._comp},
+        ({**C._from, **D._from}, {**C._to, **D._to}, {**C._hom, **D._hom}))
 
 
 def full_subcategory(C, objects):
-    objects = sorted(objects)
+    objects = tuple(sorted(objects))
     keep = set(objects)
-    morphisms = [(m, C.src[m], C.tgt[m]) for m in C.morphisms
-                 if C.src[m] in keep and C.tgt[m] in keep]
-    mor_keep = {m for m, _, _ in morphisms}
-    identities = {x: C.identity[x] for x in objects}
-    composition = {(g, f): h for (g, f), h in C._comp.items()
-                   if g in mor_keep and f in mor_keep}
-    return FiniteCategory(objects, morphisms, identities, composition,
-                          _validate=False)
+    _from = {x: [m for m in C._from[x] if C.tgt[m] in keep] for x in objects}
+    morphisms = tuple(sorted(m for ms in _from.values() for m in ms))
+    return FiniteCategory._derived(
+        objects, morphisms, {m: C.src[m] for m in morphisms},
+        {m: C.tgt[m] for m in morphisms}, {x: C.identity[x] for x in objects},
+        {(g, f): C._comp[(g, f)] for f in morphisms for g in _from[C.tgt[f]]},
+        (_from, {x: [m for m in C._to[x] if C.src[m] in keep] for x in objects},
+         {k: ms for k, ms in C._hom.items() if k[0] in keep and k[1] in keep}))
 
 
 def inclusion_functor(C, D):
@@ -544,10 +563,10 @@ def inclusion_functor(C, D):
 
 def opposite(C):
     """Sources and targets swapped, composition reversed.  Ids unchanged."""
-    morphisms = [(m, C.tgt[m], C.src[m]) for m in C.morphisms]
-    composition = {(f, g): h for (g, f), h in C._comp.items()}
-    return FiniteCategory(C.objects, morphisms, dict(C.identity), composition,
-                          _validate=False)
+    return FiniteCategory._derived(
+        C.objects, C.morphisms, C.tgt, C.src, C.identity,
+        {(f, g): h for (g, f), h in C._comp.items()},
+        (C._to, C._from, {(b, a): ms for (a, b), ms in C._hom.items()}))
 
 
 def opposite_functor(F):
@@ -670,12 +689,12 @@ def base_change(pi, g):
 def fiber(pi, x):
     """The strict fiber of pi: E -> K over the object x, as a subcategory."""
     E, idx, objects = pi.source, pi.target.identity[x], pi.over(x)
-    morphisms = [(m, e, E.tgt[m]) for e in objects for m in pi.lifts(e, idx)]
-    composition = {(g, f): E._comp[(g, f)] for f, _, t in morphisms
-                   for g in pi.lifts(t, idx)}
-    return FiniteCategory(objects, morphisms,
-                          {e: E.identity[e] for e in objects}, composition,
-                          _validate=False)
+    morphisms = tuple(sorted(m for e in objects for m in pi.lifts(e, idx)))
+    return FiniteCategory._derived(
+        objects, morphisms, {m: E.src[m] for m in morphisms},
+        {m: E.tgt[m] for m in morphisms}, {e: E.identity[e] for e in objects},
+        {(g, f): E._comp[(g, f)] for f in morphisms
+         for g in pi.lifts(E.tgt[f], idx)})
 
 
 # -- slices, commas, arrows ----------------------------------------------

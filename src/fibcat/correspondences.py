@@ -149,7 +149,7 @@ def hom_profunctor_along(F, G):
         for a in A.objects:
             ract[(a, beta)] = {x: C.compose(G.mor_map[beta], x)
                                for x in elements[(a, b0)]}
-    return Profunctor(A, B, elements, lact, ract).validate()
+    return Profunctor(A, B, elements, lact, ract)
 
 
 def empty_profunctor(A, B):
@@ -191,7 +191,7 @@ def relabel_profunctor(P, source=None, target=None, elements=None):
         b1 = P.target.tgt[beta]
         new_ract[(ob_s(a), mo_t(beta))] = {
             elt(a, b0, x): elt(a, b1, y) for x, y in t.items()}
-    return Profunctor(A2, B2, new_elements, new_lact, new_ract).validate()
+    return Profunctor(A2, B2, new_elements, new_lact, new_ract)
 
 
 def transpose_profunctor(P):
@@ -207,7 +207,7 @@ def transpose_profunctor(P):
     ract = {}
     for (alpha, b), t in P.lact.items():
         ract[(b, alpha)] = dict(t)
-    return Profunctor(Bop, Aop, elements, lact, ract).validate()
+    return Profunctor(Bop, Aop, elements, lact, ract)
 
 
 @dataclass
@@ -321,11 +321,17 @@ def glue(K, fibers, edges, pairings):
     e of P at (a, b) is the morphism name(a, b, e) over phi, and it
     composes with the fibers through P's actions.  For each composable
     pair of non-identity arrows, pairings[(phi, psi)](a, c, b, e, f) is
-    the element over psi∘phi that the composite f∘e is.  The total is
-    validated in full, so colliding ids and pairings that are not
-    compatible with the actions are refused as CategoryError.
+    the element over psi∘phi that the composite f∘e is.
+
+    With pairings the total is validated in full, so pairings that are
+    not compatible with the actions are refused as CategoryError.
+    Without them (every collage) the laws are those of the fibers and
+    bimodules, and guards are checked instead: the ids are injective, no
+    two edges compose, and each composite is a cross morphism with the
+    right ends.  If a guard fails, the total is validated in full, and
+    CategoryError reports it.
     """
-    side, mor_map = {}, {}
+    side, mor_map, cross, composites = {}, {}, {}, []
     objects, morphisms, identities, composition = [], [], {}, {}
     for x in K.objects:
         F = fibers[x]
@@ -342,13 +348,15 @@ def glue(K, fibers, edges, pairings):
             for e in es:
                 m = name(a, b, e)
                 morphisms.append((m, a, b))
-                mor_map[m] = phi
+                mor_map[m], cross[m] = phi, (a, b)
                 for alpha in into:
-                    composition[(m, alpha)] = name(
+                    h = composition[(m, alpha)] = name(
                         A.src[alpha], b, P.lact[(alpha, b)][e])
+                    composites.append((h, (A.src[alpha], b)))
                 for beta in out_of:
-                    composition[(beta, m)] = name(
+                    h = composition[(beta, m)] = name(
                         a, B.tgt[beta], P.ract[(a, beta)][e])
+                    composites.append((h, (a, B.tgt[beta])))
     for (phi, psi), pairing in pairings.items():
         (P, name_phi), (Q, name_psi) = edges[phi], edges[psi]
         name_psi_phi = edges[K.compose(psi, phi)][1]
@@ -360,7 +368,13 @@ def glue(K, fibers, edges, pairings):
                     for e in es:
                         composition[(g, name_phi(a, b, e))] = name_psi_phi(
                             a, c, pairing(a, c, b, e, f))
-    total = FiniteCategory(objects, morphisms, identities, composition)
+    guarded = (not pairings and len(side) == len(objects)
+               and len(mor_map) == len(morphisms)
+               and not any(K.tgt[phi] == K.src[psi]
+                           for phi in edges for psi in edges)
+               and all(cross.get(h) == hs for h, hs in composites))
+    total = FiniteCategory(objects, morphisms, identities, composition,
+                           _validate=not guarded)
     # a functor by construction: every morphism lies over the arrow
     # between its ends' fibers, and K is a poset
     return Functor(total, K, side, mor_map, _validate=False)
@@ -498,19 +512,28 @@ def check_two_sided_discrete(X, to_A, to_B):
     return fibrations.Verdict(True, {"rho": rho, "lam": lam})
 
 
-def _bifibration(total, to_A, to_B):
-    """The span (total, to_A, to_B) of a square category, validated as
-    two-sided discrete; its legs are functors by construction."""
-    return TwoSidedDiscreteFibration(total, to_A, to_B).validate()
+def _bifibration(A, B, ends, rho, lam):
+    """The square category over A x B on ends[x] = (a, b, x) whose
+    builder knows its transports: a morphism x -> y over (alpha, beta)
+    exists, uniquely, exactly when rho(x, beta) = lam(y, alpha).  It is
+    two-sided discrete by construction, with rho and lam as its
+    transports, so check_two_sided_discrete is not run to recover them."""
+    total, to_A, to_B = core.square_category(
+        A, B, ends, lambda x, alpha, beta, y: rho[(x, beta)] == lam[(y, alpha)])
+    return TwoSidedDiscreteFibration(total, to_A, to_B, transports=(rho, lam))
 
 
 def corr_to_bifib(c):
     """Sections of the correspondence: objects are cross-morphisms,
-    morphisms are commutative squares, projected to A x B by endpoints."""
+    morphisms are commutative squares, projected to A x B by endpoints.
+    The transports are rho(x, beta) = beta∘x and lam(x, alpha) = x∘alpha."""
     A, B, E = c.fiber_s, c.fiber_t, c.total
     ends = {x: (E.src[x], E.tgt[x], x) for x in c.cross_morphisms()}
-    return _bifibration(*core.square_category(
-        A, B, ends, lambda x, u, v, y: E.compose(v, x) == E.compose(y, u)))
+    rho = {(x, beta): E.compose(beta, x) for x, (_, b, _) in ends.items()
+           for beta in B.morphisms_from(b)}
+    lam = {(x, alpha): E.compose(x, alpha) for x, (a, _, _) in ends.items()
+           for alpha in A.morphisms_to(a)}
+    return _bifibration(A, B, ends, rho, lam)
 
 
 def elt_object_id(a, b, x):
@@ -521,24 +544,31 @@ def profunctor_to_bifib(P):
     """The category of elements of P over A x B.
 
     A morphism (a,b,x) -> (a',b',x') over (alpha, beta) exists, uniquely,
-    exactly when x'·alpha = beta·x.
+    exactly when x'·alpha = beta·x: when the transports
+    rho((a,b,x), beta) = (a,b',beta·x) and lam((a',b',x'), alpha) =
+    (a,b',x'·alpha) agree.
     """
     A, B = P.source, P.target
-    ends = core._ends_by_id("elements", (
-        (elt_object_id(a, b, x), (a, b, x), (a, b, x))
-        for (a, b), xs in P.elements.items() for x in xs))
-
-    def commutes(x, alpha, beta, x2):
-        return P.lact[(alpha, B.tgt[beta])][x2] == P.ract[(A.src[alpha], beta)][x]
-
-    return _bifibration(*core.square_category(A, B, ends, commutes))
+    items, rho, lam = [], {}, {}
+    for (a, b), xs in P.elements.items():
+        for x in xs:
+            o = elt_object_id(a, b, x)
+            items.append((o, (a, b, x), (a, b, o)))
+            for beta in B.morphisms_from(b):
+                rho[(o, beta)] = elt_object_id(a, B.tgt[beta],
+                                               P.ract[(a, beta)][x])
+            for alpha in A.morphisms_to(a):
+                lam[(o, alpha)] = elt_object_id(A.src[alpha], b,
+                                                P.lact[(alpha, b)][x])
+    return _bifibration(A, B, core._ends_by_id("elements", items), rho, lam)
 
 
 def bifib_to_profunctor(X):
     """Read fibers over (a, b) as element sets, transports as actions.
 
-    The transports are those X.validate kept; an X not yet validated is
-    validated here."""
+    The transports are those X was built with or X.validate kept; an X
+    with none is validated here.  The bimodule of a two-sided discrete
+    fibration is one by construction, so it is not validated again."""
     A, B = X.left, X.right
     if X.transports is None:
         X.validate()
@@ -555,7 +585,7 @@ def bifib_to_profunctor(X):
         b0, b1 = B.src[beta], B.tgt[beta]
         for a in A.objects:
             ract[(a, beta)] = {x: rho[(x, beta)] for x in elements[(a, b0)]}
-    return Profunctor(A, B, elements, lact, ract).validate()
+    return Profunctor(A, B, elements, lact, ract)
 
 
 def bifib_to_corr(X):
@@ -814,8 +844,7 @@ def compose_prof(P01, P12):
                     "right", (a, gamma), (a, c0), (a, c1), cid,
                     lambda b, x, y: (b, x, P12.ract[(b, gamma)][y]))
                 for cid in elements[(a, c0)]}
-    P = Profunctor(A, C, elements, lact, ract).validate()
-    return P, class_of
+    return Profunctor(A, C, elements, lact, ract), class_of
 
 
 def compose_bifib(X01, X12):
@@ -886,10 +915,7 @@ def compose_bifib(X01, X12):
             lam_tab[(cid, alpha)] = transport(
                 cid, alpha, lambda x, y: (lift_into1[(x, alpha)], y))
 
-    def commutes(u, alpha, gamma, v):
-        return rho_tab[(u, gamma)] == lam_tab[(v, alpha)]
-
-    return _bifibration(*core.square_category(A, C, ends, commutes)), component
+    return _bifibration(A, C, ends, rho_tab, lam_tab), component
 
 
 def _class_members(class_of):

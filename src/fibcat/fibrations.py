@@ -483,7 +483,7 @@ def _end_fibration(pi, exponentiable, end, certify_dim):
     return _end_fibrations(pi, exponentiable, (end,), certify_dim)[0]
 
 
-def _end_fibrations(pi, exponentiable, ends, certify_dim):
+def _end_fibrations(pi, exponentiable, ends, certify_dim, op=None):
     """The verdict of _end_fibration for each of ends, in order.
 
     Over an identity arrow, and at the objects of the end fiber, every
@@ -491,16 +491,17 @@ def _end_fibrations(pi, exponentiable, ends, certify_dim):
     other fiber over non-identity arrows are checked.  In pi0 mode that is
     the edge bimodule: for end "1" and e over the source of phi, the
     elements of E_phi(e, -) must be nonempty and connected under the
-    target fiber; end "0" is the dual, read in op(pi).  In certified mode
-    the commas are built, from one base change per arrow for all ends;
-    each end keeps its own first failure.
+    target fiber; end "0" is the dual, read in op(pi) (op, when the
+    caller has built it).  In certified mode the commas are built, from
+    one base change per arrow for all ends; each end keeps its own first
+    failure.
     """
     homology._refuse_negative_degree(certify_dim)
     if not exponentiable.ok:
         return [Verdict(False, {"exponentiable": exponentiable.witness})
                 for _ in ends]
     if certify_dim is None:
-        return [_end_pi0(pi, end) for end in ends]
+        return [_end_pi0(pi, end, op) for end in ends]
     failed = {}
     K = pi.target
     for phi in K.morphisms:
@@ -521,10 +522,10 @@ def _end_fibrations(pi, exponentiable, ends, certify_dim):
     return [failed.get(end, Verdict(True)) for end in ends]
 
 
-def _end_pi0(pi, end):
+def _end_pi0(pi, end, op=None):
     near = "0"
     if end == "0":
-        pi, near = core.opposite_functor(pi), "1"
+        pi, near = op or core.opposite_functor(pi), "1"
     E = pi.source
     for phi, obj, elements, acts in _edge_elements(pi, near):
         uf = UnionFind(elements)
@@ -605,7 +606,7 @@ def classify(pi, certify_dim=None):
     # one exponentiability verdict and one base change per arrow serve
     # both end checks
     checks["left_final"], checks["right_initial"] = _end_fibrations(
-        pi, checks["exponentiable"], ("1", "0"), certify_dim)
+        pi, checks["exponentiable"], ("1", "0"), certify_dim, op=op)
     verdicts = {k: v.ok for k, v in checks.items()}
     witnesses = {k: v.witness for k, v in checks.items() if not v.ok}
     for name, hyps, concs in _IMPLICATIONS:

@@ -384,23 +384,28 @@ class TestClassify:
 
     def test_cartesian_checks_share_one_opposite(self, monkeypatch):
         Ar, ev_s, ev_t = core.arrow_category(core.interval(2))
-        # the right-initial end check builds its own opposite, and only
-        # for an exponentiable functor
-        cases = [(ev_t, 2), (ev_s, 2), (separating_functor_over_2(), 1)]
+        # the right-initial end check reads the same opposite; the collage
+        # of an empty bimodule is exponentiable but not right initial
+        from fibcat import correspondences as corrs
+        empty = corrs.collage(corrs.empty_profunctor(
+            core.prefix_relabel(core.interval(1), "a."),
+            core.prefix_relabel(core.terminal(), "b."))).projection
+        cases = [ev_t, ev_s, separating_functor_over_2(), empty]
         original = core.opposite_functor
         calls = []
         monkeypatch.setattr(core, "opposite_functor",
                             lambda F: calls.append(F) or original(F))
         profiles = []
-        for pi, expected in cases:
+        for pi in cases:
             calls.clear()
             profiles.append(fib.classify(pi))
-            assert calls == [pi] * expected
+            assert calls == [pi]
         monkeypatch.undo()
-        for (pi, _), profile in zip(cases, profiles):
+        for pi, profile in zip(cases, profiles):
             for key, check in (
                     ("cartesian", fib.is_cartesian_fibration),
-                    ("locally_cartesian", fib.is_locally_cartesian)):
+                    ("locally_cartesian", fib.is_locally_cartesian),
+                    ("right_initial", fib.is_right_initial_fibration)):
                 v = check(pi)
                 assert profile[key] == v.ok
                 assert profile.witnesses.get(key) == v.witness

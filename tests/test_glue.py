@@ -384,3 +384,63 @@ class TestGluingIds:
     def test_documents_are_pinned(self, name):
         build, expected = GLUINGS[name]
         assert _digest(build()) == expected
+
+
+# -- the collage guards -------------------------------------------------------
+
+
+def _planted(A_morphisms, elements, ract_image=None):
+    """A bimodule from A (objects a, a2) to the terminal category on b, with elements at (a, b) acted on trivially, except that
+    the identity of b sends each element to ract_image when given."""
+    ids = {m for m, _, _ in A_morphisms}
+    A = FiniteCategory(["a", "a2"], A_morphisms, {"a": "id_a", "a2": "id_a2"},
+                       {(g, f): h for g, f, h in (
+                           ("id_a", "id_a", "id_a"), ("id_a2", "id_a2", "id_a2"),
+                           ("x:a>b", "id_a", "x:a>b"),
+                           ("id_a2", "x:a>b", "x:a>b"))
+                        if g in ids and f in ids})
+    B = core.relabel(core.terminal(), {"*": "b"}, {"id": "id_b"})
+    lact = {(alpha, "b"): {} for alpha in A.morphisms}
+    lact[("id_a", "b")] = {x: x for x in elements}
+    ract = {("a", "id_b"): {x: ract_image or x for x in elements},
+            ("a2", "id_b"): {}}
+    return corrs.Profunctor(A, B, {("a", "b"): elements, ("a2", "b"): ()},
+                            lact, ract)
+
+
+OBJECTS_A = [("id_a", "a", "a"), ("id_a2", "a2", "a2")]
+
+
+class TestCollageGuards:
+    """A collage is not validated in full unless one of its guards fails,
+    and then the full validator's report is raised: the messages below
+    are those of the collage that validated every total."""
+
+    def test_cross_id_equal_to_a_fiber_morphism_id(self):
+        with pytest.raises(core.CategoryError) as err:
+            corrs.collage(_planted(OBJECTS_A + [("x:a>b", "a", "a2")], ("x",)))
+        assert str(err.value) == (
+            "duplicate morphism ids; composition defined on non-composable "
+            "pair (id_a2,x:a>b)")
+
+    def test_repeated_element_id(self):
+        with pytest.raises(core.CategoryError) as err:
+            corrs.collage(_planted(OBJECTS_A, ("x", "x")))
+        assert str(err.value) == "duplicate morphism ids"
+
+    def test_action_escaping_the_elements(self):
+        with pytest.raises(core.CategoryError) as err:
+            corrs.collage(_planted(OBJECTS_A, ("x",), ract_image="y"))
+        assert str(err.value) == "composite of (id_b,x:a>b) is unknown: y:a>b"
+
+    def test_a_collage_that_passes_the_guards_is_not_validated(
+            self, monkeypatch):
+        P = _planted(OBJECTS_A, ("x",))
+        calls = []
+        real = core.validate_category
+        monkeypatch.setattr(core, "validate_category",
+                            lambda *a: calls.append(a) or real(*a))
+        c = corrs.collage(P)
+        assert calls == []
+        assert real(c.total.objects, c.total.morphism_triples(),
+                    c.total.identity, c.total.composition_table()) == []
