@@ -13,7 +13,6 @@ its cap included), 5 violated internal invariant.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import random
 import sys
@@ -120,24 +119,24 @@ def _relabel_for_check(P01, P12):
             corrs.relabel_profunctor(P12, target=ren_c))
 
 
-def _route_coherence_flag(P01, P12, pair=None):
+def _checked_routes(P01, P12, pair=None):
     """Run the three composition routes and check their canonical isos;
     the glued route composes pair when it is given (see
     composition_routes).
 
-    Returns the flag and the routes when they ran on P01, P12 as given.
-    When outer ids had to be relabeled first, their composites carry the
-    relabeled ids, so only the pair's glued composite is returned, or
-    None when there is no pair."""
+    Returns the routes when they ran on P01, P12 as given.  When outer
+    ids had to be relabeled first, their composites carry the relabeled
+    ids, so only the pair's glued composite is returned, or None when
+    there is no pair."""
     try:
-        return True, corrs.composition_routes(P01, P12, pair)
+        return corrs.composition_routes(P01, P12, pair)
     except core.PreconditionError:
         # a refusal to glue the pair itself is the command's refusal
         routes = (None if pair is None
                   else {"composite_corr": corrs.compose_corr(*pair)[0]})
         Q01, Q12 = _relabel_for_check(P01, P12)
         corrs.composition_routes(Q01, Q12)
-        return True, routes
+        return routes
 
 
 def cmd_compose(args):
@@ -147,8 +146,7 @@ def cmd_compose(args):
         if c12.fiber_s != c01.fiber_t:
             raise core.PreconditionError(
                 "middle fibers differ; relabel so they agree on the nose")
-        flag, routes = _route_coherence_flag(c01.bimodule(), c12.bimodule(),
-                                             (c01, c12))
+        routes = _checked_routes(c01.bimodule(), c12.bimodule(), (c01, c12))
         out = docs.correspondence_to_doc(routes["composite_corr"])
     else:
         P01 = _load(args.inputs[0], "profunctor")
@@ -156,7 +154,7 @@ def cmd_compose(args):
         if P01.target != P12.source:
             raise core.PreconditionError(
                 "middle categories differ; relabel so they agree on the nose")
-        flag, routes = _route_coherence_flag(P01, P12)
+        routes = _checked_routes(P01, P12)
         if args.mode == "prof":
             composite = (routes["coend"] if routes
                          else corrs.compose_prof(P01, P12)[0])
@@ -167,7 +165,7 @@ def cmd_compose(args):
                                        corrs.profunctor_to_bifib(P12))
             composite = corrs.bifib_to_profunctor(X)
         out = docs.profunctor_to_doc(composite)
-    _report(args, {"route_coherence_checked": flag},
+    _report(args, {"route_coherence_checked": True},
             documents={"composite": out})
     return 0
 

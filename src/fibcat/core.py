@@ -241,18 +241,19 @@ class Functor:
     """A structure-preserving map between finite categories.
 
     The source grouped over the target (the objects over each object, the
-    morphisms out of each object over each morphism) is built on first
-    use and kept; instances are immutable after construction.
+    morphisms out of each object over each morphism) and the opposite
+    functor are built on first use and kept; instances are immutable
+    after construction.
     """
 
-    __slots__ = ("source", "target", "ob_map", "mor_map", "_index")
+    __slots__ = ("source", "target", "ob_map", "mor_map", "_index", "_op")
 
     def __init__(self, source, target, ob_map, mor_map, _validate=True):
         self.source = source
         self.target = target
         self.ob_map = dict(ob_map)
         self.mor_map = dict(mor_map)
-        self._index = None
+        self._index = self._op = None
         if _validate:
             self._validate()
 
@@ -570,8 +571,13 @@ def opposite(C):
 
 
 def opposite_functor(F):
-    return Functor(opposite(F.source), opposite(F.target), F.ob_map, F.mor_map,
-                   _validate=False)
+    """F^op, built once per functor and kept; the opposite of F^op is F
+    itself."""
+    if F._op is None:
+        F._op = Functor(opposite(F.source), opposite(F.target), F.ob_map,
+                        F.mor_map, _validate=False)
+        F._op._op = F
+    return F._op
 
 
 def product(C, D):

@@ -11,9 +11,11 @@ checks read the edge bimodules of pi: for an arrow phi: x -> y of K, the
 morphisms of E over phi, acted on by the fibers over x and y.  Conduché's
 criterion is then one union-find per composable pair of arrows (the coend
 E_psi ⊗ E_phi must match E_{psi∘phi}), and the end checks one union-find
-per arrow.  Factorization categories, base changes and comma categories
-are built only for homology certificates, which need the categories
-themselves.
+per arrow and object.  Homology certificates, which need the categories
+themselves, build only the factorization categories and the categories of
+elements of E_phi(e, -) that passed that test.  The right-handed checks
+are the left-handed ones on the opposite functor, which each functor
+builds once and keeps.
 
 classify() runs every checker and asserts the implication closure between
 them; a violated implication is reported as an internal defect, never
@@ -249,13 +251,17 @@ def is_exponentiable(pi, certify_dim=None):
     """Conduché criterion, 1-exact: every factorization category through a
     middle fiber is nonempty and connected.
 
-    Degenerate composable pairs (either leg an identity) always pass: the
-    factorization category then has an initial or final object.  With
-    certify_dim=d, reduced homology of each factorization category must
-    additionally vanish up to degree d; that is a bounded certificate
-    toward contractibility, not a proof.  A factorization category with
-    an initial or a terminal object is contractible, so it passes without
-    a nerve.
+    That is decided by a coend per composable pair (phi, psi): the
+    factorizations (u over phi, v over psi) are identified along the
+    middle-fiber maps w by (u, v∘w) ~ (w∘u, v), which are exactly the
+    morphisms of the factorization categories, and each lift of psi∘phi
+    must meet exactly one class.  Degenerate pairs (either leg an
+    identity) always pass: the factorization category then has an initial
+    or final object.  With certify_dim=d, the factorization category of
+    each lift that passes is built, and its reduced homology must vanish
+    up to degree d; that is a bounded certificate toward contractibility,
+    not a proof.  A factorization category with an initial or a terminal
+    object is contractible, so it passes without a nerve.
 
     Over a base with non-identity isomorphisms, strict fibers misrepresent
     the invariant content unless pi is an isofibration, so the check runs
@@ -267,36 +273,6 @@ def is_exponentiable(pi, certify_dim=None):
     K0 = pi.target
     if any(not K0.is_identity(f) for f in K0.isomorphisms()):
         pi = isofibration_replacement(pi)
-    if certify_dim is None:
-        return _exponentiable_pi0(pi)
-    # a homology failure may come before a pi0 failure in this order, so
-    # each factorization category is built and checked in turn
-    for phi, psi, lifts in _composable_lifts(pi):
-        for lift in lifts:
-            cat = factorization_category(pi, phi, psi, lift)
-            if core._cone_point(cat) is not None:
-                continue
-            if not core.is_nonempty_connected(cat):
-                return Verdict(False, {
-                    "first": phi, "second": psi, "lift": lift,
-                    "factorizations": len(cat.objects)})
-            rep = homology.homology(cat, certify_dim)
-            if not rep.reduced_trivial_up_to(certify_dim):
-                return Verdict(False, {
-                    "first": phi, "second": psi, "lift": lift,
-                    "certificate_degree": certify_dim,
-                    "betti": rep.betti, "torsion": rep.torsion})
-    return Verdict(True)
-
-
-def _exponentiable_pi0(pi):
-    """Conduché's criterion as a coend per composable pair (phi, psi).
-
-    The factorizations (u over phi, v over psi) are identified along the
-    middle-fiber maps w by (u, v∘w) ~ (w∘u, v), which are exactly the
-    morphisms of the factorization categories.  Each lift of psi∘phi must
-    meet exactly one class.
-    """
     E, K = pi.source, pi.target
     for phi, psi, lifts in _composable_lifts(pi):
         mid = K.identity[K.tgt[phi]]
@@ -320,6 +296,17 @@ def _exponentiable_pi0(pi):
                 return Verdict(False, {"first": phi, "second": psi,
                                        "lift": lift,
                                        "factorizations": count.get(lift, 0)})
+            if certify_dim is None:
+                continue
+            cat = factorization_category(pi, phi, psi, lift)
+            if core._cone_point(cat) is not None:
+                continue
+            rep = homology.homology(cat, certify_dim)
+            if not rep.reduced_trivial_up_to(certify_dim):
+                return Verdict(False, {
+                    "first": phi, "second": psi, "lift": lift,
+                    "certificate_degree": certify_dim,
+                    "betti": rep.betti, "torsion": rep.torsion})
     return Verdict(True)
 
 
@@ -477,56 +464,33 @@ def is_right_initial_fibration(pi, certify_dim=None):
                           "0", certify_dim)
 
 
+def _end_fibrations(pi, exponentiable, ends, certify_dim):
+    """The verdict of _end_fibration for each of ends, in order."""
+    return [_end_fibration(pi, exponentiable, end, certify_dim)
+            for end in ends]
+
+
 def _end_fibration(pi, exponentiable, end, certify_dim):
     """Given pi's exponentiability verdict: is the inclusion of the fiber
-    over end of each arrow final (end "1") or initial (end "0")?"""
-    return _end_fibrations(pi, exponentiable, (end,), certify_dim)[0]
-
-
-def _end_fibrations(pi, exponentiable, ends, certify_dim, op=None):
-    """The verdict of _end_fibration for each of ends, in order.
+    over end of each arrow final (end "1") or initial (end "0")?
 
     Over an identity arrow, and at the objects of the end fiber, every
     comma has an initial (resp. final) object, so only the objects of the
-    other fiber over non-identity arrows are checked.  In pi0 mode that is
-    the edge bimodule: for end "1" and e over the source of phi, the
-    elements of E_phi(e, -) must be nonempty and connected under the
-    target fiber; end "0" is the dual, read in op(pi) (op, when the
-    caller has built it).  In certified mode the commas are built, from
-    one base change per arrow for all ends; each end keeps its own first
-    failure.
+    other fiber over non-identity arrows are checked.  For end "1" and e
+    over the source of phi, the comma is the category of elements of the
+    edge bimodule E_phi(e, -): the morphisms out of e over phi, and the
+    target-fiber maps w with w∘f = f'.  It must be nonempty and connected
+    (one union-find), and with certify_dim=d, have trivial reduced
+    homology up to degree d.  End "0" is the dual, read in op(pi).
     """
     homology._refuse_negative_degree(certify_dim)
     if not exponentiable.ok:
-        return [Verdict(False, {"exponentiable": exponentiable.witness})
-                for _ in ends]
-    if certify_dim is None:
-        return [_end_pi0(pi, end, op) for end in ends]
-    failed = {}
-    K = pi.target
-    for phi in K.morphisms:
-        if K.is_identity(phi):
-            continue
-        open_ends = [end for end in ends if end not in failed]
-        if not open_ends:
-            break
-        proj, _, total = base_change_over_arrow(pi, phi)
-        for end in open_ends:
-            F = core.inclusion_functor(core.fiber(proj, end), total)
-            fv = homology._finality(F, ("certified", certify_dim),
-                                    "final" if end == "1" else "initial",
-                                    proj.over("0" if end == "1" else "1"))
-            if not fv.ok:
-                failed[end] = Verdict(False, {"base_morphism": phi,
-                                              "inner": fv.witness})
-    return [failed.get(end, Verdict(True)) for end in ends]
-
-
-def _end_pi0(pi, end, op=None):
+        return Verdict(False, {"exponentiable": exponentiable.witness})
     near = "0"
     if end == "0":
-        pi, near = op or core.opposite_functor(pi), "1"
-    E = pi.source
+        pi, near = core.opposite_functor(pi), "1"
+    E, K = pi.source, pi.target
+    fibers = {}
     for phi, obj, elements, acts in _edge_elements(pi, near):
         uf = UnionFind(elements)
         for f in elements:
@@ -534,9 +498,23 @@ def _end_pi0(pi, end, op=None):
                 uf.union(f, E.compose(w, f))
         nonempty = len(elements) > 0
         connected = nonempty and len({uf.find(f) for f in elements}) == 1
-        if not connected:
-            return Verdict(False, {"base_morphism": phi, "inner": (
-                obj, {"nonempty": nonempty, "connected": connected})})
+        entry = {"nonempty": nonempty, "connected": connected}
+        good = connected
+        if good and certify_dim is not None:
+            y = K.tgt[phi]
+            if y not in fibers:
+                fibers[y] = core.fiber(pi, y)
+            cat = core.square_category(
+                core.terminal(), fibers[y],
+                {f: ("*", E.tgt[f], f) for f in elements},
+                lambda f, _, w, f2: E.compose(w, f) == f2)[0]
+            if core._cone_point(cat) is not None:
+                continue
+            good = entry["homology_ok"] = homology.homology(
+                cat, certify_dim).reduced_trivial_up_to(certify_dim)
+        if not good:
+            return Verdict(False, {"base_morphism": phi,
+                                   "inner": (obj, entry)})
     return Verdict(True)
 
 
@@ -586,27 +564,24 @@ _IMPLICATIONS = [
 
 def classify(pi, certify_dim=None):
     """Run all checkers, assert the implication closure, attach witnesses."""
-    # the Cartesian-side checks are the coCartesian ones on one opposite
-    op = core.opposite_functor(pi)
     cocartesian = is_cocartesian_fibration(pi)
-    cartesian = is_cocartesian_fibration(op)
+    cartesian = is_cartesian_fibration(pi)
     checks = {
         "conservative": is_conservative(pi),
         # "discrete_opfib" and "discrete_fib" are is_left_fibration and
         # is_right_fibration: groupoid fibers are allowed.  They are not
         # the strict unique-lift is_strict_discrete_(op)fibration.
         "discrete_opfib": _left_fibration(pi, cocartesian),
-        "discrete_fib": _left_fibration(op, cartesian),
+        "discrete_fib": _left_fibration(core.opposite_functor(pi), cartesian),
         "cocartesian": cocartesian,
         "cartesian": cartesian,
         "locally_cocartesian": is_locally_cocartesian(pi),
-        "locally_cartesian": is_locally_cocartesian(op),
+        "locally_cartesian": is_locally_cartesian(pi),
         "exponentiable": is_exponentiable(pi, certify_dim=certify_dim),
     }
-    # one exponentiability verdict and one base change per arrow serve
-    # both end checks
+    # one exponentiability verdict serves both end checks
     checks["left_final"], checks["right_initial"] = _end_fibrations(
-        pi, checks["exponentiable"], ("1", "0"), certify_dim, op=op)
+        pi, checks["exponentiable"], ("1", "0"), certify_dim)
     verdicts = {k: v.ok for k, v in checks.items()}
     witnesses = {k: v.witness for k, v in checks.items() if not v.ok}
     for name, hyps, concs in _IMPLICATIONS:

@@ -382,8 +382,8 @@ def _refuse_negative_degree(d):
         raise PreconditionError(f"certificate degree must be >= 0, got {d}")
 
 
-def _finality(F, mode, kind, objects=None):
-    """Check the commas at objects (default: every object of F's target).
+def _finality(F, mode, kind):
+    """Check the comma at every object of F's target.
 
     In certified mode a comma with an initial or a terminal object is
     contractible, so it passes without a nerve.
@@ -393,7 +393,7 @@ def _finality(F, mode, kind, objects=None):
     per_object = {}
     ok = True
     witness = None
-    for d in F.target.objects if objects is None else objects:
+    for d in F.target.objects:
         cat = _comma_under(F, d) if kind == "final" else _comma_over(F, d)
         if cert_dim is not None and core._cone_point(cat) is not None:
             per_object[d] = {"nonempty": True, "connected": True,

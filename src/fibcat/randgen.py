@@ -10,9 +10,7 @@ action-generated relation by union-find.
 
 from __future__ import annotations
 
-import random
-
-from . import core, correspondences as corrs, homology, transport
+from . import core, correspondences as corrs, transport
 from .core import FiniteCategory, Functor
 from .correspondences import Profunctor
 from .homology import SetValuedFunctor
@@ -473,22 +471,12 @@ def random_two_handed_fibration(rng, max_objects=3):
         C = random_category(rng, 2, 5, prefix="f.")
         P, pr1, pr2 = core.product_projections(C, K)
         return pr2
-    F = random_set_valued(rng, K, max_generators=2, quotient_p=0, empty_p=0)
-    # force bijective transports: collapse each value set to a fixed size
+    # discarded, but drawn so that rng stays where seeded samples expect it
+    random_set_valued(rng, K, max_generators=2, quotient_p=0, empty_p=0)
+    # bijective transports: value sets of one size, matched by index
     n = rng.randint(1, 2)
     values = {x: tuple(f"{x}#{i}" for i in range(n)) for x in K.objects}
-    transports = {}
-    for m in K.morphisms:
-        x, y = K.src[m], K.tgt[m]
-        if K.is_identity(m):
-            transports[m] = {a: a for a in values[x]}
-    # assign bijections along a spanning structure: posets are generated by
-    # covers, but strict functoriality over an arbitrary poset is easiest
-    # with a single global permutation applied along every morphism ...
-    # which must be the identity unless the poset is discrete; use identity
-    # transports composed with a per-object relabeling instead
-    for m in K.morphisms:
-        x, y = K.src[m], K.tgt[m]
-        transports[m] = {f"{x}#{i}": f"{y}#{i}" for i in range(n)}
+    transports = {m: {f"{K.src[m]}#{i}": f"{K.tgt[m]}#{i}" for i in range(n)}
+                  for m in K.morphisms}
     return transport.unstraighten(
         SetValuedFunctor(K, values, transports).validate())

@@ -1,10 +1,13 @@
-"""No dead public or private names at the top level of fibcat.
+"""No dead public or private names at the top level of fibcat, and no
+unread imports.
 
 Every function, class and constant that a module of `src/fibcat` defines
 at its top level must be referenced in `src/fibcat`, `tests` or
 `perfbench` somewhere other than its own definition: as a name, an
 attribute or an imported name.  Dunder names such as `__version__` are
-module metadata and are exempt.
+module metadata and are exempt.  Every name that a module of
+`src/fibcat` imports must be read somewhere in that module; `__future__`
+imports are compiler directives and are exempt.
 """
 
 import ast
@@ -75,3 +78,33 @@ def dead_names():
 
 def test_every_top_level_name_is_referenced():
     assert dead_names() == []
+
+
+def _imported_names(tree):
+    """The names that a module's import statements bind."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name
+
+
+def unread_imports():
+    """Sorted "module.name" of every name that a module of fibcat
+    imports and never reads."""
+    unread = []
+    for path in _python_files(("src", "fibcat")):
+        tree = _parse(path)
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)}
+        module = os.path.basename(path)[:-3]
+        unread += [f"{module}.{name}" for name in _imported_names(tree)
+                   if name not in read]
+    return sorted(unread)
+
+
+def test_every_imported_name_is_read():
+    assert unread_imports() == []

@@ -165,17 +165,27 @@ class TestExponentiability:
         assert len(cat.objects) == 1
 
     def test_colliding_factorization_ids_are_refused(self):
-        # ("a,b", "c") and ("a", "b,c") both print as "(a,b,c)"; merged,
-        # the two disconnected factorizations would certify as one
-        pi = functor_from_arrows(
-            core.interval(2), {"x": "0", "m1": "1", "m2": "1", "y": "2"},
-            [("a,b", "x", "m1", "0->1"), ("a", "x", "m2", "0->1"),
-             ("c", "m1", "y", "1->2"), ("b,c", "m2", "y", "1->2"),
-             ("n", "x", "y", "0->2")],
-            {("c", "a,b"): "n", ("b,c", "a"): "n"})
-        assert fib.is_exponentiable(pi).witness["factorizations"] == 2
+        # ("a,b", "c") and ("a", "b,c") both print as "(a,b,c)"
+        I2 = core.interval(2)
+        over = {"x": "0", "m1": "1", "m2": "1", "y": "2"}
+        arrows = [("a,b", "x", "m1", "0->1"), ("a", "x", "m2", "0->1"),
+                  ("c", "m1", "y", "1->2"), ("b,c", "m2", "y", "1->2"),
+                  ("n", "x", "y", "0->2")]
+        composites = {("c", "a,b"): "n", ("b,c", "a"): "n"}
+        # disconnected, they fail the coend, which builds no category, in
+        # both modes
+        pi = functor_from_arrows(I2, over, arrows, composites)
+        v = fib.is_exponentiable(pi)
+        assert v.witness["factorizations"] == 2
+        assert fib.is_exponentiable(pi, certify_dim=2).witness == v.witness
+        # joined by a middle-fiber map they pass the coend; merged, the two
+        # factorizations would certify as one object
+        joined = functor_from_arrows(
+            I2, over, arrows + [("w", "m1", "m2", "1->1")],
+            {**composites, ("w", "a,b"): "a", ("b,c", "w"): "c"})
+        assert fib.is_exponentiable(joined).ok
         with pytest.raises(PreconditionError) as err:
-            fib.is_exponentiable(pi, certify_dim=2)
+            fib.is_exponentiable(joined, certify_dim=2)
         assert "share the object id (a,b,c)" in str(err.value)
         assert err.value.witness == [("a", "b,c"), ("a,b", "c")]
 
@@ -391,15 +401,20 @@ class TestClassify:
             core.prefix_relabel(core.interval(1), "a."),
             core.prefix_relabel(core.terminal(), "b."))).projection
         cases = [ev_t, ev_s, separating_functor_over_2(), empty]
-        original = core.opposite_functor
+        original = core.opposite
         calls = []
-        monkeypatch.setattr(core, "opposite_functor",
-                            lambda F: calls.append(F) or original(F))
+        monkeypatch.setattr(core, "opposite",
+                            lambda C: calls.append(C) or original(C))
         profiles = []
         for pi in cases:
             calls.clear()
             profiles.append(fib.classify(pi))
-            assert calls == [pi]
+            # op(pi), once: its source and its target
+            assert calls == [pi.source, pi.target]
+            calls.clear()
+            assert fib.classify(pi).verdicts == profiles[-1].verdicts
+            assert calls == []
+            assert core.opposite_functor(core.opposite_functor(pi)) is pi
         monkeypatch.undo()
         for pi, profile in zip(cases, profiles):
             for key, check in (
@@ -983,15 +998,19 @@ class TestConePointCertificates:
     nerve route they skip."""
 
     def test_cone_point_implies_trivial_reduced_homology(self, monkeypatch):
+        arrows = [core.arrow_category(core.interval(n))[2] for n in (2, 3, 4)]
+        # the factorization categories and the categories of elements of
+        # the edge bimodules are the categories of squares classify builds
         built = []
-        for module, name in ((fib, "factorization_category"),
-                             (homology, "_comma_under"),
-                             (homology, "_comma_over")):
-            real = getattr(module, name)
-            monkeypatch.setattr(module, name, lambda *a, real=real:
-                                built.append(real(*a)) or built[-1])
-        for n in (2, 3, 4):
-            _, _, ev_t = core.arrow_category(core.interval(n))
+        real = core.square_category
+
+        def record(*args):
+            squares = real(*args)
+            built.append(squares[0])
+            return squares
+
+        monkeypatch.setattr(core, "square_category", record)
+        for ev_t in arrows:
             assert fib.classify(ev_t, certify_dim=3)["left_final"]
         assert len(built) > 100
         built += [randgen.random_category(random.Random(f"cone-hom:{i}"),
@@ -1062,17 +1081,19 @@ class TestConePointCertificates:
                 assert fv.per_object == per_object
                 assert fv.witness == witness and fv.ok == (witness is None)
 
-    def test_classify_builds_each_base_change_once(self, monkeypatch,
-                                                   tmp_path):
+    def test_classify_builds_no_base_change_and_no_comma(self, monkeypatch,
+                                                         tmp_path):
         _, _, ev_t = core.arrow_category(core.interval(4))
         path = tmp_path / "ev_t_Ar4.json"
         path.write_text(docs.dumps(docs.functor_to_doc(ev_t)))
         calls = []
-        real = core.base_change
-        monkeypatch.setattr(core, "base_change", lambda pi, g:
-                            calls.append(g) or real(pi, g))
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert cli.main(["classify", "--functor", str(path),
-                             "--certify-dim", "2"]) == 0
-        # one per non-identity arrow of [4], not one per arrow and end
-        assert len(calls) == 10
+        for name in ("base_change", "pullback", "comma_with_data"):
+            real = getattr(core, name)
+            monkeypatch.setattr(core, name, lambda *a, name=name, real=real:
+                                calls.append(name) or real(*a))
+        for certify in ([], ["--certify-dim", "2"]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(["classify", "--functor", str(path)]
+                                + certify) == 0
+        # both modes read the edge bimodules from pi's index
+        assert calls == []
