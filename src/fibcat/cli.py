@@ -18,6 +18,7 @@ import random
 import sys
 import threading
 import time
+import traceback
 
 from . import core, correspondences as corrs, documents as docs
 from . import fibrations, homology, randgen, transport
@@ -361,6 +362,16 @@ def _suite_cases(seed, size):
     return cases
 
 
+def _failure(exc):
+    """Type: message (at fibcat/module.py:line in function), at the
+    innermost frame in this package, named relative to the package."""
+    package = os.path.dirname(os.path.abspath(__file__))
+    at = [f for f in traceback.extract_tb(exc.__traceback__)
+          if os.path.dirname(os.path.abspath(f.filename)) == package][-1]
+    return (f"{type(exc).__name__}: {exc} (at fibcat/"
+            f"{os.path.basename(at.filename)}:{at.lineno} in {at.name})")
+
+
 def cmd_suite(args):
     cases = _suite_cases(args.seed, args.size)
     results = [None] * len(cases)
@@ -372,7 +383,7 @@ def cmd_suite(args):
                 ok, artifacts = thunk()
                 results[i] = name, ok, None, artifacts
             except Exception as exc:  # property failure with context
-                results[i] = name, False, f"{type(exc).__name__}: {exc}", {}
+                results[i] = name, False, _failure(exc), {}
 
     # plain threads: concurrent.futures would import logging and queue on
     # every such run, and under the GIL no pool runs the cases faster

@@ -1039,9 +1039,9 @@ def product_corr(c1, c2):
 
 
 def is_left_final_corr(c, certify_dim=None):
-    """Is the target-fiber inclusion final?  Cross-checks the equivalent
-    conditions: the comma criterion on the inclusion, finality of ev_s on
-    the sections category, and per-object elements-category connectivity."""
+    """Is the target-fiber inclusion final?  Cross-checks two equivalent
+    conditions: finality of the inclusion and finality of ev_s on the
+    sections category."""
     mode = "pi0" if certify_dim is None else ("certified", certify_dim)
     inc = core.inclusion_functor(c.fiber_t, c.total)
     direct = homology.is_final(inc, mode=mode)

@@ -124,8 +124,10 @@ def is_locally_cocartesian(pi):
     E_phi(e, -) has an initial element: an f such that w |-> w∘f is a
     bijection from the fiber maps out of tgt f onto E_phi(e, -).
     """
-    E = pi.source
-    for phi, obj, elements, acts in _edge_elements(pi, "0"):
+    E, K = pi.source, pi.target
+    for phi, obj, elements in _edge_elements(pi, "0"):
+        far = K.identity[K.tgt[phi]]
+        acts = {f: pi.lifts(E.tgt[f], far) for f in elements}
         if not any(len(acts[f]) == len(elements)
                    == len({E.compose(w, f) for w in acts[f]})
                    for f in elements):
@@ -298,11 +300,9 @@ def is_exponentiable(pi, certify_dim=None):
                                        "factorizations": count.get(lift, 0)})
             if certify_dim is None:
                 continue
-            cat = factorization_category(pi, phi, psi, lift)
-            if core._cone_point(cat) is not None:
-                continue
-            rep = homology.homology(cat, certify_dim)
-            if not rep.reduced_trivial_up_to(certify_dim):
+            rep = homology._failed_certificate(
+                factorization_category(pi, phi, psi, lift), certify_dim)
+            if rep is not None:
                 return Verdict(False, {
                     "first": phi, "second": psi, "lift": lift,
                     "certificate_degree": certify_dim,
@@ -330,19 +330,15 @@ def _edge_elements(pi, near):
 
     For each non-identity phi: x -> y and each e over x, in the order of
     e's id pair_id(near, e) in the base change over phi: (phi, that id,
-    the morphisms out of e over phi, and for each of them the fiber maps
-    over y out of its target).
+    the morphisms out of e over phi).
     """
-    E, K = pi.source, pi.target
+    K = pi.target
     for phi in K.morphisms:
         if K.is_identity(phi):
             continue
-        far = K.identity[K.tgt[phi]]
         near_ids = {e: core.pair_id(near, e) for e in pi.over(K.src[phi])}
         for e in sorted(near_ids, key=near_ids.get):
-            elements = pi.lifts(e, phi)
-            yield (phi, near_ids[e], elements,
-                   {f: pi.lifts(E.tgt[f], far) for f in elements})
+            yield phi, near_ids[e], pi.lifts(e, phi)
 
 
 # -- adjoints and initial/final objects ------------------------------------
@@ -464,12 +460,6 @@ def is_right_initial_fibration(pi, certify_dim=None):
                           "0", certify_dim)
 
 
-def _end_fibrations(pi, exponentiable, ends, certify_dim):
-    """The verdict of _end_fibration for each of ends, in order."""
-    return [_end_fibration(pi, exponentiable, end, certify_dim)
-            for end in ends]
-
-
 def _end_fibration(pi, exponentiable, end, certify_dim):
     """Given pi's exponentiability verdict: is the inclusion of the fiber
     over end of each arrow final (end "1") or initial (end "0")?
@@ -477,11 +467,10 @@ def _end_fibration(pi, exponentiable, end, certify_dim):
     Over an identity arrow, and at the objects of the end fiber, every
     comma has an initial (resp. final) object, so only the objects of the
     other fiber over non-identity arrows are checked.  For end "1" and e
-    over the source of phi, the comma is the category of elements of the
-    edge bimodule E_phi(e, -): the morphisms out of e over phi, and the
-    target-fiber maps w with w∘f = f'.  It must be nonempty and connected
-    (one union-find), and with certify_dim=d, have trivial reduced
-    homology up to degree d.  End "0" is the dual, read in op(pi).
+    over the source of phi, the comma is the category of elements of
+    E_phi(e, -): the f out of e over phi, which the maps w of the fiber
+    over tgt phi move to w∘f (see homology._elements_verdict).  End "0"
+    is the dual, read in op(pi).
     """
     homology._refuse_negative_degree(certify_dim)
     if not exponentiable.ok:
@@ -491,27 +480,13 @@ def _end_fibration(pi, exponentiable, end, certify_dim):
         pi, near = core.opposite_functor(pi), "1"
     E, K = pi.source, pi.target
     fibers = {}
-    for phi, obj, elements, acts in _edge_elements(pi, near):
-        uf = UnionFind(elements)
-        for f in elements:
-            for w in acts[f]:
-                uf.union(f, E.compose(w, f))
-        nonempty = len(elements) > 0
-        connected = nonempty and len({uf.find(f) for f in elements}) == 1
-        entry = {"nonempty": nonempty, "connected": connected}
-        good = connected
-        if good and certify_dim is not None:
-            y = K.tgt[phi]
-            if y not in fibers:
-                fibers[y] = core.fiber(pi, y)
-            cat = core.square_category(
-                core.terminal(), fibers[y],
-                {f: ("*", E.tgt[f], f) for f in elements},
-                lambda f, _, w, f2: E.compose(w, f) == f2)[0]
-            if core._cone_point(cat) is not None:
-                continue
-            good = entry["homology_ok"] = homology.homology(
-                cat, certify_dim).reduced_trivial_up_to(certify_dim)
+    for phi, obj, elements in _edge_elements(pi, near):
+        y = K.tgt[phi]
+        if y not in fibers:
+            fibers[y] = core.fiber(pi, y)
+        good, entry = homology._elements_verdict(
+            fibers[y], {f: E.tgt[f] for f in elements}, E.compose,
+            certify_dim)
         if not good:
             return Verdict(False, {"base_morphism": phi,
                                    "inner": (obj, entry)})
@@ -580,8 +555,9 @@ def classify(pi, certify_dim=None):
         "exponentiable": is_exponentiable(pi, certify_dim=certify_dim),
     }
     # one exponentiability verdict serves both end checks
-    checks["left_final"], checks["right_initial"] = _end_fibrations(
-        pi, checks["exponentiable"], ("1", "0"), certify_dim)
+    checks["left_final"], checks["right_initial"] = (
+        _end_fibration(pi, checks["exponentiable"], end, certify_dim)
+        for end in ("1", "0"))
     verdicts = {k: v.ok for k, v in checks.items()}
     witnesses = {k: v.witness for k, v in checks.items() if not v.ok}
     for name, hyps, concs in _IMPLICATIONS:

@@ -2,10 +2,11 @@
 
 The nerve of a finite category is truncated at a chosen dimension and its
 normalized (identity-free) chain complex is reduced by Smith normal form
-over exact integers.  Homology feeds two kinds of verdicts: exact π0-level
-cofinality (comma categories nonempty and connected) and bounded-degree
-contractibility certificates.  A certificate up to degree d never claims
-anything beyond degree d.
+over exact integers.  Cofinality, the end checks of fibrations and
+set-valued colimits all read categories of elements, decided by one
+union-find: exact π0-level verdicts (nonempty and connected), and
+bounded-degree contractibility certificates on the categories that pass.
+A certificate up to degree d never claims anything beyond degree d.
 """
 
 from __future__ import annotations
@@ -330,50 +331,77 @@ def pi0(C):
 
 def pi0_map(C):
     """Map each object to the least object of its component."""
-    uf = UnionFind(C.objects)
-    for m in C.morphisms:
-        uf.union(C.src[m], C.tgt[m])
-    return uf.class_map()
+    return _element_classes(C, {x: x for x in C.objects},
+                            lambda u, x: C.tgt[u]).class_map()
 
 
-# -- finality --------------------------------------------------------------
+# -- categories of elements and finality ---------------------------------
+
+
+def _failed_certificate(C, d):
+    """None when C passes the certificate up to degree d: it has an initial
+    or a terminal object (so it is contractible), or its reduced homology
+    vanishes up to d.  Otherwise the HomologyReport that fails."""
+    if core._cone_point(C) is not None:
+        return None
+    rep = homology(C, d)
+    return None if rep.reduced_trivial_up_to(d) else rep
+
+
+def _element_classes(C, over, act):
+    """Components of a category of elements, as a UnionFind: each element
+    x lies over the object over[x] of C, and u out of over[x] takes x to
+    act(u, x)."""
+    uf = UnionFind(over)
+    for x, c in over.items():
+        for u in C._from[c]:
+            uf.union(x, act(u, x))
+    return uf
+
+
+def _elements_verdict(C, over, act, cert_dim):
+    """Is the category of elements (see _element_classes) nonempty and
+    connected, and with cert_dim=d, does it pass the certificate up to d?
+    Returns the verdict and its entry, with homology_ok when a certificate
+    ran; only a certificate builds the category, x -> act(u, x) for each u.
+    """
+    uf = _element_classes(C, over, act)
+    nonempty = len(over) > 0
+    connected = nonempty and len({uf.find(x) for x in over}) == 1
+    entry = {"nonempty": nonempty, "connected": connected}
+    if not connected or cert_dim is None:
+        return connected, entry
+    cat = core.square_category(
+        core.terminal(), C, {x: ("*", c, x) for x, c in over.items()},
+        lambda x, _, u, x2: act(u, x) == x2)[0]
+    entry["homology_ok"] = _failed_certificate(cat, cert_dim) is None
+    return entry["homology_ok"], entry
 
 
 @dataclass
 class FinalityVerdict:
-    kind: str            # "final" or "initial"
-    mode: object         # "pi0" or ("certified", d)
     per_object: dict     # object -> dict(nonempty, connected, homology_ok)
     ok: bool
     witness: object = None
 
 
-def _comma_under(F, d):
-    """C^{d/}: comma of the point at d under F: C -> D."""
-    cat, _, _ = core.comma(core.point(F.target, d), F)
-    return cat
-
-
-def _comma_over(F, d):
-    """C_{/d}: comma of F over the point at d."""
-    cat, _, _ = core.comma(F, core.point(F.target, d))
-    return cat
-
-
 def is_final(F, mode="pi0"):
     """Cofinality of F: C -> D.
 
-    In pi0 mode the verdict is exact for set-valued colimits: every comma
-    C^{d/} must be nonempty and connected.  In certified(d) mode, each comma
+    In pi0 mode the verdict is exact for set-valued colimits: at every
+    object d, the category of elements of D(d, F-), which is the comma
+    C^{d/}, must be nonempty and connected.  In certified(d) mode, each
     must additionally have trivial reduced homology up to degree d; the
     stronger verdict is a bounded certificate, not a proof of
     contractibility.
     """
-    return _finality(F, mode, "final")
+    return _finality(F, mode)
 
 
 def is_initial(F, mode="pi0"):
-    return _finality(F, mode, "initial")
+    """Finality of F^op: each comma C_{/d} is the opposite of the comma of
+    F^op under d, with the same components, homology and cone points."""
+    return _finality(core.opposite_functor(F), mode)
 
 
 def _refuse_negative_degree(d):
@@ -382,36 +410,22 @@ def _refuse_negative_degree(d):
         raise PreconditionError(f"certificate degree must be >= 0, got {d}")
 
 
-def _finality(F, mode, kind):
-    """Check the comma at every object of F's target.
-
-    In certified mode a comma with an initial or a terminal object is
-    contractible, so it passes without a nerve.
-    """
+def _finality(F, mode):
+    """Check the category of elements of D(d, F-) at every object d: the
+    pairs (c, k: d -> F c), where u: c -> c' takes (c, k) to
+    (c', F(u)∘k)."""
     cert_dim = mode[1] if isinstance(mode, tuple) else None
     _refuse_negative_degree(cert_dim)
-    per_object = {}
-    ok = True
-    witness = None
-    for d in F.target.objects:
-        cat = _comma_under(F, d) if kind == "final" else _comma_over(F, d)
-        if cert_dim is not None and core._cone_point(cat) is not None:
-            per_object[d] = {"nonempty": True, "connected": True,
-                             "homology_ok": True}
-            continue
-        nonempty = len(cat.objects) > 0
-        connected = nonempty and core.is_connected(cat)
-        entry = {"nonempty": nonempty, "connected": connected}
-        good = nonempty and connected
-        if good and cert_dim is not None:
-            entry["homology_ok"] = homology(cat, cert_dim).reduced_trivial_up_to(
-                cert_dim)
-            good = entry["homology_ok"]
-        per_object[d] = entry
-        if not good and ok:
-            ok = False
-            witness = (d, entry)
-    return FinalityVerdict(kind, mode, per_object, ok, witness)
+    C, D, Fu = F.source, F.target, F.mor_map
+    act = lambda u, ck: (C.tgt[u], D.compose(Fu[u], ck[1]))
+    per_object, witness = {}, None
+    for d in D.objects:
+        over = {(c, k): c for c in C.objects
+                for k in D.hom(d, F.ob_map[c])}
+        good, per_object[d] = _elements_verdict(C, over, act, cert_dim)
+        if not good and witness is None:
+            witness = (d, per_object[d])
+    return FinalityVerdict(per_object, witness is None, witness)
 
 
 # -- set-valued diagrams and the colimit oracle ----------------------------
@@ -474,14 +488,9 @@ def set_colimit(G):
     the representative of its class.
     """
     K = G.base
-    uf = UnionFind()
-    for x in K.objects:
-        for a in G.values[x]:
-            uf.add((x, a))
-    for m in K.morphisms:
-        x, y = K.src[m], K.tgt[m]
-        for a in G.values[x]:
-            uf.union((x, a), (y, G.transports[m][a]))
+    uf = _element_classes(
+        K, {(x, a): x for x in K.objects for a in G.values[x]},
+        lambda m, xa: (K.tgt[m], G.transports[m][xa[1]]))
     return uf.classes(), uf.class_map()
 
 

@@ -121,7 +121,9 @@ def cart_replacement(pi):
                    {u: core._square_id(pi.mor_map[u], u, unit_ob[E.src[u]],
                                        unit_ob[E.tgt[u]])
                     for u in E.morphisms})
-    if not fibrations.is_cartesian_fibration(proj).ok:
+    cartesian = fibrations.is_cartesian_fibration(proj).ok
+    proj._op = None  # the check cached op(proj); the result need not keep it
+    if not cartesian:
         raise InternalInvariantError("replacement is not Cartesian")
     if not unit.is_fully_faithful():
         raise InternalInvariantError("replacement unit is not fully faithful")

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 
@@ -723,6 +724,19 @@ class TestSuiteRunner:
         with contextlib.redirect_stdout(buf):
             code = args.func(args)
         assert (art / "planted__instance.json").exists()
+
+    def test_failure_records_name_the_innermost_fibcat_frame(self,
+                                                             monkeypatch):
+        cases = [("passes", lambda: (True, {})),
+                 ("planted", lambda: core.point(core.terminal(), "nope"))]
+        monkeypatch.setattr(cli, "_suite_cases", lambda seed, size: cases)
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert cli.main(["suite", "--size", "1"]) == 0
+        passed, failed = json.loads(out.getvalue())["results"]
+        assert passed == {"name": "passes", "ok": True, "error": None}
+        assert re.fullmatch(r"PreconditionError: unknown object nope "
+                            r"\(at fibcat/core\.py:\d+ in point\)",
+                            failed["error"]), failed
 
 
 def old_json_safe(value):

@@ -918,13 +918,14 @@ class TestFactorizationCategoryOracle:
 
 
 def parent_finality(F, d, kind, objects):
-    """homology._finality before cone points: every comma gets its
-    components and, with a degree d (None in pi0 mode), a nerve
-    certificate."""
+    """homology._finality before cone points and categories of elements:
+    every comma gets its components and, with a degree d (None in pi0
+    mode), a nerve certificate."""
     per_object, witness = {}, None
     for x in objects:
-        cat = (homology._comma_under(F, x) if kind == "final"
-               else homology._comma_over(F, x))
+        point = core.point(F.target, x)
+        cat = (core.comma(point, F) if kind == "final"
+               else core.comma(F, point))[0]
         nonempty = len(cat.objects) > 0
         connected = nonempty and core.is_connected(cat)
         entry = {"nonempty": nonempty, "connected": connected}
@@ -1037,7 +1038,8 @@ class TestConePointCertificates:
             old_exp = parent_certified_is_exponentiable(pi, d)
             assert (exp.ok, exp.witness) == (old_exp.ok, old_exp.witness)
             for assumed in {exp.ok: exp, True: fib.Verdict(True)}.values():
-                new = fib._end_fibrations(pi, assumed, ("1", "0"), d)
+                new = [fib._end_fibration(pi, assumed, end, d)
+                       for end in ("1", "0")]
                 old = [parent_certified_end_fibration(pi, assumed, end, d)
                        for end in ("1", "0")]
                 assert [(v.ok, v.witness) for v in new] == \
@@ -1073,9 +1075,9 @@ class TestConePointCertificates:
                               randgen.random_category(rng, 3, 7, prefix="j."),
                               randgen.random_category(rng, 3, 7, prefix="k.")))
         for F in sample:
-            for kind in ("final", "initial"):
-                fv = homology._finality(
-                    F, "pi0" if d is None else ("certified", d), kind)
+            for kind, check in (("final", homology.is_final),
+                                ("initial", homology.is_initial)):
+                fv = check(F, "pi0" if d is None else ("certified", d))
                 per_object, witness = parent_finality(
                     F, d, kind, F.target.objects)
                 assert fv.per_object == per_object

@@ -1,3 +1,7 @@
+import contextlib
+import io
+import json
+import os
 import random
 
 import pytest
@@ -5,7 +9,9 @@ import sympy
 from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-from fibcat import core, homology, randgen, transport
+from fibcat import cli, core, documents as docs, homology, randgen, transport
+
+FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 
 
 def oracle_homology(C, d):
@@ -269,6 +275,91 @@ class TestFinality:
         for _ in range(10):
             f = randgen.random_final_functor(rng)
             assert len(homology.pi0(f.source)) == len(homology.pi0(f.target))
+
+
+def colliding_comma_ids():
+    """discrete{a, "a,b"} -> the walking isomorphism x ≅ y, with id_x named
+    "c" and i: x -> y named "b,c": the comma objects (a, i) and ("a,b", id_x)
+    under x both print "(*,a,b,c)"."""
+    W = core.relabel(core.walking_isomorphism(), {"a": "x", "b": "y"},
+                     {"id_a": "c", "i": "b,c", "id_b": "id_y"})
+    S = core.discrete_category(["a", "a,b"])
+    return core.Functor(S, W, {"a": "y", "a,b": "x"},
+                        {S.identity["a"]: "id_y", S.identity["a,b"]: "c"})
+
+
+def run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestCategoriesOfElements:
+    """Finality reads the category of elements of D(d, F-) at each object
+    d; the category is built only for a certificate."""
+
+    def test_pi0_mode_builds_no_category(self, monkeypatch):
+        calls = []
+        for name in ("comma_with_data", "square_category"):
+            real = getattr(core, name)
+            monkeypatch.setattr(core, name, lambda *a, name=name, real=real:
+                                calls.append(name) or real(*a))
+        functors = []
+        for name in sorted(os.listdir(FIXTURES)):
+            path = os.path.join(FIXTURES, name)
+            with open(path, encoding="utf-8") as fh:
+                if json.load(fh)["type"] == "functor":
+                    functors.append(path)
+        assert len(functors) > 4
+        for path in functors:
+            for command in ("final", "initial"):
+                assert run_main([command, "--functor", path])[0] == 0
+        assert calls == []
+
+    @pytest.mark.parametrize("check", [homology.is_final,
+                                       homology.is_initial])
+    def test_certificates_build_only_connected_categories(self, check,
+                                                           monkeypatch):
+        built = []
+        real = core.square_category
+
+        def record(*args):
+            squares = real(*args)
+            built.append(squares[0])
+            return squares
+
+        monkeypatch.setattr(core, "square_category", record)
+        connected = disconnected = 0
+        for i in range(40):
+            rng = random.Random(f"elements-built:{i}")
+            F = randgen.random_functor_between(
+                rng, randgen.random_category(rng, 3, 7, prefix="j."),
+                randgen.random_category(rng, 3, 7, prefix="k."))
+            del built[:]
+            fv = check(F, ("certified", 1))
+            entries = list(fv.per_object.values())
+            assert len(built) == sum(e["connected"] for e in entries)
+            assert all(core.is_nonempty_connected(C) for C in built)
+            connected += len(built)
+            disconnected += len(entries) - len(built)
+        assert connected > 20 and disconnected > 20
+
+    @pytest.mark.parametrize("certify", [[], ["--certify-dim", "2"]])
+    def test_comma_ids_that_print_alike_get_a_verdict(self, certify,
+                                                      tmp_path):
+        F = colliding_comma_ids()
+        path = tmp_path / "colliding.json"
+        path.write_text(docs.dumps(docs.functor_to_doc(F)))
+        for command, ok in (("final", False), ("initial", False)):
+            code, out, err = run_main([command, "--functor", str(path)]
+                                      + certify)
+            assert (code, err) == (0, ""), err
+            report = json.loads(out)
+            assert report["verdicts"] == {command: ok}
+        # two elements and no morphism between them under x
+        entry = homology.is_final(F).per_object["x"]
+        assert entry == {"nonempty": True, "connected": False}
 
 
 class TestColimitExactness:

@@ -49,6 +49,13 @@ class TestCocartReplacement:
         assert len(rep.projection.source.objects) == 2
         assert fib.is_cartesian_fibration(rep.projection).ok
 
+    def test_cart_projection_keeps_no_opposite(self):
+        _, _, ev_t = core.arrow_category(core.interval(2))
+        proj = transport.cart_replacement(ev_t).projection
+        # the opposite of the self-check went with it
+        assert proj._op is None
+        assert core.opposite_functor(core.opposite_functor(proj)) is proj
+
     def test_cart_unit_is_left_adjoint_when_already_cartesian(self):
         C = core.interval(1)
         P, pr1, pr2 = core.product_projections(C, core.interval(1))
