@@ -97,9 +97,8 @@ def cmd_classify(args):
 
 def cmd_final(args, kind="final"):
     pi = _load(args.functor, "functor")
-    mode = "pi0" if args.certify_dim is None else ("certified", args.certify_dim)
     verdict = (homology.is_final if kind == "final" else homology.is_initial)(
-        pi, mode=mode)
+        pi, certify_dim=args.certify_dim)
     _report(args, {kind: verdict.ok},
             {"failing_object": verdict.witness},
             extra={"per_object": verdict.per_object},

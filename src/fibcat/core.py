@@ -884,90 +884,94 @@ def enumeration_cap():
     return cap
 
 
-def all_functors(C, D, ob_constraint=None, mor_constraint=None, cap=None):
-    """Every functor C -> D, by backtracking over generators.
+def _due(order, constraints):
+    """Schedule each law where the last key it reads is assigned.
 
-    ob_constraint(x) and mor_constraint(m) restrict candidate images.
-    Fails loudly when the number of explored partial assignments would
-    exceed the cap.
-    """
+    order is the sequence in which a backtracking search assigns keys, and
+    constraints are (keys, payload) pairs.  Returns one list per position
+    i of order: the payloads whose last key is order[i].  Keys come apart
+    from the payload because ids are opaque: an object and a morphism may
+    share one."""
+    position = {k: i for i, k in enumerate(order)}
+    due = [[] for _ in order]
+    for keys, payload in constraints:
+        due[max(map(position.__getitem__, keys))].append(payload)
+    return due
+
+
+def _pair_laws(C):
+    """Each composable pair (g, f) of non-identity morphisms, keyed by the
+    non-identity ones among g, f and g∘f; pairs with an identity hold in
+    any map that keeps identities and endpoints."""
+    identities = set(C.identity.values())
+    return (({g, f, C._comp[(g, f)]} - identities, (g, f))
+            for f in C.morphisms if f not in identities
+            for g in C._from[C.tgt[f]] if g not in identities)
+
+
+def _explorer(cap, what):
+    """Charge one partial assignment explored per call; passing the cap
+    (the configured one when cap is None) raises EnumerationCapExceeded."""
     cap = cap or enumeration_cap()
-    objects = list(C.objects)
-    non_id = [m for m in C.morphisms if not C.is_identity(m)]
-    results = []
     budget = [cap]
 
-    def candidates_obj(x):
-        return ob_constraint(x) if ob_constraint else D.objects
+    def explore():
+        budget[0] -= 1
+        if budget[0] < 0:
+            raise EnumerationCapExceeded(f"{what} enumeration exceeded cap {cap}")
+    return explore
 
-    def candidates_mor(m, fsrc, ftgt):
-        base = D.hom(fsrc, ftgt)
-        if mor_constraint:
-            allowed = set(mor_constraint(m))
-            return [n for n in base if n in allowed]
-        return list(base)
+
+def all_functors(C, D, ob_constraint=None, mor_constraint=None, cap=None):
+    """Every functor C -> D, by backtracking over generators: objects,
+    then non-identity morphisms, each over its candidates in sorted order,
+    so the functors come in that depth-first order.  Each law (a nonempty
+    hom goes to a nonempty hom; a composable pair is preserved) is checked
+    once, when the last thing it reads is assigned (see _due).
+
+    ob_constraint(x) and mor_constraint(m) restrict candidate images.  The
+    cap counts the partial assignments explored.
+    """
+    objects = list(C.objects)
+    non_id = C.non_identity_morphisms()
+    homs_due = _due(objects, ((xy, xy) for xy in C._hom if xy[0] != xy[1]))
+    pairs_due = _due(non_id, _pair_laws(C))
+    results = []
+    explore = _explorer(cap, "functor")
 
     def extend_morphisms(ob_map):
         mor_map = {C.identity[x]: D.identity[ob_map[x]] for x in objects}
 
         def backtrack(i):
-            budget[0] -= 1
-            if budget[0] < 0:
-                raise EnumerationCapExceeded(
-                    f"functor enumeration exceeded cap {cap}")
+            explore()
             if i == len(non_id):
-                cand = Functor(C, D, dict(ob_map), dict(mor_map), _validate=False)
-                # only composition needs rechecking; typing is by construction
-                ok = all(
-                    mor_map[C.compose(g, f)] == D.compose(mor_map[g], mor_map[f])
-                    for f in C.morphisms for g in C.morphisms
-                    if C.tgt[f] == C.src[g])
-                if ok:
-                    results.append(cand)
+                results.append(Functor(C, D, dict(ob_map), dict(mor_map),
+                                       _validate=False))
                 return
             m = non_id[i]
-            for n in candidates_mor(m, ob_map[C.src[m]], ob_map[C.tgt[m]]):
+            images = D.hom(ob_map[C.src[m]], ob_map[C.tgt[m]])
+            if mor_constraint:
+                allowed = set(mor_constraint(m))
+                images = [n for n in images if n in allowed]
+            for n in images:
                 mor_map[m] = n
-                # prune: any composite already fully assigned must match
-                consistent = True
-                for f in list(mor_map):
-                    for g, h in ((m, f), (f, m)):
-                        if C.tgt[h] == C.src[g] and g in mor_map and h in mor_map:
-                            c = C.compose(g, h)
-                            if c in mor_map and mor_map[c] != D.compose(
-                                    mor_map[g], mor_map[h]):
-                                consistent = False
-                                break
-                    if not consistent:
-                        break
-                if consistent:
+                if all(mor_map[C._comp[(g, f)]]
+                       == D._comp[(mor_map[g], mor_map[f])]
+                       for g, f in pairs_due[i]):
                     backtrack(i + 1)
                 del mor_map[m]
 
         backtrack(0)
 
     def assign_objects(i, ob_map):
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise EnumerationCapExceeded(f"functor enumeration exceeded cap {cap}")
+        explore()
         if i == len(objects):
             extend_morphisms(ob_map)
             return
         x = objects[i]
-        for d in candidates_obj(x):
-            # prune object choices with an empty required hom
+        for d in ob_constraint(x) if ob_constraint else D.objects:
             ob_map[x] = d
-            ok = True
-            for y, dy in ob_map.items():
-                if y == x:
-                    continue
-                if C.hom(x, y) and not D.hom(d, dy):
-                    ok = False
-                    break
-                if C.hom(y, x) and not D.hom(dy, d):
-                    ok = False
-                    break
-            if ok:
+            if all(D.hom(ob_map[a], ob_map[b]) for a, b in homs_due[i]):
                 assign_objects(i + 1, ob_map)
             del ob_map[x]
 
@@ -996,9 +1000,13 @@ def functor_object_id(F):
 
 
 def natural_transformations(F, G, component_filter=None):
-    """All natural transformations F => G as component dicts."""
+    """All natural transformations F => G as component dicts, in the
+    depth-first order of sorted objects and components.  The square of a
+    morphism is checked once, when both its ends have components."""
     C, D = F.source, F.target
     objects = list(C.objects)
+    squares_due = _due(objects, (((C.src[m], C.tgt[m]), m)
+                                 for m in C.morphisms))
     results = []
 
     def backtrack(i, comps):
@@ -1010,15 +1018,9 @@ def natural_transformations(F, G, component_filter=None):
             if component_filter and not component_filter(x, eta):
                 continue
             comps[x] = eta
-            ok = True
-            for m in C.morphisms:
-                a, b = C.src[m], C.tgt[m]
-                if a in comps and b in comps:
-                    if D.compose(comps[b], F.mor_map[m]) != \
-                            D.compose(G.mor_map[m], comps[a]):
-                        ok = False
-                        break
-            if ok:
+            if all(D.compose(comps[C.tgt[m]], F.mor_map[m])
+                   == D.compose(G.mor_map[m], comps[C.src[m]])
+                   for m in squares_due[i]):
                 backtrack(i + 1, comps)
             del comps[x]
 

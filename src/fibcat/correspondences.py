@@ -751,9 +751,8 @@ def glue_over_triangle(c01, c12):
                 rep = uf.find(triple)
                 cid = cross_class[triple[1:]] = f"[{rep[1]}|{rep[2]}]"
                 if rep_of.setdefault(cid, rep) != rep:
-                    raise PreconditionError(
-                        f"classes of {rep_of[cid]} and {rep} share the "
-                        f"class id {cid}", witness=[rep_of[cid], rep])
+                    core._refuse_shared_id("classes of", "class", cid,
+                                           rep_of[cid], rep)
                 reps[cid] = rep
             classes[(a, c)] = sorted(reps.items())
     # the A- and C-actions on a class, read off its least triple: the
@@ -792,7 +791,8 @@ def compose_corr(c01, c12):
 
 def compose_prof(P01, P12):
     """The set-level coend: pairs through the middle modulo the zigzag
-    relation, with induced actions verified well-defined."""
+    relation, with induced actions verified well-defined.  Two classes at
+    one (a, c) whose names print alike are refused, never merged."""
     if P01.target != P12.source:
         raise PreconditionError("middle categories differ; relabel first")
     A, B, C = P01.source, P01.target, P12.target
@@ -808,12 +808,14 @@ def compose_prof(P01, P12):
     for a in A.objects:
         for c in C.objects:
             uf = coend_pairs(P01, P12, a, c)
-            ids = set()
+            rep_of = {}  # class id -> its representative triple
             for triple in uf.parent:
                 rep = uf.find(triple)
-                class_of[(a, c) + triple] = class_id(rep)
-                ids.add(class_id(rep))
-            elements[(a, c)] = tuple(sorted(ids))
+                cid = class_of[(a, c) + triple] = class_id(rep)
+                if rep_of.setdefault(cid, rep) != rep:
+                    core._refuse_shared_id("classes of", "class", cid,
+                                           rep_of[cid], rep)
+            elements[(a, c)] = tuple(sorted(rep_of))
     members = _class_members(class_of)
 
     def act_on_class(side, at, here, there, cid, move):
@@ -888,9 +890,8 @@ def compose_bifib(X01, X12):
         rep = uf.find(pair)
         cid = component[pair] = f"[{rep[0]}|{rep[1]}]"
         if rep_of.setdefault(cid, rep) != rep:
-            raise PreconditionError(
-                f"classes of {rep_of[cid]} and {rep} share the class id "
-                f"{cid}", witness=[rep_of[cid], rep])
+            core._refuse_shared_id("classes of", "class", cid, rep_of[cid],
+                                   rep)
         members.setdefault(cid, []).append(pair)
     ends = {cid: (over1[x][0], over2[y][1], cid)
             for cid, (x, y) in rep_of.items()}
@@ -1042,12 +1043,11 @@ def is_left_final_corr(c, certify_dim=None):
     """Is the target-fiber inclusion final?  Cross-checks two equivalent
     conditions: finality of the inclusion and finality of ev_s on the
     sections category."""
-    mode = "pi0" if certify_dim is None else ("certified", certify_dim)
     inc = core.inclusion_functor(c.fiber_t, c.total)
-    direct = homology.is_final(inc, mode=mode)
+    direct = homology.is_final(inc, certify_dim)
     secs, ev_s, ev_t, fs, ft, proj, total = fibrations.sections_over_arrow(
         c.projection, "0->1")
-    via_sections = homology.is_final(ev_s, mode=mode)
+    via_sections = homology.is_final(ev_s, certify_dim)
     if direct.ok != via_sections.ok:
         raise fibrations.InternalInvariantError(
             "finality of the fiber inclusion and of ev_s disagree")
@@ -1057,12 +1057,11 @@ def is_left_final_corr(c, certify_dim=None):
 
 
 def is_right_initial_corr(c, certify_dim=None):
-    mode = "pi0" if certify_dim is None else ("certified", certify_dim)
     inc = core.inclusion_functor(c.fiber_s, c.total)
-    direct = homology.is_initial(inc, mode=mode)
+    direct = homology.is_initial(inc, certify_dim)
     secs, ev_s, ev_t, fs, ft, proj, total = fibrations.sections_over_arrow(
         c.projection, "0->1")
-    via_sections = homology.is_initial(ev_t, mode=mode)
+    via_sections = homology.is_initial(ev_t, certify_dim)
     if direct.ok != via_sections.ok:
         raise fibrations.InternalInvariantError(
             "initiality of the fiber inclusion and of ev_t disagree")

@@ -385,47 +385,40 @@ class FinalityVerdict:
     witness: object = None
 
 
-def is_final(F, mode="pi0"):
+def is_final(F, certify_dim=None):
     """Cofinality of F: C -> D.
 
-    In pi0 mode the verdict is exact for set-valued colimits: at every
-    object d, the category of elements of D(d, F-), which is the comma
-    C^{d/}, must be nonempty and connected.  In certified(d) mode, each
-    must additionally have trivial reduced homology up to degree d; the
-    stronger verdict is a bounded certificate, not a proof of
-    contractibility.
+    The verdict is exact for set-valued colimits: at every object d, the
+    category of elements of D(d, F-), which is the comma C^{d/}, must be
+    nonempty and connected.  With certify_dim=d, each must additionally
+    have trivial reduced homology up to degree d; the stronger verdict is
+    a bounded certificate, not a proof of contractibility.  The category
+    of elements has the pairs (c, k: d -> F c) as objects, and u: c -> c'
+    takes (c, k) to (c', F(u)∘k).
     """
-    return _finality(F, mode)
-
-
-def is_initial(F, mode="pi0"):
-    """Finality of F^op: each comma C_{/d} is the opposite of the comma of
-    F^op under d, with the same components, homology and cone points."""
-    return _finality(core.opposite_functor(F), mode)
-
-
-def _refuse_negative_degree(d):
-    """Refuse a negative certificate degree; None means no certificate."""
-    if d is not None and d < 0:
-        raise PreconditionError(f"certificate degree must be >= 0, got {d}")
-
-
-def _finality(F, mode):
-    """Check the category of elements of D(d, F-) at every object d: the
-    pairs (c, k: d -> F c), where u: c -> c' takes (c, k) to
-    (c', F(u)∘k)."""
-    cert_dim = mode[1] if isinstance(mode, tuple) else None
-    _refuse_negative_degree(cert_dim)
+    _refuse_negative_degree(certify_dim)
     C, D, Fu = F.source, F.target, F.mor_map
     act = lambda u, ck: (C.tgt[u], D.compose(Fu[u], ck[1]))
     per_object, witness = {}, None
     for d in D.objects:
         over = {(c, k): c for c in C.objects
                 for k in D.hom(d, F.ob_map[c])}
-        good, per_object[d] = _elements_verdict(C, over, act, cert_dim)
+        good, per_object[d] = _elements_verdict(C, over, act, certify_dim)
         if not good and witness is None:
             witness = (d, per_object[d])
     return FinalityVerdict(per_object, witness is None, witness)
+
+
+def is_initial(F, certify_dim=None):
+    """Finality of F^op: each comma C_{/d} is the opposite of the comma of
+    F^op under d, with the same components, homology and cone points."""
+    return is_final(core.opposite_functor(F), certify_dim)
+
+
+def _refuse_negative_degree(d):
+    """Refuse a negative certificate degree; None means no certificate."""
+    if d is not None and d < 0:
+        raise PreconditionError(f"certificate degree must be >= 0, got {d}")
 
 
 # -- set-valued diagrams and the colimit oracle ----------------------------
@@ -461,9 +454,7 @@ class SetValuedFunctor:
                 if self.transports[i][a] != a:
                     raise PreconditionError(f"identity transport fails at {x}")
         for f in K.morphisms:
-            for g in K.morphisms:
-                if K.tgt[f] != K.src[g]:
-                    continue
+            for g in K._from[K.tgt[f]]:
                 gf = K.compose(g, f)
                 for a in self.values[K.src[f]]:
                     if self.transports[gf][a] != \
@@ -521,9 +512,11 @@ def colimit_comparison_is_bijective(F, G):
 
 
 def set_limit(G):
-    """Set-level limit: compatible families, as sorted tuples of pairs."""
+    """Set-level limit: compatible families, as sorted tuples of pairs.
+    A morphism is checked once, when both its ends are assigned."""
     K = G.base
     objects = list(K.objects)
+    due = core._due(objects, (((K.src[m], K.tgt[m]), m) for m in K.morphisms))
     families = []
 
     def backtrack(i, fam):
@@ -533,13 +526,8 @@ def set_limit(G):
         x = objects[i]
         for a in G.values[x]:
             fam[x] = a
-            ok = True
-            for m in K.morphisms:
-                s, t = K.src[m], K.tgt[m]
-                if s in fam and t in fam and G.transports[m][fam[s]] != fam[t]:
-                    ok = False
-                    break
-            if ok:
+            if all(G.transports[m][fam[K.src[m]]] == fam[K.tgt[m]]
+                   for m in due[i]):
                 backtrack(i + 1, fam)
             del fam[x]
 
@@ -548,32 +536,29 @@ def set_limit(G):
 
 
 def all_set_valued_functors(K, max_size=2, include_empty=True, cap=None):
-    """Every set-valued functor on K with value sets of size <= max_size."""
-    cap = cap or core.enumeration_cap()
+    """Every set-valued functor on K with value sets of size <= max_size,
+    in the depth-first order of value sizes over the sorted objects, then
+    transports of the sorted non-identity morphisms.  A composable pair is
+    checked once, when the last of g, f and g∘f has its transport.  The
+    cap counts the partial assignments of transports explored.
+    """
+    explore = core._explorer(cap, "diagram")
     sizes = range(0 if include_empty else 1, max_size + 1)
     objects = list(K.objects)
-    non_id = [m for m in K.morphisms if not K.is_identity(m)]
+    non_id = K.non_identity_morphisms()
+    pairs_due = core._due(non_id, core._pair_laws(K))
     results = []
-    budget = [cap]
 
     def assign_transports(values):
         transports = {K.identity[x]: {a: a for a in values[x]}
                       for x in objects}
 
         def backtrack(i):
-            budget[0] -= 1
-            if budget[0] < 0:
-                raise core.EnumerationCapExceeded(
-                    f"diagram enumeration exceeded cap {cap}")
+            explore()
             if i == len(non_id):
-                cand = SetValuedFunctor(
+                results.append(SetValuedFunctor(
                     K, {x: tuple(values[x]) for x in objects},
-                    {m: dict(t) for m, t in transports.items()})
-                try:
-                    cand.validate()
-                except PreconditionError:
-                    return
-                results.append(cand)
+                    {m: dict(t) for m, t in transports.items()}))
                 return
             m = non_id[i]
             dom = values[K.src[m]]
@@ -582,7 +567,10 @@ def all_set_valued_functors(K, max_size=2, include_empty=True, cap=None):
                 return
             for assignment in _all_maps(dom, cod):
                 transports[m] = assignment
-                backtrack(i + 1)
+                if all(transports[K._comp[(g, f)]][a]
+                       == transports[g][transports[f][a]]
+                       for g, f in pairs_due[i] for a in values[K.src[f]]):
+                    backtrack(i + 1)
                 del transports[m]
 
         backtrack(0)

@@ -11,7 +11,7 @@ action-generated relation by union-find.
 from __future__ import annotations
 
 from . import core, correspondences as corrs, transport
-from .core import FiniteCategory, Functor
+from .core import FiniteCategory, Functor, FunctorError
 from .correspondences import Profunctor
 from .homology import SetValuedFunctor
 from .unionfind import UnionFind
@@ -116,7 +116,8 @@ def random_category(rng, max_objects=4, max_morphisms=10, prefix="",
 
 
 def random_functor_between(rng, C, D, tries=200):
-    """A uniformly sampled functor C -> D, by randomized backtracking."""
+    """A random functor C -> D: random images, kept when the Functor
+    validates, else tried again."""
     objects = list(C.objects)
     non_id = [m for m in C.morphisms if not C.is_identity(m)]
 
@@ -125,9 +126,7 @@ def random_functor_between(rng, C, D, tries=200):
         for x in objects:
             choices = list(D.objects)
             rng.shuffle(choices)
-            for d in choices:
-                ob_map[x] = d
-                break
+            ob_map[x] = choices[0]
         mor_map = {C.identity[x]: D.identity[ob_map[x]] for x in objects}
         for m in non_id:
             choices = list(D.hom(ob_map[C.src[m]], ob_map[C.tgt[m]]))
@@ -135,13 +134,10 @@ def random_functor_between(rng, C, D, tries=200):
                 return None
             rng.shuffle(choices)
             mor_map[m] = choices[0]
-        for f in C.morphisms:
-            for g in C.morphisms:
-                if C.tgt[f] != C.src[g]:
-                    continue
-                if mor_map[C.compose(g, f)] != D.compose(mor_map[g], mor_map[f]):
-                    return None
-        return Functor(C, D, ob_map, mor_map, _validate=False)
+        try:
+            return Functor(C, D, ob_map, mor_map)
+        except FunctorError:
+            return None
 
     for _ in range(tries):
         F = attempt()

@@ -49,9 +49,7 @@ class CatValuedFunctor:
             if self.transports[K.identity[x]] != core.identity_functor(self.values[x]):
                 raise PreconditionError(f"identity transport fails at {x}")
         for f in K.morphisms:
-            for g in K.morphisms:
-                if K.tgt[f] != K.src[g]:
-                    continue
+            for g in K._from[K.tgt[f]]:
                 if self.transports[K.compose(g, f)] != \
                         self.transports[f].then(self.transports[g]):
                     raise PreconditionError(
@@ -454,8 +452,8 @@ def maximal_left_subfibration(pi):
             if fibrations.is_cocartesian_morphism(pi, f).ok]
     keep_set = set(keep)
     for f in keep:
-        for g in keep:
-            if E.tgt[f] == E.src[g] and E.compose(g, f) not in keep_set:
+        for g in E._from[E.tgt[f]]:
+            if g in keep_set and E.compose(g, f) not in keep_set:
                 raise InternalInvariantError(
                     f"coCartesian morphisms do not compose: ({g},{f})")
     morphisms = [(m, E.src[m], E.tgt[m]) for m in keep]
@@ -661,7 +659,8 @@ def kan_extend_along_fibration(pi, F, direction):
 
     Requires pi left-final (or coCartesian) for "left", right-initial (or
     Cartesian) for "right"; each value is cross-checked against the comma
-    formula.
+    formula.  Two colimit classes of one fiber whose ids print alike are
+    refused, never merged.
     """
     E, K = pi.source, pi.target
     F.validate()
@@ -693,6 +692,11 @@ def _fiber_diagram(F, fiber_cat):
         {m: dict(F.transports[m]) for m in fiber_cat.morphisms})
 
 
+def _colimit_class_id(rep):
+    """The id of a fiber colimit class, after its representative (e, a)."""
+    return f"[{rep[0]}|{rep[1]}]"
+
+
 def _kan_left(pi, F):
     E, K = pi.source, pi.target
     fibers = {x: core.fiber(pi, x) for x in K.objects}
@@ -701,11 +705,16 @@ def _kan_left(pi, F):
     for x in K.objects:
         _, cls = homology.set_colimit(_fiber_diagram(F, fibers[x]))
         class_maps[x] = cls
-        values[x] = tuple(sorted(set(f"[{e}|{a}]" for (e, a) in cls.values())))
+        rep_of = {}  # class id -> its representative
+        for rep in cls.values():
+            cid = _colimit_class_id(rep)
+            if rep_of.setdefault(cid, rep) != rep:
+                core._refuse_shared_id("classes of", "class", cid,
+                                       rep_of[cid], rep)
+        values[x] = tuple(sorted(rep_of))
 
     def class_id(x, e, a):
-        r = class_maps[x][(e, a)]
-        return f"[{r[0]}|{r[1]}]"
+        return _colimit_class_id(class_maps[x][(e, a)])
 
     transports = {}
     for phi in K.morphisms:
@@ -717,7 +726,7 @@ def _kan_left(pi, F):
             if len(targets) != 1:
                 raise InternalInvariantError(
                     f"colimit transport along {phi} not single-valued at ({e},{a})")
-            cid = f"[{rep[0]}|{rep[1]}]"
+            cid = _colimit_class_id(rep)
             if cid in t and t[cid] != targets.copy().pop():
                 raise InternalInvariantError(
                     f"colimit transport along {phi} disagrees on a class")
@@ -741,7 +750,7 @@ def _check_kan_left_against_comma(pi, F, G, class_maps):
         fiber_reps = {}
         for (e, a), rep in class_maps[x].items():
             o = core.comma_object_id(e, "*", K.identity[x])
-            fiber_reps[f"[{rep[0]}|{rep[1]}]"] = cls[(o, a)]
+            fiber_reps[_colimit_class_id(rep)] = cls[(o, a)]
         if len(set(fiber_reps.values())) != len(fiber_reps) or \
                 set(fiber_reps.values()) != set(cls.values()):
             raise InternalInvariantError(

@@ -510,6 +510,41 @@ class TestCollidingPairIds:
         assert ("classes of ('b1', 'u|v', 'w') and ('b2', 'u', 'v|w') share "
                 "the class id [u|v|w]") in err
 
+    @pytest.mark.parametrize("A", [core.interval(1),
+                                   core.discrete_category(["0", "1"])])
+    def test_compose_refuses_coend_classes_that_print_alike(self, tmp_path,
+                                                             A):
+        # at (1, c) the classes of (p, q:r, y) and (p:q, r, y) were both
+        # named [p:q:r|y]: over [1] the left action then looked
+        # ill-defined (a traceback), over a discrete A the routes disagreed
+        B = core.discrete_category(["p", "p:q"])
+        C = core.discrete_category(["c"])
+        elements = {("1", "p"): ("q:r",), ("1", "p:q"): ("r",),
+                    ("0", "p"): ("s",), ("0", "p:q"): ("t",)}
+        alpha = {"q:r": "s", "r": "t"}
+        P01 = corrs.Profunctor(
+            A, B, elements,
+            {(m, b): {x: x if A.is_identity(m) else alpha[x]
+                      for x in elements[(A.tgt[m], b)]}
+             for m in A.morphisms for b in B.objects},
+            {(a, m): {x: x for x in elements[(a, B.src[m])]}
+             for a in A.objects for m in B.morphisms}).validate()
+        P12 = corrs.Profunctor(
+            B, C, {("p", "c"): ("y",), ("p:q", "c"): ("y",)},
+            {(m, "c"): {"y": "y"} for m in B.morphisms},
+            {(b, "id_c"): {"y": "y"} for b in B.objects}).validate()
+        paths = []
+        for name, P in (("P01", P01), ("P12", P12)):
+            paths.append(str(tmp_path / f"{name}.json"))
+            with open(paths[-1], "w") as fh:
+                fh.write(docs.dumps(docs.profunctor_to_doc(P)))
+        for mode in ("prof", "bifib"):
+            code, out, err = run_cli("compose", "--mode", mode, *paths)
+            assert code == cli.EXIT_PRECONDITION, err
+            assert out == "" and "Traceback" not in err
+            assert ("classes of ('p', 'q:r', 'y') and ('p:q', 'r', 'y') "
+                    "share the class id [p:q:r|y]") in err
+
     def test_classify_refuses_colliding_replacement_ids(self, tmp_path):
         # over a base with isomorphisms classify reads the isofibration
         # replacement, a pullback whose pairs ("a", "b,c") and ("a,b", "c")

@@ -227,7 +227,7 @@ class TestExponentiability:
         Z2 = core.cyclic_group_category(2)
         collapse = core.constant_functor(Z2, core.terminal(), "*")
         assert homology.is_final(collapse).ok
-        assert not homology.is_final(collapse, mode=("certified", 1)).ok
+        assert not homology.is_final(collapse, certify_dim=1).ok
 
     def test_composition_closure(self):
         rng = random.Random(8)
@@ -288,7 +288,7 @@ class TestAdjoints:
         I2 = core.interval(2)
         pt = core.point(I2, "2")
         assert fib.is_right_adjoint(pt).ok
-        assert homology.is_final(pt, mode=("certified", 2)).ok
+        assert homology.is_final(pt, certify_dim=2).ok
 
 
 class TestSectionRestriction:
@@ -659,9 +659,8 @@ def oracle_end_fibration(pi, exponentiable, end, certify_dim):
     if not exponentiable.ok:
         return fib.Verdict(False, {"exponentiable": exponentiable.witness})
     check = homology.is_final if end == "1" else homology.is_initial
-    mode = "pi0" if certify_dim is None else ("certified", certify_dim)
     for phi in sorted(pi.target.morphisms):
-        fv = check(fib.fiber_inclusion_over_arrow(pi, phi, end), mode=mode)
+        fv = check(fib.fiber_inclusion_over_arrow(pi, phi, end), certify_dim)
         if not fv.ok:
             return fib.Verdict(False, {"base_morphism": phi,
                                        "inner": fv.witness})
@@ -918,9 +917,9 @@ class TestFactorizationCategoryOracle:
 
 
 def parent_finality(F, d, kind, objects):
-    """homology._finality before cone points and categories of elements:
-    every comma gets its components and, with a degree d (None in pi0
-    mode), a nerve certificate."""
+    """homology.is_final before cone points and categories of elements:
+    every comma gets its components and, with a degree d (None for no
+    certificate), a nerve certificate."""
     per_object, witness = {}, None
     for x in objects:
         point = core.point(F.target, x)
@@ -1077,7 +1076,7 @@ class TestConePointCertificates:
         for F in sample:
             for kind, check in (("final", homology.is_final),
                                 ("initial", homology.is_initial)):
-                fv = check(F, "pi0" if d is None else ("certified", d))
+                fv = check(F, certify_dim=d)
                 per_object, witness = parent_finality(
                     F, d, kind, F.target.objects)
                 assert fv.per_object == per_object

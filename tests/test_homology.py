@@ -267,7 +267,7 @@ class TestFinality:
         I2 = core.interval(2)
         sub = core.full_subcategory(I2, ["1", "2"])
         inc = core.inclusion_functor(sub, I2)
-        v = homology.is_final(inc, mode=("certified", 2))
+        v = homology.is_final(inc, certify_dim=2)
         assert v.ok
 
     def test_finality_induces_pi0_bijection(self):
@@ -337,7 +337,7 @@ class TestCategoriesOfElements:
                 rng, randgen.random_category(rng, 3, 7, prefix="j."),
                 randgen.random_category(rng, 3, 7, prefix="k."))
             del built[:]
-            fv = check(F, ("certified", 1))
+            fv = check(F, certify_dim=1)
             entries = list(fv.per_object.values())
             assert len(built) == sum(e["connected"] for e in entries)
             assert all(core.is_nonempty_connected(C) for C in built)

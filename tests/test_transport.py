@@ -564,6 +564,19 @@ class TestKanExtension:
         # two independent objects per fiber, two values each: 4 families
         assert {x: len(v) for x, v in G.values.items()} == {"0": 4, "1": 4}
 
+    def test_left_refuses_colimit_classes_that_print_alike(self):
+        # the two classes (p, q|r) and (p|q, r) were both named [p|q|r],
+        # merged, and then failed the comma cross-check
+        E = core.discrete_category(["p", "p|q"])
+        pi = core.constant_functor(E, core.terminal(), "*")
+        diag = SetValuedFunctor(
+            E, {"p": ("q|r",), "p|q": ("r",)},
+            {"id_p": {"q|r": "q|r"}, "id_p|q": {"r": "r"}}).validate()
+        with pytest.raises(PreconditionError) as err:
+            transport.kan_extend_along_fibration(pi, diag, "left")
+        assert err.value.witness == [("p", "q|r"), ("p|q", "r")]
+        assert "share the class id [p|q|r]" in str(err.value)
+
     def test_precondition_refusal(self):
         I2 = core.interval(2)
         inc = core.inclusion_functor(core.full_subcategory(I2, ["0", "2"]), I2)
