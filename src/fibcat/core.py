@@ -8,11 +8,15 @@ except where a builder guarantees it: square_category checks guards, and
 categories derived from a valid one are built by FiniteCategory._derived
 from tables that are already sorted and indexed.
 Object and morphism ids are opaque strings, and every construction orders
-its output lexicographically so that results are reproducible.
+its output lexicographically so that results are reproducible.  Compound
+ids (pairs, comma objects, coend classes, functors, lifts) are named
+through one helper, _named, which refuses an id that would name two
+things rather than merge them.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 from .unionfind import UnionFind
@@ -40,6 +44,28 @@ class EnumerationCapExceeded(RuntimeError):
 
 def pair_id(a, b):
     return f"({a},{b})"
+
+
+def _class_id(p, q):
+    """A quotient class named after its least pair (p, q)."""
+    return f"[{p}|{q}]"
+
+
+def _named(what, kind, items):
+    """{id: value} from (id, key, value) items, in first-seen order.
+
+    Every compound id is named through here.  A key may repeat under its
+    id; a second key under one id is refused, never merged, and the
+    refusal names the first key first."""
+    named, key_of = {}, {}
+    for i, key, value in items:
+        if i not in key_of:
+            key_of[i], named[i] = key, value
+        elif key_of[i] != key:
+            raise PreconditionError(
+                f"{what} {key_of[i]} and {key} share the {kind} id {i}",
+                witness=[key_of[i], key])
+    return named
 
 
 def validate_category(objects, morphisms, identities, composition):
@@ -246,7 +272,8 @@ class Functor:
     after construction.
     """
 
-    __slots__ = ("source", "target", "ob_map", "mor_map", "_index", "_op")
+    __slots__ = ("source", "target", "ob_map", "mor_map", "_index", "_op",
+                 "__weakref__")
 
     def __init__(self, source, target, ob_map, mor_map, _validate=True):
         self.source = source
@@ -572,12 +599,16 @@ def opposite(C):
 
 def opposite_functor(F):
     """F^op, built once per functor and kept; the opposite of F^op is F
-    itself."""
-    if F._op is None:
-        F._op = Functor(opposite(F.source), opposite(F.target), F.ob_map,
-                        F.mor_map, _validate=False)
-        F._op._op = F
-    return F._op
+    itself while F lives.  F^op refers back to F weakly, so that no
+    reference cycle keeps either from being freed."""
+    op = F._op
+    if type(op) is weakref.ref:
+        op = op()
+    if op is None:
+        op = F._op = Functor(opposite(F.source), opposite(F.target),
+                             F.ob_map, F.mor_map, _validate=False)
+        op._op = weakref.ref(F)
+    return op
 
 
 def product(C, D):
@@ -626,61 +657,31 @@ def pullback(F, G):
     n_over = {}
     for n in B.morphisms:
         n_over.setdefault(G.mor_map[n], []).append(n)
-    objects = []
-    identities = {}
-    left_ob, right_ob = {}, {}
-    for a in A.objects:
-        for b in G.over(F.ob_map[a]):
-            p = pair_id(a, b)
-            if p in left_ob:
-                _refuse_shared_id("pairs", "object", p,
-                                  (left_ob[p], right_ob[p]), (a, b))
-            objects.append(p)
-            identities[p] = pair_id(A.identity[a], B.identity[b])
-            left_ob[p] = a
-            right_ob[p] = b
+    obs = _named("pairs", "object", (
+        (pair_id(a, b), (a, b), (a, b))
+        for a in A.objects for b in G.over(F.ob_map[a])))
+    mors = _named("pairs", "morphism", (
+        (pair_id(m, n), (m, n), (m, n))
+        for m in A.morphisms for n in n_over.get(F.mor_map[m], ())))
+    identities = {p: pair_id(A.identity[a], B.identity[b])
+                  for p, (a, b) in obs.items()}
     morphisms = []
-    mor_pairs = []
-    left_mor, right_mor = {}, {}
     by_src = {}  # (src m, src n) -> [(id, m, n)]
-    for m in A.morphisms:
-        for n in n_over.get(F.mor_map[m], ()):
-            p = pair_id(m, n)
-            if p in left_mor:
-                _refuse_shared_id("pairs", "morphism", p,
-                                  (left_mor[p], right_mor[p]), (m, n))
-            morphisms.append((p, pair_id(A.src[m], B.src[n]),
-                              pair_id(A.tgt[m], B.tgt[n])))
-            mor_pairs.append((p, m, n))
-            left_mor[p] = m
-            right_mor[p] = n
-            by_src.setdefault((A.src[m], B.src[n]), []).append((p, m, n))
+    for p, (m, n) in mors.items():
+        morphisms.append((p, pair_id(A.src[m], B.src[n]),
+                          pair_id(A.tgt[m], B.tgt[n])))
+        by_src.setdefault((A.src[m], B.src[n]), []).append((p, m, n))
     composition = {}
-    for p, m, n in mor_pairs:
+    for p, (m, n) in mors.items():
         for p2, m2, n2 in by_src.get((A.tgt[m], B.tgt[n]), ()):
             composition[(p2, p)] = pair_id(A.compose(m2, m), B.compose(n2, n))
-    P = FiniteCategory(objects, morphisms, identities, composition,
+    P = FiniteCategory(list(obs), morphisms, identities, composition,
                        _validate=False)
-    return PullbackSquare(P, Functor(P, A, left_ob, left_mor, _validate=False),
-                          Functor(P, B, right_ob, right_mor, _validate=False))
-
-
-def _refuse_shared_id(what, kind, p, first, second):
-    raise PreconditionError(
-        f"{what} {first} and {second} share the {kind} id {p}",
-        witness=[first, second])
-
-
-def _ends_by_id(what, items):
-    """{id: end} from (id, key, end) items.  Two keys whose ids print
-    alike are refused, never merged."""
-    ends, key_of = {}, {}
-    for o, key, end in items:
-        if o in ends:
-            _refuse_shared_id(what, "object", o, key_of[o], key)
-        ends[o] = end
-        key_of[o] = key
-    return ends
+    return PullbackSquare(
+        P, Functor(P, A, {p: a for p, (a, _) in obs.items()},
+                   {p: m for p, (m, _) in mors.items()}, _validate=False),
+        Functor(P, B, {p: b for p, (_, b) in obs.items()},
+                {p: n for p, (_, n) in mors.items()}, _validate=False))
 
 
 def base_change(pi, g):
@@ -831,7 +832,7 @@ def comma_with_data(F, G):
     if F.target != G.target:
         raise PreconditionError("comma requires a common target")
     A, B, C = F.source, G.source, F.target
-    ends = _ends_by_id("triples", (
+    ends = _named("triples", "object", (
         (comma_object_id(a, b, k), (a, b, k), (a, b, k))
         for a in A.objects for b in B.objects
         for k in C.hom(F.ob_map[a], G.ob_map[b])))
@@ -1032,7 +1033,8 @@ def sections_category(p, q, cap=None):
     """Fun_{/K}(J, E): functors over K and transformations over K.
 
     Natural transformation components are required to project to
-    identities in K.
+    identities in K.  Two functors or two transformations whose ids print
+    alike are refused, never merged.
     """
     funs = functors_over(p, q, cap=cap)
     K = p.target
@@ -1045,40 +1047,38 @@ def sections_category(p, q, cap=None):
 
 
 def _functor_category_from(funs, C, D, component_filter=None):
-    ids = {}
-    for F in funs:
-        ids[functor_object_id(F)] = F
+    ids = _named("functors", "object", (
+        (functor_object_id(F), (F.ob_map, F.mor_map), F) for F in funs))
     objects = sorted(ids)
-    morphisms = []
-    comps = {}
-    for o1 in objects:
-        for o2 in objects:
-            for eta in natural_transformations(ids[o1], ids[o2],
-                                               component_filter=component_filter):
-                enc = ";".join(f"{x}:{eta[x]}" for x in sorted(eta))
-                m = f"[{enc}]:{o1}>{o2}"
-                morphisms.append((m, o1, o2))
-                comps[m] = eta
-    identities = {}
-    for o in objects:
-        F = ids[o]
-        eta = {x: D.identity[F.ob_map[x]] for x in C.objects}
-        enc = ";".join(f"{x}:{eta[x]}" for x in sorted(eta))
-        identities[o] = f"[{enc}]:{o}>{o}"
+    arrows = _named("transformations", "morphism", (
+        (_transformation_id(eta, o1, o2), (o1, o2, eta), (o1, o2, eta))
+        for o1 in objects for o2 in objects
+        for eta in natural_transformations(
+            ids[o1], ids[o2], component_filter=component_filter)))
+    morphisms = [(m, o1, o2) for m, (o1, o2, _) in arrows.items()]
+    comps = {m: eta for m, (_, _, eta) in arrows.items()}
+    identities = {o: _transformation_id(
+        {x: D.identity[ids[o].ob_map[x]] for x in C.objects}, o, o)
+        for o in objects}
     composition = {}
     by_src = {}
     for m, o1, o2 in morphisms:
         by_src.setdefault(o1, []).append((m, o2))
     for m, o1, o2 in morphisms:
+        eta = comps[m]
         for m2, o3 in by_src.get(o2, ()):
-            eta = comps[m]
             eta2 = comps[m2]
-            comp = {x: D.compose(eta2[x], eta[x]) for x in eta}
-            enc = ";".join(f"{x}:{comp[x]}" for x in sorted(comp))
-            composition[(m2, m)] = f"[{enc}]:{o1}>{o3}"
+            composition[(m2, m)] = _transformation_id(
+                {x: D.compose(eta2[x], eta[x]) for x in eta}, o1, o3)
     cat = FiniteCategory(objects, morphisms, identities, composition,
                          _validate=False)
     return cat, ids, comps
+
+
+def _transformation_id(eta, o1, o2):
+    """[x:η_x;…]:o1>o2, the components in the order of sorted x."""
+    enc = ";".join(f"{x}:{eta[x]}" for x in sorted(eta))
+    return f"[{enc}]:{o1}>{o2}"
 
 
 def evaluation_functor(sections, ids, comps, at_object, E):

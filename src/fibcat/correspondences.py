@@ -560,7 +560,8 @@ def profunctor_to_bifib(P):
             for alpha in A.morphisms_to(a):
                 lam[(o, alpha)] = elt_object_id(A.src[alpha], b,
                                                 P.lact[(alpha, b)][x])
-    return _bifibration(A, B, core._ends_by_id("elements", items), rho, lam)
+    return _bifibration(A, B, core._named("elements", "object", items), rho,
+                        lam)
 
 
 def bifib_to_profunctor(X):
@@ -741,20 +742,20 @@ def glue_over_triangle(c01, c12):
     A, C = c01.fiber_s, c12.fiber_t
     P01, P12 = c01.bimodule(), c12.bimodule()
     classes = {}      # (a, c) -> [(class id, least triple)], by class id
-    rep_of = {}       # class id -> its least triple (b, p, q), over all (a, c)
     cross_class = {}  # (p, q) -> class id
-    for a in A.objects:
-        for c in C.objects:
-            uf = coend_pairs(P01, P12, a, c)
-            reps = {}
-            for triple in uf.parent:
-                rep = uf.find(triple)
-                cid = cross_class[triple[1:]] = f"[{rep[1]}|{rep[2]}]"
-                if rep_of.setdefault(cid, rep) != rep:
-                    core._refuse_shared_id("classes of", "class", cid,
-                                           rep_of[cid], rep)
-                reps[cid] = rep
-            classes[(a, c)] = sorted(reps.items())
+
+    def named_classes():  # (class id, least triple (b, p, q)), all (a, c)
+        for a in A.objects:
+            for c in C.objects:
+                uf, reps = coend_pairs(P01, P12, a, c), {}
+                for triple in uf.parent:
+                    rep = uf.find(triple)
+                    cid = cross_class[triple[1:]] = core._class_id(*rep[1:])
+                    reps[cid] = rep
+                    yield cid, rep, rep
+                classes[(a, c)] = sorted(reps.items())
+
+    core._named("classes of", "class", named_classes())
     # the A- and C-actions on a class, read off its least triple: the
     # zigzag relation is stable under both, and the full validation of
     # the glued total would catch any failure as an associativity defect
@@ -807,15 +808,12 @@ def compose_prof(P01, P12):
     class_of = {}
     for a in A.objects:
         for c in C.objects:
-            uf = coend_pairs(P01, P12, a, c)
-            rep_of = {}  # class id -> its representative triple
-            for triple in uf.parent:
-                rep = uf.find(triple)
-                cid = class_of[(a, c) + triple] = class_id(rep)
-                if rep_of.setdefault(cid, rep) != rep:
-                    core._refuse_shared_id("classes of", "class", cid,
-                                           rep_of[cid], rep)
-            elements[(a, c)] = tuple(sorted(rep_of))
+            reps = coend_pairs(P01, P12, a, c).class_map()
+            elements[(a, c)] = tuple(sorted(core._named(
+                "classes of", "class",
+                ((class_id(rep), rep, rep) for rep in reps.values()))))
+            for triple, rep in reps.items():
+                class_of[(a, c) + triple] = class_id(rep)
     members = _class_members(class_of)
 
     def act_on_class(side, at, here, there, cid, move):
@@ -883,18 +881,14 @@ def compose_bifib(X01, X12):
             for m in vertical1.get(beta, ()):
                 uf.union((X1.src[m], X2.src[n]), (X1.tgt[m], X2.tgt[n]))
 
-    component = {}
-    rep_of = {}   # class id -> its least pair
+    reps = {pair: uf.find(pair) for pair in pairs}
+    component = {pair: core._class_id(*rep) for pair, rep in reps.items()}
+    ends = core._named("classes of", "class", (
+        (component[pair], (x, y), (over1[x][0], over2[y][1], component[pair]))
+        for pair, (x, y) in reps.items()))
     members = {}  # class id -> the pairs of its class
-    for pair in pairs:
-        rep = uf.find(pair)
-        cid = component[pair] = f"[{rep[0]}|{rep[1]}]"
-        if rep_of.setdefault(cid, rep) != rep:
-            core._refuse_shared_id("classes of", "class", cid, rep_of[cid],
-                                   rep)
+    for pair, cid in component.items():
         members.setdefault(cid, []).append(pair)
-    ends = {cid: (over1[x][0], over2[y][1], cid)
-            for cid, (x, y) in rep_of.items()}
 
     # induced transports on classes, each verified single-valued
     def transport(cid, arrow, move):

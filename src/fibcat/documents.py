@@ -129,6 +129,15 @@ def _require_ids(ids, where):
             raise DocumentError(f"{where}: ids must be strings, got {x!r}")
 
 
+def _distinct(ids, where):
+    """ids as a tuple of strings; a repeated id fails validation, as it
+    does in a category."""
+    _require_ids(ids, where)
+    if len(set(ids)) != len(ids):
+        raise ValidationFailure([f"duplicate ids in {where}"])
+    return tuple(ids)
+
+
 def _row(table, key, where):
     """table[key] as a JSON object; an absent row is empty."""
     row = table.get(key, {})
@@ -256,8 +265,8 @@ def profunctor_from_doc(doc):
             xs = row.get(b, [])
             if not isinstance(xs, list):
                 raise DocumentError(f"element set at ({a},{b}) must be a list")
-            _require_ids(xs, f"elements at ({a},{b})")
-            elements[(a, b)] = tuple(sorted(xs))
+            elements[(a, b)] = tuple(sorted(_distinct(
+                xs, f"elements at ({a},{b})")))
     raw_left = _require(doc, "left_action", dict)
     lact = {}
     for alpha in source.morphisms:
@@ -322,9 +331,8 @@ def set_valued_from_doc(doc):
     _expect(doc, "set_valued_functor")
     base = category_from_doc(_require(doc, "base", dict))
     raw_values = _require(doc, "values", dict)
-    values = {x: tuple(_require(raw_values, x, list)) for x in raw_values}
-    for x, v in values.items():
-        _require_ids(v, f"values at {x}")
+    values = {x: _distinct(_require(raw_values, x, list), f"values at {x}")
+              for x in raw_values}
     transports = {m: _id_map(t, f"transports at {m}")
                   for m, t in _require(doc, "transports", dict).items()}
     try:

@@ -214,7 +214,7 @@ def factorization_category(pi, phi, psi, lift):
     if pi.mor_map[lift] != K.compose(psi, phi):
         raise PreconditionError("lift does not lie over the composite")
     e0, e2 = E.src[lift], E.tgt[lift]
-    ends = core._ends_by_id("factorizations", (
+    ends = core._named("factorizations", "object", (
         (core.pair_id(u, v), (u, v), (E.tgt[u], "*", (u, v)))
         for u in pi.lifts(e0, phi) for v in pi.lifts(E.tgt[u], psi)
         if E.compose(v, u) == lift))
@@ -431,8 +431,8 @@ def check_section_restriction(pi, sigma, p):
         eta = comps1.get(m)
         o1, o2 = secs1.src[m], secs1.tgt[m]
         restricted = {x0: eta[sigma.ob_map[x0]] for x0 in sigma.source.objects}
-        enc = ";".join(f"{x}:{restricted[x]}" for x in sorted(restricted))
-        mor_map[m] = f"[{enc}]:{ob_map[o1]}>{ob_map[o2]}"
+        mor_map[m] = core._transformation_id(restricted, ob_map[o1],
+                                             ob_map[o2])
     restriction = Functor(secs1, secs0, ob_map, mor_map)
     return {
         "bijective_on_sections": (len(set(ob_map.values())) == len(secs1.objects)

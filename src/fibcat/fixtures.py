@@ -2,8 +2,9 @@
 
 Run as `python -m fibcat.fixtures <directory>` to (re)write the canonical
 example documents: intervals, the idempotent and retraction categories,
-the walking isomorphism, arrow categories with their evaluations, the
-standard non-example inclusion, the bimodules of the idempotent/retraction
+the walking isomorphism, arrow categories with their evaluations, [1]
+over the point (a fibration to push ev_t forward along), the standard
+non-example inclusion, the bimodules of the idempotent/retraction
 inclusion, an identity correspondence, two posets over the point whose
 finality certificates need a nerve, and two documents with planted
 defects for the exit-status contract.
@@ -37,6 +38,11 @@ def build_fixtures():
     sub02 = core.full_subcategory(I2, ["0", "2"])
     out["inclusion_02_in_2.json"] = docs.functor_to_doc(
         core.inclusion_functor(sub02, I2))
+
+    # a fibration over the point whose total is ev_t's base: pushing
+    # ev_t forward along it gives the sections of ev_t
+    out["interval_1_to_point.json"] = docs.functor_to_doc(
+        core.constant_functor(I1, core.terminal(), "*"))
 
     P, pr1, pr2 = core.product_projections(I1, I1)
     out["product_proj_1x1.json"] = docs.functor_to_doc(pr2)

@@ -87,7 +87,7 @@ def cocart_replacement(pi):
     fully faithful, and a right adjoint when pi was already coCartesian.
     """
     E, K = pi.source, pi.target
-    ends = core._ends_by_id("pairs", (
+    ends = core._named("pairs", "object", (
         (pair_id(e, phi), (e, phi), (e, K.tgt[phi], phi))
         for e in E.objects for phi in K.morphisms_from(pi.ob_map[e])))
     total, _, proj = core.square_category(
@@ -108,7 +108,7 @@ def cocart_replacement(pi):
 def cart_replacement(pi):
     """Arrows of the base into the image, projected by the arrow source."""
     E, K = pi.source, pi.target
-    ends = core._ends_by_id("pairs", (
+    ends = core._named("pairs", "object", (
         (pair_id(phi, e), (phi, e), (K.src[phi], e, phi))
         for e in E.objects for phi in K.morphisms_to(pi.ob_map[e])))
     total, proj, _ = core.square_category(
@@ -148,41 +148,44 @@ def _grothendieck(F, _validate):
     Objects are pairs (x, e) with e in F(x); a morphism (x,e) -> (y,e')
     is a pair (phi: x -> y, rho: F(phi)(e) -> e'), and (psi, sigma) after
     (phi, rho) is (psi∘phi, sigma∘F(psi)(rho)), composed through an index
-    of the morphisms out of each object.
+    of the morphisms out of each object.  Two pairs or two lifts whose ids
+    print alike are refused, never merged.
     """
     K, fibers, transports = F.base, F.values, F.transports
-    objects, morphisms, identities, ob_map = [], [], {}, {}
-    data = {}    # morphism -> (phi, e, rho)
-    out_of = {}  # object -> the morphisms out of it
-    for x in K.objects:
-        for e in fibers[x].objects:
-            o = pair_id(x, e)
-            objects.append(o)
-            identities[o] = _lift_id(K.identity[x], e)
-            ob_map[o] = x
-            out_of[o] = []
-    for phi in K.morphisms:
-        x, y = K.src[phi], K.tgt[phi]
-        T, fib_y = transports[phi], fibers[y]
-        for e in fibers[x].objects:
-            o, te = pair_id(x, e), T.ob_map[e]
-            for rho in fib_y.morphisms_from(te):
-                m = _cat_mor_id(phi, e, rho, fib_y.identity[te])
-                morphisms.append((m, o, pair_id(y, fib_y.tgt[rho])))
-                data[m] = (phi, e, rho)
-                out_of[o].append(m)
+    objects = core._named("pairs", "object", (
+        (pair_id(x, e), (x, e), (x, e))
+        for x in K.objects for e in fibers[x].objects))
+    identities = {o: _lift_id(K.identity[x], e)
+                  for o, (x, e) in objects.items()}
+
+    def lifts():  # (morphism, (phi, e, rho), (phi, e, rho, source, target))
+        for phi in K.morphisms:
+            x, y = K.src[phi], K.tgt[phi]
+            T, fib_y = transports[phi], fibers[y]
+            for e in fibers[x].objects:
+                o, te = pair_id(x, e), T.ob_map[e]
+                for rho in fib_y.morphisms_from(te):
+                    yield (_cat_mor_id(phi, e, rho, fib_y.identity[te]),
+                           (phi, e, rho),
+                           (phi, e, rho, o, pair_id(y, fib_y.tgt[rho])))
+
+    data = core._named("lifts", "morphism", lifts())
+    out_of = {o: [] for o in objects}  # the morphisms out of each object
+    for m, d in data.items():
+        out_of[d[3]].append(m)
     composition = {}
-    for m, _, o2 in morphisms:
-        phi, e, rho = data[m]
+    for m, (phi, e, rho, _, o2) in data.items():
         for m2 in out_of[o2]:
-            psi, _, sigma = data[m2]
+            psi, _, sigma, _, _ = data[m2]
             comp, fib_z = K.compose(psi, phi), fibers[K.tgt[psi]]
             composition[(m2, m)] = _cat_mor_id(
                 comp, e, fib_z.compose(sigma, transports[psi].mor_map[rho]),
                 fib_z.identity[transports[comp].ob_map[e]])
-    total = FiniteCategory(objects, morphisms, identities, composition,
-                           _validate=_validate)
-    return Functor(total, K, ob_map, {m: d[0] for m, d in data.items()})
+    total = FiniteCategory(
+        list(objects), [(m, d[3], d[4]) for m, d in data.items()],
+        identities, composition, _validate=_validate)
+    return Functor(total, K, {o: x for o, (x, _) in objects.items()},
+                   {m: d[0] for m, d in data.items()})
 
 
 def unstraighten(F):
@@ -490,7 +493,7 @@ def pushforward_exponentiable(pi, zeta, cap=None):
     over phi are functors from the base change over phi to Z over E;
     composition glues along the middle fiber through a factorization,
     well-defined because factorization categories are nonempty and
-    connected.
+    connected.  Two functors whose ids print alike are refused.
     """
     v = fibrations.is_exponentiable(pi)
     if not v.ok:
@@ -499,41 +502,31 @@ def pushforward_exponentiable(pi, zeta, cap=None):
     E, K = pi.source, pi.target
     Z = zeta.source
     fibers = {x: core.fiber(pi, x) for x in K.objects}
-    obj_functors = {}
-    objects_over = {}
-    for x in K.objects:
-        inc = core.inclusion_functor(fibers[x], E)
-        funs = core.functors_over(inc, zeta, cap=cap)
-        objects_over[x] = []
-        for F in funs:
-            oid = f"{core.functor_object_id(F)}@{x}"
-            objects_over[x].append(oid)
-            obj_functors[oid] = F
-    base_of_obj = {oid: x for x in K.objects for oid in objects_over[x]}
-    arrow_data = {}
-    mor_functors = {}
-    base_of_mor = {}
+    arrow_data = {phi: fibrations.base_change_over_arrow(pi, phi)
+                  for phi in K.morphisms}
+    over = core._named("functors", "object", (
+        (f"{core.functor_object_id(F)}@{x}", (F.ob_map, F.mor_map), (x, F))
+        for x in K.objects for F in core.functors_over(
+            core.inclusion_functor(fibers[x], E), zeta, cap=cap)))
+    arrows = core._named("functors", "morphism", (
+        (f"{core.functor_object_id(H)}@{phi}", (H.ob_map, H.mor_map),
+         (phi, H))
+        for phi in K.morphisms
+        for H in core.functors_over(arrow_data[phi][1], zeta, cap=cap)))
+    obj_functors = {oid: F for oid, (_, F) in over.items()}
+    base_of_obj = {oid: x for oid, (x, _) in over.items()}
+    mor_functors = {mid: H for mid, (_, H) in arrows.items()}
+    base_of_mor = {mid: phi for mid, (phi, _) in arrows.items()}
     morphisms = []
-    for phi in K.morphisms:
+    for mid, (phi, H) in arrows.items():
         x, y = K.src[phi], K.tgt[phi]
-        proj, to_E, total = fibrations.base_change_over_arrow(pi, phi)
-        funs = core.functors_over(to_E, zeta, cap=cap)
-        arrow_data[phi] = (proj, to_E, total)
-        for H in funs:
-            mid = f"{core.functor_object_id(H)}@{phi}"
-            src = _restrict_end(H, fibers[x], "0")
-            tgt = _restrict_end(H, fibers[y], "1")
-            src_id = f"{core.functor_object_id(src)}@{x}"
-            tgt_id = f"{core.functor_object_id(tgt)}@{y}"
-            morphisms.append((mid, src_id, tgt_id))
-            mor_functors[mid] = H
-            base_of_mor[mid] = phi
+        src = _restrict_end(H, fibers[x], "0")
+        tgt = _restrict_end(H, fibers[y], "1")
+        morphisms.append((mid, f"{core.functor_object_id(src)}@{x}",
+                          f"{core.functor_object_id(tgt)}@{y}"))
     objects = sorted(obj_functors)
-    identities = {}
-    for x in K.objects:
-        for oid in objects_over[x]:
-            identities[oid] = _degenerate_morphism_id(
-                K, x, obj_functors[oid], arrow_data)
+    identities = {oid: _degenerate_morphism_id(K, x, F, arrow_data)
+                  for oid, (x, F) in over.items()}
     composition = {}
     by_src = {}
     for mid, s, t in morphisms:
@@ -659,8 +652,8 @@ def kan_extend_along_fibration(pi, F, direction):
 
     Requires pi left-final (or coCartesian) for "left", right-initial (or
     Cartesian) for "right"; each value is cross-checked against the comma
-    formula.  Two colimit classes of one fiber whose ids print alike are
-    refused, never merged.
+    formula.  Two colimit classes, or two limit families, of one fiber
+    whose ids print alike are refused, never merged.
     """
     E, K = pi.source, pi.target
     F.validate()
@@ -692,11 +685,6 @@ def _fiber_diagram(F, fiber_cat):
         {m: dict(F.transports[m]) for m in fiber_cat.morphisms})
 
 
-def _colimit_class_id(rep):
-    """The id of a fiber colimit class, after its representative (e, a)."""
-    return f"[{rep[0]}|{rep[1]}]"
-
-
 def _kan_left(pi, F):
     E, K = pi.source, pi.target
     fibers = {x: core.fiber(pi, x) for x in K.objects}
@@ -705,16 +693,11 @@ def _kan_left(pi, F):
     for x in K.objects:
         _, cls = homology.set_colimit(_fiber_diagram(F, fibers[x]))
         class_maps[x] = cls
-        rep_of = {}  # class id -> its representative
-        for rep in cls.values():
-            cid = _colimit_class_id(rep)
-            if rep_of.setdefault(cid, rep) != rep:
-                core._refuse_shared_id("classes of", "class", cid,
-                                       rep_of[cid], rep)
-        values[x] = tuple(sorted(rep_of))
+        values[x] = tuple(sorted(core._named("classes of", "class", (
+            (core._class_id(*rep), rep, rep) for rep in cls.values()))))
 
     def class_id(x, e, a):
-        return _colimit_class_id(class_maps[x][(e, a)])
+        return core._class_id(*class_maps[x][(e, a)])
 
     transports = {}
     for phi in K.morphisms:
@@ -726,7 +709,7 @@ def _kan_left(pi, F):
             if len(targets) != 1:
                 raise InternalInvariantError(
                     f"colimit transport along {phi} not single-valued at ({e},{a})")
-            cid = _colimit_class_id(rep)
+            cid = core._class_id(*rep)
             if cid in t and t[cid] != targets.copy().pop():
                 raise InternalInvariantError(
                     f"colimit transport along {phi} disagrees on a class")
@@ -750,7 +733,7 @@ def _check_kan_left_against_comma(pi, F, G, class_maps):
         fiber_reps = {}
         for (e, a), rep in class_maps[x].items():
             o = core.comma_object_id(e, "*", K.identity[x])
-            fiber_reps[_colimit_class_id(rep)] = cls[(o, a)]
+            fiber_reps[core._class_id(*rep)] = cls[(o, a)]
         if len(set(fiber_reps.values())) != len(fiber_reps) or \
                 set(fiber_reps.values()) != set(cls.values()):
             raise InternalInvariantError(
@@ -765,7 +748,8 @@ def _kan_right(pi, F):
     for x in K.objects:
         fam = homology.set_limit(_fiber_diagram(F, fibers[x]))
         fams[x] = fam
-        values[x] = tuple(_family_id(f) for f in fam)
+        values[x] = tuple(core._named("families", "family", (
+            (_family_id(f), f, f) for f in fam)))
 
     def transport(phi, fam):
         images = {e2: set() for e2 in pi.over(K.tgt[phi])}

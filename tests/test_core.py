@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -192,7 +194,7 @@ class TestIndexedValidationOracle:
                 seen += 1
                 if assert_reports_agree(table_of_doc(cat)):
                     defects += 1
-        assert (seen, defects) == (31, 2)
+        assert (seen, defects) == (33, 2)
 
     def test_fixture_functors(self):
         seen = 0
@@ -204,7 +206,7 @@ class TestIndexedValidationOracle:
                                  _validate=False)
                 assert functor_error(F) == all_pairs_functor_error(F) is None
                 seen += 1
-        assert seen == 6
+        assert seen == 7
 
     @pytest.mark.parametrize("seed", range(8))
     def test_random_categories_and_functors(self, seed):
@@ -492,6 +494,22 @@ class TestDuality:
             mor_map[m] = core._square_id(u, "id", f, g)
         iso = core.Functor(op_sl, co, ob_map, mor_map)
         assert iso.is_isomorphism()
+
+
+    def test_an_opposite_does_not_keep_its_functor_alive(self):
+        # F keeps F^op, and F^op refers back to F weakly: without the
+        # cyclic collector, dropping F frees it
+        I1 = core.interval(1)
+        pi = core.Functor(I1, I1, {"0": "0", "1": "1"},
+                          {m: m for m in I1.morphisms})
+        assert core.opposite_functor(core.opposite_functor(pi)) is pi
+        gc.disable()
+        try:
+            dead = weakref.ref(pi)
+            del pi
+            assert dead() is None
+        finally:
+            gc.enable()
 
 
 class TestProductsAndPullbacks:
@@ -967,6 +985,49 @@ class TestFunctorEnumeration:
         monkeypatch.setenv("FIBCAT_ENUM_CAP", value)
         with pytest.raises(core.PreconditionError, match="FIBCAT_ENUM_CAP"):
             core.enumeration_cap()
+
+
+def discrete_named(ids):
+    """The discrete category on the keys of ids, whose identities are
+    named by its values."""
+    return core.relabel(core.discrete_category(list(ids)), morphism_map={
+        f"id_{x}": i for x, i in ids.items()})
+
+
+class TestFunctorCategoryIds:
+    def test_colliding_functor_ids_are_refused(self):
+        # (p, q) |-> (a;q:b, c) and (a, b;q:c) both print as
+        # <p:a;q:b;q:c|ip:x;iq:y;iq:z>: 16 functors were 15 objects
+        C = discrete_named({"p": "ip", "q": "iq"})
+        D = discrete_named({"a;q:b": "x;iq:y", "c": "z", "a": "x",
+                            "b;q:c": "y;iq:z"})
+        T = core.terminal()
+        with pytest.raises(core.PreconditionError) as exc:
+            core.sections_category(core.constant_functor(C, T, "*"),
+                                   core.constant_functor(D, T, "*"))
+        first = ({"p": "a", "q": "b;q:c"}, {"ip": "x", "iq": "y;iq:z"})
+        second = ({"p": "a;q:b", "q": "c"}, {"ip": "x;iq:y", "iq": "z"})
+        assert exc.value.witness == [first, second]
+        assert str(exc.value) == (
+            f"functors {first} and {second} share the object id "
+            "<p:a;q:b;q:c|ip:x;iq:y;iq:z>")
+
+    def test_colliding_transformation_ids_are_refused(self):
+        # (p, q) |-> (f;q:g, h) and (f, g;q:h) both print as
+        # [p:f;q:g;q:h]: two morphisms of the functor category were one
+        C = discrete_named({"p": "ip", "q": "iq"})
+        # a left-zero monoid: one object, so every pair is a transformation
+        D = core.monoid_category(["1", "f", "f;q:g", "h", "g;q:h"], "1",
+                                 lambda x, y: y if x == "1" else x)
+        T = core.terminal()
+        with pytest.raises(core.PreconditionError) as exc:
+            core.sections_category(core.constant_functor(C, T, "*"),
+                                   core.constant_functor(D, T, "*"))
+        (_, _, first), (_, _, second) = exc.value.witness
+        assert (first, second) == ({"p": "f", "q": "g;q:h"},
+                                   {"p": "f;q:g", "q": "h"})
+        assert "share the morphism id [p:f;q:g;q:h]:<p:*;q:*|" in \
+            str(exc.value)
 
 
 class TestConePoint:

@@ -158,6 +158,34 @@ class TestCliExitContract:
         assert code == 4
         assert "precondition" in err
 
+    def test_repeated_element_id_is_refused_with_3(self, fixture_dir,
+                                                   tmp_path):
+        # ("r", "r") at (*, x) was read as a two-element set, and the
+        # document emitted again differed from the input
+        with open(os.path.join(fixture_dir, "idem_to_ret_bimodule.json"),
+                  encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["elements"]["*"]["x"] = ["r", "r"]
+        with pytest.raises(docs.ValidationFailure) as failure:
+            docs.profunctor_from_doc(doc)
+        assert failure.value.report == ["duplicate ids in elements at (*,x)"]
+        path = tmp_path / "repeated.json"
+        path.write_text(docs.dumps(doc))
+        code, out, err = run_cli(
+            "compose", "--mode", "prof", str(path),
+            os.path.join(fixture_dir, "ret_to_idem_bimodule.json"))
+        assert code == cli.EXIT_VALIDATION, err
+        assert out == "" and "Traceback" not in err
+        assert "duplicate ids in elements at (*,x)" in err
+
+    def test_repeated_value_is_refused_as_a_validation_failure(self):
+        doc = docs.set_valued_to_doc(SetValuedFunctor(
+            core.interval(0), {"0": ("a",)}, {"0->0": {"a": "a"}}))
+        doc["values"]["0"] = ["a", "a"]
+        with pytest.raises(docs.ValidationFailure) as err:
+            docs.set_valued_from_doc(doc)
+        assert err.value.report == ["duplicate ids in values at 0"]
+
     def test_non_string_id_is_a_parse_error(self, tmp_path):
         doc = docs.category_to_doc(core.interval(1))
         doc["objects"] = [["x"]]
@@ -562,6 +590,33 @@ class TestCollidingPairIds:
         assert ("pairs ('a', 'b,c') and ('a,b', 'c') share the object id "
                 "(a,b,c)") in err
 
+    def test_pushforward_refuses_sections_that_print_alike(self, tmp_path):
+        # over the point, the sections (p, q) |-> (a;q:b, c) and
+        # (a, b;q:c) both print as <p:a;q:b;q:c|ip:x;iq:y;iq:z>@*
+        E = core.relabel(core.discrete_category(["p", "q"]),
+                         morphism_map={"id_p": "ip", "id_q": "iq"})
+        Z = core.relabel(
+            core.discrete_category(["a;q:b", "c", "a", "b;q:c"]),
+            morphism_map={"id_a": "x", "id_a;q:b": "x;iq:y", "id_c": "z",
+                          "id_b;q:c": "y;iq:z"})
+        over = {"a;q:b": "p", "a": "p", "c": "q", "b;q:c": "q"}
+        paths = []
+        for name, F in (
+                ("pi", core.constant_functor(E, core.terminal(), "*")),
+                ("zeta", core.Functor(Z, E, over, {
+                    Z.identity[z]: E.identity[e] for z, e in over.items()}))):
+            paths.append(str(tmp_path / f"{name}.json"))
+            with open(paths[-1], "w") as fh:
+                fh.write(docs.dumps(docs.functor_to_doc(F)))
+        code, out, err = run_cli("pushforward", "--fibration", paths[0],
+                                 "--over", paths[1])
+        assert code == cli.EXIT_PRECONDITION, err
+        assert out == "" and "Traceback" not in err
+        assert ("functors ({'p': 'a', 'q': 'b;q:c'}, {'ip': 'x', 'iq': "
+                "'y;iq:z'}) and ({'p': 'a;q:b', 'q': 'c'}, {'ip': 'x;iq:y', "
+                "'iq': 'z'}) share the object id "
+                "<p:a;q:b;q:c|ip:x;iq:y;iq:z>@*") in err
+
     @pytest.mark.parametrize("kind", ["cocart", "cart"])
     def test_replace_refuses_colliding_end_ids(self, tmp_path, kind):
         # the ends (a, "b,c") and ("a,b", c) of the coCartesian
@@ -813,6 +868,9 @@ def fixture_commands(fixture_dir):
     yield ["compose", "--mode", "corr",
            os.path.join(fixture_dir, "two_step_left.json"),
            os.path.join(fixture_dir, "two_step_right.json")]
+    yield ["pushforward", "--fibration",
+           os.path.join(fixture_dir, "interval_1_to_point.json"),
+           "--over", os.path.join(fixture_dir, "ev_t_arrow_1.json")]
 
 
 _hashable = st.none() | st.booleans() | st.integers() | st.text(max_size=3)

@@ -4,9 +4,10 @@ Each example takes one committed fixture, mutates it once (a deleted key,
 a value of the wrong JSON type, a dangling id, a duplicated list entry,
 or an id renamed everywhere to itself with ",(x)" appended, which makes
 compound ids print alike) and runs it through every subcommand that reads
-its document type.  Whatever the mutant, the exit status is 0, 2, 3 or 4;
-a non-zero exit writes nothing to stdout, and no exception escapes
-`cli.main`, so a console run prints no traceback.
+its document type, pushforward with the fixture's partner.  Whatever the
+mutant, the exit status is 0, 2, 3 or 4; a non-zero exit writes nothing
+to stdout, and no exception escapes `cli.main`, so a console run prints
+no traceback.
 """
 
 import contextlib
@@ -39,7 +40,13 @@ PARTNERS = {
     "ret_to_idem_bimodule.json": "idem_to_ret_bimodule.json",
     "two_step_left.json": "two_step_right.json",
     "two_step_right.json": "two_step_left.json",
+    "interval_1_to_point.json": "ev_t_arrow_1.json",
+    "ev_t_arrow_1.json": "interval_1_to_point.json",
 }
+# the pushforward option each functor fixture with a partner is read as;
+# the partner is read as the other
+PUSHFORWARD = {"interval_1_to_point.json": ("--fibration", "--over"),
+               "ev_t_arrow_1.json": ("--over", "--fibration")}
 
 
 def commands(name, mutant):
@@ -48,10 +55,13 @@ def commands(name, mutant):
     kind = DOCS[name].get("type")
     partner = os.path.join(FIXTURES, PARTNERS.get(name, name))
     if kind == "functor":
+        push = ([["pushforward", PUSHFORWARD[name][0], mutant,
+                  PUSHFORWARD[name][1], partner]] if name in PUSHFORWARD
+                else [])
         return ([[c, "--functor", mutant] for c in
                  ("classify", "final", "initial")]
                 + [["replace", "--kind", k, "--functor", mutant]
-                   for k in ("cocart", "cart", "lfib", "rfib")])
+                   for k in ("cocart", "cart", "lfib", "rfib")] + push)
     if kind == "category":
         return [["homology", mutant, "--max-dim", "2"]]
     if kind == "profunctor":

@@ -86,6 +86,39 @@ class TestSetValuedStraightening:
                     assert G.transports[m][enc] == \
                         core.pair_id(K.tgt[m], F.transports[m][a])
 
+    def test_unstraighten_refuses_pairs_that_print_alike(self):
+        # (a, b,c) and (a,b, c) both print as (a,b,c): unstraighten and
+        # unstraighten_cat raised a bare KeyError
+        K = core.discrete_category(["a", "a,b"])
+        F = SetValuedFunctor(K, {"a": ("b,c",), "a,b": ("c",)},
+                             {"id_a": {"b,c": "b,c"}, "id_a,b": {"c": "c"}})
+        values = {x: core.discrete_category(v) for x, v in F.values.items()}
+        F_cat = transport.CatValuedFunctor(
+            K, values, {f"id_{x}": core.identity_functor(C)
+                        for x, C in values.items()})
+        for build, data in ((transport.unstraighten, F),
+                            (transport.unstraighten_cat, F_cat)):
+            with pytest.raises(PreconditionError) as err:
+                build(data)
+            assert err.value.witness == [("a", "b,c"), ("a,b", "c")]
+            assert str(err.value) == ("pairs ('a', 'b,c') and ('a,b', 'c') "
+                                      "share the object id (a,b,c)")
+
+    def test_unstraighten_refuses_lifts_that_print_alike(self):
+        # the identities of (x, a) and (y, g@a), over f@g and f, were both
+        # named (f@g@a), and unstraighten failed its own functor check
+        K = core.relabel(core.discrete_category(["x", "y"]),
+                         morphism_map={"id_x": "f@g", "id_y": "f"})
+        F = SetValuedFunctor(K, {"x": ("a",), "y": ("g@a",)},
+                             {"f@g": {"a": "a"}, "f": {"g@a": "g@a"}})
+        with pytest.raises(PreconditionError) as err:
+            transport.unstraighten(F)
+        assert err.value.witness == [("f", "g@a", "id_g@a"),
+                                     ("f@g", "a", "id_a")]
+        assert str(err.value) == (
+            "lifts ('f', 'g@a', 'id_g@a') and ('f@g', 'a', 'id_a') share "
+            "the morphism id (f@g@a)")
+
     def test_straighten_requires_discreteness(self):
         Ar, ev_s, ev_t = core.arrow_category(core.interval(1))
         with pytest.raises(PreconditionError):
@@ -514,6 +547,27 @@ class TestPushforward:
                     pi, zeta, p, push=push)["bijective"]
             done += 1
 
+    def test_refuses_sections_that_print_alike(self):
+        # over the point, the sections (p, q) |-> (a;q:b, c) and
+        # (a, b;q:c) both print as <p:a;q:b;q:c|ip:x;iq:y;iq:z>@*
+        E = core.relabel(core.discrete_category(["p", "q"]),
+                         morphism_map={"id_p": "ip", "id_q": "iq"})
+        Z = core.relabel(
+            core.discrete_category(["a;q:b", "c", "a", "b;q:c"]),
+            morphism_map={"id_a": "x", "id_a;q:b": "x;iq:y", "id_c": "z",
+                          "id_b;q:c": "y;iq:z"})
+        over = {"a;q:b": "p", "a": "p", "c": "q", "b;q:c": "q"}
+        zeta = core.Functor(Z, E, over, {Z.identity[z]: E.identity[e]
+                                         for z, e in over.items()})
+        pi = core.constant_functor(E, core.terminal(), "*")
+        with pytest.raises(PreconditionError) as err:
+            transport.pushforward_exponentiable(pi, zeta)
+        assert err.value.witness == [
+            ({"p": "a", "q": "b;q:c"}, {"ip": "x", "iq": "y;iq:z"}),
+            ({"p": "a;q:b", "q": "c"}, {"ip": "x;iq:y", "iq": "z"})]
+        assert "share the object id <p:a;q:b;q:c|ip:x;iq:y;iq:z>@*" in \
+            str(err.value)
+
     def test_refusal_with_conduche_witness(self):
         I2 = core.interval(2)
         inc = core.inclusion_functor(core.full_subcategory(I2, ["0", "2"]), I2)
@@ -576,6 +630,23 @@ class TestKanExtension:
             transport.kan_extend_along_fibration(pi, diag, "left")
         assert err.value.witness == [("p", "q|r"), ("p|q", "r")]
         assert "share the class id [p|q|r]" in str(err.value)
+
+    def test_right_refuses_families_that_print_alike(self):
+        # the families (a:x, b:y;b:z) and (a:x;b:y, b:z) were both named
+        # {a:x;b:y;b:z}: 4 values of which 3 were distinct
+        E = core.discrete_category(["a", "b"])
+        pi = core.constant_functor(E, core.terminal(), "*")
+        diag = SetValuedFunctor(
+            E, {"a": ("x", "x;b:y"), "b": ("z", "y;b:z")},
+            {"id_a": {"x": "x", "x;b:y": "x;b:y"},
+             "id_b": {"z": "z", "y;b:z": "y;b:z"}}).validate()
+        with pytest.raises(PreconditionError) as err:
+            transport.kan_extend_along_fibration(pi, diag, "right")
+        first, second = (("a", "x"), ("b", "y;b:z")), (("a", "x;b:y"),
+                                                       ("b", "z"))
+        assert err.value.witness == [first, second]
+        assert str(err.value) == (f"families {first} and {second} share the "
+                                  "family id {a:x;b:y;b:z}")
 
     def test_precondition_refusal(self):
         I2 = core.interval(2)
