@@ -4,9 +4,10 @@ Emission always canonicalizes: sorted keys, two-space indent, a trailing
 newline, UTF-8 text.  parse -> emit is therefore byte-stable, and two
 documents describing the same value serialize identically.
 
-Schema errors (shape, types, dangling ids) raise DocumentError; axiom
-violations are surfaced through validate_category so the caller can
-report witnesses.
+Schema errors (shape, types) raise DocumentError; axiom violations are
+surfaced through validate_category so the caller can report witnesses.
+Repeated ids, and rows of a bimodule or set-valued table keyed by ids
+that name nothing, raise ValidationFailure.
 """
 
 from __future__ import annotations
@@ -138,12 +139,26 @@ def _distinct(ids, where):
     return tuple(ids)
 
 
-def _row(table, key, where):
-    """table[key] as a JSON object; an absent row is empty."""
-    row = table.get(key, {})
-    if not isinstance(row, dict):
-        raise DocumentError(f"{where} row {key!r} must be a JSON object")
-    return row
+def _known(key, known, where):
+    """A key of a document must name one of the ids of known, an
+    (ids, kind) pair."""
+    ids, kind = known
+    if key not in ids:
+        raise ValidationFailure([f"{where} {key} names no {kind}"])
+
+
+def _table(doc, field, rows, columns):
+    """doc[field], a JSON object of rows that are JSON objects.  Its keys
+    must name rows and its rows' keys columns, each an (ids, kind) pair;
+    the first key in document order that names nothing is refused."""
+    table = _require(doc, field, dict)
+    for r, row in table.items():
+        _known(r, rows, f"{field} row")
+        if not isinstance(row, dict):
+            raise DocumentError(f"{field} row {r!r} must be a JSON object")
+        for c in row:
+            _known(c, columns, f"{field} row {r} column")
+    return table
 
 
 def _id_map(table, where):
@@ -257,27 +272,32 @@ def profunctor_from_doc(doc):
     _expect(doc, "profunctor")
     source = category_from_doc(_require(doc, "source", dict))
     target = category_from_doc(_require(doc, "target", dict))
-    raw_elements = _require(doc, "elements", dict)
+    objects_A = (set(source.objects), "object of the source")
+    objects_B = (set(target.objects), "object of the target")
+    raw_elements = _table(doc, "elements", objects_A, objects_B)
     elements = {}
     for a in source.objects:
-        row = _row(raw_elements, a, "elements")
+        row = raw_elements.get(a, {})
         for b in target.objects:
             xs = row.get(b, [])
             if not isinstance(xs, list):
                 raise DocumentError(f"element set at ({a},{b}) must be a list")
             elements[(a, b)] = tuple(sorted(_distinct(
                 xs, f"elements at ({a},{b})")))
-    raw_left = _require(doc, "left_action", dict)
+    raw_left = _table(doc, "left_action",
+                      (set(source.morphisms), "morphism of the source"),
+                      objects_B)
     lact = {}
     for alpha in source.morphisms:
-        row = _row(raw_left, alpha, "left_action")
+        row = raw_left.get(alpha, {})
         for b in target.objects:
             lact[(alpha, b)] = _id_map(row.get(b, {}),
                                        f"left_action at ({alpha},{b})")
-    raw_right = _require(doc, "right_action", dict)
+    raw_right = _table(doc, "right_action", objects_A,
+                       (set(target.morphisms), "morphism of the target"))
     ract = {}
     for a in source.objects:
-        row = _row(raw_right, a, "right_action")
+        row = raw_right.get(a, {})
         for beta in target.morphisms:
             ract[(a, beta)] = _id_map(row.get(beta, {}),
                                       f"right_action at ({a},{beta})")
@@ -330,11 +350,17 @@ def set_valued_to_doc(F):
 def set_valued_from_doc(doc):
     _expect(doc, "set_valued_functor")
     base = category_from_doc(_require(doc, "base", dict))
+    objects = (set(base.objects), "object of the base")
+    morphisms = (set(base.morphisms), "morphism of the base")
     raw_values = _require(doc, "values", dict)
-    values = {x: _distinct(_require(raw_values, x, list), f"values at {x}")
-              for x in raw_values}
-    transports = {m: _id_map(t, f"transports at {m}")
-                  for m, t in _require(doc, "transports", dict).items()}
+    values = {}
+    for x in raw_values:
+        _known(x, objects, "values key")
+        values[x] = _distinct(_require(raw_values, x, list), f"values at {x}")
+    transports = {}
+    for m, t in _require(doc, "transports", dict).items():
+        _known(m, morphisms, "transports key")
+        transports[m] = _id_map(t, f"transports at {m}")
     try:
         return SetValuedFunctor(base, values, transports).validate()
     except core.PreconditionError as exc:

@@ -178,6 +178,85 @@ class TestCliExitContract:
         assert out == "" and "Traceback" not in err
         assert "duplicate ids in elements at (*,x)" in err
 
+    @pytest.mark.parametrize("field, row, column, message", [
+        ("elements", "zzz", None,
+         "elements row zzz names no object of the source"),
+        ("elements", "*", "zzz",
+         "elements row * column zzz names no object of the target"),
+        ("left_action", "zzz", None,
+         "left_action row zzz names no morphism of the source"),
+        ("left_action", "e", "zzz",
+         "left_action row e column zzz names no object of the target"),
+        ("right_action", "zzz", None,
+         "right_action row zzz names no object of the source"),
+        ("right_action", "*", "zzz",
+         "right_action row * column zzz names no morphism of the target"),
+    ])
+    def test_profunctor_row_keyed_by_nothing_is_refused(
+            self, fixture_dir, field, row, column, message):
+        # such a row was dropped, and the document emitted again differed
+        with open(os.path.join(fixture_dir, "idem_to_ret_bimodule.json"),
+                  encoding="utf-8") as fh:
+            doc = json.load(fh)
+        if column is None:
+            doc[field][row] = {}
+        else:
+            doc[field][row][column] = [] if field == "elements" else {}
+        with pytest.raises(docs.ValidationFailure) as failure:
+            docs.profunctor_from_doc(doc)
+        assert failure.value.report == [message]
+
+    def test_first_key_naming_nothing_in_document_order_is_refused(
+            self, fixture_dir):
+        with open(os.path.join(fixture_dir, "idem_to_ret_bimodule.json"),
+                  encoding="utf-8") as fh:
+            doc = json.load(fh)
+        # a column inside the first row comes before the rows after it;
+        # "b" sorts before "zzz" but comes after it in the document
+        doc["elements"] = {"*": dict(doc["elements"]["*"], zzz=[]),
+                           "b": {}, "a": {}}
+        with pytest.raises(docs.ValidationFailure) as failure:
+            docs.profunctor_from_doc(doc)
+        assert failure.value.report == [
+            "elements row * column zzz names no object of the target"]
+        del doc["elements"]["*"]["zzz"]
+        with pytest.raises(docs.ValidationFailure) as failure:
+            docs.profunctor_from_doc(doc)
+        assert failure.value.report == [
+            "elements row b names no object of the source"]
+
+    def test_compose_refuses_a_row_keyed_by_nothing_with_3(self, fixture_dir,
+                                                          tmp_path):
+        with open(os.path.join(fixture_dir, "idem_to_ret_bimodule.json"),
+                  encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["elements"]["zzz"] = {"x": ["r"]}
+        path = tmp_path / "unknown_row.json"
+        path.write_text(docs.dumps(doc))
+        code, out, err = run_cli(
+            "compose", "--mode", "prof", str(path),
+            os.path.join(fixture_dir, "ret_to_idem_bimodule.json"))
+        assert code == cli.EXIT_VALIDATION, err
+        assert out == "" and "Traceback" not in err
+        assert "elements row zzz names no object of the source" in err
+
+    @pytest.mark.parametrize("field, key, entry, message", [
+        ("values", "zzz", ["a"], "values key zzz names no object of the base"),
+        ("transports", "zzz", {"a": "a"},
+         "transports key zzz names no morphism of the base"),
+    ])
+    def test_set_valued_key_naming_nothing_is_refused(self, field, key,
+                                                      entry, message):
+        # such a key was kept, and emitted again
+        doc = docs.set_valued_to_doc(SetValuedFunctor(
+            core.interval(0), {"0": ("a",)}, {"0->0": {"a": "a"}}))
+        doc[field] = {key: entry, **doc[field], "yyy": entry}
+        with pytest.raises(docs.ValidationFailure) as err:
+            docs.set_valued_from_doc(doc)
+        assert err.value.report == [message]
+        with pytest.raises(docs.ValidationFailure):
+            docs.parse_any(docs.dumps(doc))
+
     def test_repeated_value_is_refused_as_a_validation_failure(self):
         doc = docs.set_valued_to_doc(SetValuedFunctor(
             core.interval(0), {"0": ("a",)}, {"0->0": {"a": "a"}}))
@@ -859,6 +938,7 @@ def fixture_commands(fixture_dir):
             yield ["replace", "--kind", kind, "--functor", path]
     for path in by_type["category"]:
         yield ["homology", path, "--max-dim", "2"]
+        yield ["homology", path, "--max-dim", "5"]
     for path in by_type["correspondence"]:
         yield ["roundtrip", path]
     for a in by_type["profunctor"]:

@@ -1,9 +1,9 @@
 """The CLI exit contract under mutated fixtures.
 
 Each example takes one committed fixture, mutates it once (a deleted key,
-a value of the wrong JSON type, a dangling id, a duplicated list entry,
-or an id renamed everywhere to itself with ",(x)" appended, which makes
-compound ids print alike) and runs it through every subcommand that reads
+a value of the wrong JSON type, a dangling id, a key renamed to one that
+names nothing, a duplicated list entry, or an id renamed everywhere to
+itself with ",(x)" appended, which makes compound ids print alike) and runs it through every subcommand that reads
 its document type, pushforward with the fixture's partner.  Whatever the
 mutant, the exit status is 0, 2, 3 or 4; a non-zero exit writes nothing
 to stdout, and no exception escapes `cli.main`, so a console run prints
@@ -125,6 +125,11 @@ def mutate(doc, kind, draw):
     elif kind == "dangling_id":
         path, _ = draw(leaves)
         parent_of(doc, path)[path[-1]] = "dangling"
+    elif kind == "dangling_key":
+        path = draw([p for p, _ in nodes(doc)
+                     if p and isinstance(p[-1], str) and p[-1] not in HEADER])
+        parent = parent_of(doc, path)
+        parent["dangling"] = parent.pop(path[-1])
     elif kind == "duplicate":
         path = draw([p for p, v in nodes(doc) if isinstance(v, list) and v])
         entries = parent_of(doc, path)[path[-1]]
@@ -150,7 +155,7 @@ def mutant_path(tmp_path_factory):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(name=st.sampled_from(READ),
        kind=st.sampled_from(["delete_key", "wrong_type", "dangling_id",
-                             "duplicate", "suffix"]),
+                             "dangling_key", "duplicate", "suffix"]),
        data=st.data())
 def test_mutated_fixtures_keep_the_exit_contract(mutant_path, name, kind,
                                                  data):
@@ -163,3 +168,5 @@ def test_mutated_fixtures_keep_the_exit_contract(mutant_path, name, kind,
         assert code in (0, 2, 3, 4), (argv, code, err)
         assert code == 0 or out == "", (argv, code)
         assert "Traceback" not in err, (argv, err)
+        # every key of a fixture names something: renamed, it is refused
+        assert kind != "dangling_key" or code != 0, (argv, err)

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import json
@@ -9,7 +10,10 @@ import sympy
 from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-from fibcat import cli, core, documents as docs, homology, randgen, transport
+from fibcat import cli, core, documents as docs, fixtures, homology, randgen
+from fibcat import transport
+
+from test_core import docs_of_type, table_of_doc
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 
@@ -62,6 +66,154 @@ class TestNerve:
         monkeypatch.setitem(C._comp, ("g1", "g1"), "g0")
         with pytest.raises(AssertionError, match="face relation fails"):
             homology.nerve(C, 2)
+
+
+# -- the nerve's face check against every relation in every dimension -------
+
+
+def raw_face_relations(C, nrv):
+    # d_i d_j = d_{j-1} d_i (i < j), verified on raw chains so that the
+    # identities hold before normalization
+    for k in range(2, nrv.max_dim + 2):
+        for chain in nrv.simplices[k]:
+            ffs = [faces_of_face(C, face)
+                   for face in homology._chain_faces(C, chain)]
+            for j in range(1, k + 1):
+                for i in range(j):
+                    if ffs[j][i] != ffs[i][j - 1]:
+                        raise AssertionError(
+                            f"face relation fails on {chain} (i={i}, j={j})")
+
+
+def faces_of_face(C, chain):
+    if len(chain) == 1:
+        return [C.tgt[chain[0]], C.src[chain[0]]]
+    return homology._chain_faces(C, chain)
+
+
+def unchecked_nerve(C, d, monkeypatch):
+    """The nerve as built, before any face relation is checked; None when
+    building it fails, which it does before either check runs."""
+    with monkeypatch.context() as m:
+        m.setattr(homology, "_check_face_relations", lambda C, nrv: None)
+        try:
+            return homology.nerve(C, d)
+        except KeyError:
+            return None
+
+
+def face_failure(check, C, nrv):
+    """The message check raises on nrv, or None."""
+    try:
+        check(C, nrv)
+    except AssertionError as exc:
+        return str(exc)
+    return None
+
+
+def failing_dimension(message):
+    """The dimension of the chain a face failure message names."""
+    head = "face relation fails on "
+    return len(ast.literal_eval(message[len(head):message.rindex(" (i=")]))
+
+
+def fixture_categories():
+    """Every category document of the fixture corpus, nested ones
+    included, built as it is: the two defect fixtures fail validation."""
+    for _, doc in sorted(fixtures.build_fixtures().items()):
+        for cat in docs_of_type(doc, "category"):
+            yield core.FiniteCategory(*table_of_doc(cat), _validate=False)
+
+
+def planted_defects(rng, C):
+    """(pair, composite) replacements of one composite of a pair of
+    non-identity morphisms: by a parallel morphism, which may break
+    associativity, and by one with a wrong endpoint."""
+    pairs = [(g, f) for (g, f) in sorted(C._comp)
+             if not C.is_identity(g) and not C.is_identity(f)]
+    if not pairs:
+        return []
+    g, f = rng.choice(pairs)
+    h = C._comp[(g, f)]
+    parallel = [m for m in C.morphisms if m != h
+                and (C.src[m], C.tgt[m]) == (C.src[h], C.tgt[h])]
+    skew = [m for m in C.morphisms
+            if (C.src[m], C.tgt[m]) != (C.src[h], C.tgt[h])]
+    return [((g, f), rng.choice(ms)) for ms in (parallel, skew) if ms]
+
+
+class TestFaceRelationOracle:
+    """The nerve checks dimensions 2 and 3 only; the full check of every
+    relation in every dimension is its oracle: both raise the same message
+    on the same inputs."""
+
+    def assert_checks_agree(self, C, d, monkeypatch):
+        nrv = unchecked_nerve(C, d, monkeypatch)
+        if nrv is None:
+            return None
+        failure = face_failure(raw_face_relations, C, nrv)
+        assert face_failure(homology._check_face_relations, C, nrv) == failure
+        return failure
+
+    @pytest.mark.parametrize("d", range(5))
+    def test_fixture_categories(self, d, monkeypatch):
+        seen = 0
+        for C in fixture_categories():
+            self.assert_checks_agree(C, d, monkeypatch)
+            seen += 1
+        assert seen == 33
+
+    @pytest.mark.parametrize("d", range(5))
+    def test_random_categories(self, d, monkeypatch):
+        rng = random.Random(21 + d)
+        for _ in range(25):
+            C = randgen.random_category(rng, 3, 8)
+            assert self.assert_checks_agree(C, d, monkeypatch) is None
+
+    @pytest.mark.parametrize("C, pair, composite, failure", [
+        # the associativity break of test_face_relation_violation_raises
+        (core.cyclic_group_category(3), ("g1", "g1"), "g0",
+         "face relation fails on ('g1', 'g1', 'g2') (i=1, j=2)"),
+        # 1->2 ∘ 0->1 := 0->1 has the wrong target
+        (core.interval(2), ("1->2", "0->1"), "0->1",
+         "face relation fails on ('0->1', '1->2') (i=0, j=1)"),
+        # 1->2 ∘ 0->1 := 1->2 has the wrong source
+        (core.interval(2), ("1->2", "0->1"), "1->2",
+         "face relation fails on ('0->1', '1->2') (i=1, j=2)"),
+    ])
+    def test_planted_defects(self, C, pair, composite, failure, monkeypatch):
+        monkeypatch.setitem(C._comp, pair, composite)
+        for d in range(5):
+            found = self.assert_checks_agree(C, d, monkeypatch)
+            assert found == (failure if d >= failing_dimension(failure) - 1
+                             else None)
+        assert failing_dimension(failure) in (2, 3)
+
+    def test_random_planted_defects(self, monkeypatch):
+        rng = random.Random(3)
+        pool = [randgen.random_category(rng, 4, 10) for _ in range(100)]
+        # categories with loops and parallel morphisms, where a planted
+        # composite can break associativity
+        pool += [make() for make in (
+            lambda: core.cyclic_group_category(3),
+            lambda: core.cyclic_group_category(4), core.retract_category,
+            core.idempotent_category, core.walking_isomorphism)
+            for _ in range(6)]
+        compared, first_failures = 0, []
+        for C in pool:
+            for pair, composite in planted_defects(rng, C):
+                with monkeypatch.context() as m:
+                    m.setitem(C._comp, pair, composite)
+                    for d in range(5):
+                        found = self.assert_checks_agree(C, d, monkeypatch)
+                    if unchecked_nerve(C, 4, monkeypatch) is None:
+                        continue
+                    compared += 1
+                    if found is not None:
+                        first_failures.append(failing_dimension(found))
+        assert compared >= 50
+        assert set(first_failures) == {2, 3}
+        assert min(first_failures.count(2), first_failures.count(3)) >= 10
 
 
 class TestSmithNormalForm:
