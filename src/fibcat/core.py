@@ -251,10 +251,6 @@ class FiniteCategory:
                 and self.identity == other.identity
                 and self._comp == other._comp)
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
     def __hash__(self):
         return hash((self.objects, self.morphisms))
 
@@ -424,22 +420,9 @@ def interval(n):
     if n < 0:
         raise PreconditionError("interval requires n >= 0")
     if n not in _INTERVALS:
-        _INTERVALS[n] = _build_interval(n)
+        _INTERVALS[n] = poset_from_order([str(i) for i in range(n + 1)],
+                                         lambda a, b: int(a) <= int(b))
     return _INTERVALS[n]
-
-
-def _build_interval(n):
-    objects = [str(i) for i in range(n + 1)]
-    morphisms = [(f"{i}->{j}", str(i), str(j))
-                 for i in range(n + 1) for j in range(i, n + 1)]
-    identities = {str(i): f"{i}->{i}" for i in range(n + 1)}
-    composition = {}
-    for i in range(n + 1):
-        for j in range(i, n + 1):
-            for k in range(j, n + 1):
-                composition[(f"{j}->{k}", f"{i}->{j}")] = f"{i}->{k}"
-    return FiniteCategory(objects, morphisms, identities, composition,
-                          _validate=False)
 
 
 def poset_from_order(elements, leq):
@@ -462,14 +445,14 @@ def poset_from_order(elements, leq):
     return FiniteCategory(elements, morphisms, identities, composition)
 
 
-def monoid_category(elements, unit, mul, object_id="*"):
-    """One-object category from a monoid multiplication table.
+def monoid_category(elements, unit, mul):
+    """One-object category on * from a monoid multiplication table.
 
     mul(g, f) is the composite g∘f.
     """
-    morphisms = [(e, object_id, object_id) for e in elements]
+    morphisms = [(e, "*", "*") for e in elements]
     composition = {(g, f): mul(g, f) for g in elements for f in elements}
-    return FiniteCategory([object_id], morphisms, {object_id: unit}, composition)
+    return FiniteCategory(["*"], morphisms, {"*": unit}, composition)
 
 
 def discrete_category(objects):
@@ -526,13 +509,11 @@ def retract_category():
     return FiniteCategory(["x", "y"], morphisms, identities, composition)
 
 
-def cyclic_group_category(n, object_id="*"):
+def cyclic_group_category(n):
     """One-object groupoid on the cyclic group Z/n."""
     elements = [f"g{i}" for i in range(n)]
     return monoid_category(
-        elements, "g0",
-        lambda g, f: f"g{(int(g[1:]) + int(f[1:])) % n}",
-        object_id=object_id)
+        elements, "g0", lambda g, f: f"g{(int(g[1:]) + int(f[1:])) % n}")
 
 
 def relabel(C, object_map=None, morphism_map=None):
@@ -910,10 +891,10 @@ def _pair_laws(C):
             for g in C._from[C.tgt[f]] if g not in identities)
 
 
-def _explorer(cap, what):
-    """Charge one partial assignment explored per call; passing the cap
-    (the configured one when cap is None) raises EnumerationCapExceeded."""
-    cap = cap or enumeration_cap()
+def _explorer(what):
+    """Charge one partial assignment explored per call; passing the
+    configured cap raises EnumerationCapExceeded."""
+    cap = enumeration_cap()
     budget = [cap]
 
     def explore():
@@ -923,7 +904,7 @@ def _explorer(cap, what):
     return explore
 
 
-def all_functors(C, D, ob_constraint=None, mor_constraint=None, cap=None):
+def all_functors(C, D, ob_constraint=None, mor_constraint=None):
     """Every functor C -> D, by backtracking over generators: objects,
     then non-identity morphisms, each over its candidates in sorted order,
     so the functors come in that depth-first order.  Each law (a nonempty
@@ -931,14 +912,14 @@ def all_functors(C, D, ob_constraint=None, mor_constraint=None, cap=None):
     once, when the last thing it reads is assigned (see _due).
 
     ob_constraint(x) and mor_constraint(m) restrict candidate images.  The
-    cap counts the partial assignments explored.
+    enumeration cap counts the partial assignments explored.
     """
     objects = list(C.objects)
     non_id = C.non_identity_morphisms()
     homs_due = _due(objects, ((xy, xy) for xy in C._hom if xy[0] != xy[1]))
     pairs_due = _due(non_id, _pair_laws(C))
     results = []
-    explore = _explorer(cap, "functor")
+    explore = _explorer("functor")
 
     def extend_morphisms(ob_map):
         mor_map = {C.identity[x]: D.identity[ob_map[x]] for x in objects}
@@ -980,7 +961,7 @@ def all_functors(C, D, ob_constraint=None, mor_constraint=None, cap=None):
     return results
 
 
-def functors_over(p, q, cap=None):
+def functors_over(p, q):
     """All functors F: J -> E with pi∘F = p, for p: J -> K and q: E -> K."""
     J, E = p.source, q.source
     by_image_mor = {}
@@ -989,8 +970,7 @@ def functors_over(p, q, cap=None):
     return all_functors(
         J, E,
         ob_constraint=lambda x: q.over(p.ob_map[x]),
-        mor_constraint=lambda m: by_image_mor.get(p.mor_map[m], []),
-        cap=cap)
+        mor_constraint=lambda m: by_image_mor.get(p.mor_map[m], []))
 
 
 def functor_object_id(F):
@@ -1029,14 +1009,14 @@ def natural_transformations(F, G, component_filter=None):
     return results
 
 
-def sections_category(p, q, cap=None):
+def sections_category(p, q):
     """Fun_{/K}(J, E): functors over K and transformations over K.
 
     Natural transformation components are required to project to
     identities in K.  Two functors or two transformations whose ids print
     alike are refused, never merged.
     """
-    funs = functors_over(p, q, cap=cap)
+    funs = functors_over(p, q)
     K = p.target
     E = q.source
 

@@ -31,12 +31,6 @@ from .core import FiniteCategory, Functor, PreconditionError
 from .unionfind import UnionFind
 
 
-class BifibrationError(ValueError):
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
-
-
 # -- profunctors ------------------------------------------------------------
 
 
@@ -117,12 +111,6 @@ class Profunctor:
                         raise PreconditionError(
                             f"actions do not commute on ({alpha},{beta},{x})")
         return self
-
-    def act_left(self, alpha, b, x):
-        return self.lact[(alpha, b)][x]
-
-    def act_right(self, a, beta, x):
-        return self.ract[(a, beta)][x]
 
 
 def hom_profunctor(C):
@@ -245,11 +233,6 @@ class ProfunctorIso:
                         raise PreconditionError(
                             f"right naturality fails at ({a},{beta},{x})")
         return self
-
-    def inverse(self):
-        comps = {key: {y: x for x, y in comp.items()}
-                 for key, comp in self.components.items()}
-        return ProfunctorIso(self.target, self.source, comps)
 
 
 def profunctor_iso_from_map(P, Q, mapping):
@@ -437,7 +420,8 @@ class TwoSidedDiscreteFibration:
         check = check_two_sided_discrete(self.total, self.to_left,
                                          self.to_right)
         if not check.ok:
-            raise BifibrationError("two-sided discreteness fails", check.witness)
+            raise PreconditionError("two-sided discreteness fails",
+                                    check.witness)
         self.transports = (check.witness["rho"], check.witness["lam"])
         return self
 
@@ -536,30 +520,27 @@ def corr_to_bifib(c):
     return _bifibration(A, B, ends, rho, lam)
 
 
-def elt_object_id(a, b, x):
-    return f"({a},{b},{x})"
-
-
 def profunctor_to_bifib(P):
     """The category of elements of P over A x B.
 
     A morphism (a,b,x) -> (a',b',x') over (alpha, beta) exists, uniquely,
     exactly when x'·alpha = beta·x: when the transports
     rho((a,b,x), beta) = (a,b',beta·x) and lam((a',b',x'), alpha) =
-    (a,b',x'·alpha) agree.
+    (a,b',x'·alpha) agree.  For P = Hom(F-, G-) it is the comma F/G, with
+    the comma's object ids.
     """
     A, B = P.source, P.target
     items, rho, lam = [], {}, {}
     for (a, b), xs in P.elements.items():
         for x in xs:
-            o = elt_object_id(a, b, x)
+            o = core.comma_object_id(a, b, x)
             items.append((o, (a, b, x), (a, b, o)))
             for beta in B.morphisms_from(b):
-                rho[(o, beta)] = elt_object_id(a, B.tgt[beta],
-                                               P.ract[(a, beta)][x])
+                rho[(o, beta)] = core.comma_object_id(
+                    a, B.tgt[beta], P.ract[(a, beta)][x])
             for alpha in A.morphisms_to(a):
-                lam[(o, alpha)] = elt_object_id(A.src[alpha], b,
-                                                P.lact[(alpha, b)][x])
+                lam[(o, alpha)] = core.comma_object_id(
+                    A.src[alpha], b, P.lact[(alpha, b)][x])
     return _bifibration(A, B, core._named("elements", "object", items), rho,
                         lam)
 
@@ -606,7 +587,7 @@ def roundtrip_prof_corr(P):
 
 def roundtrip_prof_bifib(P):
     Q = bifib_to_profunctor(profunctor_to_bifib(P))
-    return profunctor_iso_from_map(P, Q, lambda a, b, x: elt_object_id(a, b, x))
+    return profunctor_iso_from_map(P, Q, core.comma_object_id)
 
 
 def iso_over_interval(c1, c2, ob_map, mor_map):
@@ -664,7 +645,7 @@ def _iso_onto_squares(X, X2, object_id):
 def roundtrip_bifib_prof(X):
     """X -> bimodule -> category of elements: iso over A x B."""
     return _iso_onto_squares(X, profunctor_to_bifib(bifib_to_profunctor(X)),
-                             elt_object_id)
+                             core.comma_object_id)
 
 
 def roundtrip_corr_bifib(c):
@@ -676,14 +657,6 @@ def roundtrip_bifib_corr(X):
     """X -> collage of its bimodule -> sections: iso over A x B."""
     return _iso_onto_squares(X, corr_to_bifib(bifib_to_corr(X)),
                              collage_cross_id)
-
-
-def roundtrip_corr_prof_via_bifib(c):
-    """The two-step edges agree: cross-homs read directly and through
-    sections are the same bimodule on the nose."""
-    P1 = corr_to_profunctor(c)
-    P2 = bifib_to_profunctor(corr_to_bifib(c))
-    return profunctor_iso_from_map(P1, P2, lambda a, b, x: x)
 
 
 # -- gluing over the triangle and the three composition rules -----------------
@@ -821,9 +794,9 @@ def compose_prof(P01, P12):
         images = {class_of[there + move(*triple)]
                   for triple in members[here + (cid,)]}
         if len(images) != 1:
-            raise BifibrationError(
+            raise fibrations.InternalInvariantError(
                 f"{side} action on coend classes not well-defined at "
-                f"({at[0]},{at[1]},{cid})", sorted(images))
+                f"({at[0]},{at[1]},{cid}): {sorted(images)}")
         return images.pop()
 
     lact = {}
@@ -894,9 +867,9 @@ def compose_bifib(X01, X12):
     def transport(cid, arrow, move):
         images = {component[move(x, y)] for x, y in members[cid]}
         if len(images) != 1:
-            raise BifibrationError(
-                f"component transport not well-defined at ({cid},{arrow})",
-                sorted(images))
+            raise fibrations.InternalInvariantError(
+                f"component transport not well-defined at ({cid},{arrow}): "
+                f"{sorted(images)}")
         return images.pop()
 
     rho_tab = {}
@@ -968,7 +941,7 @@ def composition_routes(P01, P12, pair=None):
     iso_bifib = _iso_on_classes(
         coend, via_bifib, class_of,
         lambda a, c, b, x, y: component[
-            (elt_object_id(a, b, x), elt_object_id(b, c, y))],
+            (core.comma_object_id(a, b, x), core.comma_object_id(b, c, y))],
         "coend vs bifibration route")
     return {
         "coend": coend, "via_corr": via_corr, "via_bifib": via_bifib,

@@ -6,8 +6,8 @@ documents describing the same value serialize identically.
 
 Schema errors (shape, types) raise DocumentError; axiom violations are
 surfaced through validate_category so the caller can report witnesses.
-Repeated ids, and rows of a bimodule or set-valued table keyed by ids
-that name nothing, raise ValidationFailure.
+Repeated ids, and keys of an identity table, a functor's maps or a
+bimodule or set-valued table that name nothing, raise ValidationFailure.
 """
 
 from __future__ import annotations
@@ -199,6 +199,8 @@ def category_from_doc(doc):
         morphisms.append(triple)
     identities = _require(doc, "identities", dict)
     _require_ids(identities.values(), "identities")
+    for x in identities:
+        _known(x, (set(objects), "object"), "identities key")
     compose_list = _require(doc, "compose", list)
     composition = {}
     for entry in compose_list:
@@ -238,6 +240,11 @@ def functor_from_doc(doc):
     mor_map = _require(doc, "morphism_map", dict)
     _require_ids(ob_map.values(), "object_map")
     _require_ids(mor_map.values(), "morphism_map")
+    # in the order of a canonical document: morphism_map, then object_map
+    for m in mor_map:
+        _known(m, (source.src, "morphism of the source"), "morphism_map key")
+    for x in ob_map:
+        _known(x, (source.identity, "object of the source"), "object_map key")
     try:
         return Functor(source, target, ob_map, mor_map)
     except core.FunctorError as exc:

@@ -343,11 +343,6 @@ def homology_of_nerve(nrv):
     return HomologyReport(d, betti, tors, counts[:d + 1])
 
 
-def pi0(C):
-    """Connected components as sorted tuples of object ids."""
-    return core.connected_components(C)
-
-
 def pi0_map(C):
     """Map each object to the least object of its component."""
     return _element_classes(C, {x: x for x in C.objects},
@@ -554,15 +549,14 @@ def set_limit(G):
     return sorted(families)
 
 
-def all_set_valued_functors(K, max_size=2, include_empty=True, cap=None):
+def all_set_valued_functors(K, max_size=2):
     """Every set-valued functor on K with value sets of size <= max_size,
     in the depth-first order of value sizes over the sorted objects, then
     transports of the sorted non-identity morphisms.  A composable pair is
     checked once, when the last of g, f and g∘f has its transport.  The
-    cap counts the partial assignments of transports explored.
+    enumeration cap counts the partial assignments of transports explored.
     """
-    explore = core._explorer(cap, "diagram")
-    sizes = range(0 if include_empty else 1, max_size + 1)
+    explore = core._explorer("diagram")
     objects = list(K.objects)
     non_id = K.non_identity_morphisms()
     pairs_due = core._due(non_id, core._pair_laws(K))
@@ -599,7 +593,7 @@ def all_set_valued_functors(K, max_size=2, include_empty=True, cap=None):
             assign_transports(values)
             return
         x = objects[i]
-        for n in sizes:
+        for n in range(max_size + 1):
             values[x] = tuple(f"{x}#{j}" for j in range(n))
             assign_values(i + 1, values)
         del values[x]

@@ -90,8 +90,7 @@ _STANDARD = {
 }
 
 
-def random_category(rng, max_objects=4, max_morphisms=10, prefix="",
-                    allow_isos=True):
+def random_category(rng, max_objects=4, max_morphisms=10, prefix=""):
     """A small random category; occasionally contains isomorphisms or
     idempotents so degenerate branches of the checkers get exercised."""
     for _ in range(60):
@@ -102,10 +101,9 @@ def random_category(rng, max_objects=4, max_morphisms=10, prefix="",
             C = random_free_category(rng, max_objects,
                                      max_morphisms=max_morphisms,
                                      prefix=f"{prefix}n")
-        elif kind < 0.9 or not allow_isos:
+        elif kind < 0.9:
             a = random_poset(rng, max(1, max_objects - 1), prefix=f"{prefix}q")
-            b = _STANDARD["terminal" if not allow_isos else
-                          rng.choice(["terminal", "idem"])]()
+            b = _STANDARD[rng.choice(["terminal", "idem"])]()
             C = core.disjoint_union(a, core.prefix_relabel(b, f"{prefix}s."))
         else:
             C = core.prefix_relabel(
@@ -115,9 +113,9 @@ def random_category(rng, max_objects=4, max_morphisms=10, prefix="",
     return core.prefix_relabel(core.terminal(), prefix)
 
 
-def random_functor_between(rng, C, D, tries=200):
+def random_functor_between(rng, C, D):
     """A random functor C -> D: random images, kept when the Functor
-    validates, else tried again."""
+    validates, else tried again, up to 200 times."""
     objects = list(C.objects)
     non_id = [m for m in C.morphisms if not C.is_identity(m)]
 
@@ -139,7 +137,7 @@ def random_functor_between(rng, C, D, tries=200):
         except FunctorError:
             return None
 
-    for _ in range(tries):
+    for _ in range(200):
         F = attempt()
         if F is not None:
             return F
@@ -191,7 +189,7 @@ def random_set_valued(rng, K, max_generators=3, quotient_p=0.4,
     return F
 
 
-def quotient_set_valued(rng, F, max_relations=2):
+def quotient_set_valued(rng, F):
     K = F.base
     pool = [(x, a, b) for x in K.objects
             for a in F.values[x] for b in F.values[x] if a < b]
@@ -199,7 +197,7 @@ def quotient_set_valued(rng, F, max_relations=2):
         return F
     uf = UnionFind((x, a) for x in K.objects for a in F.values[x])
     seeds = []
-    for _ in range(rng.randint(1, max_relations)):
+    for _ in range(rng.randint(1, 2)):
         x, a, b = rng.choice(pool)
         seeds.append(((x, a), (x, b)))
 
@@ -402,13 +400,13 @@ def _with_extra_outer(rng, P02):
     return Profunctor(A, C, elements, lact, ract).validate()
 
 
-def random_functor_over(rng, K, max_fiber=2):
+def random_functor_over(rng, K):
     """A random functor into an arbitrary small base: the Grothendieck
     construction of a random set-valued diagram, a product projection, or
     a fiberwise-relabelled mix."""
     kind = rng.random()
     if kind < 0.5:
-        F = random_set_valued(rng, K, max_generators=max_fiber, empty_p=0.1)
+        F = random_set_valued(rng, K, max_generators=2, empty_p=0.1)
         return transport.unstraighten(F)
     if kind < 0.8:
         C = random_category(rng, 2, 4, prefix="f.")
@@ -458,11 +456,11 @@ def _adjoin_top(D, top):
     return FiniteCategory(objects, morphisms, identities, composition)
 
 
-def random_two_handed_fibration(rng, max_objects=3):
+def random_two_handed_fibration(rng):
     """A fibration that is both left final and right initial: a product
     projection or the Grothendieck construction of a diagram with
     bijective transports."""
-    K = random_poset(rng, max_objects, prefix="k")
+    K = random_poset(rng, 3, prefix="k")
     if rng.random() < 0.5:
         C = random_category(rng, 2, 5, prefix="f.")
         P, pr1, pr2 = core.product_projections(C, K)

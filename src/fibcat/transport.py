@@ -488,7 +488,7 @@ class Pushforward(NamedTuple):
     mor_functors: dict      # morphism id -> Functor (base-changed arrow -> Z)
 
 
-def pushforward_exponentiable(pi, zeta, cap=None):
+def pushforward_exponentiable(pi, zeta):
     """Objects over x are functors from the fiber to Z over E; morphisms
     over phi are functors from the base change over phi to Z over E;
     composition glues along the middle fiber through a factorization,
@@ -507,12 +507,12 @@ def pushforward_exponentiable(pi, zeta, cap=None):
     over = core._named("functors", "object", (
         (f"{core.functor_object_id(F)}@{x}", (F.ob_map, F.mor_map), (x, F))
         for x in K.objects for F in core.functors_over(
-            core.inclusion_functor(fibers[x], E), zeta, cap=cap)))
+            core.inclusion_functor(fibers[x], E), zeta)))
     arrows = core._named("functors", "morphism", (
         (f"{core.functor_object_id(H)}@{phi}", (H.ob_map, H.mor_map),
          (phi, H))
         for phi in K.morphisms
-        for H in core.functors_over(arrow_data[phi][1], zeta, cap=cap)))
+        for H in core.functors_over(arrow_data[phi][1], zeta)))
     obj_functors = {oid: F for oid, (_, F) in over.items()}
     base_of_obj = {oid: x for oid, (x, _) in over.items()}
     mor_functors = {mid: H for mid, (_, H) in arrows.items()}
@@ -530,16 +530,12 @@ def pushforward_exponentiable(pi, zeta, cap=None):
     composition = {}
     by_src = {}
     for mid, s, t in morphisms:
-        by_src.setdefault(s, []).append((mid, t))
+        by_src.setdefault(s, []).append(mid)
     for mid, s, t in morphisms:
-        phi = base_of_mor[mid]
-        for mid2, t2 in by_src.get(t, ()):
-            psi = base_of_mor[mid2]
-            if pi.target.tgt[phi] != pi.target.src[psi]:
-                continue
+        for mid2 in by_src.get(t, ()):
             composition[(mid2, mid)] = _glue_morphisms(
                 pi, zeta, arrow_data, mor_functors[mid], mor_functors[mid2],
-                phi, psi)
+                base_of_mor[mid], base_of_mor[mid2])
     total_cat = FiniteCategory(objects, morphisms, identities, composition)
     proj = Functor(total_cat, K, base_of_obj, base_of_mor)
     return Pushforward(proj, obj_functors, mor_functors)
@@ -608,16 +604,16 @@ def _least_factorization(pi, phi, psi, lift):
         f"no factorization of {lift} over ({phi},{psi})")
 
 
-def pushforward_adjunction_check(pi, zeta, p, cap=None, push=None):
+def pushforward_adjunction_check(pi, zeta, p, push=None):
     """The bijection between maps into the pushforward over K and maps of
     the pulled-back total into Z over E, verified by enumeration."""
     if push is None:
-        push = pushforward_exponentiable(pi, zeta, cap=cap)
+        push = pushforward_exponentiable(pi, zeta)
     J, K = p.source, p.target
-    lhs = core.functors_over(p, push.projection, cap=cap)
+    lhs = core.functors_over(p, push.projection)
     sq = core.pullback(p, pi)
     q = sq.to_right  # J x_K E -> E
-    rhs = core.functors_over(q, zeta, cap=cap)
+    rhs = core.functors_over(q, zeta)
     rhs_ids = {core.functor_object_id(S) for S in rhs}
 
     def transpose(T):
@@ -678,20 +674,13 @@ def kan_extend_along_fibration(pi, F, direction):
     raise PreconditionError("direction must be 'left' or 'right'")
 
 
-def _fiber_diagram(F, fiber_cat):
-    return SetValuedFunctor(
-        fiber_cat,
-        {e: tuple(F.values[e]) for e in fiber_cat.objects},
-        {m: dict(F.transports[m]) for m in fiber_cat.morphisms})
-
-
 def _kan_left(pi, F):
     E, K = pi.source, pi.target
-    fibers = {x: core.fiber(pi, x) for x in K.objects}
     class_maps = {}
     values = {}
     for x in K.objects:
-        _, cls = homology.set_colimit(_fiber_diagram(F, fibers[x]))
+        _, cls = homology.set_colimit(homology.restrict_diagram(
+            core.inclusion_functor(core.fiber(pi, x), E), F))
         class_maps[x] = cls
         values[x] = tuple(sorted(core._named("classes of", "class", (
             (core._class_id(*rep), rep, rep) for rep in cls.values()))))
@@ -721,14 +710,10 @@ def _kan_left(pi, F):
 
 
 def _check_kan_left_against_comma(pi, F, G, class_maps):
-    E, K = pi.source, pi.target
+    K = pi.target
     for x in K.objects:
-        cat, to_E, _ = core.comma(pi, core.point(K, x))
-        diagram = SetValuedFunctor(
-            cat,
-            {o: tuple(F.values[to_E.ob_map[o]]) for o in cat.objects},
-            {m: dict(F.transports[to_E.mor_map[m]]) for m in cat.morphisms})
-        _, cls = homology.set_colimit(diagram)
+        _, to_E, _ = core.comma(pi, core.point(K, x))
+        _, cls = homology.set_colimit(homology.restrict_diagram(to_E, F))
         # the fiber inclusion induces a bijection of colimit classes
         fiber_reps = {}
         for (e, a), rep in class_maps[x].items():
@@ -742,11 +727,11 @@ def _check_kan_left_against_comma(pi, F, G, class_maps):
 
 def _kan_right(pi, F):
     E, K = pi.source, pi.target
-    fibers = {x: core.fiber(pi, x) for x in K.objects}
     fams = {}
     values = {}
     for x in K.objects:
-        fam = homology.set_limit(_fiber_diagram(F, fibers[x]))
+        fam = homology.set_limit(homology.restrict_diagram(
+            core.inclusion_functor(core.fiber(pi, x), E), F))
         fams[x] = fam
         values[x] = tuple(core._named("families", "family", (
             (_family_id(f), f, f) for f in fam)))
@@ -781,14 +766,10 @@ def _family_id(fam):
 
 
 def _check_kan_right_against_comma(pi, F, fams):
-    E, K = pi.source, pi.target
+    K = pi.target
     for x in K.objects:
-        cat, _, to_E = core.comma(core.point(K, x), pi)
-        diagram = SetValuedFunctor(
-            cat,
-            {o: tuple(F.values[to_E.ob_map[o]]) for o in cat.objects},
-            {m: dict(F.transports[to_E.mor_map[m]]) for m in cat.morphisms})
-        comma_fams = homology.set_limit(diagram)
+        _, _, to_E = core.comma(core.point(K, x), pi)
+        comma_fams = homology.set_limit(homology.restrict_diagram(to_E, F))
         # restriction to the fiber (objects with identity leg) is a bijection
         restricted = set()
         for fam in comma_fams:

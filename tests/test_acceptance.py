@@ -455,4 +455,5 @@ def test_shared_builders_survive_the_cli_workflows(tmp_path):
     assert _category_state(terminal) == _category_state(fresh)
     for n, C in shared.items():
         assert core.interval(n) is C
-        assert _category_state(C) == _category_state(core._build_interval(n))
+        assert _category_state(C) == _category_state(core.poset_from_order(
+            [str(i) for i in range(n + 1)], lambda a, b: int(a) <= int(b)))

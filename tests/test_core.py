@@ -451,7 +451,8 @@ class TestBuilders:
         assert core.terminal() is core.terminal()
         for n in range(4):
             assert core.interval(n) is core.interval(n)
-            assert core.interval(n) == core._build_interval(n)
+            assert core.interval(n) == core.poset_from_order(
+                [str(i) for i in range(n + 1)], lambda a, b: int(a) <= int(b))
 
 
 class TestDuality:
@@ -966,10 +967,11 @@ class TestFunctorEnumeration:
         assert len(secs.objects) == len(Ar.objects)
         assert len(secs.morphisms) == len(Ar.morphisms)
 
-    def test_enumeration_cap_failure_is_loud(self):
+    def test_enumeration_cap_failure_is_loud(self, monkeypatch):
+        monkeypatch.setenv("FIBCAT_ENUM_CAP", "10")
         big = core.discrete_category([f"x{i}" for i in range(8)])
         with pytest.raises(core.EnumerationCapExceeded):
-            core.all_functors(big, big, cap=10)
+            core.all_functors(big, big)
 
     def test_enumeration_cap_env_override(self, monkeypatch):
         monkeypatch.setenv("FIBCAT_ENUM_CAP", "10")

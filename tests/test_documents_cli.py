@@ -72,6 +72,26 @@ class TestDocuments:
         parsed = docs.set_valued_from_doc(docs.loads(text))
         assert docs.dumps(docs.set_valued_to_doc(parsed)) == text
 
+    def test_every_parsed_fixture_is_emitted_again_byte_for_byte(
+            self, fixture_dir):
+        to_doc = {"category": docs.category_to_doc,
+                  "functor": docs.functor_to_doc,
+                  "profunctor": docs.profunctor_to_doc,
+                  "correspondence": docs.correspondence_to_doc,
+                  "set_valued_functor": docs.set_valued_to_doc}
+        kinds = []
+        for name in sorted(os.listdir(fixture_dir)):
+            with open(os.path.join(fixture_dir, name), encoding="utf-8") as fh:
+                text = fh.read()
+            try:
+                kind, value = docs.parse_any(text)
+            except docs.ValidationFailure:
+                assert name.startswith("defect_"), name
+                continue
+            assert docs.dumps(to_doc[kind](value)) == text, name
+            kinds.append(kind)
+        assert len(kinds) == 22 and set(kinds) == set(to_doc)
+
     def test_schema_violation_raises_document_error(self):
         with pytest.raises(docs.DocumentError):
             docs.category_from_doc({"format_version": "1", "type": "category",
@@ -256,6 +276,57 @@ class TestCliExitContract:
         assert err.value.report == [message]
         with pytest.raises(docs.ValidationFailure):
             docs.parse_any(docs.dumps(doc))
+
+    @pytest.mark.parametrize("field, entry, message", [
+        ("object_map", "0",
+         "object_map key zzz names no object of the source"),
+        ("morphism_map", "0->0",
+         "morphism_map key zzz names no morphism of the source"),
+    ])
+    def test_functor_key_naming_nothing_is_refused(self, fixture_dir, field,
+                                                   entry, message):
+        with open(os.path.join(fixture_dir, "ev_t_arrow_1.json"),
+                  encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc[field] = {"zzz": entry, **doc[field], "yyy": entry}
+        with pytest.raises(docs.ValidationFailure) as err:
+            docs.functor_from_doc(doc)
+        assert err.value.report == [message]
+
+    def test_functor_keys_naming_nothing_are_refused_in_document_order(
+            self, fixture_dir):
+        with open(os.path.join(fixture_dir, "ev_t_arrow_1.json"),
+                  encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["object_map"]["zzz"] = "0"
+        doc["morphism_map"]["yyy"] = "0->0"
+        with pytest.raises(docs.ValidationFailure) as err:
+            docs.parse_any(docs.dumps(doc))
+        assert err.value.report == [
+            "morphism_map key yyy names no morphism of the source"]
+
+    def test_identity_key_naming_nothing_is_refused(self, fixture_dir):
+        with open(os.path.join(fixture_dir, "interval_1.json"),
+                  encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["identities"] = {"zzz": "0->0", **doc["identities"],
+                             "yyy": "0->0"}
+        with pytest.raises(docs.ValidationFailure) as err:
+            docs.category_from_doc(doc)
+        assert err.value.report == ["identities key zzz names no object"]
+
+    def test_classify_refuses_a_functor_key_naming_nothing_with_3(
+            self, fixture_dir, tmp_path):
+        with open(os.path.join(fixture_dir, "ev_t_arrow_1.json"),
+                  encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["object_map"]["zzz"] = "0"
+        path = tmp_path / "unknown_object.json"
+        path.write_text(docs.dumps(doc))
+        code, out, err = run_cli("classify", "--functor", str(path))
+        assert code == cli.EXIT_VALIDATION, err
+        assert out == "" and "Traceback" not in err
+        assert "object_map key zzz names no object of the source" in err
 
     def test_repeated_value_is_refused_as_a_validation_failure(self):
         doc = docs.set_valued_to_doc(SetValuedFunctor(

@@ -126,9 +126,11 @@ class CountingCap:
         return False
 
 
-def explored(enumerate_with_cap):
+def explored(monkeypatch, enumerate):
     cap = CountingCap()
-    enumerate_with_cap(cap)
+    with monkeypatch.context() as patch:
+        patch.setattr(core, "enumeration_cap", lambda: cap)
+        enumerate()
     return cap.explored
 
 
@@ -152,31 +154,36 @@ DIAGRAM_CASES = [
 
 
 @pytest.mark.parametrize("pair, before", FUNCTOR_CASES)
-def test_functor_enumeration_explores_no_more(pair, before):
-    assert explored(lambda cap: core.all_functors(*pair, cap=cap)) <= before
+def test_functor_enumeration_explores_no_more(monkeypatch, pair, before):
+    assert explored(monkeypatch, lambda: core.all_functors(*pair)) <= before
 
 
-def test_a_late_composite_prunes_at_its_own_step():
+def test_a_late_composite_prunes_at_its_own_step(monkeypatch):
     (C, D), before = FUNCTOR_CASES[0]
-    assert explored(lambda cap: core.all_functors(C, D, cap=cap)) < before
+    assert explored(monkeypatch, lambda: core.all_functors(C, D)) < before
 
 
 @pytest.mark.parametrize("K, before", DIAGRAM_CASES)
-def test_diagram_enumeration_explores_fewer(K, before):
+def test_diagram_enumeration_explores_fewer(monkeypatch, K, before):
     assert explored(
-        lambda cap: homology.all_set_valued_functors(K, 2, cap=cap)) < before
+        monkeypatch, lambda: homology.all_set_valued_functors(K, 2)) < before
 
 
-def test_cap_counts_explored_assignments():
+def test_cap_counts_explored_assignments(monkeypatch):
     (C, D), _ = FUNCTOR_CASES[0]
-    n = explored(lambda cap: core.all_functors(C, D, cap=cap))
-    assert core.all_functors(C, D, cap=n) == core.all_functors(C, D)
+    n = explored(monkeypatch, lambda: core.all_functors(C, D))
+    everything = core.all_functors(C, D)
+    monkeypatch.setenv("FIBCAT_ENUM_CAP", str(n))
+    assert core.all_functors(C, D) == everything
+    monkeypatch.setenv("FIBCAT_ENUM_CAP", str(n - 1))
     with pytest.raises(core.EnumerationCapExceeded):
-        core.all_functors(C, D, cap=n - 1)
-    n = explored(lambda cap: homology.all_set_valued_functors(C, 2, cap=cap))
-    homology.all_set_valued_functors(C, 2, cap=n)
+        core.all_functors(C, D)
+    n = explored(monkeypatch, lambda: homology.all_set_valued_functors(C, 2))
+    monkeypatch.setenv("FIBCAT_ENUM_CAP", str(n))
+    homology.all_set_valued_functors(C, 2)
+    monkeypatch.setenv("FIBCAT_ENUM_CAP", str(n - 1))
     with pytest.raises(core.EnumerationCapExceeded):
-        homology.all_set_valued_functors(C, 2, cap=n - 1)
+        homology.all_set_valued_functors(C, 2)
 
 
 def test_keys_are_kept_apart_from_payloads():

@@ -2,12 +2,14 @@
 
 Each example takes one committed fixture, mutates it once (a deleted key,
 a value of the wrong JSON type, a dangling id, a key renamed to one that
-names nothing, a duplicated list entry, or an id renamed everywhere to
-itself with ",(x)" appended, which makes compound ids print alike) and runs it through every subcommand that reads
-its document type, pushforward with the fixture's partner.  Whatever the
-mutant, the exit status is 0, 2, 3 or 4; a non-zero exit writes nothing
-to stdout, and no exception escapes `cli.main`, so a console run prints
-no traceback.
+names nothing, a key that names nothing added to a keyed table, a
+duplicated list entry, or an id renamed everywhere to itself with ",(x)"
+appended, which makes compound ids print alike) and runs it through every
+subcommand that reads its document type, pushforward with the fixture's
+partner.  Whatever the mutant, the exit status is 0, 2, 3 or 4; a
+non-zero exit writes nothing to stdout, and no exception escapes
+`cli.main`, so a console run prints no traceback.  A renamed or added
+key that names nothing is refused.
 """
 
 import contextlib
@@ -19,7 +21,7 @@ import os
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fibcat import cli
+from fibcat import cli, documents as docs
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 
@@ -108,6 +110,25 @@ def renamed(tree, old, new):
 JSON_VALUES = [None, True, 0, 1.5, "x", [], {}]
 # the header fields say what a document is, not what it holds
 HEADER = {"type", "format_version"}
+# tables keyed by ids, and those whose rows are keyed by ids too
+KEYED = {"object_map", "morphism_map", "identities", "elements",
+         "left_action", "right_action", "values", "transports"}
+ROWS_KEYED = {"elements", "left_action", "right_action"}
+
+
+def keyed_tables(doc):
+    """The path of every nonempty table of doc keyed by ids."""
+    return [p for p, v in nodes(doc) if isinstance(v, dict) and v and p
+            and (p[-1] in KEYED or len(p) > 1 and p[-2] in ROWS_KEYED)]
+
+
+def add_key(doc, path, draw):
+    """doc with a key "dangling" added to the table at path, holding a
+    copy of one of the table's entries."""
+    doc = copy.deepcopy(doc)
+    table = parent_of(doc, path)[path[-1]]
+    table["dangling"] = copy.deepcopy(table[draw(sorted(table))])
+    return doc
 
 
 def mutate(doc, kind, draw):
@@ -130,6 +151,8 @@ def mutate(doc, kind, draw):
                      if p and isinstance(p[-1], str) and p[-1] not in HEADER])
         parent = parent_of(doc, path)
         parent["dangling"] = parent.pop(path[-1])
+    elif kind == "added_key":
+        doc = add_key(doc, draw(keyed_tables(doc)), draw)
     elif kind == "duplicate":
         path = draw([p for p, v in nodes(doc) if isinstance(v, list) and v])
         entries = parent_of(doc, path)[path[-1]]
@@ -155,7 +178,8 @@ def mutant_path(tmp_path_factory):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(name=st.sampled_from(READ),
        kind=st.sampled_from(["delete_key", "wrong_type", "dangling_id",
-                             "dangling_key", "duplicate", "suffix"]),
+                             "dangling_key", "added_key", "duplicate",
+                             "suffix"]),
        data=st.data())
 def test_mutated_fixtures_keep_the_exit_contract(mutant_path, name, kind,
                                                  data):
@@ -168,5 +192,20 @@ def test_mutated_fixtures_keep_the_exit_contract(mutant_path, name, kind,
         assert code in (0, 2, 3, 4), (argv, code, err)
         assert code == 0 or out == "", (argv, code)
         assert "Traceback" not in err, (argv, err)
-        # every key of a fixture names something: renamed, it is refused
-        assert kind != "dangling_key" or code != 0, (argv, err)
+        # every key of a fixture names something: renamed, or added
+        # naming nothing, it is refused
+        assert kind not in ("dangling_key", "added_key") or code != 0, (
+            argv, err)
+
+
+SET_VALUED = sorted(name for name, doc in DOCS.items()
+                    if doc.get("type") == "set_valued_functor")
+
+
+@pytest.mark.parametrize("name", SET_VALUED)
+def test_a_key_added_to_a_set_valued_table_is_refused(name):
+    # no subcommand reads a set-valued document, so it is parsed directly
+    for path in keyed_tables(DOCS[name]):
+        doc = add_key(DOCS[name], path, lambda options: options[0])
+        with pytest.raises(docs.ValidationFailure):
+            docs.set_valued_from_doc(doc)

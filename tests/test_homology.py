@@ -384,12 +384,12 @@ class TestGuards:
 
 class TestPi0:
     def test_interval(self):
-        assert len(homology.pi0(core.interval(3))) == 1
+        assert len(core.connected_components(core.interval(3))) == 1
 
     def test_disjoint_union_adds(self):
         A = core.prefix_relabel(core.interval(2), "a.")
         B = core.prefix_relabel(core.interval(1), "b.")
-        assert len(homology.pi0(core.disjoint_union(A, B))) == 2
+        assert len(core.connected_components(core.disjoint_union(A, B))) == 2
 
 
 class TestFinality:
@@ -426,7 +426,8 @@ class TestFinality:
         rng = random.Random(21)
         for _ in range(10):
             f = randgen.random_final_functor(rng)
-            assert len(homology.pi0(f.source)) == len(homology.pi0(f.target))
+            assert (len(core.connected_components(f.source))
+                    == len(core.connected_components(f.target)))
 
 
 def colliding_comma_ids():
