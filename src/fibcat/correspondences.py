@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from . import core, fibrations, homology
+from . import bifib_squares, core, fibrations, homology
 from .core import FiniteCategory, Functor, PreconditionError
 from .unionfind import UnionFind
 
@@ -501,9 +501,25 @@ def _bifibration(A, B, ends, rho, lam):
     builder knows its transports: a morphism x -> y over (alpha, beta)
     exists, uniquely, exactly when rho(x, beta) = lam(y, alpha).  It is
     two-sided discrete by construction, with rho and lam as its
-    transports, so check_two_sided_discrete is not run to recover them."""
-    total, to_A, to_B = core.square_category(
-        A, B, ends, lambda x, alpha, beta, y: rho[(x, beta)] == lam[(y, alpha)])
+    transports, so check_two_sided_discrete is not run to recover them.
+
+    When the transports are lawful, the squares are closed under
+    identities and composition, and bifib_squares enumerates them
+    without testing any.  If their ids are injective, the total is
+    core.square_category's, in the same order, with its composition
+    table and index built the first time they are read: composing
+    bifibrations reads only the objects, morphisms and legs.  Otherwise
+    the total is core.square_category's, which raises the same
+    CategoryError."""
+    squares = (bifib_squares._transports_lawful(A, B, ends, rho, lam)
+               and bifib_squares._squares(A, B, ends, rho, lam))
+    if squares:
+        total, to_A, to_B = bifib_squares._composed_on_read(A, B, ends,
+                                                            *squares)
+    else:
+        total, to_A, to_B = core.square_category(
+            A, B, ends,
+            lambda x, alpha, beta, y: rho[(x, beta)] == lam[(y, alpha)])
     return TwoSidedDiscreteFibration(total, to_A, to_B, transports=(rho, lam))
 
 

@@ -199,8 +199,9 @@ def category_from_doc(doc):
         morphisms.append(triple)
     identities = _require(doc, "identities", dict)
     _require_ids(identities.values(), "identities")
+    known_objects = (set(objects), "object")
     for x in identities:
-        _known(x, (set(objects), "object"), "identities key")
+        _known(x, known_objects, "identities key")
     compose_list = _require(doc, "compose", list)
     composition = {}
     for entry in compose_list:

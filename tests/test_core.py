@@ -917,12 +917,12 @@ class TestSquareCategoryGuards:
 
     def test_every_output_is_a_category_over_random_draws(self, monkeypatch):
         # validate_category and Functor._validate stay the oracle for
-        # every category of squares the constructions build
-        real = core.square_category
+        # every category of squares the constructions build, whether
+        # square_category tests the squares or _bifibration enumerates
+        # them from its transports
         built = []
 
-        def checked(A, B, ends, commutes):
-            cat, to_A, to_B = real(A, B, ends, commutes)
+        def check(A, B, ends, commutes, cat, to_A, to_B):
             table = _named_squares(A, B, ends, commutes)
             assert core.validate_category(*table_of(cat)) == []
             assert table_of(cat) == (tuple(sorted(table[0])),
@@ -930,9 +930,25 @@ class TestSquareCategoryGuards:
             to_A._validate()
             to_B._validate()
             built.append(cat)
+
+        real_squares = core.square_category
+
+        def squares(A, B, ends, commutes):
+            cat, to_A, to_B = real_squares(A, B, ends, commutes)
+            check(A, B, ends, commutes, cat, to_A, to_B)
             return cat, to_A, to_B
 
-        monkeypatch.setattr(core, "square_category", checked)
+        real_bifibration = corrs._bifibration
+
+        def bifibration(A, B, ends, rho, lam):
+            X = real_bifibration(A, B, ends, rho, lam)
+            check(A, B, ends,
+                  lambda x, alpha, beta, y: rho[(x, beta)] == lam[(y, alpha)],
+                  X.total, X.to_left, X.to_right)
+            return X
+
+        monkeypatch.setattr(core, "square_category", squares)
+        monkeypatch.setattr(corrs, "_bifibration", bifibration)
         draws = 200
         for i in range(draws):
             rng = random.Random(f"squares:{i}")

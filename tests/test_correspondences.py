@@ -1,10 +1,13 @@
+import contextlib
+import io
 import random
 
 import pytest
 
-from fibcat import core, correspondences as corrs, fibrations as fib
-from fibcat import fixtures, homology, randgen
-from fibcat.core import FiniteCategory, PreconditionError
+from fibcat import bifib_squares, cli, core, correspondences as corrs
+from fibcat import documents as docs
+from fibcat import fibrations as fib, fixtures, homology, randgen
+from fibcat.core import CategoryError, FiniteCategory, PreconditionError
 
 
 def idem_ret_bimodules():
@@ -130,6 +133,165 @@ class TestBifibrations:
         assert X.fiber_elements("a*", "y") == (core.comma_object_id(
             "a*", "y", "e"), core.comma_object_id("a*", "y", "id_y"))
         assert len(X.fiber_elements("a*", "x")) == 1
+
+
+def _transports(ends, moves):
+    """rho or lam on ends: each end to itself along the identities of the
+    given side, and moves[(x, arrow)] along the other arrows."""
+    return lambda C, side: {
+        **{(x, C.identity[e[side]]): x for x, e in ends.items()}, **moves}
+
+
+def _not_functorial():
+    # rho(x0, 0->2) = y2, but rho(rho(x0, 0->1), 1->2) = x2
+    T, B = core.terminal(), core.interval(2)
+    ends = {x: ("*", x[1], x) for x in ("x0", "x1", "x2", "y2")}
+    rho = _transports(ends, {("x0", "0->1"): "x1", ("x1", "1->2"): "x2",
+                             ("x0", "0->2"): "y2"})(B, 1)
+    return T, B, ends, rho, _transports(ends, {})(T, 0), "composite of"
+
+
+def _not_commuting():
+    # rho(lam(x10, 0->1), 0->1) = x01, but lam(rho(x10, 0->1), 0->1) = y01
+    I = core.interval(1)
+    ends = {x: (x[1], x[2], x) for x in ("x00", "x01", "y01", "x10", "x11")}
+    rho = _transports(ends, {("x00", "0->1"): "x01",
+                             ("x10", "0->1"): "x11"})(I, 1)
+    lam = _transports(ends, {("x10", "0->1"): "x00",
+                             ("x11", "0->1"): "y01"})(I, 0)
+    return I, I, ends, rho, lam, "composite of"
+
+
+def _no_identity_square():
+    # rho(x, id) = z, while lam(x, id) = x
+    T = core.terminal()
+    ends = {x: ("*", "*", x) for x in ("x", "z")}
+    rho = {("x", "id"): "z", ("z", "id"): "z"}
+    return (T, T, ends, rho, _transports(ends, {})(T, 0),
+            "identity of x is not a morphism")
+
+
+def _not_unital_yet_closed():
+    # rho(x, id) = lam(x, id) = z: not unital, yet every pair of ends has
+    # one square, and the squares form the indiscrete category on {x, z}
+    T = core.terminal()
+    ends = {x: ("*", "*", x) for x in ("x", "z")}
+    rho = {("x", "id"): "z", ("z", "id"): "z"}
+    return T, T, ends, rho, dict(rho), None
+
+
+class TestBifibrationsFromTransports:
+    """_bifibration enumerates its squares from lawful transports and
+    composes them on first read; on unlawful ones it is square_category."""
+
+    def assert_as_square_category(self, A, B, ends, rho, lam, error):
+        def commutes(x, alpha, beta, y):
+            return rho[(x, beta)] == lam[(y, alpha)]
+
+        if error is not None:
+            with pytest.raises(CategoryError) as expected:
+                core.square_category(A, B, ends, commutes)
+            assert str(expected.value).startswith(error)
+            with pytest.raises(CategoryError) as got:
+                corrs._bifibration(A, B, ends, rho, lam)
+            assert str(got.value) == str(expected.value)
+            return
+        total, to_A, to_B = core.square_category(A, B, ends, commutes)
+        X = corrs._bifibration(A, B, ends, rho, lam)
+        assert X.total == total
+        assert (X.total._from, X.total._to, X.total._hom) == \
+            (total._from, total._to, total._hom)
+        assert (X.to_left, X.to_right) == (to_A, to_B)
+        assert X.transports == (rho, lam)
+
+    @pytest.mark.parametrize("planted", [_not_functorial, _not_commuting,
+                                         _no_identity_square,
+                                         _not_unital_yet_closed])
+    def test_unlawful_transports_give_what_square_category_gives(
+            self, planted):
+        A, B, ends, rho, lam, error = planted()
+        assert not bifib_squares._transports_lawful(A, B, ends, rho, lam)
+        self.assert_as_square_category(A, B, ends, rho, lam, error)
+
+    def test_colliding_square_ids_give_what_square_category_gives(self):
+        # lawful transports whose squares x -> y>z and x>y -> z over
+        # (id, 0->1) both print as (id,0->1):x>y>z
+        T, I = core.terminal(), core.interval(1)
+        ends = {x: ("*", b, x) for x, b in (("x", "0"), ("x>y", "0"),
+                                            ("z", "1"), ("y>z", "1"))}
+        rho = _transports(ends, {("x", "0->1"): "y>z",
+                                 ("x>y", "0->1"): "z"})(I, 1)
+        lam = _transports(ends, {})(T, 0)
+        assert bifib_squares._transports_lawful(T, I, ends, rho, lam)
+        assert bifib_squares._squares(T, I, ends, rho, lam) is None
+        self.assert_as_square_category(T, I, ends, rho, lam,
+                                       "duplicate morphism ids")
+
+    def test_lawful_transports_compose_on_first_read(self):
+        X = corrs.profunctor_to_bifib(corrs.hom_profunctor(core.interval(2)))
+        assert isinstance(X.total, bifib_squares._ComposedOnRead)
+        assert X.total._compose is not None
+        assert X.total.compose("(0->0,1->2):(0,1,0->1)>(0,2,0->2)",
+                               "(0->0,0->1):(0,0,0->0)>(0,1,0->1)") == \
+            "(0->0,0->2):(0,0,0->0)>(0,2,0->2)"
+        # the table is kept, and the closure that built it dropped
+        assert X.total._compose is None
+
+    def hom_documents(self, tmp_path, n):
+        """Hom_[n] twice, composable, as bimodules and as collages."""
+        C = core.interval(n)
+        H = corrs.hom_profunctor(C)
+
+        def rename(prefix):
+            return ({x: prefix + x for x in C.objects},
+                    {m: prefix + m for m in C.morphisms})
+
+        pair = (corrs.relabel_profunctor(H, source=rename("a.")),
+                corrs.relabel_profunctor(H, target=rename("c.")))
+        paths = {}
+        for kind, to_doc in (("hom", docs.profunctor_to_doc),
+                             ("collage", lambda P: docs.correspondence_to_doc(
+                                 corrs.collage(P)))):
+            paths[kind] = [str(tmp_path / f"{kind}_{side}.json")
+                           for side in ("left", "right")]
+            for path, P in zip(paths[kind], pair):
+                with open(path, "w") as fh:
+                    fh.write(docs.dumps(to_doc(P)))
+        return paths
+
+    def test_compose_builds_no_table_and_roundtrip_does(self, tmp_path,
+                                                        monkeypatch):
+        made, composed = [], []
+
+        class Counted(bifib_squares._ComposedOnRead):
+            __slots__ = ()
+
+            def __init__(self, *tables):
+                super().__init__(*tables)
+                made.append(self)
+
+            def __getattr__(self, name):
+                if name in self._ON_READ and self._compose is not None:
+                    composed.append(self)
+                return super().__getattr__(name)
+
+        monkeypatch.setattr(bifib_squares, "_ComposedOnRead", Counted)
+        paths = self.hom_documents(tmp_path, 5)
+
+        def run(*argv):
+            made.clear()
+            composed.clear()
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(list(argv)) == 0
+            return len(made), len(composed)
+
+        for mode, kind in (("prof", "hom"), ("bifib", "hom"),
+                           ("corr", "collage")):
+            # two bifibrations of elements and their composite
+            assert run("compose", "--mode", mode, *paths[kind]) == (3, 0)
+        built, read = run("roundtrip", paths["collage"][0])
+        # the round-trip isos read the tables of some totals
+        assert 0 < read < built
 
 
 def old_check_two_sided_discrete(X, to_A, to_B):

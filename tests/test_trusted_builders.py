@@ -7,7 +7,9 @@ oracle, which runs on the builder's output the full check it skips:
 
 * `Profunctor.validate` on every derived bimodule;
 * `check_two_sided_discrete` on every bifibration: it must pass, and its
-  transports must equal the ones the builder kept, dict for dict;
+  transports must equal the ones the builder kept, dict for dict; its
+  total, which is composed on first read, must equal, index and legs
+  included, the one `square_category` builds by testing each square;
 * `validate_category` on the table of every collage total;
 * each derived category equals, index included, the `FiniteCategory`
   built and validated from its table.
@@ -22,7 +24,7 @@ import random
 
 import pytest
 
-from fibcat import core, correspondences as corrs, randgen
+from fibcat import bifib_squares, core, correspondences as corrs, randgen
 
 DRAWS = 200
 
@@ -61,6 +63,18 @@ def _two_sided(X):
     check = corrs.check_two_sided_discrete(X.total, X.to_left, X.to_right)
     assert check.ok, check.witness
     assert X.transports == (check.witness["rho"], check.witness["lam"])
+    rho, lam = X.transports
+    L, R = X.to_left, X.to_right
+    assert isinstance(X.total, bifib_squares._ComposedOnRead)
+    total, to_A, to_B = core.square_category(
+        L.target, R.target,
+        {x: (L.ob_map[x], R.ob_map[x], x) for x in X.total.objects},
+        lambda x, alpha, beta, y: rho[(x, beta)] == lam[(y, alpha)])
+    assert X.total == total
+    assert (X.total._from, X.total._to, X.total._hom) == \
+        (total._from, total._to, total._hom)
+    assert (L.ob_map, L.mor_map, R.ob_map, R.mor_map) == \
+        (to_A.ob_map, to_A.mor_map, to_B.ob_map, to_B.mor_map)
 
 
 def _category(C):
