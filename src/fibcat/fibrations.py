@@ -6,16 +6,19 @@ connected" (the classical Giraud-Conduché reading), with an opt-in
 homology certificate up to a chosen degree.  Negative verdicts carry a
 minimal witness found by lexicographic search.
 
-Exponentiability, local (co)Cartesianness and the left-final/right-initial
-checks read the edge bimodules of pi: for an arrow phi: x -> y of K, the
-morphisms of E over phi, acted on by the fibers over x and y.  Conduché's
-criterion is then one union-find per composable pair of arrows (the coend
-E_psi ⊗ E_phi must match E_{psi∘phi}), and the end checks one union-find
-per arrow and object.  Homology certificates, which need the categories
-themselves, build only the factorization categories and the categories of
-elements of E_phi(e, -) that passed that test.  The right-handed checks
-are the left-handed ones on the opposite functor, which each functor
-builds once and keeps.
+Every checker reads the edge bimodules of pi: for an arrow phi: x -> y of
+K, the morphisms of E over phi, acted on by the fibers over x and y.  A
+morphism f: e -> e' over phi is coCartesian when, for each h out of y,
+u |-> u∘f is a bijection from the lifts of h out of e' onto the lifts of
+h∘phi out of e; only a morphism that fails is scanned again, pair (g, h)
+by pair, for its witness.  Conduché's criterion is one union-find per
+composable pair of arrows (the coend E_psi ⊗ E_phi must match
+E_{psi∘phi}), over int indices of the factorizations, and the end checks
+one union-find per arrow and object.  Homology certificates, which need
+the categories themselves, build only the factorization categories and
+the categories of elements of E_phi(e, -) that passed that test.  The
+right-handed checks are the left-handed ones on the opposite functor,
+which each functor builds once and keeps.
 
 classify() runs every checker and asserts the implication closure between
 them; a violated implication is reported as an internal defect, never
@@ -28,7 +31,6 @@ from dataclasses import dataclass, field
 
 from . import core, homology
 from .core import Functor, PreconditionError
-from .unionfind import UnionFind
 
 
 class InternalInvariantError(RuntimeError):
@@ -70,23 +72,48 @@ def is_cocartesian_morphism(pi, f):
 
     Concretely: for every g out of src(f) and every factorization
     pi(g) = h ∘ pi(f), there must be a unique lift u over h with
-    u∘f = g.  The witness on failure is the pair (g, h) with the number
-    of compatible lifts found.
+    u∘f = g.  The witness on failure is the first such pair (g, h), in
+    the order of g and then h, with the number of compatible lifts found.
+    """
+    if _cocartesian(pi, f):
+        return Verdict(True)
+    return Verdict(False, _cocartesian_witness(pi, f))
+
+
+def _cocartesian(pi, f):
+    """is_cocartesian_morphism(pi, f).ok, over the edge bimodules.
+
+    With f: e -> e' over phi: x -> y, f is coCartesian exactly when, for
+    every h out of y, u |-> u∘f maps the lifts of h out of e' onto the
+    lifts of h∘phi out of e bijectively: equal counts, and no two u with
+    one composite.
     """
     E, K = pi.source, pi.target
-    e_s, e_t = E.src[f], E.tgt[f]
     phi = pi.mor_map[f]
-    y = K.tgt[phi]
-    for g in E.morphisms_from(e_s):
+    e, e1 = E.src[f], E.tgt[f]
+    comp, lifts = E._comp, pi._grouped()[1].get
+    for h in K._from[K.tgt[phi]]:
+        near = lifts((e1, h), ())
+        if (len(near) != len(lifts((e, K._comp[(h, phi)]), ()))
+                or len({comp[(u, f)] for u in near}) != len(near)):
+            return False
+    return True
+
+
+def _cocartesian_witness(pi, f):
+    """The first (g, h), in the order of g and then h, at which f fails to
+    be coCartesian, with its number of lifts."""
+    E, K = pi.source, pi.target
+    phi = pi.mor_map[f]
+    e_t, y = E.tgt[f], K.tgt[phi]
+    for g in E.morphisms_from(E.src[f]):
         pg = pi.mor_map[g]
         for h in K.hom(y, K.tgt[pg]):
             if K.compose(h, phi) != pg:
                 continue
-            lifts = [u for u in E.hom(e_t, E.tgt[g])
-                     if pi.mor_map[u] == h and E.compose(u, f) == g]
-            if len(lifts) != 1:
-                return Verdict(False, {"g": g, "h": h, "lifts": len(lifts)})
-    return Verdict(True)
+            lifts = sum(1 for u in pi.lifts(e_t, h) if E.compose(u, f) == g)
+            if lifts != 1:
+                return {"g": g, "h": h, "lifts": lifts}
 
 
 def is_cartesian_morphism(pi, f):
@@ -95,7 +122,7 @@ def is_cartesian_morphism(pi, f):
 
 def cocartesian_lifts(pi, e, phi):
     """All coCartesian morphisms out of e over phi, sorted by id."""
-    return [f for f in pi.lifts(e, phi) if is_cocartesian_morphism(pi, f).ok]
+    return [f for f in pi.lifts(e, phi) if _cocartesian(pi, f)]
 
 
 def is_cocartesian_fibration(pi):
@@ -107,8 +134,7 @@ def is_cocartesian_fibration(pi):
         for phi in sorted(K.morphisms_from(x)):
             if K.is_identity(phi):
                 continue  # identity lifts are always coCartesian
-            if not any(is_cocartesian_morphism(pi, f).ok
-                       for f in pi.lifts(e, phi)):
+            if not any(_cocartesian(pi, f) for f in pi.lifts(e, phi)):
                 return Verdict(False, {"object": e, "morphism": phi})
     return Verdict(True)
 
@@ -143,9 +169,9 @@ def is_locally_cartesian(pi):
 def every_morphism_cocartesian(pi):
     E = pi.source
     for f in sorted(E.morphisms):
-        v = is_cocartesian_morphism(pi, f)
-        if not v.ok:
-            return Verdict(False, {"morphism": f, "inner": v.witness})
+        if not _cocartesian(pi, f):
+            return Verdict(False, {"morphism": f,
+                                   "inner": _cocartesian_witness(pi, f)})
     return Verdict(True)
 
 
@@ -257,7 +283,10 @@ def is_exponentiable(pi, certify_dim=None):
     factorizations (u over phi, v over psi) are identified along the
     middle-fiber maps w by (u, v∘w) ~ (w∘u, v), which are exactly the
     morphisms of the factorization categories, and each lift of psi∘phi
-    must meet exactly one class.  Degenerate pairs (either leg an
+    must meet exactly one class.  The factorizations are numbered once
+    per pair and joined in a list-backed union-find; identity maps w join
+    nothing and are skipped, and only the number of classes per lift is
+    read (see _coend_classes).  Degenerate pairs (either leg an
     identity) always pass: the factorization category then has an initial
     or final object.  With certify_dim=d, the factorization category of
     each lift that passes is built, and its reduced homology must vanish
@@ -275,26 +304,10 @@ def is_exponentiable(pi, certify_dim=None):
     K0 = pi.target
     if any(not K0.is_identity(f) for f in K0.isomorphisms()):
         pi = isofibration_replacement(pi)
-    E, K = pi.source, pi.target
     for phi, psi, lifts in _composable_lifts(pi):
-        mid = K.identity[K.tgt[phi]]
-        uf = UnionFind()
-        for e in pi.over(K.src[phi]):
-            for u in pi.lifts(e, phi):
-                m = E.tgt[u]
-                for v in pi.lifts(m, psi):
-                    uf.add((u, v))
-                for w in pi.lifts(m, mid):
-                    wu = E.compose(w, u)
-                    for v in pi.lifts(E.tgt[w], psi):
-                        uf.union((u, E.compose(v, w)), (wu, v))
-        count, classes = {}, {}
-        for (u, v), rep in uf.class_map().items():
-            lift = E.compose(v, u)
-            count[lift] = count.get(lift, 0) + 1
-            classes.setdefault(lift, set()).add(rep)
+        count, classes = _coend_classes(pi, phi, psi)
         for lift in lifts:
-            if len(classes.get(lift, ())) != 1:
+            if classes.get(lift, 0) != 1:
                 return Verdict(False, {"first": phi, "second": psi,
                                        "lift": lift,
                                        "factorizations": count.get(lift, 0)})
@@ -308,6 +321,52 @@ def is_exponentiable(pi, certify_dim=None):
                     "certificate_degree": certify_dim,
                     "betti": rep.betti, "torsion": rep.torsion})
     return Verdict(True)
+
+
+def _coend_classes(pi, phi, psi):
+    """The coend of E_psi and E_phi, counted per lift of psi∘phi: two
+    dicts, lift -> number of factorizations (u, v) and lift -> number of
+    their classes under (u, v∘w) ~ (w∘u, v).
+
+    Each factorization gets an int index, and the classes are the roots of
+    a union-find over a list of parents.  An identity w identifies each
+    pair with itself, so only the other middle-fiber maps are walked.
+    """
+    E, K = pi.source, pi.target
+    comp, tgt, identity = E._comp, E.tgt, E.identity
+    lifts = pi._grouped()[1].get
+    mid = K.identity[K.tgt[phi]]
+    index, over = {}, []
+    for e in pi.over(K.src[phi]):
+        for u in lifts((e, phi), ()):
+            for v in lifts((tgt[u], psi), ()):
+                index[(u, v)] = len(over)
+                over.append(comp[(v, u)])
+    parent = list(range(len(over)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    for e in pi.over(K.src[phi]):
+        for u in lifts((e, phi), ()):
+            m = tgt[u]
+            for w in lifts((m, mid), ()):
+                if w == identity[m]:
+                    continue
+                wu = comp[(w, u)]
+                for v in lifts((tgt[w], psi), ()):
+                    a = find(index[(u, comp[(v, w)])])
+                    b = find(index[(wu, v)])
+                    if a != b:
+                        parent[a] = b
+    count, classes = {}, {}
+    for i, lift in enumerate(over):
+        count[lift] = count.get(lift, 0) + 1
+        if parent[i] == i:
+            classes[lift] = classes.get(lift, 0) + 1
+    return count, classes
 
 
 def _composable_lifts(pi):

@@ -451,8 +451,7 @@ def maximal_left_subfibration(pi):
     if not v.ok:
         raise PreconditionError("not a coCartesian fibration", v.witness)
     E, K = pi.source, pi.target
-    keep = [f for f in E.morphisms
-            if fibrations.is_cocartesian_morphism(pi, f).ok]
+    keep = [f for f in E.morphisms if fibrations._cocartesian(pi, f)]
     keep_set = set(keep)
     for f in keep:
         for g in E._from[E.tgt[f]]:

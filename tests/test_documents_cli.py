@@ -74,11 +74,7 @@ class TestDocuments:
 
     def test_every_parsed_fixture_is_emitted_again_byte_for_byte(
             self, fixture_dir):
-        to_doc = {"category": docs.category_to_doc,
-                  "functor": docs.functor_to_doc,
-                  "profunctor": docs.profunctor_to_doc,
-                  "correspondence": docs.correspondence_to_doc,
-                  "set_valued_functor": docs.set_valued_to_doc}
+        to_doc = TO_DOC
         kinds = []
         for name in sorted(os.listdir(fixture_dir)):
             with open(os.path.join(fixture_dir, name), encoding="utf-8") as fh:
@@ -105,6 +101,95 @@ class TestDocuments:
         with pytest.raises(docs.ValidationFailure) as err:
             docs.category_from_doc(doc)
         assert any("missing composite" in line for line in err.value.report)
+
+
+TO_DOC = {"category": docs.category_to_doc,
+          "functor": docs.functor_to_doc,
+          "profunctor": docs.profunctor_to_doc,
+          "correspondence": docs.correspondence_to_doc,
+          "set_valued_functor": docs.set_valued_to_doc}
+
+
+def random_value(rng, kind):
+    """A random value of a document type, built by randgen."""
+    A = randgen.random_category(rng, 3, 8, prefix="a.")
+    if kind == "category":
+        return A
+    if kind == "set_valued_functor":
+        return randgen.random_set_valued(rng, A)
+    B = randgen.random_category(rng, 3, 8, prefix="b.")
+    if kind == "functor":
+        return randgen.random_functor_between(rng, A, B)
+    P = randgen.random_profunctor(rng, A, B)
+    return P if kind == "profunctor" else corrs.collage(P)
+
+
+def scrambled(rng, doc, kind):
+    """doc written another way with the same meaning: every list and
+    every object's keys in a random order (the entries of a compose
+    triple keep theirs), and a profunctor's empty rows left out."""
+    def shuffled(value, fixed=False):
+        if isinstance(value, dict):
+            items = [(k, shuffled(v)) for k, v in value.items()]
+        elif isinstance(value, list) and not fixed:
+            items = [shuffled(v, fixed=True) for v in value]
+        else:
+            return value
+        rng.shuffle(items)
+        return dict(items) if isinstance(value, dict) else items
+
+    def pruned(value):
+        if not isinstance(value, dict):
+            return value
+        kept = {k: pruned(v) for k, v in value.items()}
+        return {k: v for k, v in kept.items() if v not in ({}, [])}
+
+    doc = shuffled(doc)
+    if kind == "profunctor":
+        for table in ("elements", "left_action", "right_action"):
+            doc[table] = pruned(doc[table])
+    return doc
+
+
+def document_rows(value, path=()):
+    """The rows of a document: (path of keys, entry) for each entry of a
+    list, wherever it stands, and for each other leaf."""
+    if isinstance(value, dict):
+        for k, v in value.items():
+            yield from document_rows(v, path + (k,))
+    elif isinstance(value, list):
+        for v in value:
+            yield path, json.dumps(v, sort_keys=True)
+    else:
+        yield path, json.dumps(value)
+
+
+class TestParseEmitProperty:
+    """For every document type D: parse(emit(parse(D))) == parse(D), and
+    every row of an accepted D is in emit(parse(D)), on documents
+    randgen builds and on the committed fixtures, each also scrambled."""
+
+    @pytest.mark.parametrize("kind", sorted(TO_DOC))
+    def test_random_and_fixture_documents(self, kind, fixture_dir):
+        rng = random.Random(f"parse-emit:{kind}")
+        sources = [TO_DOC[kind](random_value(rng, kind)) for _ in range(12)]
+        for name in sorted(os.listdir(fixture_dir)):
+            if name.startswith("defect_"):
+                continue
+            with open(os.path.join(fixture_dir, name),
+                      encoding="utf-8") as fh:
+                doc = json.load(fh)
+            if doc["type"] == kind:
+                sources.append(doc)
+        assert len(sources) > 12
+        for doc in sources:
+            for D in (doc, scrambled(rng, doc, kind)):
+                got, value = docs.parse_any(json.dumps(D))
+                assert got == kind
+                emitted = docs.dumps(TO_DOC[kind](value))
+                assert docs.parse_any(emitted) == (kind, value)
+                assert set(document_rows(D)) <= set(
+                    document_rows(json.loads(emitted)))
 
 
 class TestCliExitContract:

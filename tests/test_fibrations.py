@@ -681,6 +681,42 @@ def oracle_is_locally_cocartesian(pi):
     return fib.Verdict(True)
 
 
+def oracle_is_cocartesian_morphism(pi, f):
+    """The (g, h) scan the bijection test replaced: for every g out of
+    src(f) and every h with h∘pi(f) = pi(g), exactly one u over h in E's
+    hom-set from tgt(f) to tgt(g) with u∘f = g."""
+    E, K = pi.source, pi.target
+    e_s, e_t = E.src[f], E.tgt[f]
+    phi = pi.mor_map[f]
+    y = K.tgt[phi]
+    for g in E.morphisms_from(e_s):
+        pg = pi.mor_map[g]
+        for h in K.hom(y, K.tgt[pg]):
+            if K.compose(h, phi) != pg:
+                continue
+            lifts = [u for u in E.hom(e_t, E.tgt[g])
+                     if pi.mor_map[u] == h and E.compose(u, f) == g]
+            if len(lifts) != 1:
+                return fib.Verdict(False,
+                                   {"g": g, "h": h, "lifts": len(lifts)})
+    return fib.Verdict(True)
+
+
+def oracle_is_cocartesian_fibration(pi):
+    """A coCartesian lift, by the scan, of every non-identity arrow out of
+    every object's image, found among all of E's morphisms."""
+    E, K = pi.source, pi.target
+    for e in sorted(E.objects):
+        for phi in sorted(K.morphisms_from(pi.ob_map[e])):
+            if K.is_identity(phi):
+                continue
+            if not any(oracle_is_cocartesian_morphism(pi, f).ok
+                       for f in E.morphisms_from(e)
+                       if pi.mor_map[f] == phi):
+                return fib.Verdict(False, {"object": e, "morphism": phi})
+    return fib.Verdict(True)
+
+
 ORACLE_BASES = {
     "I1": lambda: core.interval(1),
     "I2": lambda: core.interval(2),
@@ -796,16 +832,23 @@ class TestEdgeEngineOracles:
 
     @pytest.mark.parametrize("name", sorted(ORACLE_BASES))
     def test_random_functors_and_opposites(self, name):
-        negative = {}
+        negative, factorizations = {}, set()
         for pi in oracle_sample(name, 100):
             for key in assert_engine_matches_oracles(pi):
                 negative[key] = negative.get(key, 0) + 1
+                if key == "exponentiable":
+                    factorizations.add(
+                        fib.is_exponentiable(pi).witness["factorizations"])
         # the sample reaches the failure branches of every local check
         for key in ("left_final", "right_initial", "locally_cocartesian",
                     "locally_cartesian"):
             assert negative.get(key, 0) > 0, key
         if name in ("I2", "retract"):
             assert negative.get("exponentiable", 0) > 0
+        if name == "I2":
+            # empty and disconnected factorization categories both fail
+            # with the oracle's witness, factorization count included
+            assert factorizations == {0, 2}
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_arrow_evaluations(self, n):
@@ -832,6 +875,39 @@ class TestEdgeEngineOracles:
         assert fib.is_exponentiable(pi).witness == {
             "first": "0->1", "second": "1->2", "lift": "n",
             "factorizations": 2}
+
+    @pytest.mark.parametrize("collapsed", (True, False))
+    def test_middle_fiber_with_an_idempotent(self, collapsed):
+        # the factorizations of n through b are (u, v) with u in {u, eu}
+        # and v in {v, ve}; only the non-identity middle map e identifies
+        # them.  With v∘e = v they form one class; with ve = v∘e apart
+        # from v, (u, v) stays alone
+        arrows = [("e", "b", "b", "1->1"), ("u", "a", "b", "0->1"),
+                  ("eu", "a", "b", "0->1"), ("v", "b", "c", "1->2"),
+                  ("n", "a", "c", "0->2")]
+        composites = {("e", "e"): "e", ("e", "u"): "eu", ("e", "eu"): "eu",
+                      ("v", "u"): "n", ("v", "eu"): "n"}
+        if collapsed:
+            composites[("v", "e")] = "v"
+        else:
+            arrows.append(("ve", "b", "c", "1->2"))
+            composites.update({("v", "e"): "ve", ("ve", "e"): "ve",
+                               ("ve", "u"): "n", ("ve", "eu"): "n"})
+        pi = functor_from_arrows(core.interval(2),
+                                 {"a": "0", "b": "1", "c": "2"},
+                                 arrows, composites)
+        negative = assert_engine_matches_oracles(pi)
+        assert ("exponentiable" in negative) is not collapsed
+        if not collapsed:
+            assert fib.is_exponentiable(pi).witness == {
+                "first": "0->1", "second": "1->2", "lift": "n",
+                "factorizations": 4}
+        # a product with the idempotent category: every middle fiber has
+        # the endomorphism, and the projection is exponentiable
+        _, pr1, _ = core.product_projections(core.interval(2),
+                                             core.idempotent_category())
+        for p in (pr1, core.opposite_functor(pr1)):
+            assert "exponentiable" not in assert_engine_matches_oracles(p)
 
     def test_empty_edge_bimodule(self):
         from fibcat import correspondences as corrs
@@ -875,6 +951,53 @@ class TestEdgeEngineOracles:
             for pi in oracle_sample(name, 15):
                 negative += len(assert_engine_matches_oracles(pi, 2))
         assert negative > 0
+
+
+def assert_every_morphism_matches(pi):
+    """every_morphism_cocartesian names the first failing morphism, by id,
+    with the scan's witness."""
+    old = next(({"morphism": f, "inner": v.witness}
+                for f in sorted(pi.source.morphisms)
+                for v in [oracle_is_cocartesian_morphism(pi, f)]
+                if not v.ok), None)
+    v = fib.every_morphism_cocartesian(pi)
+    assert (v.ok, v.witness) == (old is None, old)
+
+
+class TestCocartesianKernelOracle:
+    """The bijection test of coCartesian morphisms, over the edge
+    bimodules, against the (g, h) scan it replaced."""
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_BASES))
+    def test_every_morphism_of_random_functors(self, name):
+        failing = counts_agree = 0
+        for pi in oracle_sample(name, 40):
+            E, K = pi.source, pi.target
+            for f in E.morphisms:
+                old = oracle_is_cocartesian_morphism(pi, f)
+                assert fib._cocartesian(pi, f) == old.ok, f
+                new = fib.is_cocartesian_morphism(pi, f)
+                assert (new.ok, new.witness) == (old.ok, old.witness), f
+                if old.ok:
+                    continue
+                failing += 1
+                phi = pi.mor_map[f]
+                # a failure that only injectivity catches: every pair of
+                # lift sets has equal counts
+                counts_agree += all(
+                    len(pi.lifts(E.tgt[f], h))
+                    == len(pi.lifts(E.src[f], K.compose(h, phi)))
+                    for h in K.morphisms_from(K.tgt[phi]))
+            v, old = fib.is_cocartesian_fibration(pi), \
+                oracle_is_cocartesian_fibration(pi)
+            assert (v.ok, v.witness) == (old.ok, old.witness)
+            assert_every_morphism_matches(pi)
+            for e in E.objects:
+                for phi in K.morphisms_from(pi.ob_map[e]):
+                    assert fib.cocartesian_lifts(pi, e, phi) == [
+                        f for f in pi.lifts(e, phi)
+                        if oracle_is_cocartesian_morphism(pi, f).ok]
+        assert failing > counts_agree > 0
 
 
 class TestFactorizationCategoryOracle:
