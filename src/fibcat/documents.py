@@ -194,8 +194,10 @@ def category_from_doc(doc):
     for entry in raw_morphisms:
         if not isinstance(entry, dict) or not {"id", "src", "tgt"} <= set(entry):
             raise DocumentError(f"bad morphism entry: {entry!r}")
-        triple = (entry["id"], entry["src"], entry["tgt"])
-        _require_ids(triple, "morphisms")
+        m, x, y = triple = (entry["id"], entry["src"], entry["tgt"])
+        if not (isinstance(m, str) and isinstance(x, str)
+                and isinstance(y, str)):
+            _require_ids(triple, "morphisms")
         morphisms.append(triple)
     identities = _require(doc, "identities", dict)
     _require_ids(identities.values(), "identities")
@@ -207,8 +209,10 @@ def category_from_doc(doc):
     for entry in compose_list:
         if not (isinstance(entry, list) and len(entry) == 3):
             raise DocumentError(f"bad compose entry: {entry!r}")
-        _require_ids(entry, "compose")
         g, f, h = entry
+        if not (isinstance(g, str) and isinstance(f, str)
+                and isinstance(h, str)):
+            _require_ids(entry, "compose")
         if (g, f) in composition:
             raise DocumentError(f"composable pair listed twice: ({g},{f})")
         composition[(g, f)] = h

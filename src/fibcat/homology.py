@@ -2,7 +2,13 @@
 
 The nerve of a finite category is truncated at a chosen dimension and its
 normalized (identity-free) chain complex is reduced by Smith normal form
-over exact integers.  Cofinality, the end checks of fibrations and
+over exact integers.  It reduces coboundaries from degree 0 upward with
+clearing (Chen-Kerber, "Persistent homology computation with a twist",
+2011), in the cohomology direction (de Silva-Morozov-Vejdemo-Johansson,
+"Dualities in persistent (co)homology", 2011): a simplex that was the row
+of a unit pivot one degree down names a column that is an integral
+combination of the others, so it is left out, and every invariant factor
+stays the same.  Cofinality, the end checks of fibrations and
 set-valued colimits all read categories of elements, decided by one
 union-find: exact π0-level verdicts (nonempty and connected), and
 bounded-degree contractibility certificates on the categories that pass.
@@ -136,12 +142,19 @@ def _check_face_relations(C, nrv):
                 f"face relation fails on {chain} (i=1, j=2)")
 
 
-def boundary_matrix(nrv, k):
-    """The k-th boundary of the normalized complex, rows = (k-1)-simplices."""
+def _check_cap(nrv, k):
+    """Refuse the k-th boundary when its full size exceeds the cap; return
+    its (rows, cols)."""
     rows = len(nrv.simplices[k - 1])
     cols = len(nrv.simplices[k])
     if rows * cols > _MATRIX_CAP:
         raise MatrixCapExceeded(f"boundary matrix {rows}x{cols} exceeds cap")
+    return rows, cols
+
+
+def boundary_matrix(nrv, k):
+    """The k-th boundary of the normalized complex, rows = (k-1)-simplices."""
+    rows, cols = _check_cap(nrv, k)
     M = [[0] * cols for _ in range(rows)]
     for j in range(cols):
         for i, r in enumerate(nrv.faces[k][j]):
@@ -150,10 +163,32 @@ def boundary_matrix(nrv, k):
     return M
 
 
+def _cleared_coboundary(nrv, k, cleared):
+    """δ_{k-1} = ∂_kᵀ, one row per k-simplex and one column per
+    (k-1)-simplex not in cleared (a set of indices into simplices[k-1]).
+    The cap is checked against the full boundary ∂_k."""
+    n_faces, _ = _check_cap(nrv, k)
+    column = [-1] * (n_faces + 1)  # column[-1] is a degenerate face's: none
+    width = 0
+    for r in range(n_faces):
+        if r not in cleared:
+            column[r] = width
+            width += 1
+    M = []
+    for face_rows in nrv.faces[k]:
+        row = [0] * width
+        for i, r in enumerate(face_rows):
+            c = column[r]
+            if c >= 0:
+                row[c] += -1 if i % 2 else 1
+        M.append(row)
+    return M
+
+
 # -- Smith normal form over the integers ----------------------------------
 
 
-def smith_normal_form(M):
+def smith_normal_form(M, unit_rows=None):
     """Invariant factors of an integer matrix (d1 | d2 | ...), all positive.
 
     The matrix is read into sparse columns and reduced on unit pivots
@@ -163,6 +198,14 @@ def smith_normal_form(M):
     then dropped and contribute an invariant factor 1.  The block left when
     no unit entry remains, which carries all the torsion, goes to a dense
     Smith normal form.  All arithmetic is exact.
+
+    With a list unit_rows, the row of each of these unit pivots is appended
+    to it in elimination order; the pivots of the dense block are not.
+    Until its pivot is taken, a column changes only by integral multiples
+    of other columns, which zero each earlier pivot's row in it exactly.
+    So when row p is recorded, its pivot's column is an integral
+    combination of M's columns with ±1 on row p and 0 on the rows
+    recorded before p.
     """
     cols = {}  # column -> {row: nonzero value}
     rows = {}  # row -> columns with a nonzero entry in that row
@@ -194,6 +237,8 @@ def smith_normal_form(M):
                 continue
             _eliminate_unit(cols, rows, p, q)
             units += 1
+            if unit_rows is not None:
+                unit_rows.append(p)
     residual_rows = sorted(set().union(*cols.values()))
     residual = [[col.get(r, 0) for col in cols.values()]
                 for r in residual_rows]
@@ -328,15 +373,30 @@ def homology(C, d):
 
 
 def homology_of_nerve(nrv):
+    """Betti numbers and torsion of the nerve's normalized complex.
+
+    Step k reduces δ_{k-1} = ∂_kᵀ, whose invariant factors are those of
+    ∂_k, without the columns of the rows of step k-1's unit pivots.  Each
+    such pivot's column is a coboundary z with ±1 on its row p and 0 on
+    the rows of the pivots before it, and δz = 0 writes column p of δ_{k-1}
+    as an integral combination of the other columns.  Taken from the last
+    pivot back, the cleared columns are combinations of the kept ones, so
+    leaving them out is a unimodular column operation: rank and torsion are
+    unchanged.  Clearing runs upward so that the top matrix, the largest,
+    is the one cleared.
+    """
     d = nrv.max_dim
     counts = nrv.counts()
     ranks = [0] * (d + 2)      # ranks[k] = rank of boundary_k
     tors = [[] for _ in range(d + 1)]
+    cleared = set()
     for k in range(1, d + 2):
-        divisors = smith_normal_form(boundary_matrix(nrv, k))
+        pivots = []
+        divisors = smith_normal_form(_cleared_coboundary(nrv, k, cleared),
+                                     pivots)
+        cleared = set(pivots)
         ranks[k] = len(divisors)
-        if k - 1 <= d:
-            tors[k - 1] = sorted(v for v in divisors if v > 1)
+        tors[k - 1] = sorted(v for v in divisors if v > 1)
     betti = []
     for k in range(d + 1):
         betti.append(counts[k] - ranks[k] - ranks[k + 1])

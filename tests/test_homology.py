@@ -253,6 +253,17 @@ def _assert_divisor_chain(divisors):
         assert b % a == 0
 
 
+def random_sparse_matrices(rng, count):
+    """count integer matrices of up to 12x20, with unit and non-unit
+    entries at densities 0.1 to 0.5."""
+    values = [1, -1, 1, -1, 2, -2, 3, -4, 6]
+    for _ in range(count):
+        rows, cols = rng.randint(1, 12), rng.randint(1, 20)
+        density = rng.choice([0.1, 0.25, 0.5])
+        yield [[rng.choice(values) if rng.random() < density else 0
+                for _ in range(cols)] for _ in range(rows)]
+
+
 def _torus():
     circle = core.poset_from_order(
         ["a0", "a1", "b0", "b1"],
@@ -264,13 +275,7 @@ class TestSparseSmithNormalForm:
     """The sparse unit-pivot engine against sympy and the dense routine."""
 
     def test_random_sparse_matrices_match_both_oracles(self):
-        rng = random.Random(5)
-        values = [1, -1, 1, -1, 2, -2, 3, -4, 6]
-        for _ in range(120):
-            rows, cols = rng.randint(1, 12), rng.randint(1, 20)
-            density = rng.choice([0.1, 0.25, 0.5])
-            M = [[rng.choice(values) if rng.random() < density else 0
-                  for _ in range(cols)] for _ in range(rows)]
+        for M in random_sparse_matrices(random.Random(5), 120):
             mine = homology.smith_normal_form(M)
             _assert_divisor_chain(mine)
             assert mine == homology._dense_smith_normal_form(M)
@@ -316,6 +321,177 @@ class TestSparseSmithNormalForm:
         Ar4 = core.arrow_category(core.interval(4))[0]
         rep = homology.homology(Ar4, 2)
         assert rep.reduced_trivial_up_to(2)
+
+
+# -- coboundaries with clearing against the boundary route -------------------
+
+
+def oracle_homology_of_nerve(nrv):
+    """The boundary route: smith_normal_form(boundary_matrix(nrv, k)) for
+    every k, with no clearing."""
+    d = nrv.max_dim
+    counts = nrv.counts()
+    ranks = [0] * (d + 2)
+    torsion = []
+    for k in range(1, d + 2):
+        divisors = homology.smith_normal_form(homology.boundary_matrix(nrv, k))
+        ranks[k] = len(divisors)
+        torsion.append(sorted(v for v in divisors if v > 1))
+    betti = [counts[k] - ranks[k] - ranks[k + 1] for k in range(d + 1)]
+    return homology.HomologyReport(d, betti, torsion, counts[:d + 1])
+
+
+def reduction_steps(nrv, monkeypatch):
+    """homology_of_nerve(nrv), with the (matrix, divisors, unit rows) of
+    each smith_normal_form call it makes, in order."""
+    steps = []
+    real = homology.smith_normal_form
+
+    def record(M, unit_rows=None):
+        divisors = real(M, unit_rows)
+        steps.append((M, divisors, list(unit_rows or ())))
+        return divisors
+
+    with monkeypatch.context() as m:
+        m.setattr(homology, "smith_normal_form", record)
+        rep = homology.homology_of_nerve(nrv)
+    return rep, steps
+
+
+def cleared_columns(nrv, k, M):
+    """How many (k-1)-simplices the coboundary M of step k leaves out."""
+    if not M:
+        return None  # no k-simplex: the width is not seen
+    return nrv.counts()[k - 1] - len(M[0])
+
+
+def torsion_with_clearing():
+    """Z/2 × [1]: torsion Z/2 in degree 3, read off the cleared δ_3."""
+    return core.product(core.cyclic_group_category(2), core.interval(1))
+
+
+CLEARING_CASES = (
+    [(f"Z/{n}", lambda n=n: core.cyclic_group_category(n), 3)
+     for n in range(2, 8)]
+    + [("Z/2 d=9", lambda: core.cyclic_group_category(2), 9),
+       ("Z/3 d=6", lambda: core.cyclic_group_category(3), 6),
+       ("torus", _torus, 3),
+       ("Ar([3])", lambda: core.arrow_category(core.interval(3))[0], 3),
+       ("Z/2 x [1]", torsion_with_clearing, 3),
+       # torsion in every degree above 0, and residual blocks beside units
+       ("Z/2 x Z/2", lambda: core.product(core.cyclic_group_category(2),
+                                          core.cyclic_group_category(2)), 3)])
+
+
+class TestClearing:
+    """homology_of_nerve reduces coboundaries upward with clearing; the
+    boundary route is its oracle, and sympy checks each step."""
+
+    def assert_routes_agree(self, C, d):
+        nrv = homology.nerve(C, d)
+        assert homology.homology_of_nerve(nrv) == \
+            oracle_homology_of_nerve(nrv)
+
+    def test_random_categories(self):
+        rng = random.Random(25)
+        for i in range(150):
+            C = randgen.random_category(rng, 4, 10)
+            self.assert_routes_agree(C, i % 4)
+
+    @pytest.mark.parametrize("d", range(4))
+    def test_fixture_categories(self, d):
+        compared = 0
+        for C in fixture_categories():
+            try:
+                homology.nerve(C, d)
+            except (KeyError, AssertionError):
+                continue  # a defect fixture: no nerve on either route
+            self.assert_routes_agree(C, d)
+            compared += 1
+        assert compared >= 31
+
+    @pytest.mark.parametrize("name, make, d", CLEARING_CASES,
+                             ids=[c[0] for c in CLEARING_CASES])
+    def test_named_categories(self, name, make, d):
+        self.assert_routes_agree(make(), d)
+
+    def test_torsion_beside_cleared_columns(self, monkeypatch):
+        nrv = homology.nerve(torsion_with_clearing(), 3)
+        rep, steps = reduction_steps(nrv, monkeypatch)
+        assert rep.torsion == [[], [2], [], [2]]
+        M, divisors, _ = steps[3]   # δ_3, for H_3
+        assert cleared_columns(nrv, 4, M) > 0
+        assert 2 in divisors
+
+    @pytest.mark.parametrize("name, C, d", [
+        ("[3]", core.interval(3), 3),
+        ("Z/3", core.cyclic_group_category(3), 4),
+        ("retract", core.retract_category(), 3),
+        ("idempotent", core.idempotent_category(), 3),
+        ("walking iso", core.walking_isomorphism(), 3),
+        ("torus", _torus(), 2),
+        ("Z/2 x [1]", torsion_with_clearing(), 3),
+        ("Z/2 x Z/2", core.product(core.cyclic_group_category(2),
+                                   core.cyclic_group_category(2)), 3),
+    ])
+    def test_each_step_matches_sympy_on_the_full_boundary(self, name, C, d,
+                                                          monkeypatch):
+        nrv = homology.nerve(C, d)
+        _, steps = reduction_steps(nrv, monkeypatch)
+        assert len(steps) == d + 1
+        cleared = 0
+        for k, (M, divisors, _) in enumerate(steps, 1):
+            assert len(M) == nrv.counts()[k], (name, k)
+            full = _sympy_divisors(homology.boundary_matrix(nrv, k))
+            assert sorted(divisors) == full, (name, k)
+            assert _sympy_divisors(M) == full, (name, k)
+            cleared += cleared_columns(nrv, k, M) or 0
+        assert cleared > 0, name
+
+    def test_unit_pivot_rows_are_cleared_at_the_next_step(self, monkeypatch):
+        nrv = homology.nerve(core.cyclic_group_category(3), 4)
+        _, steps = reduction_steps(nrv, monkeypatch)
+        for k in range(2, len(steps) + 1):
+            M = steps[k - 1][0]
+            rows = steps[k - 2][2]
+            assert cleared_columns(nrv, k, M) == len(rows)
+            assert M == homology._cleared_coboundary(nrv, k, set(rows))
+
+
+def _unit_rows_cases():
+    yield from random_sparse_matrices(random.Random(7), 80)
+    for C, d in ((core.cyclic_group_category(4), 3), (_torus(), 3),
+                 (core.arrow_category(core.interval(3))[0], 3)):
+        nrv = homology.nerve(C, d)
+        for k in range(1, d + 2):
+            yield homology.boundary_matrix(nrv, k)
+            yield homology._cleared_coboundary(nrv, k, set())
+
+
+class TestUnitRows:
+    def test_the_list_changes_no_divisor(self):
+        for M in _unit_rows_cases():
+            unit_rows = []
+            assert homology.smith_normal_form(M, unit_rows) == \
+                homology.smith_normal_form(M)
+
+    def test_rows_are_distinct_and_at_most_the_leading_ones(self):
+        recorded = 0
+        for M in _unit_rows_cases():
+            unit_rows = []
+            divisors = homology.smith_normal_form(M, unit_rows)
+            ones = len(divisors) - len([v for v in divisors if v > 1])
+            assert len(set(unit_rows)) == len(unit_rows) <= ones
+            assert all(0 <= p < len(M) for p in unit_rows)
+            recorded += len(unit_rows)
+        assert recorded > 0
+
+    def test_residual_pivots_are_not_recorded(self):
+        # no unit entry: every pivot is the dense block's, a 1 included
+        unit_rows = []
+        assert homology.smith_normal_form([[2, 3], [3, 2]], unit_rows) == \
+            [1, 5]
+        assert unit_rows == []
 
 
 class TestHomology:
@@ -380,6 +556,19 @@ class TestGuards:
         monkeypatch.setattr(homology, "_MATRIX_CAP", 2)
         with pytest.raises(homology.MatrixCapExceeded):
             homology.homology(core.interval(2), 2)
+
+    def test_cap_counts_the_full_boundary(self, monkeypatch):
+        # Z/3 at d=3: the boundaries are 1x2, 2x4, 4x8 and 8x16; δ_3 drops
+        # the columns of step 3's unit pivots, so it is smaller than 8x16
+        nrv = homology.nerve(core.cyclic_group_category(3), 3)
+        _, steps = reduction_steps(nrv, monkeypatch)
+        top = steps[-1][0]
+        cleared_size = len(top) * len(top[0])
+        assert 4 * 8 <= cleared_size < 8 * 16
+        monkeypatch.setattr(homology, "_MATRIX_CAP", cleared_size)
+        with pytest.raises(homology.MatrixCapExceeded,
+                           match="^boundary matrix 8x16 exceeds cap$"):
+            homology.homology_of_nerve(nrv)
 
 
 class TestPi0:
