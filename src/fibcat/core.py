@@ -17,9 +17,8 @@ things rather than merge them.
 from __future__ import annotations
 
 import weakref
+from collections import Counter
 from dataclasses import dataclass
-
-from .unionfind import UnionFind
 
 
 class CategoryError(ValueError):
@@ -813,6 +812,25 @@ def square_category(A, B, ends, commutes):
     return cat, to_A, to_B
 
 
+def _squares_have_cone(objects, squares, name):
+    """Would square_category, on objects, the object o named name(o), and
+    with the squares (u, v, o1, o2) as morphisms, identities included,
+    build a category with an initial or a terminal object?
+
+    Read off the hom-set sizes, without building anything.  Ids are
+    formatted only once a cone point is found, and the answer is False
+    when two objects or two squares print alike: a caller then builds the
+    category, and the building route refuses such ids.
+    """
+    if _cone(objects, Counter(
+            (o1, o2) for _, _, o1, o2 in squares).items()) is None:
+        return False
+    names = {o: name(o) for o in objects}
+    return len(set(names.values())) == len(names) and len(
+        {_square_id(u, v, names[o1], names[o2])
+         for u, v, o1, o2 in squares}) == len(squares)
+
+
 def _legs_between(C, xs):
     """{x: [(m, tgt m) for m out of x with tgt m in xs]} for x in xs, in
     the order of morphisms_from(x).  Only such legs can join two ends of
@@ -1089,34 +1107,28 @@ def evaluation_functor(sections, ids, comps, at_object, E):
 
 def _cone_point(C):
     """An initial object of C (exactly one morphism to every object) or a
-    terminal one (exactly one from every object), or None.
+    terminal one (exactly one from every object), or None (see _cone).
+    Certificates read the same decision off squares before building
+    anything (_squares_have_cone); this is its oracle on a built C."""
+    return _cone(C.objects, ((ab, len(ms)) for ab, ms in C._hom.items()))
+
+
+def _cone(objects, hom_sizes):
+    """The first of objects with exactly one morphism to every object or
+    exactly one from every object, or None, read off hom_sizes: the pairs
+    ((a, b), |C(a, b)|) of a category C on objects, a pair left out
+    meaning C(a, b) is empty.  The one definition of a cone point.
 
     A category with a cone point has a contractible nerve (Quillen), so
     its reduced homology vanishes in every degree.
     """
-    n = len(C.objects)
+    n = len(objects)
     unique_out, unique_in = {}, {}
-    for (a, b), ms in C._hom.items():
-        if len(ms) == 1:
+    for (a, b), k in hom_sizes:
+        if k == 1:
             unique_out[a] = unique_out.get(a, 0) + 1
             unique_in[b] = unique_in.get(b, 0) + 1
-    for x in C.objects:
+    for x in objects:
         if unique_out.get(x) == n or unique_in.get(x) == n:
             return x
     return None
-
-
-def connected_components(C):
-    """Components under the zigzag equivalence generated by all morphisms."""
-    uf = UnionFind(C.objects)
-    for m in C.morphisms:
-        uf.union(C.src[m], C.tgt[m])
-    return uf.classes()
-
-
-def is_connected(C):
-    return len(connected_components(C)) == 1
-
-
-def is_nonempty_connected(C):
-    return len(C.objects) > 0 and is_connected(C)

@@ -14,11 +14,13 @@ h∘phi out of e; only a morphism that fails is scanned again, pair (g, h)
 by pair, for its witness.  Conduché's criterion is one union-find per
 composable pair of arrows (the coend E_psi ⊗ E_phi must match
 E_{psi∘phi}), over int indices of the factorizations, and the end checks
-one union-find per arrow and object.  Homology certificates, which need
-the categories themselves, build only the factorization categories and
-the categories of elements of E_phi(e, -) that passed that test.  The
-right-handed checks are the left-handed ones on the opposite functor,
-which each functor builds once and keeps.
+one union-find per arrow and object.  A homology certificate reads the
+hom-set sizes of each factorization category and each category of
+elements of E_phi(e, -) that passed that test off the squares those
+union-finds walk: one with an initial or a terminal object passes
+without being built, and only the others are built and certified
+through their nerves.  The right-handed checks are the left-handed ones
+on the opposite functor, which each functor builds once and keeps.
 
 classify() runs every checker and asserts the implication closure between
 them; a violated implication is reported as an internal defect, never
@@ -289,10 +291,12 @@ def is_exponentiable(pi, certify_dim=None):
     read (see _coend_classes).  Degenerate pairs (either leg an
     identity) always pass: the factorization category then has an initial
     or final object.  With certify_dim=d, the factorization category of
-    each lift that passes is built, and its reduced homology must vanish
-    up to degree d; that is a bounded certificate toward contractibility,
-    not a proof.  A factorization category with an initial or a terminal
-    object is contractible, so it passes without a nerve.
+    each lift that passes must have trivial reduced homology up to degree
+    d; that is a bounded certificate toward contractibility, not a proof.
+    A factorization category with an initial or a terminal object is
+    contractible, and the coend walk, which then visits every middle-fiber
+    map, reads that off its hom-set sizes, so it passes without being
+    built.  Only the others are built, and certified through their nerves.
 
     Over a base with non-identity isomorphisms, strict fibers misrepresent
     the invariant content unless pi is an isofibration, so the check runs
@@ -305,13 +309,14 @@ def is_exponentiable(pi, certify_dim=None):
     if any(not K0.is_identity(f) for f in K0.isomorphisms()):
         pi = isofibration_replacement(pi)
     for phi, psi, lifts in _composable_lifts(pi):
-        count, classes = _coend_classes(pi, phi, psi)
+        count, classes, coned = _coend_classes(pi, phi, psi,
+                                               certify_dim is not None)
         for lift in lifts:
             if classes.get(lift, 0) != 1:
                 return Verdict(False, {"first": phi, "second": psi,
                                        "lift": lift,
                                        "factorizations": count.get(lift, 0)})
-            if certify_dim is None:
+            if certify_dim is None or lift in coned:
                 continue
             rep = homology._failed_certificate(
                 factorization_category(pi, phi, psi, lift), certify_dim)
@@ -323,14 +328,18 @@ def is_exponentiable(pi, certify_dim=None):
     return Verdict(True)
 
 
-def _coend_classes(pi, phi, psi):
+def _coend_classes(pi, phi, psi, certify=False):
     """The coend of E_psi and E_phi, counted per lift of psi∘phi: two
     dicts, lift -> number of factorizations (u, v) and lift -> number of
-    their classes under (u, v∘w) ~ (w∘u, v).
+    their classes under (u, v∘w) ~ (w∘u, v), and a set of lifts.
 
     Each factorization gets an int index, and the classes are the roots of
     a union-find over a list of parents.  An identity w identifies each
-    pair with itself, so only the other middle-fiber maps are walked.
+    pair with itself, so only the other middle-fiber maps are walked, and
+    the set is empty.  With certify, every w is walked: each is a morphism
+    (u, v∘w) -> (w∘u, v) of the factorization category of v∘w∘u, and the
+    set holds the lifts whose category has an initial or a terminal
+    object (see _coned_lifts).
     """
     E, K = pi.source, pi.target
     comp, tgt, identity = E._comp, E.tgt, E.identity
@@ -349,24 +358,58 @@ def _coend_classes(pi, phi, psi):
             parent[i] = i = parent[parent[i]]
         return i
 
-    for e in pi.over(K.src[phi]):
-        for u in lifts((e, phi), ()):
-            m = tgt[u]
-            for w in lifts((m, mid), ()):
-                if w == identity[m]:
-                    continue
-                wu = comp[(w, u)]
-                for v in lifts((tgt[w], psi), ()):
-                    a = find(index[(u, comp[(v, w)])])
-                    b = find(index[(wu, v)])
-                    if a != b:
-                        parent[a] = b
+    coned = ()
+    if not certify:
+        for e in pi.over(K.src[phi]):
+            for u in lifts((e, phi), ()):
+                m = tgt[u]
+                for w in lifts((m, mid), ()):
+                    if w == identity[m]:
+                        continue
+                    wu = comp[(w, u)]
+                    for v in lifts((tgt[w], psi), ()):
+                        a = find(index[(u, comp[(v, w)])])
+                        b = find(index[(wu, v)])
+                        if a != b:
+                            parent[a] = b
+    else:
+        squares = []
+        for e in pi.over(K.src[phi]):
+            for u in lifts((e, phi), ()):
+                m = tgt[u]
+                for w in lifts((m, mid), ()):
+                    wu = comp[(w, u)]
+                    for v in lifts((tgt[w], psi), ()):
+                        i, j = index[(u, comp[(v, w)])], index[(wu, v)]
+                        squares.append((w, i, j))
+                        a, b = find(i), find(j)
+                        if a != b:
+                            parent[a] = b
+        coned = _coned_lifts(index, over, squares)
     count, classes = {}, {}
     for i, lift in enumerate(over):
         count[lift] = count.get(lift, 0) + 1
         if parent[i] == i:
             classes[lift] = classes.get(lift, 0) + 1
-    return count, classes
+    return count, classes, coned
+
+
+def _coned_lifts(index, over, squares):
+    """The lifts whose factorization category has an initial or a terminal
+    object, read off its squares (w, i, j) from factorization i to
+    factorization j, identities included; factorization_category is not
+    called.  A lift whose factorizations or squares print alike is left
+    out, so that factorization_category refuses it as before."""
+    point = core.terminal().identity["*"]
+    pairs = list(index)
+    by_lift = {lift: ([], []) for lift in over}
+    for i, lift in enumerate(over):
+        by_lift[lift][0].append(i)
+    for w, i, j in squares:
+        by_lift[over[i]][1].append((w, point, i, j))
+    return {lift for lift, (objects, sq) in by_lift.items()
+            if core._squares_have_cone(objects, sq,
+                                       lambda i: core.pair_id(*pairs[i]))}
 
 
 def _composable_lifts(pi):

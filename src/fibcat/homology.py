@@ -413,23 +413,32 @@ def pi0_map(C):
 
 
 def _failed_certificate(C, d):
-    """None when C passes the certificate up to degree d: it has an initial
-    or a terminal object (so it is contractible), or its reduced homology
-    vanishes up to d.  Otherwise the HomologyReport that fails."""
-    if core._cone_point(C) is not None:
-        return None
+    """None when the reduced homology of C vanishes up to degree d,
+    otherwise the HomologyReport that fails.  Its callers have already
+    passed every C with an initial or a terminal object, read off the
+    squares they walk (see core._squares_have_cone)."""
     rep = homology(C, d)
     return None if rep.reduced_trivial_up_to(d) else rep
 
 
-def _element_classes(C, over, act):
+def _element_classes(C, over, act, squares=None):
     """Components of a category of elements, as a UnionFind: each element
     x lies over the object over[x] of C, and u out of over[x] takes x to
-    act(u, x)."""
+    act(u, x).  With a list squares, each such u is also appended to it as
+    the square (id, u, x, act(u, x)) over the point that square_category
+    would build."""
     uf = UnionFind(over)
+    if squares is None:
+        for x, c in over.items():
+            for u in C._from[c]:
+                uf.union(x, act(u, x))
+        return uf
+    point = core.terminal().identity["*"]
     for x, c in over.items():
         for u in C._from[c]:
-            uf.union(x, act(u, x))
+            y = act(u, x)
+            uf.union(x, y)
+            squares.append((point, u, x, y))
     return uf
 
 
@@ -437,14 +446,21 @@ def _elements_verdict(C, over, act, cert_dim):
     """Is the category of elements (see _element_classes) nonempty and
     connected, and with cert_dim=d, does it pass the certificate up to d?
     Returns the verdict and its entry, with homology_ok when a certificate
-    ran; only a certificate builds the category, x -> act(u, x) for each u.
+    ran.  A connected category of elements with an initial or a terminal
+    object, read off the squares the union-find walks, passes without
+    being built; only the others are built, x -> act(u, x) for each u,
+    and certified through _failed_certificate.
     """
-    uf = _element_classes(C, over, act)
+    squares = None if cert_dim is None else []
+    uf = _element_classes(C, over, act, squares)
     nonempty = len(over) > 0
     connected = nonempty and len({uf.find(x) for x in over}) == 1
     entry = {"nonempty": nonempty, "connected": connected}
     if not connected or cert_dim is None:
         return connected, entry
+    if core._squares_have_cone(list(over), squares, lambda x: x):
+        entry["homology_ok"] = True
+        return True, entry
     cat = core.square_category(
         core.terminal(), C, {x: ("*", c, x) for x, c in over.items()},
         lambda x, _, u, x2: act(u, x) == x2)[0]

@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import io
 import random
@@ -638,7 +639,7 @@ def oracle_is_exponentiable(pi, certify_dim=None):
                 if pi.mor_map[lift] != comp:
                     continue
                 cat = fib.factorization_category(pi, phi, psi, lift)
-                if not core.is_nonempty_connected(cat):
+                if len(set(homology.pi0_map(cat).values())) != 1:
                     return fib.Verdict(False, {
                         "first": phi, "second": psi, "lift": lift,
                         "factorizations": len(cat.objects)})
@@ -1049,7 +1050,7 @@ def parent_finality(F, d, kind, objects):
         cat = (core.comma(point, F) if kind == "final"
                else core.comma(F, point))[0]
         nonempty = len(cat.objects) > 0
-        connected = nonempty and core.is_connected(cat)
+        connected = len(set(homology.pi0_map(cat).values())) == 1
         entry = {"nonempty": nonempty, "connected": connected}
         good = nonempty and connected
         if good and d is not None:
@@ -1070,7 +1071,7 @@ def parent_certified_is_exponentiable(pi, d):
     for phi, psi, lifts in oracle_composable_lifts(pi):
         for lift in lifts:
             cat = fib.factorization_category(pi, phi, psi, lift)
-            if not core.is_nonempty_connected(cat):
+            if len(set(homology.pi0_map(cat).values())) != 1:
                 return fib.Verdict(False, {
                     "first": phi, "second": psi, "lift": lift,
                     "factorizations": len(cat.objects)})
@@ -1120,21 +1121,21 @@ class TestConePointCertificates:
     """Certificates settled by an initial or terminal object, against the
     nerve route they skip."""
 
-    def test_cone_point_implies_trivial_reduced_homology(self, monkeypatch):
-        arrows = [core.arrow_category(core.interval(n))[2] for n in (2, 3, 4)]
-        # the factorization categories and the categories of elements of
-        # the edge bimodules are the categories of squares classify builds
+    def test_cone_point_implies_trivial_reduced_homology(self):
+        # the categories of squares that classify certifies: the
+        # factorization categories that pass the coend and the connected
+        # categories of elements of the edge bimodules, at both ends
         built = []
-        real = core.square_category
-
-        def record(*args):
-            squares = real(*args)
-            built.append(squares[0])
-            return squares
-
-        monkeypatch.setattr(core, "square_category", record)
-        for ev_t in arrows:
+        for n in (2, 3, 4):
+            ev_t = core.arrow_category(core.interval(n))[2]
             assert fib.classify(ev_t, certify_dim=3)["left_final"]
+            for phi, psi, lifts in fib._composable_lifts(ev_t):
+                built += [fib.factorization_category(ev_t, phi, psi, lift)
+                          for lift in lifts]
+            for pi in (ev_t, core.opposite_functor(ev_t)):
+                built += [C for C in (elements_category(*elements)
+                                      for elements in edge_elements(pi))
+                          if len(set(homology.pi0_map(C).values())) == 1]
         assert len(built) > 100
         built += [randgen.random_category(random.Random(f"cone-hom:{i}"),
                                           4, 9) for i in range(200)]
@@ -1221,3 +1222,146 @@ class TestConePointCertificates:
                                 + certify) == 0
         # both modes read the edge bimodules from pi's index
         assert calls == []
+
+
+# -- cone points read off the squares the π0 passes walk ----------------------
+
+
+def edge_elements(pi):
+    """(C, over, act) of each E_phi(e, -) over a non-identity phi, as
+    _end_fibration reads it: the f out of e over phi, over the fiber C
+    over tgt phi, moved by its maps w to w∘f."""
+    E, K = pi.source, pi.target
+    for phi, _, elements in fib._edge_elements(pi, "0"):
+        yield (core.fiber(pi, K.tgt[phi]), {f: E.tgt[f] for f in elements},
+               E.compose)
+
+
+def comma_elements(F):
+    """(C, over, act) of the comma under each object d of F's target, as
+    homology.is_final reads it."""
+    C, D = F.source, F.target
+    for d in D.objects:
+        yield (C, {(c, k): c for c in C.objects
+                   for k in D.hom(d, F.ob_map[c])},
+               lambda u, ck: (C.tgt[u], D.compose(F.mor_map[u], ck[1])))
+
+
+def elements_category(C, over, act):
+    """The category of elements, built as homology._elements_verdict
+    builds it when it has no cone point."""
+    return core.square_category(
+        core.terminal(), C, {x: ("*", c, x) for x, c in over.items()},
+        lambda x, _, u, x2: act(u, x) == x2)[0]
+
+
+def relabeled(pi, name):
+    """pi with every id of its source renamed by the injection name."""
+    E = pi.source
+    ob = {x: name(x) for x in E.objects}
+    mo = {m: name(m) for m in E.morphisms}
+    return core.Functor(core.relabel(E, ob, mo), pi.target,
+                        {ob[x]: y for x, y in pi.ob_map.items()},
+                        {mo[m]: f for m, f in pi.mor_map.items()})
+
+
+def element_squares_that_print_alike():
+    """E_phi(e, -) = {a, a>b, b>c, c} over the fiber m -> n with maps
+    s: m -> m, u, t: m -> n.  The element a is initial, but the squares
+    u: a -> b>c and u: a>b -> c both print "(id,u):a>b>c"."""
+    return functor_from_arrows(
+        core.interval(1), {"e": "0", "m": "1", "n": "1"},
+        [("a", "e", "m", "0->1"), ("a>b", "e", "m", "0->1"),
+         ("b>c", "e", "n", "0->1"), ("c", "e", "n", "0->1"),
+         ("s", "m", "m", "1->1"), ("u", "m", "n", "1->1"),
+         ("t", "m", "n", "1->1")],
+        {("s", "a"): "a>b", ("s", "a>b"): "a>b", ("u", "a"): "b>c",
+         ("u", "a>b"): "c", ("t", "a"): "c", ("t", "a>b"): "c",
+         ("s", "s"): "s", ("u", "s"): "t", ("t", "s"): "t"})
+
+
+def cone_oracle_sample():
+    """The evaluations of Ar([2..4]) and their opposites, the oracle
+    draws, the Z/2 comma collage (no cone point), and functors whose ids
+    contain ')', ',' and '>'."""
+    sample = []
+    for n in (2, 3, 4):
+        _, ev_s, ev_t = core.arrow_category(core.interval(n))
+        sample += [ev_s, ev_t, core.opposite_functor(ev_s),
+                   core.opposite_functor(ev_t)]
+    sample += [pi for name in sorted(ORACLE_BASES)
+               for pi in oracle_sample(name, 12)]
+    planted = z2_comma_collage()
+    sample += [planted, core.opposite_functor(planted)]
+    _, _, ev_t = core.arrow_category(core.interval(2))
+    for name in (lambda i: f"{i}),(>", lambda i: f",>{i})"):
+        sample += [relabeled(ev_t, name), relabeled(planted, name)]
+    return sample
+
+
+class TestConePointCountsOracle:
+    """Certificates decide cone points from the squares that the coend and
+    the union-find of a category of elements walk; only a category
+    without one is built.  The decision against core._cone_point of the
+    category square_category builds."""
+
+    def test_factorization_categories(self):
+        decided = {True: 0, False: 0}
+        for pi in cone_oracle_sample():
+            for phi, psi, lifts in fib._composable_lifts(pi):
+                coned = fib._coend_classes(pi, phi, psi, True)[2]
+                assert fib._coend_classes(pi, phi, psi)[2] == ()
+                for lift in lifts:
+                    cat = fib.factorization_category(pi, phi, psi, lift)
+                    cone = core._cone_point(cat) is not None
+                    assert (lift in coned) == cone, (phi, psi, lift)
+                    decided[cone] += 1
+        assert min(decided.values()) > 20
+
+    def test_categories_of_elements(self):
+        decided = {True: 0, False: 0}
+        for pi in cone_oracle_sample():
+            commas = list(comma_elements(pi))
+            for C, over, act in (commas + list(edge_elements(pi))
+                                 + list(edge_elements(
+                                     core.opposite_functor(pi)))):
+                squares = []
+                uf = homology._element_classes(C, over, act, squares)
+                if not over or len({uf.find(x) for x in over}) != 1:
+                    continue
+                cone = core._squares_have_cone(list(over), squares,
+                                               lambda x: x)
+                cat = elements_category(C, over, act)
+                assert cone == (core._cone_point(cat) is not None)
+                decided[cone] += 1
+        assert min(decided.values()) > 20
+
+    def test_element_squares_that_print_alike_are_refused(self, tmp_path):
+        pi = element_squares_that_print_alike()
+        (C, over, act), = edge_elements(pi)
+        squares = []
+        homology._element_classes(C, over, act, squares)
+        # the hom-set sizes alone show the initial element a ...
+        sizes = collections.Counter((x, y) for _, _, x, y in squares)
+        assert core._cone(list(over), sizes.items()) == "a"
+        # ... but the ids collide, so the category is built and refused
+        assert not core._squares_have_cone(list(over), squares, lambda x: x)
+        message = ("duplicate morphism ids; composition defined on "
+                   "non-composable pair ((id,u):a>b>c,(id,id_m):a>a); "
+                   "composition defined on non-composable pair "
+                   "((id,id_n):b>c>b>c,(id,u):a>b>c)")
+        with pytest.raises(core.CategoryError) as err:
+            fib.classify(pi, certify_dim=1)
+        assert str(err.value) == message
+        path = tmp_path / "squares.json"
+        path.write_text(docs.dumps(docs.functor_to_doc(pi)))
+        for certify in ("0", "2"):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                code = cli.main(["classify", "--functor", str(path),
+                                 "--certify-dim", certify])
+            assert (code, out.getvalue(), err.getvalue()) == (
+                3, "", f"validation error: {message}\n")
+        # without a certificate nothing is built, and classify answers
+        assert fib.classify(pi)["exponentiable"]

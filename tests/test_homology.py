@@ -573,12 +573,13 @@ class TestGuards:
 
 class TestPi0:
     def test_interval(self):
-        assert len(core.connected_components(core.interval(3))) == 1
+        assert len(set(homology.pi0_map(core.interval(3)).values())) == 1
 
     def test_disjoint_union_adds(self):
         A = core.prefix_relabel(core.interval(2), "a.")
         B = core.prefix_relabel(core.interval(1), "b.")
-        assert len(core.connected_components(core.disjoint_union(A, B))) == 2
+        assert len(set(homology.pi0_map(
+            core.disjoint_union(A, B)).values())) == 2
 
 
 class TestFinality:
@@ -615,8 +616,8 @@ class TestFinality:
         rng = random.Random(21)
         for _ in range(10):
             f = randgen.random_final_functor(rng)
-            assert (len(core.connected_components(f.source))
-                    == len(core.connected_components(f.target)))
+            assert (len(set(homology.pi0_map(f.source).values()))
+                    == len(set(homology.pi0_map(f.target).values())))
 
 
 def colliding_comma_ids():
@@ -663,6 +664,8 @@ class TestCategoriesOfElements:
                                        homology.is_initial])
     def test_certificates_build_only_connected_categories(self, check,
                                                            monkeypatch):
+        # exactly the connected categories of elements without an initial
+        # or a terminal object are built; the others are decided unbuilt
         built = []
         real = core.square_category
 
@@ -672,20 +675,38 @@ class TestCategoriesOfElements:
             return squares
 
         monkeypatch.setattr(core, "square_category", record)
-        connected = disconnected = 0
+        counts = {"connected": 0, "disconnected": 0, "coned": 0}
         for i in range(40):
             rng = random.Random(f"elements-built:{i}")
             F = randgen.random_functor_between(
                 rng, randgen.random_category(rng, 3, 7, prefix="j."),
                 randgen.random_category(rng, 3, 7, prefix="k."))
+            G = F if check is homology.is_final else core.opposite_functor(F)
+            C, D = G.source, G.target
+            connected, expected = 0, []
+            for d in D.objects:
+                cat = real(core.terminal(), C, {
+                    (c, k): ("*", c, (c, k)) for c in C.objects
+                    for k in D.hom(d, G.ob_map[c])},
+                    lambda x, _, u, x2: x2 == (
+                        C.tgt[u], D.compose(G.mor_map[u], x[1])))[0]
+                if len(set(homology.pi0_map(cat).values())) != 1:
+                    counts["disconnected"] += 1
+                    continue
+                connected += 1
+                if core._cone_point(cat) is None:
+                    expected.append(cat)
+                else:
+                    counts["coned"] += 1
             del built[:]
             fv = check(F, certify_dim=1)
-            entries = list(fv.per_object.values())
-            assert len(built) == sum(e["connected"] for e in entries)
-            assert all(core.is_nonempty_connected(C) for C in built)
-            connected += len(built)
-            disconnected += len(entries) - len(built)
-        assert connected > 20 and disconnected > 20
+            assert sum(e["connected"] for e in fv.per_object.values()) == \
+                connected
+            assert [(C.objects, C.composition_table()) for C in built] == \
+                [(C.objects, C.composition_table()) for C in expected]
+            counts["connected"] += connected
+        assert counts["connected"] > 20 and counts["disconnected"] > 20
+        assert counts["coned"] > 0 and counts["connected"] > counts["coned"]
 
     @pytest.mark.parametrize("certify", [[], ["--certify-dim", "2"]])
     def test_comma_ids_that_print_alike_get_a_verdict(self, certify,
