@@ -1,18 +1,29 @@
-"""Truncated nerves, integral homology, and finality certificates.
+"""Integral homology of nerves, and finality certificates.
 
-The nerve of a finite category is truncated at a chosen dimension and its
-normalized (identity-free) chain complex is reduced by Smith normal form
-over exact integers.  It reduces coboundaries from degree 0 upward with
-clearing (Chen-Kerber, "Persistent homology computation with a twist",
-2011), in the cohomology direction (de Silva-Morozov-Vejdemo-Johansson,
-"Dualities in persistent (co)homology", 2011): a simplex that was the row
-of a unit pivot one degree down names a column that is an integral
-combination of the others, so it is left out, and every invariant factor
-stays the same.  Cofinality, the end checks of fibrations and
-set-valued colimits all read categories of elements, decided by one
-union-find: exact π0-level verdicts (nonempty and connected), and
-bounded-degree contractibility certificates on the categories that pass.
-A certificate up to degree d never claims anything beyond degree d.
+The homology of a finite category is that of its nerve, truncated at a
+chosen degree d, with integer coefficients.  It is computed on the Morse
+complex of the normalized nerve (see `morse`): only the cells that survive
+a matching by shortlex normal forms are built, and the Morse boundary
+follows the gradient flow between them.  The nerve's own cells are only
+counted, as walks of composable non-identity morphisms; these counts are
+the reported simplex counts, and the matrix cap is checked against the
+nerve's full boundaries before any work is done, so the same inputs are
+refused with the same message.  The face relations are checked on the
+nerve's 2- and 3-chains.  The boundaries are reduced by Smith normal form
+over exact integers, on coboundaries from degree 0 upward with clearing
+(Chen-Kerber, "Persistent homology computation with a twist", 2011), in
+the cohomology direction (de Silva-Morozov-Vejdemo-Johansson, "Dualities
+in persistent (co)homology", 2011): a cell that was the row of a unit
+pivot one degree down names a column that is an integral combination of
+the others, so it is left out, and every invariant factor stays the same.
+The truncated nerve itself (`nerve`) serves the chain-map certificates,
+and the tests reduce it as the Morse route's oracle.
+
+Cofinality, the end checks of fibrations and set-valued colimits all read
+categories of elements, decided by one union-find: exact π0-level
+verdicts (nonempty and connected), and bounded-degree contractibility
+certificates on the categories that pass.  A certificate up to degree d
+never claims anything beyond degree d.
 """
 
 from __future__ import annotations
@@ -21,7 +32,7 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import compress
 
-from . import core
+from . import core, morse
 from .core import PreconditionError
 from .unionfind import UnionFind
 
@@ -100,12 +111,29 @@ def nerve(C, d):
             level_faces.append(tuple(row))
         faces.append(level_faces)
     nrv = TruncatedNerve(C, d, simplices, faces)
-    _check_face_relations(C, nrv)
+    _check_face_relations(C, d)
     return nrv
 
 
-def _check_face_relations(C, nrv):
-    # d_i d_j = d_{j-1} d_i (i < j) on the raw chains, before normalizing.
+def _walk_counts(C, top):
+    """The number of k-simplices of C's nerve for k <= top: the chains of
+    k composable non-identity morphisms, counted as walks, unbuilt."""
+    ending = dict.fromkeys(C.objects, 1)  # walks of length k ending at x
+    counts = [len(ending)]
+    non_id = C.non_identity_morphisms()
+    for _ in range(top):
+        longer = dict.fromkeys(C.objects, 0)
+        for m in non_id:
+            longer[C.tgt[m]] += ending[C.src[m]]
+        ending = longer
+        counts.append(sum(ending.values()))
+    return counts
+
+
+def _check_face_relations(C, d):
+    # d_i d_j = d_{j-1} d_i (i < j) on the raw chains, before normalizing,
+    # of the nerve truncated at d; its chains are enumerated here in the
+    # nerve's sorted order.
     # On the nerve of a category only four of these relations can fail.
     # They are checked here in the order a check of every relation in every
     # dimension meets them, by dimension, by chain, then by j and by i:
@@ -122,9 +150,14 @@ def _check_face_relations(C, nrv):
     # checked before any chain of dimension 4 or more.  So this check fails
     # exactly when the full one does, with the same first message.
     src, tgt, comp = C.src, C.tgt, C._comp
-    if nrv.max_dim < 1:
+    if d < 1:
         return
-    for chain in nrv.simplices[2]:
+    non_id = sorted(C.non_identity_morphisms())
+    leaving = {}
+    for m in non_id:
+        leaving.setdefault(src[m], []).append(m)
+    pairs = [(f, g) for f in non_id for g in leaving.get(tgt[f], ())]
+    for chain in pairs:
         f, g = chain
         gf = comp[(g, f)]
         for i, j, holds in ((0, 1, tgt[gf] == tgt[g]),
@@ -133,20 +166,20 @@ def _check_face_relations(C, nrv):
             if not holds:
                 raise AssertionError(
                     f"face relation fails on {chain} (i={i}, j={j})")
-    if nrv.max_dim < 2:
+    if d < 2:
         return
-    for chain in nrv.simplices[3]:
-        f, g, h = chain
-        if comp[(h, comp[(g, f)])] != comp[(comp[(h, g)], f)]:
-            raise AssertionError(
-                f"face relation fails on {chain} (i=1, j=2)")
+    for f, g in pairs:
+        gf = comp[(g, f)]
+        for h in leaving.get(tgt[g], ()):
+            if comp[(h, gf)] != comp[(comp[(h, g)], f)]:
+                raise AssertionError(
+                    f"face relation fails on {(f, g, h)} (i=1, j=2)")
 
 
-def _check_cap(nrv, k):
-    """Refuse the k-th boundary when its full size exceeds the cap; return
-    its (rows, cols)."""
-    rows = len(nrv.simplices[k - 1])
-    cols = len(nrv.simplices[k])
+def _check_cap(counts, k):
+    """Refuse the nerve's k-th boundary when its full size, from the
+    simplex counts, exceeds the cap; return its (rows, cols)."""
+    rows, cols = counts[k - 1], counts[k]
     if rows * cols > _MATRIX_CAP:
         raise MatrixCapExceeded(f"boundary matrix {rows}x{cols} exceeds cap")
     return rows, cols
@@ -154,34 +187,12 @@ def _check_cap(nrv, k):
 
 def boundary_matrix(nrv, k):
     """The k-th boundary of the normalized complex, rows = (k-1)-simplices."""
-    rows, cols = _check_cap(nrv, k)
+    rows, cols = _check_cap(nrv.counts(), k)
     M = [[0] * cols for _ in range(rows)]
     for j in range(cols):
         for i, r in enumerate(nrv.faces[k][j]):
             if r >= 0:
                 M[r][j] += -1 if i % 2 else 1
-    return M
-
-
-def _cleared_coboundary(nrv, k, cleared):
-    """δ_{k-1} = ∂_kᵀ, one row per k-simplex and one column per
-    (k-1)-simplex not in cleared (a set of indices into simplices[k-1]).
-    The cap is checked against the full boundary ∂_k."""
-    n_faces, _ = _check_cap(nrv, k)
-    column = [-1] * (n_faces + 1)  # column[-1] is a degenerate face's: none
-    width = 0
-    for r in range(n_faces):
-        if r not in cleared:
-            column[r] = width
-            width += 1
-    M = []
-    for face_rows in nrv.faces[k]:
-        row = [0] * width
-        for i, r in enumerate(face_rows):
-            c = column[r]
-            if c >= 0:
-                row[c] += -1 if i % 2 else 1
-        M.append(row)
     return M
 
 
@@ -367,13 +378,24 @@ class HomologyReport:
 
 
 def homology(C, d):
-    """Integral homology of the normalized nerve complex in degrees <= d."""
-    nrv = nerve(C, d)
-    return homology_of_nerve(nrv)
+    """Integral homology of C's nerve in degrees <= d, reduced on its
+    Morse complex; the simplex counts are the nerve's."""
+    if d < 0:
+        raise PreconditionError("nerve requires d >= 0")
+    counts = _walk_counts(C, d + 1)
+    _check_face_relations(C, d)
+    for k in range(1, d + 2):
+        _check_cap(counts, k)
+    critical, boundaries = morse.morse_complex(C, d + 1)
+    betti, torsion = _reduce_with_clearing(
+        [len(cells) for cells in critical], boundaries)
+    return HomologyReport(d, betti, torsion, counts[:d + 1])
 
 
-def homology_of_nerve(nrv):
-    """Betti numbers and torsion of the nerve's normalized complex.
+def _reduce_with_clearing(counts, boundaries):
+    """Betti numbers and torsion in degrees below top = len(counts) - 1 of
+    a complex with counts[k] cells in degree k, where boundaries[k][j]
+    maps each (k-1)-cell to its coefficient in the boundary of k-cell j.
 
     Step k reduces δ_{k-1} = ∂_kᵀ, whose invariant factors are those of
     ∂_k, without the columns of the rows of step k-1's unit pivots.  Each
@@ -385,22 +407,31 @@ def homology_of_nerve(nrv):
     unchanged.  Clearing runs upward so that the top matrix, the largest,
     is the one cleared.
     """
-    d = nrv.max_dim
-    counts = nrv.counts()
-    ranks = [0] * (d + 2)      # ranks[k] = rank of boundary_k
-    tors = [[] for _ in range(d + 1)]
+    top = len(counts) - 1
+    ranks = [0] * (top + 1)    # ranks[k] = rank of boundary_k
+    torsion = []
     cleared = set()
-    for k in range(1, d + 2):
+    for k in range(1, top + 1):
+        column = [-1] * counts[k - 1]
+        width = 0
+        for r in range(counts[k - 1]):
+            if r not in cleared:
+                column[r] = width
+                width += 1
+        M = []
+        for entries in boundaries[k]:
+            row = [0] * width
+            for r, v in entries.items():
+                if column[r] >= 0:
+                    row[column[r]] = v
+            M.append(row)
         pivots = []
-        divisors = smith_normal_form(_cleared_coboundary(nrv, k, cleared),
-                                     pivots)
+        divisors = smith_normal_form(M, pivots)
         cleared = set(pivots)
         ranks[k] = len(divisors)
-        tors[k - 1] = sorted(v for v in divisors if v > 1)
-    betti = []
-    for k in range(d + 1):
-        betti.append(counts[k] - ranks[k] - ranks[k + 1])
-    return HomologyReport(d, betti, tors, counts[:d + 1])
+        torsion.append(sorted(v for v in divisors if v > 1))
+    betti = [counts[k] - ranks[k] - ranks[k + 1] for k in range(top)]
+    return betti, torsion
 
 
 def pi0_map(C):

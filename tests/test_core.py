@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fibcat import core, correspondences as corrs, documents as docs
-from fibcat import fibrations, fixtures, homology, randgen, transport
+from fibcat import fibrations, fixtures, randgen, transport
 from fibcat.core import CategoryError, FiniteCategory
 
 
@@ -1073,11 +1073,3 @@ class TestConePoint:
         # one object, but two endomorphisms: neither initial nor terminal
         assert core._cone_point(core.cyclic_group_category(2)) is None
         assert core._cone_point(core.walking_isomorphism()) == "a"
-
-
-class TestConnectivity:
-    def test_components_of_disjoint_union(self):
-        A = core.prefix_relabel(core.interval(1), "a.")
-        B = core.prefix_relabel(core.terminal(), "b.")
-        assert len(set(homology.pi0_map(
-            core.disjoint_union(A, B)).values())) == 2

@@ -593,12 +593,12 @@ class TestCliCommands:
                                                        monkeypatch,
                                                        certify_dim):
         # a -> b <- c -> d has no initial or terminal object, but it is
-        # contractible
+        # contractible: its nerve's homology is computed, once
         from fibcat import homology
-        nerves = []
-        real = homology.nerve
-        monkeypatch.setattr(homology, "nerve", lambda C, d:
-                            nerves.append(d) or real(C, d))
+        degrees = []
+        real = homology.homology
+        monkeypatch.setattr(homology, "homology", lambda C, d:
+                            degrees.append(d) or real(C, d))
         code, out = run_in_process([
             "final", "--functor",
             os.path.join(fixture_dir, "zigzag_to_point.json"),
@@ -608,7 +608,7 @@ class TestCliCommands:
         assert report["verdicts"] == {"final": True}
         assert report["per_object"] == {"*": {
             "nonempty": True, "connected": True, "homology_ok": True}}
-        assert nerves == [int(certify_dim)]
+        assert degrees == [int(certify_dim)]
 
     def test_circle_fails_the_degree_one_certificate(self, fixture_dir):
         # a0, a1 < b0, b1 is connected with H_1 = Z

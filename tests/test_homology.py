@@ -95,17 +95,17 @@ def unchecked_nerve(C, d, monkeypatch):
     """The nerve as built, before any face relation is checked; None when
     building it fails, which it does before either check runs."""
     with monkeypatch.context() as m:
-        m.setattr(homology, "_check_face_relations", lambda C, nrv: None)
+        m.setattr(homology, "_check_face_relations", lambda C, d: None)
         try:
             return homology.nerve(C, d)
         except KeyError:
             return None
 
 
-def face_failure(check, C, nrv):
-    """The message check raises on nrv, or None."""
+def face_failure(check, *args):
+    """The message check raises on args, or None."""
     try:
-        check(C, nrv)
+        check(*args)
     except AssertionError as exc:
         return str(exc)
     return None
@@ -152,7 +152,7 @@ class TestFaceRelationOracle:
         if nrv is None:
             return None
         failure = face_failure(raw_face_relations, C, nrv)
-        assert face_failure(homology._check_face_relations, C, nrv) == failure
+        assert face_failure(homology._check_face_relations, C, d) == failure
         return failure
 
     @pytest.mark.parametrize("d", range(5))
@@ -341,6 +341,49 @@ def oracle_homology_of_nerve(nrv):
     return homology.HomologyReport(d, betti, torsion, counts[:d + 1])
 
 
+def cleared_coboundary(nrv, k, cleared):
+    """δ_{k-1} = ∂_kᵀ, one row per k-simplex and one column per
+    (k-1)-simplex not in cleared (a set of indices into simplices[k-1]).
+    The cap is checked against the full boundary ∂_k."""
+    n_faces, _ = homology._check_cap(nrv.counts(), k)
+    column = [-1] * (n_faces + 1)  # column[-1] is a degenerate face's: none
+    width = 0
+    for r in range(n_faces):
+        if r not in cleared:
+            column[r] = width
+            width += 1
+    M = []
+    for face_rows in nrv.faces[k]:
+        row = [0] * width
+        for i, r in enumerate(face_rows):
+            c = column[r]
+            if c >= 0:
+                row[c] += -1 if i % 2 else 1
+        M.append(row)
+    return M
+
+
+def homology_of_nerve(nrv):
+    """The nerve route: the whole normalized complex of the nerve, reduced
+    by homology._reduce_with_clearing.  The cap counts each full boundary
+    before any is reduced."""
+    d = nrv.max_dim
+    counts = nrv.counts()
+    boundaries = [None]
+    for k in range(1, d + 2):
+        homology._check_cap(counts, k)
+        level = []
+        for face_rows in nrv.faces[k]:
+            entries = {}
+            for i, r in enumerate(face_rows):
+                if r >= 0:
+                    entries[r] = entries.get(r, 0) + (-1 if i % 2 else 1)
+            level.append({r: v for r, v in entries.items() if v})
+        boundaries.append(level)
+    betti, torsion = homology._reduce_with_clearing(counts, boundaries)
+    return homology.HomologyReport(d, betti, torsion, counts[:d + 1])
+
+
 def reduction_steps(nrv, monkeypatch):
     """homology_of_nerve(nrv), with the (matrix, divisors, unit rows) of
     each smith_normal_form call it makes, in order."""
@@ -354,7 +397,7 @@ def reduction_steps(nrv, monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(homology, "smith_normal_form", record)
-        rep = homology.homology_of_nerve(nrv)
+        rep = homology_of_nerve(nrv)
     return rep, steps
 
 
@@ -389,8 +432,7 @@ class TestClearing:
 
     def assert_routes_agree(self, C, d):
         nrv = homology.nerve(C, d)
-        assert homology.homology_of_nerve(nrv) == \
-            oracle_homology_of_nerve(nrv)
+        assert homology_of_nerve(nrv) == oracle_homology_of_nerve(nrv)
 
     def test_random_categories(self):
         rng = random.Random(25)
@@ -455,7 +497,7 @@ class TestClearing:
             M = steps[k - 1][0]
             rows = steps[k - 2][2]
             assert cleared_columns(nrv, k, M) == len(rows)
-            assert M == homology._cleared_coboundary(nrv, k, set(rows))
+            assert M == cleared_coboundary(nrv, k, set(rows))
 
 
 def _unit_rows_cases():
@@ -465,7 +507,7 @@ def _unit_rows_cases():
         nrv = homology.nerve(C, d)
         for k in range(1, d + 2):
             yield homology.boundary_matrix(nrv, k)
-            yield homology._cleared_coboundary(nrv, k, set())
+            yield cleared_coboundary(nrv, k, set())
 
 
 class TestUnitRows:
@@ -568,7 +610,7 @@ class TestGuards:
         monkeypatch.setattr(homology, "_MATRIX_CAP", cleared_size)
         with pytest.raises(homology.MatrixCapExceeded,
                            match="^boundary matrix 8x16 exceeds cap$"):
-            homology.homology_of_nerve(nrv)
+            homology_of_nerve(nrv)
 
 
 class TestPi0:
@@ -576,10 +618,11 @@ class TestPi0:
         assert len(set(homology.pi0_map(core.interval(3)).values())) == 1
 
     def test_disjoint_union_adds(self):
-        A = core.prefix_relabel(core.interval(2), "a.")
-        B = core.prefix_relabel(core.interval(1), "b.")
-        assert len(set(homology.pi0_map(
-            core.disjoint_union(A, B)).values())) == 2
+        for A, B in ((core.interval(2), core.interval(1)),
+                     (core.interval(1), core.terminal())):
+            union = core.disjoint_union(core.prefix_relabel(A, "a."),
+                                        core.prefix_relabel(B, "b."))
+            assert len(set(homology.pi0_map(union).values())) == 2
 
 
 class TestFinality:
