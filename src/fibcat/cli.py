@@ -426,34 +426,53 @@ def _positive_int(text):
     return value
 
 
-class _Fallback(Exception):
-    """Raised where argparse would print or exit."""
+def _subcommands():
+    """The command table: name -> (help, positionals, options, command).
+
+    Positionals are (dest, nargs) pairs, in order; options map each flag
+    to its add_argument keywords.  build_parser builds argparse from this
+    table and _parse_plain parses by it, so the grammar is written once.
+    The table is built on each call, so that every cmd_* is read from the
+    module when a command line is parsed: a tracer that rebinds them sees
+    its own functions called."""
+    functor = {"--functor": {"required": True},
+               "--certify-dim": {"type": int}}
+    return {
+        "classify": ("full fibration profile of a functor", (), functor,
+                     cmd_classify),
+        "final": ("finality of a functor", (), functor, cmd_final),
+        "initial": ("initiality of a functor", (), functor, cmd_initial),
+        "compose": ("compose two correspondences", (("inputs", 2),),
+                    {"--mode": {"choices": ("corr", "prof", "bifib"),
+                                "required": True}},
+                    cmd_compose),
+        "roundtrip": ("triangle of presentations of a correspondence",
+                      (("correspondence", None),), {}, cmd_roundtrip),
+        "replace": ("fibration replacements", (),
+                    {"--kind": {"choices": ("cocart", "cart", "lfib", "rfib"),
+                                "required": True},
+                     "--functor": {"required": True}},
+                    cmd_replace),
+        "pushforward": ("push a category over the total down to the base",
+                        (), {"--fibration": {"required": True},
+                             "--over": {"required": True}},
+                        cmd_pushforward),
+        "homology": ("truncated nerve homology", (("category", None),),
+                     {"--max-dim": {"type": int, "default": 2}},
+                     cmd_homology),
+        "suite": ("randomized property suite", (),
+                  {"--seed": {"type": int, "default": 0},
+                   "--size": {"type": _positive_int, "default": 3},
+                   "--jobs": {"type": _positive_int, "default": 1},
+                   "--artifacts": {
+                       "help": "directory for failure artifacts"}},
+                  cmd_suite),
+    }
 
 
-class _QuietParser(argparse.ArgumentParser):
-    """A parser that raises _Fallback instead of printing or exiting, so
-    that the full parser can produce the exact output instead."""
-
-    def _print_message(self, message, file=None):
-        raise _Fallback
-
-    def exit(self, status=0, message=None):
-        raise _Fallback
-
-
-class _Skipped:
-    """Stands in for a subcommand parser that a parse does not need."""
-
-    def add_argument(self, *args, **kwargs):
-        pass
-
-    set_defaults = add_argument
-
-
-def build_parser(_only=None):
-    """The CLI's argument parser.  With _only, a quiet parser that has
-    only the subcommand named _only (see _parse_args)."""
-    parser = (argparse.ArgumentParser if _only is None else _QuietParser)(
+def build_parser():
+    """The CLI's argument parser, built from the command table."""
+    parser = argparse.ArgumentParser(
         prog="fibcat",
         description="Exact workbench for finite categories: fibration "
                     "classifiers, the correspondence calculus, and "
@@ -462,97 +481,123 @@ def build_parser(_only=None):
                         help="include wall-clock timing in reports "
                              "(breaks byte determinism)")
     subparsers = parser.add_subparsers(dest="command", required=True)
-
-    def add_parser(name, **kwargs):
-        if _only is None or name == _only:
-            return subparsers.add_parser(name, **kwargs)
-        return _Skipped()
-
-    p = add_parser("classify", help="full fibration profile of a functor")
-    p.add_argument("--functor", required=True)
-    p.add_argument("--certify-dim", type=int, default=None)
-    p.set_defaults(func=cmd_classify)
-
-    for kind in ("final", "initial"):
-        p = add_parser(kind, help=f"{kind}ity of a functor")
-        p.add_argument("--functor", required=True)
-        p.add_argument("--certify-dim", type=int, default=None)
-        p.set_defaults(func=cmd_final if kind == "final" else cmd_initial)
-
-    p = add_parser("compose", help="compose two correspondences")
-    p.add_argument("--mode", choices=["corr", "prof", "bifib"], required=True)
-    p.add_argument("inputs", nargs=2)
-    p.set_defaults(func=cmd_compose)
-
-    p = add_parser("roundtrip",
-                   help="triangle of presentations of a correspondence")
-    p.add_argument("correspondence")
-    p.set_defaults(func=cmd_roundtrip)
-
-    p = add_parser("replace", help="fibration replacements")
-    p.add_argument("--kind", choices=["cocart", "cart", "lfib", "rfib"],
-                   required=True)
-    p.add_argument("--functor", required=True)
-    p.set_defaults(func=cmd_replace)
-
-    p = add_parser("pushforward",
-                   help="push a category over the total down to the base")
-    p.add_argument("--fibration", required=True)
-    p.add_argument("--over", required=True)
-    p.set_defaults(func=cmd_pushforward)
-
-    p = add_parser("homology", help="truncated nerve homology")
-    p.add_argument("category")
-    p.add_argument("--max-dim", type=int, default=2)
-    p.set_defaults(func=cmd_homology)
-
-    p = add_parser("suite", help="randomized property suite")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--size", type=int, default=3)
-    p.add_argument("--jobs", type=_positive_int, default=1)
-    p.add_argument("--artifacts", default=None,
-                   help="directory for failure artifacts")
-    p.set_defaults(func=cmd_suite)
-
+    for name, (summary, positionals, options, command) in \
+            _subcommands().items():
+        p = subparsers.add_parser(name, help=summary)
+        # options first: argparse names missing required arguments in the
+        # order they were added
+        for flag, keywords in options.items():
+            p.add_argument(flag, **keywords)
+        for dest, nargs in positionals:
+            p.add_argument(dest, nargs=nargs)
+        p.set_defaults(func=command)
     return parser
 
 
-def _parse_args(argv):
-    """Parse argv with a parser that has only the invoked subcommand.
+def _parse_plain(argv):
+    """argv's namespace by the command table, or None when argv leaves the
+    plain grammar: an optional leading --timings, the subcommand, each
+    option at most once as its exact flag followed by a value that does
+    not start with -, and the positionals as one block.
 
-    Whatever that parser accepts, the full one parses to the same
-    namespace: its one choice of subcommand sits where the full parser
-    reads the subcommand, and is defined by the same lines.  Whenever
-    argparse would print or exit (help, usage, any error), argv is parsed
-    again by the full parser, so all such output is its own.
-    """
-    name = next((token for token in argv if not token.startswith("-")), None)
-    if name is not None:
+    On this grammar argparse reads each token the same way, so the
+    namespace is the one build_parser would give; where a value fails its
+    type or choices, or an argument is missing or extra, None leaves the
+    message to argparse."""
+    timings = argv[:1] == ["--timings"]
+    table = _subcommands()
+    if len(argv) <= timings or argv[timings] not in table:
+        return None
+    name = argv[timings]
+    _, positionals, options, command = table[name]
+    tokens = argv[timings + 1:]
+    given, words, end = {}, [], None
+    i = 0
+    while i < len(tokens):
+        token = tokens[i]
+        if token.startswith("-"):
+            if (token not in options or token in given or i + 1 == len(tokens)
+                    or tokens[i + 1].startswith("-")):
+                return None
+            given[token] = tokens[i + 1]
+            i += 2
+        elif words and end != i:
+            return None  # positionals split by an option
+        else:
+            words.append(token)
+            i += 1
+            end = i
+    if len(words) != sum(nargs or 1 for _, nargs in positionals):
+        return None
+    values = {"timings": timings, "command": name, "func": command}
+    at = 0
+    for dest, nargs in positionals:
+        values[dest] = words[at] if nargs is None else words[at:at + nargs]
+        at += nargs or 1
+    for flag, keywords in options.items():
+        dest = flag[2:].replace("-", "_")
+        if flag not in given:
+            if keywords.get("required"):
+                return None
+            values[dest] = keywords.get("default")
+            continue
+        convert = keywords.get("type")
         try:
-            return build_parser(_only=name).parse_args(argv)
-        except _Fallback:
-            pass
-    return build_parser().parse_args(argv)
+            value = given[flag] if convert is None else convert(given[flag])
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            return None
+        if value not in keywords.get("choices", (value,)):
+            return None
+        values[dest] = value
+    return argparse.Namespace(**values)
+
+
+def _parse_args(argv):
+    """Parse argv by the command table; argparse parses only what leaves
+    the plain grammar (abbreviations, = spellings, repeats, help, --, and
+    every error), so that all such output is its own."""
+    args = _parse_plain(argv)
+    return build_parser().parse_args(argv) if args is None else args
+
+
+def _echo(argv, command):
+    """argv as the parse read it, for the report: each option spelled in
+    full with its value as a token of its own, and --jobs left out, since
+    the thread count is an execution detail and must not break report
+    determinism.  Only for an argv that parsed."""
+    flags = [*_subcommands()[command][2], "--help"]
+    echo = []
+    tokens = iter(argv)
+    for token in tokens:
+        if token == command:
+            break
+        echo.append("--timings")  # the one option before the subcommand
+    echo.append(command)
+    for token in tokens:
+        if token == "--":  # everything after it is a positional
+            echo.append(token)
+            echo.extend(tokens)
+            break
+        flag, eq, value = token.partition("=")
+        # argparse reads a token as an option when it is a flag, or the
+        # prefix of exactly one flag, before any =
+        matches = ([flag] if flag in flags
+                   else [f for f in flags if f.startswith(flag)]
+                   if flag.startswith("--") else [])
+        if len(matches) != 1:
+            echo.append(token)
+            continue
+        if not eq:
+            value = next(tokens)
+        if matches[0] != "--jobs":
+            echo += [matches[0], value]
+    return echo
 
 
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     args = _parse_args(argv)
-    # the echo records the logical command; thread count is an execution
-    # detail and must not break report determinism
-    echo = []
-    skip = False
-    for token in argv:
-        if skip:
-            skip = False
-            continue
-        if token == "--jobs":
-            skip = True
-            continue
-        if token.startswith("--jobs="):
-            continue
-        echo.append(token)
-    args._echo = echo
+    args._echo = _echo(argv, args.command)
     args._t0 = time.perf_counter()
     try:
         return args.func(args)

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -15,6 +16,7 @@ from fibcat import fixtures, randgen
 from fibcat.homology import SetValuedFunctor
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
+PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 
 
 def run_cli(*argv, env=None):
@@ -1227,7 +1229,7 @@ class TestCanonicalEmitter:
         assert len(seen) > 70
 
 
-# -- the one-subcommand parser against the full one ----------------------------
+# -- the command-table parser against argparse --------------------------------
 
 
 def parse_outcome(parse, argv):
@@ -1254,6 +1256,7 @@ ARGV_EXITS = [
     ["compose", "--mode", "corr", "a.json"],
     ["compose", "--mode", "nope", "a.json", "b.json"],
     ["replace", "--functor", "f.json"],
+    ["suite", "--size", "0"], ["suite", "--size", "-1"],
 ]
 ARGV_PARSES = [
     ["--timings", "classify", "--functor", "f.json"],
@@ -1263,6 +1266,76 @@ ARGV_PARSES = [
     ["suite", "--jobs", "2", "--size", "1", "--seed", "7"],
 ]
 
+# values with which int, a choice or argparse's reading of a leading -
+# can go either way
+ODD_VALUES = ["-1", " 2", "2_0", "+3", "", "x", "-", "--", "-h", "0", "٣",
+              "--functor", "a b", "k=v"]
+
+
+def option_tokens(rng, flag, keywords):
+    """One option of the command table, now and then misspelled."""
+    if "choices" in keywords:
+        value = rng.choice(keywords["choices"])
+    elif "type" in keywords:
+        value = rng.choice(["1", "2", "3", "7"])
+    else:
+        value = rng.choice(["f.json", "out/", "a b.json"])
+    if rng.random() < 0.2:
+        value = rng.choice(ODD_VALUES)
+    r = rng.random()
+    if r < 0.1:
+        flag = flag[:rng.randint(3, len(flag) - 1)]
+    elif r < 0.15:
+        return [flag]  # no value
+    if rng.random() < 0.1:
+        return [f"{flag}={value}"]
+    return [flag, value]
+
+
+def random_argv(rng, table):
+    """An argv drawn from the command table: mostly in its plain grammar,
+    with abbreviations, = forms, repeats, odd values, split or miscounted
+    positionals, --timings after the subcommand, unknown subcommands and
+    options, help and -- mixed in."""
+    argv = []
+    r = rng.random()
+    if r < 0.3:
+        argv.append("--timings")
+    elif r < 0.36:
+        argv.append(rng.choice(["--tim", "--timings=1", "-x", "--", "-h",
+                                "--t"]))
+    r = rng.random()
+    if r < 0.04:
+        return argv
+    name = (rng.choice(list(table)) if r < 0.94
+            else rng.choice(["nope", "clas", "Suite"]))
+    argv.append(name)
+    if name not in table:
+        return argv + ["--functor", "f.json"] * rng.randint(0, 1)
+    _, positionals, options, _ = table[name]
+    pieces = [option_tokens(rng, flag, keywords)
+              for flag, keywords in options.items()
+              if rng.random() < (0.9 if keywords.get("required") else 0.5)]
+    if options and rng.random() < 0.1:
+        flag = rng.choice(list(options))
+        pieces.append(option_tokens(rng, flag, options[flag]))
+    if rng.random() < 0.08:
+        pieces.append([rng.choice(["--timings", "-h", "--help", "--nope",
+                                   "-x", "--"])])
+    rng.shuffle(pieces)
+    count = sum(nargs or 1 for _, nargs in positionals)
+    if rng.random() < 0.1:
+        count = max(0, count + rng.choice([-1, 1]))
+    words = [rng.choice(["a.json", "b.json", "c d.json"]
+                        if rng.random() < 0.9 else ODD_VALUES)
+             for _ in range(count)]
+    if len(words) > 1 and rng.random() < 0.2:
+        for word in words:  # split among the options
+            pieces.insert(rng.randint(0, len(pieces)), [word])
+    elif words:
+        pieces.insert(rng.randint(0, len(pieces)), words)
+    return argv + [token for piece in pieces for token in piece]
+
 
 class TestSubcommandParser:
     @pytest.mark.parametrize("argv", ARGV_EXITS + ARGV_PARSES, ids=" ".join)
@@ -1270,6 +1343,22 @@ class TestSubcommandParser:
         full = parse_outcome(lambda a: cli.build_parser().parse_args(a), argv)
         assert parse_outcome(cli._parse_args, argv) == full
         assert isinstance(full[2], tuple) == (argv in ARGV_EXITS)
+
+    def test_random_argv_parse_as_argparse_does(self):
+        rng = random.Random("fibcat:argv")
+        table = cli._subcommands()
+        parser = cli.build_parser()
+        plain = exits = 0
+        for _ in range(3000):
+            argv = random_argv(rng, table)
+            full = parse_outcome(parser.parse_args, argv)
+            assert parse_outcome(cli._parse_args, argv) == full, argv
+            if isinstance(full[2], tuple):
+                assert parse_outcome(cli.main, argv) == full, argv
+                exits += 1
+            plain += cli._parse_plain(argv) is not None
+        # both routes are well exercised
+        assert plain > 1000 and exits > 500, (plain, exits)
 
     @pytest.mark.parametrize("argv", ARGV_EXITS, ids=" ".join)
     def test_main_prints_and_exits_as_the_full_parser(self, argv):
@@ -1285,3 +1374,72 @@ class TestSubcommandParser:
         with contextlib.redirect_stdout(buf):
             assert cli.main(argv) == 0
         assert json.loads(buf.getvalue())["timing_s"] is not None
+
+    def test_known_command_lines_build_no_argparse_parser(self,
+                                                          monkeypatch):
+        """Every golden and benchmark command line parses by the table."""
+        with open(os.path.join(os.path.dirname(__file__), "golden_cli.json"),
+                  encoding="utf-8") as fh:
+            argvs = [key.split(" ") for key in json.load(fh)]
+        monkeypatch.syspath_prepend(PERFBENCH)
+        import workloads
+        for workload in workloads.WORKLOADS:
+            files, jobs = workloads.build(workload, 0)
+            paths = workloads.input_paths(files, "inputs")
+            argvs += [workloads.resolve_argv(job.argv, paths) for job in jobs]
+        expected = [cli.build_parser().parse_args(argv) for argv in argvs]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an argparse parser was built")
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
+        assert [cli._parse_args(argv) for argv in argvs] == expected
+        assert len(argvs) > 150
+
+    @pytest.mark.parametrize("argv", [["homology", "c.json"],
+                                      ["homology", "c.json", "--max=3"]])
+    def test_main_calls_the_command_it_finds_in_the_module(self, argv,
+                                                            monkeypatch):
+        # a tracer rebinds cli.cmd_* and must see its own function called
+        called = []
+        monkeypatch.setattr(cli, "cmd_homology",
+                            lambda args: called.append(args.category) or 0)
+        assert cli.main(argv) == 0
+        assert called == ["c.json"]
+
+    @pytest.mark.parametrize("variant", [
+        ["--jobs", "4"], ["--jo", "4"], ["--j=1"], ["--jobs=2"],
+        ["--job", "3"]])
+    def test_the_echo_leaves_out_jobs_in_any_spelling(self, variant,
+                                                      monkeypatch):
+        monkeypatch.setattr(cli, "_suite_cases", lambda seed, size: [])
+        reports = []
+        for argv in (["suite", "--seed", "5", *variant],
+                     ["suite", "--seed", "5"]):
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                assert cli.main(argv) == 0
+            reports.append(out.getvalue())
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0])["command"] == ["suite", "--seed", "5"]
+
+    @pytest.mark.parametrize("argv, echo", [
+        (["--tim", "homology", "c"], ["--timings", "homology", "c"]),
+        (["homology", "--", "--max-dim=3"], ["homology", "--", "--max-dim=3"]),
+        (["homology", "--", "--jobs"], ["homology", "--", "--jobs"])])
+    def test_the_echo_spells_options_as_the_parse_read_them(self, argv, echo):
+        ns = cli.build_parser().parse_args(argv)
+        assert cli._echo(argv, ns.command) == echo
+
+    def test_equals_and_space_spellings_report_the_same_bytes(self,
+                                                              fixture_dir):
+        path = os.path.join(fixture_dir, "cyclic_2.json")
+        reports = []
+        for argv in (["homology", path, "--max-dim", "3"],
+                     ["homology", path, "--max-dim=3"],
+                     ["homology", "--max", "3", path]):
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                assert cli.main(argv) == 0
+            reports.append(out.getvalue())
+        assert reports[1] == reports[0]
+        assert json.loads(reports[2])["command"] == [
+            "homology", "--max-dim", "3", path]
