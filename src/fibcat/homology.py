@@ -16,8 +16,10 @@ the cohomology direction (de Silva-Morozov-Vejdemo-Johansson, "Dualities
 in persistent (co)homology", 2011): a cell that was the row of a unit
 pivot one degree down names a column that is an integral combination of
 the others, so it is left out, and every invariant factor stays the same.
-The truncated nerve itself (`nerve`) serves the chain-map certificates,
-and the tests reduce it as the Morse route's oracle.
+The truncated nerve (`nerve`) and the mapping cone of the chain-map
+certificates are sparse complexes of the Morse complex's shape, reduced by
+the same `_reduce_with_clearing`; the tests reduce the nerve as the Morse
+route's oracle.
 
 Cofinality, the end checks of fibrations and set-valued colimits all read
 categories of elements, decided by one union-find: exact π0-level
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from itertools import compress
+from itertools import compress, product
 
 from . import core, morse
 from .core import PreconditionError
@@ -49,14 +51,14 @@ _MATRIX_CAP = 4_000_000  # entries per boundary matrix
 
 @dataclass
 class TruncatedNerve:
-    category: object
     max_dim: int
     # simplices[k] for k in 0..max_dim+1; a k-simplex is a tuple of k
     # composable non-identity morphisms (objects in dimension 0)
     simplices: list
-    # faces[k][i] = tuple of row indices into simplices[k-1], or -1 when the
-    # face is degenerate (an inner composition produced an identity)
-    faces: list
+    # boundaries[k][j], for 1 <= k <= max_dim+1, maps the index in
+    # simplices[k-1] of each face of simplices[k][j] to its nonzero
+    # coefficient; degenerate faces are dropped (morse.morse_complex's shape)
+    boundaries: list
 
     def counts(self):
         return [len(s) for s in self.simplices]
@@ -74,7 +76,8 @@ def _chain_faces(C, chain):
 
 
 def nerve(C, d):
-    """Identity-free composable chains of length <= d+1, with face maps."""
+    """Identity-free composable chains of length <= d+1, with the
+    boundaries of the normalized complex."""
     if d < 0:
         raise PreconditionError("nerve requires d >= 0")
     non_id = C.non_identity_morphisms()
@@ -90,29 +93,25 @@ def nerve(C, d):
                       for m in leaving.get(C.tgt[chain[-1]], ())]
             chains.sort()
         simplices.append(tuple(chains))
-    index = [{s: i for i, s in enumerate(level)} for level in simplices]
-    faces = [None]
-    for k in range(1, d + 2):
-        level_faces = []
+    at = {x: i for i, x in enumerate(simplices[0])}
+    boundaries = [None, [morse._endpoints(at[C.tgt[m]], at[C.src[m]])
+                         for (m,) in simplices[1]]]
+    for k in range(2, d + 2):
+        at = {s: i for i, s in enumerate(simplices[k - 1])}
+        level = []
         for chain in simplices[k]:
-            row = []
+            total = {}
             for i, face in enumerate(_chain_faces(C, chain)):
-                if k == 1:
-                    # faces of a 1-simplex are its endpoint objects
-                    target = C.tgt[chain[0]] if i == 0 else C.src[chain[0]]
-                    row.append(index[0][target])
-                    continue
                 # a chain holds no identities, so only the composite made
                 # by an inner face can be one
                 if 0 < i < k and C.is_identity(face[i - 1]):
-                    row.append(-1)
-                else:
-                    row.append(index[k - 1][face])
-            level_faces.append(tuple(row))
-        faces.append(level_faces)
-    nrv = TruncatedNerve(C, d, simplices, faces)
+                    continue
+                r = at[face]
+                total[r] = total.get(r, 0) + (-1 if i % 2 else 1)
+            level.append({r: v for r, v in total.items() if v})
+        boundaries.append(level)
     _check_face_relations(C, d)
-    return nrv
+    return TruncatedNerve(d, simplices, boundaries)
 
 
 def _walk_counts(C, top):
@@ -178,22 +177,10 @@ def _check_face_relations(C, d):
 
 def _check_cap(counts, k):
     """Refuse the nerve's k-th boundary when its full size, from the
-    simplex counts, exceeds the cap; return its (rows, cols)."""
+    simplex counts, exceeds the cap."""
     rows, cols = counts[k - 1], counts[k]
     if rows * cols > _MATRIX_CAP:
         raise MatrixCapExceeded(f"boundary matrix {rows}x{cols} exceeds cap")
-    return rows, cols
-
-
-def boundary_matrix(nrv, k):
-    """The k-th boundary of the normalized complex, rows = (k-1)-simplices."""
-    rows, cols = _check_cap(nrv.counts(), k)
-    M = [[0] * cols for _ in range(rows)]
-    for j in range(cols):
-        for i, r in enumerate(nrv.faces[k][j]):
-            if r >= 0:
-                M[r][j] += -1 if i % 2 else 1
-    return M
 
 
 # -- Smith normal form over the integers ----------------------------------
@@ -713,8 +700,7 @@ def _all_maps(dom, cod):
     if not dom:
         yield {}
         return
-    import itertools
-    for images in itertools.product(cod, repeat=len(dom)):
+    for images in product(cod, repeat=len(dom)):
         yield dict(zip(dom, images))
 
 
@@ -722,25 +708,19 @@ def _all_maps(dom, cod):
 
 
 def induced_chain_map(F, nrv_C, nrv_D):
-    """Matrices of the map of normalized complexes induced by F: C -> D.
-
-    A simplex whose image contains an identity maps to zero.
-    """
+    """The map of normalized complexes induced by F: C -> D: for each
+    degree, the index in nrv_D of each simplex's image, or None for a
+    simplex whose image contains an identity, which maps to zero."""
     D = F.target
     maps = []
-    for k in range(nrv_C.max_dim + 2):
-        rows = {s: i for i, s in enumerate(nrv_D.simplices[k])}
-        cols = nrv_C.simplices[k]
-        M = [[0] * len(cols) for _ in range(len(rows))]
-        for j, s in enumerate(cols):
-            if k == 0:
-                M[rows[F.ob_map[s]]][j] = 1
-                continue
-            image = tuple(F.mor_map[m] for m in s)
-            if any(D.is_identity(m) for m in image):
-                continue
-            M[rows[image]][j] = 1
-        maps.append(M)
+    for k, level in enumerate(nrv_C.simplices):
+        at = {s: i for i, s in enumerate(nrv_D.simplices[k])}
+        if k == 0:
+            maps.append([at[F.ob_map[x]] for x in level])
+            continue
+        images = [tuple(F.mor_map[m] for m in s) for s in level]
+        maps.append([None if any(D.is_identity(m) for m in image)
+                     else at[image] for image in images])
     return maps
 
 
@@ -843,54 +823,41 @@ def check_final_closure(rng, rounds=20):
     return violations
 
 
-def _cone_boundary(nrv_C, nrv_D, fmaps, k):
-    """Boundary of the mapping cone, cone_k = C_{k-1} + D_k."""
-    counts_C = nrv_C.counts()
-    counts_D = nrv_D.counts()
-    nC1 = counts_C[k - 1] if k >= 1 else 0
-    nD = counts_D[k] if k < len(counts_D) else 0
-    nC2 = counts_C[k - 2] if k >= 2 else 0
-    nD1 = counts_D[k - 1] if k >= 1 else 0
-    M = [[0] * (nC1 + nD) for _ in range(nC2 + nD1)]
-    if k >= 2:
-        dC = boundary_matrix(nrv_C, k - 1)
-        for i in range(nC2):
-            for j in range(nC1):
-                M[i][j] = -dC[i][j]
-    if k >= 1:
-        dD = boundary_matrix(nrv_D, k)
-        for i in range(nD1):
-            for j in range(nD):
-                M[nC2 + i][nC1 + j] = dD[i][j]
-        fm = fmaps[k - 1]
-        for i in range(nD1):
-            for j in range(nC1):
-                M[nC2 + i][j] = -fm[i][j]
-    return M
-
-
 def chain_map_induces_homology_iso(F, d):
     """Certificate that F: C -> D is a homology isomorphism up to degree d.
 
     Checked via the mapping cone: the verdict is True when the cone has
     trivial homology in degrees <= d+1, which by the long exact sequence
     forces isomorphisms on H_k for k <= d.  The criterion is sound; it
-    additionally demands surjectivity in degree d+1.
+    additionally demands surjectivity in degree d+1.  The cone has
+    cone_k = C_{k-1} + D_k, C's cells first, and ∂(c, y) = (-∂c, ∂y - Fc);
+    it is a chain complex, so _reduce_with_clearing reduces it exactly.
+    The cap is checked on both nerves' boundaries first, in degree order
+    and D's after C's in each degree.
     """
     nrv_C = nerve(F.source, d + 1)
     nrv_D = nerve(F.target, d + 1)
     fmaps = induced_chain_map(F, nrv_C, nrv_D)
-    counts_C = nrv_C.counts()
-    counts_D = nrv_D.counts()
+    counts_C, counts_D = nrv_C.counts(), nrv_D.counts()
     top = d + 2
-    divisors = {k: smith_normal_form(_cone_boundary(nrv_C, nrv_D, fmaps, k))
-                for k in range(1, top + 1)}
-    for k in range(0, d + 2):
-        n_k = (counts_C[k - 1] if k >= 1 else 0) + counts_D[k]
-        rank_out = len(divisors[k]) if k >= 1 else 0
-        rank_in = len(divisors[k + 1]) if k + 1 <= top else 0
-        betti = n_k - rank_out - rank_in
-        torsion = [v for v in divisors.get(k + 1, ()) if v > 1]
-        if betti != 0 or torsion:
-            return False
-    return True
+    for k in range(1, top + 1):
+        if k >= 2:
+            _check_cap(counts_C, k - 1)
+        _check_cap(counts_D, k)
+    counts = [counts_D[0]] + [counts_C[k - 1] + counts_D[k]
+                              for k in range(1, top + 1)]
+    boundaries = [None]
+    for k in range(1, top + 1):
+        shift = counts_C[k - 2] if k >= 2 else 0  # rows of C_{k-2} first
+        level = []
+        for j, image in enumerate(fmaps[k - 1]):
+            col = ({} if k == 1 else
+                   {r: -v for r, v in nrv_C.boundaries[k - 1][j].items()})
+            if image is not None:
+                col[shift + image] = -1
+            level.append(col)
+        level += [{shift + r: v for r, v in col.items()}
+                  for col in nrv_D.boundaries[k]]
+        boundaries.append(level)
+    betti, torsion = _reduce_with_clearing(counts, boundaries)
+    return not any(betti) and not any(torsion)

@@ -1,6 +1,7 @@
 import ast
 import contextlib
 import io
+import itertools
 import json
 import os
 import random
@@ -18,6 +19,21 @@ from test_core import docs_of_type, table_of_doc
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 
 
+def dense_boundary(nrv, k):
+    """The k-th boundary of the normalized nerve as a dense matrix, rows =
+    (k-1)-simplices, read off nrv.boundaries.  Like the dense route it
+    stands for, it refuses a matrix larger than the cap."""
+    rows, cols = nrv.counts()[k - 1], nrv.counts()[k]
+    if rows * cols > homology._MATRIX_CAP:
+        raise homology.MatrixCapExceeded(
+            f"boundary matrix {rows}x{cols} exceeds cap")
+    M = [[0] * cols for _ in range(rows)]
+    for j, column in enumerate(nrv.boundaries[k]):
+        for r, v in column.items():
+            M[r][j] = v
+    return M
+
+
 def oracle_homology(C, d):
     """Independent dense-matrix boundary oracle for reduced checks.
 
@@ -27,7 +43,7 @@ def oracle_homology(C, d):
     nrv = homology.nerve(C, d)
     counts = nrv.counts()
     betti, torsion = [], []
-    mats = {k: Matrix(homology.boundary_matrix(nrv, k))
+    mats = {k: Matrix(dense_boundary(nrv, k))
             for k in range(1, d + 2)}
     for k in range(d + 1):
         rank_out = mats[k].rank() if k >= 1 and mats[k].rows and mats[k].cols \
@@ -58,6 +74,30 @@ class TestNerve:
 
     def test_face_relations_hold(self):
         homology.nerve(core.retract_category(), 2)  # raises on violation
+
+    @pytest.mark.parametrize("C", [
+        core.cyclic_group_category(3), core.cyclic_group_category(4),
+        core.idempotent_category(), core.retract_category(),
+        core.walking_isomorphism(), core.interval(3)])
+    def test_boundaries_are_alternating_sums_of_faces(self, C):
+        # face i of a chain composes its entries i-1 and i, or drops an
+        # end; a face that holds an identity is degenerate and dropped
+        nrv = homology.nerve(C, 3)
+        for k in range(1, 5):
+            at = {s: i for i, s in enumerate(nrv.simplices[k - 1])}
+            for j, chain in enumerate(nrv.simplices[k]):
+                if k == 1:
+                    faces = [C.tgt[chain[0]], C.src[chain[0]]]
+                else:
+                    inner = [chain[:i - 1] + (C._comp[chain[i], chain[i - 1]],)
+                             + chain[i + 1:] for i in range(1, k)]
+                    faces = [chain[1:]] + inner + [chain[:-1]]
+                total = {}
+                for i, face in enumerate(faces):
+                    if k == 1 or not any(map(C.is_identity, face)):
+                        total[at[face]] = total.get(at[face], 0) + (-1) ** i
+                assert nrv.boundaries[k][j] == \
+                    {r: v for r, v in total.items() if v}, (k, chain)
 
     def test_face_relation_violation_raises(self, monkeypatch):
         # g1∘g1 := g0 breaks associativity: (g1∘g1)∘g2 = g2 but
@@ -302,7 +342,7 @@ class TestSparseSmithNormalForm:
     def test_every_nerve_boundary_matches_dense(self, name, C, d):
         nrv = homology.nerve(C, d)
         for k in range(1, d + 2):
-            M = homology.boundary_matrix(nrv, k)
+            M = dense_boundary(nrv, k)
             mine = homology.smith_normal_form(M)
             _assert_divisor_chain(mine)
             assert mine == homology._dense_smith_normal_form(M), (name, k)
@@ -327,14 +367,14 @@ class TestSparseSmithNormalForm:
 
 
 def oracle_homology_of_nerve(nrv):
-    """The boundary route: smith_normal_form(boundary_matrix(nrv, k)) for
+    """The boundary route: smith_normal_form(dense_boundary(nrv, k)) for
     every k, with no clearing."""
     d = nrv.max_dim
     counts = nrv.counts()
     ranks = [0] * (d + 2)
     torsion = []
     for k in range(1, d + 2):
-        divisors = homology.smith_normal_form(homology.boundary_matrix(nrv, k))
+        divisors = homology.smith_normal_form(dense_boundary(nrv, k))
         ranks[k] = len(divisors)
         torsion.append(sorted(v for v in divisors if v > 1))
     betti = [counts[k] - ranks[k] - ranks[k + 1] for k in range(d + 1)]
@@ -345,22 +385,10 @@ def cleared_coboundary(nrv, k, cleared):
     """δ_{k-1} = ∂_kᵀ, one row per k-simplex and one column per
     (k-1)-simplex not in cleared (a set of indices into simplices[k-1]).
     The cap is checked against the full boundary ∂_k."""
-    n_faces, _ = homology._check_cap(nrv.counts(), k)
-    column = [-1] * (n_faces + 1)  # column[-1] is a degenerate face's: none
-    width = 0
-    for r in range(n_faces):
-        if r not in cleared:
-            column[r] = width
-            width += 1
-    M = []
-    for face_rows in nrv.faces[k]:
-        row = [0] * width
-        for i, r in enumerate(face_rows):
-            c = column[r]
-            if c >= 0:
-                row[c] += -1 if i % 2 else 1
-        M.append(row)
-    return M
+    homology._check_cap(nrv.counts(), k)
+    kept = [r for r in range(nrv.counts()[k - 1]) if r not in cleared]
+    return [[entries.get(r, 0) for r in kept]
+            for entries in nrv.boundaries[k]]
 
 
 def homology_of_nerve(nrv):
@@ -369,18 +397,9 @@ def homology_of_nerve(nrv):
     before any is reduced."""
     d = nrv.max_dim
     counts = nrv.counts()
-    boundaries = [None]
     for k in range(1, d + 2):
         homology._check_cap(counts, k)
-        level = []
-        for face_rows in nrv.faces[k]:
-            entries = {}
-            for i, r in enumerate(face_rows):
-                if r >= 0:
-                    entries[r] = entries.get(r, 0) + (-1 if i % 2 else 1)
-            level.append({r: v for r, v in entries.items() if v})
-        boundaries.append(level)
-    betti, torsion = homology._reduce_with_clearing(counts, boundaries)
+    betti, torsion = homology._reduce_with_clearing(counts, nrv.boundaries)
     return homology.HomologyReport(d, betti, torsion, counts[:d + 1])
 
 
@@ -484,7 +503,7 @@ class TestClearing:
         cleared = 0
         for k, (M, divisors, _) in enumerate(steps, 1):
             assert len(M) == nrv.counts()[k], (name, k)
-            full = _sympy_divisors(homology.boundary_matrix(nrv, k))
+            full = _sympy_divisors(dense_boundary(nrv, k))
             assert sorted(divisors) == full, (name, k)
             assert _sympy_divisors(M) == full, (name, k)
             cleared += cleared_columns(nrv, k, M) or 0
@@ -506,7 +525,7 @@ def _unit_rows_cases():
                  (core.arrow_category(core.interval(3))[0], 3)):
         nrv = homology.nerve(C, d)
         for k in range(1, d + 2):
-            yield homology.boundary_matrix(nrv, k)
+            yield dense_boundary(nrv, k)
             yield cleared_coboundary(nrv, k, set())
 
 
@@ -874,3 +893,199 @@ class TestChainMapCertificates:
         Z2 = core.cyclic_group_category(2)
         assert not homology.chain_map_induces_homology_iso(
             core.point(Z2, "*"), 2)
+
+
+# -- the mapping cone against the dense route ------------------------------
+
+
+def dense_chain_map(F, nrv_C, nrv_D):
+    """The matrices of the map of normalized complexes induced by F, rows =
+    D's simplices: a simplex whose image contains an identity maps to
+    zero."""
+    D = F.target
+    maps = []
+    for k in range(nrv_C.max_dim + 2):
+        rows = {s: i for i, s in enumerate(nrv_D.simplices[k])}
+        cols = nrv_C.simplices[k]
+        M = [[0] * len(cols) for _ in range(len(rows))]
+        for j, s in enumerate(cols):
+            if k == 0:
+                M[rows[F.ob_map[s]]][j] = 1
+                continue
+            image = tuple(F.mor_map[m] for m in s)
+            if any(D.is_identity(m) for m in image):
+                continue
+            M[rows[image]][j] = 1
+        maps.append(M)
+    return maps
+
+
+def oracle_cone_boundary(nrv_C, nrv_D, fmaps, k):
+    """Boundary of the mapping cone, cone_k = C_{k-1} + D_k, dense."""
+    counts_C = nrv_C.counts()
+    counts_D = nrv_D.counts()
+    nC1 = counts_C[k - 1]
+    nD = counts_D[k]
+    nC2 = counts_C[k - 2] if k >= 2 else 0
+    nD1 = counts_D[k - 1]
+    M = [[0] * (nC1 + nD) for _ in range(nC2 + nD1)]
+    if k >= 2:
+        dC = dense_boundary(nrv_C, k - 1)
+        for i in range(nC2):
+            for j in range(nC1):
+                M[i][j] = -dC[i][j]
+    dD = dense_boundary(nrv_D, k)
+    for i in range(nD1):
+        for j in range(nD):
+            M[nC2 + i][nC1 + j] = dD[i][j]
+    fm = fmaps[k - 1]
+    for i in range(nD1):
+        for j in range(nC1):
+            M[nC2 + i][j] = -fm[i][j]
+    return M
+
+
+def oracle_chain_map_induces_homology_iso(F, d):
+    """The dense route: every boundary of the cone in full, each reduced
+    by smith_normal_form without clearing."""
+    nrv_C = homology.nerve(F.source, d + 1)
+    nrv_D = homology.nerve(F.target, d + 1)
+    fmaps = dense_chain_map(F, nrv_C, nrv_D)
+    counts_C = nrv_C.counts()
+    counts_D = nrv_D.counts()
+    top = d + 2
+    divisors = {k: homology.smith_normal_form(
+        oracle_cone_boundary(nrv_C, nrv_D, fmaps, k))
+        for k in range(1, top + 1)}
+    for k in range(0, d + 2):
+        n_k = (counts_C[k - 1] if k >= 1 else 0) + counts_D[k]
+        rank_out = len(divisors[k]) if k >= 1 else 0
+        rank_in = len(divisors[k + 1])
+        betti = n_k - rank_out - rank_in
+        torsion = [v for v in divisors[k + 1] if v > 1]
+        if betti != 0 or torsion:
+            return False
+    return True
+
+
+def cone_outcome(check, F, d):
+    """check(F, d), or the message of the cap it refuses with."""
+    try:
+        return check(F, d)
+    except homology.MatrixCapExceeded as exc:
+        return str(exc)
+
+
+def random_functor_cases():
+    """One functor drawn from all_functors per pair of random categories:
+    400 pairs of posets, then 300 of categories, each at d = 0, 1, 2."""
+    for seed, draws, make in (
+            (11, 400, lambda rng: randgen.random_poset(rng, 4)),
+            (7, 300, lambda rng: randgen.random_category(rng, 3, 6))):
+        rng = random.Random(seed)
+        for _ in range(draws):
+            C, D = make(rng), make(rng)
+            F = rng.choice(core.all_functors(C, D))
+            for d in range(3):
+                yield F, d
+
+
+def group_inclusion(m):
+    """Z/m -> Z/m × [1] at the object 0."""
+    Z = core.cyclic_group_category(m)
+    return core.pairing_functor(
+        core.identity_functor(Z), core.constant_functor(Z, core.interval(1),
+                                                        "0"))
+
+
+def group_retraction(m):
+    """The projection Z/m × [1] -> Z/m: its source's nerve is the larger,
+    so the cap meets C's boundaries first."""
+    return core.product_projections(core.cyclic_group_category(m),
+                                    core.interval(1))[1]
+
+
+class TestConeOracle:
+    """chain_map_induces_homology_iso reduces a sparse cone with clearing;
+    the dense cone, reduced without clearing, is its oracle."""
+
+    def test_random_functors(self):
+        verdicts = []
+        for F, d in random_functor_cases():
+            mine = homology.chain_map_induces_homology_iso(F, d)
+            assert mine == oracle_chain_map_induces_homology_iso(F, d)
+            verdicts.append(mine)
+        assert (verdicts.count(True), verdicts.count(False)) == (800, 1300)
+
+    @pytest.mark.parametrize("m", [3, 4, 5])
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("make", [group_inclusion, group_retraction])
+    def test_group_inclusions_and_retractions(self, make, m, d):
+        F = make(m)
+        assert homology.chain_map_induces_homology_iso(F, d)
+        assert oracle_chain_map_induces_homology_iso(F, d)
+
+    @pytest.mark.parametrize("cap", [10, 30, 100, 400])
+    def test_same_refusals(self, cap, monkeypatch):
+        monkeypatch.setattr(homology, "_MATRIX_CAP", cap)
+        cases = [(make(m), d) for make in (group_inclusion, group_retraction)
+                 for m in (3, 4, 5) for d in (1, 2)]
+        cases += list(itertools.islice(random_functor_cases(), 1200, 1500))
+        refused = []
+        for F, d in cases:
+            mine = cone_outcome(homology.chain_map_induces_homology_iso, F, d)
+            assert mine == cone_outcome(oracle_chain_map_induces_homology_iso,
+                                        F, d)
+            refused.append(isinstance(mine, str))
+        assert refused[1] and refused[3]  # Z/3 and Z/4 at d = 2
+        assert any(refused) and not all(refused)
+
+
+# -- perfbench's work counters on real calls --------------------------------
+
+
+PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
+
+
+class TestPerfbenchCounters:
+    """perfbench's tracer reads these counters off each call's arguments
+    and result; no benchmark job reaches the nerve, so they are pinned
+    here against closed forms."""
+
+    @pytest.fixture
+    def counters(self, monkeypatch):
+        monkeypatch.syspath_prepend(PERFBENCH)
+        import tracing
+        return tracing.COUNTERS
+
+    @pytest.mark.parametrize("n, d", [(2, 4), (3, 3), (4, 2)])
+    def test_nerve_simplices(self, counters, n, d):
+        # Z/n has n-1 non-identity morphisms, all composable
+        C = core.cyclic_group_category(n)
+        nrv = homology.nerve(C, d)
+        assert counters["homology.nerve"]((C, d), nrv) == \
+            {"simplices": sum((n - 1) ** k for k in range(d + 2))}
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_smith_normal_form_on_a_nerve_boundary(self, counters, n,
+                                                   monkeypatch):
+        # Z/n at d = 1: δ_0 is (n-1)x1 and zero; δ_1 = ∂_2ᵀ has (n-1)^2
+        # rows, n-1 columns (nothing cleared), and (n-1)(3n-5) nonzeros:
+        # (a, b) has faces b, a+b and a, where a+b = 0 is degenerate
+        calls = []
+        real = homology.smith_normal_form
+
+        def record(M, unit_rows=None):
+            result = real(M, unit_rows)
+            calls.append(counters["homology.smith_normal_form"](
+                (M, unit_rows), result))
+            return result
+
+        monkeypatch.setattr(homology, "smith_normal_form", record)
+        nrv = homology.nerve(core.cyclic_group_category(n), 1)
+        assert homology._reduce_with_clearing(nrv.counts(), nrv.boundaries) \
+            == ([1, 0], [[], [n]])
+        assert calls == [
+            {"entries": n - 1, "nnz": 0, "rank": 0},
+            {"entries": (n - 1) ** 3, "nnz": (n - 1) * (3 * n - 5),
+             "rank": n - 1}]
