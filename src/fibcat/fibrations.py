@@ -334,12 +334,13 @@ def _coend_classes(pi, phi, psi, certify=False):
     their classes under (u, v∘w) ~ (w∘u, v), and a set of lifts.
 
     Each factorization gets an int index, and the classes are the roots of
-    a union-find over a list of parents.  An identity w identifies each
-    pair with itself, so only the other middle-fiber maps are walked, and
-    the set is empty.  With certify, every w is walked: each is a morphism
-    (u, v∘w) -> (w∘u, v) of the factorization category of v∘w∘u, and the
-    set holds the lifts whose category has an initial or a terminal
-    object (see _coned_lifts).
+    a union-find over a list of parents.  One walk over the middle-fiber
+    maps w joins (u, v∘w) and (w∘u, v); an identity w joins each pair
+    with itself, so it is skipped, and the set is empty.  With certify,
+    every w is walked and each is also kept as a square, a morphism
+    (u, v∘w) -> (w∘u, v) of the factorization category of v∘w∘u; the set
+    holds the lifts whose category has an initial or a terminal object
+    (see _coned_lifts).
     """
     E, K = pi.source, pi.target
     comp, tgt, identity = E._comp, E.tgt, E.identity
@@ -358,34 +359,22 @@ def _coend_classes(pi, phi, psi, certify=False):
             parent[i] = i = parent[parent[i]]
         return i
 
-    coned = ()
-    if not certify:
-        for e in pi.over(K.src[phi]):
-            for u in lifts((e, phi), ()):
-                m = tgt[u]
-                for w in lifts((m, mid), ()):
-                    if w == identity[m]:
-                        continue
-                    wu = comp[(w, u)]
-                    for v in lifts((tgt[w], psi), ()):
-                        a = find(index[(u, comp[(v, w)])])
-                        b = find(index[(wu, v)])
-                        if a != b:
-                            parent[a] = b
-    else:
-        squares = []
-        for e in pi.over(K.src[phi]):
-            for u in lifts((e, phi), ()):
-                m = tgt[u]
-                for w in lifts((m, mid), ()):
-                    wu = comp[(w, u)]
-                    for v in lifts((tgt[w], psi), ()):
-                        i, j = index[(u, comp[(v, w)])], index[(wu, v)]
+    squares = []
+    for e in pi.over(K.src[phi]):
+        for u in lifts((e, phi), ()):
+            m = tgt[u]
+            for w in lifts((m, mid), ()):
+                if not certify and w == identity[m]:
+                    continue
+                wu = comp[(w, u)]
+                for v in lifts((tgt[w], psi), ()):
+                    i, j = index[(u, comp[(v, w)])], index[(wu, v)]
+                    if certify:
                         squares.append((w, i, j))
-                        a, b = find(i), find(j)
-                        if a != b:
-                            parent[a] = b
-        coned = _coned_lifts(index, over, squares)
+                    a, b = find(i), find(j)
+                    if a != b:
+                        parent[a] = b
+    coned = _coned_lifts(index, over, squares) if certify else ()
     count, classes = {}, {}
     for i, lift in enumerate(over):
         count[lift] = count.get(lift, 0) + 1

@@ -16,10 +16,13 @@ the cohomology direction (de Silva-Morozov-Vejdemo-Johansson, "Dualities
 in persistent (co)homology", 2011): a cell that was the row of a unit
 pivot one degree down names a column that is an integral combination of
 the others, so it is left out, and every invariant factor stays the same.
-The truncated nerve (`nerve`) and the mapping cone of the chain-map
-certificates are sparse complexes of the Morse complex's shape, reduced by
-the same `_reduce_with_clearing`; the tests reduce the nerve as the Morse
-route's oracle.
+The truncated nerve (`nerve`) is the Morse complex with every
+non-identity morphism a generator, so that no chain is matched.  The
+mapping cone of the chain-map certificates checks its caps on the walk
+counts of two nerves, then builds them and reduces the cone, a sparse
+complex of the same shape, by the same `_reduce_with_clearing`.  The
+tests reduce the nerve as the Morse route's oracle, and check it against
+chains and faces that they enumerate themselves.
 
 Cofinality, the end checks of fibrations and set-valued colimits all read
 categories of elements, decided by one union-find: exact π0-level
@@ -57,61 +60,24 @@ class TruncatedNerve:
     simplices: list
     # boundaries[k][j], for 1 <= k <= max_dim+1, maps the index in
     # simplices[k-1] of each face of simplices[k][j] to its nonzero
-    # coefficient; degenerate faces are dropped (morse.morse_complex's shape)
+    # coefficient; degenerate faces are dropped (as morse.morse_complex
+    # returns them, with every chain critical)
     boundaries: list
 
     def counts(self):
         return [len(s) for s in self.simplices]
 
 
-def _chain_faces(C, chain):
-    """All faces of a composable chain (a tuple), as raw chains (before
-    normalizing)."""
-    out = [chain[1:]]
-    for i in range(1, len(chain)):
-        comp = C.compose(chain[i], chain[i - 1])
-        out.append(chain[:i - 1] + (comp,) + chain[i + 1:])
-    out.append(chain[:-1])
-    return out
-
-
 def nerve(C, d):
-    """Identity-free composable chains of length <= d+1, with the
-    boundaries of the normalized complex."""
+    """Identity-free composable chains of length <= d+1, in sorted order,
+    with the boundaries of the normalized complex: the Morse complex in
+    which every non-identity morphism is a generator, so every chain is
+    critical.  The face relations are checked first, as in homology."""
     if d < 0:
         raise PreconditionError("nerve requires d >= 0")
-    non_id = C.non_identity_morphisms()
-    leaving = {}  # object -> non-identity morphisms out of it
-    for m in non_id:
-        leaving.setdefault(C.src[m], []).append(m)
-    simplices = [tuple(sorted(C.objects))]
-    for k in range(1, d + 2):
-        if k == 1:
-            chains = [(m,) for m in sorted(non_id)]
-        else:
-            chains = [chain + (m,) for chain in simplices[k - 1]
-                      for m in leaving.get(C.tgt[chain[-1]], ())]
-            chains.sort()
-        simplices.append(tuple(chains))
-    at = {x: i for i, x in enumerate(simplices[0])}
-    boundaries = [None, [morse._endpoints(at[C.tgt[m]], at[C.src[m]])
-                         for (m,) in simplices[1]]]
-    for k in range(2, d + 2):
-        at = {s: i for i, s in enumerate(simplices[k - 1])}
-        level = []
-        for chain in simplices[k]:
-            total = {}
-            for i, face in enumerate(_chain_faces(C, chain)):
-                # a chain holds no identities, so only the composite made
-                # by an inner face can be one
-                if 0 < i < k and C.is_identity(face[i - 1]):
-                    continue
-                r = at[face]
-                total[r] = total.get(r, 0) + (-1 if i % 2 else 1)
-            level.append({r: v for r, v in total.items() if v})
-        boundaries.append(level)
     _check_face_relations(C, d)
-    return TruncatedNerve(d, simplices, boundaries)
+    simplices, boundaries = morse.morse_complex(C, d + 1, every_generator=True)
+    return TruncatedNerve(d, [tuple(s) for s in simplices], boundaries)
 
 
 def _walk_counts(C, top):
@@ -442,21 +408,18 @@ def _failed_certificate(C, d):
 def _element_classes(C, over, act, squares=None):
     """Components of a category of elements, as a UnionFind: each element
     x lies over the object over[x] of C, and u out of over[x] takes x to
-    act(u, x).  With a list squares, each such u is also appended to it as
-    the square (id, u, x, act(u, x)) over the point that square_category
-    would build."""
+    act(u, x).  The one walk over the pairs (x, u) joins x and act(u, x);
+    with a list squares, it also appends (id, u, x, act(u, x)) to it, the
+    square over the point that square_category would build."""
     uf = UnionFind(over)
-    if squares is None:
-        for x, c in over.items():
-            for u in C._from[c]:
-                uf.union(x, act(u, x))
-        return uf
-    point = core.terminal().identity["*"]
+    if squares is not None:
+        point = core.terminal().identity["*"]
     for x, c in over.items():
         for u in C._from[c]:
             y = act(u, x)
             uf.union(x, y)
-            squares.append((point, u, x, y))
+            if squares is not None:
+                squares.append((point, u, x, y))
     return uf
 
 
@@ -832,18 +795,20 @@ def chain_map_induces_homology_iso(F, d):
     additionally demands surjectivity in degree d+1.  The cone has
     cone_k = C_{k-1} + D_k, C's cells first, and ∂(c, y) = (-∂c, ∂y - Fc);
     it is a chain complex, so _reduce_with_clearing reduces it exactly.
-    The cap is checked on both nerves' boundaries first, in degree order
-    and D's after C's in each degree.
+    The cap is checked on both nerves' boundaries, from their walk counts,
+    before either nerve is built: in degree order, and D's after C's in
+    each degree.
     """
-    nrv_C = nerve(F.source, d + 1)
-    nrv_D = nerve(F.target, d + 1)
-    fmaps = induced_chain_map(F, nrv_C, nrv_D)
-    counts_C, counts_D = nrv_C.counts(), nrv_D.counts()
+    counts_C = _walk_counts(F.source, d + 1)
+    counts_D = _walk_counts(F.target, d + 2)
     top = d + 2
     for k in range(1, top + 1):
         if k >= 2:
             _check_cap(counts_C, k - 1)
         _check_cap(counts_D, k)
+    nrv_C = nerve(F.source, d + 1)
+    nrv_D = nerve(F.target, d + 1)
+    fmaps = induced_chain_map(F, nrv_C, nrv_D)
     counts = [counts_D[0]] + [counts_C[k - 1] + counts_D[k]
                               for k in range(1, top + 1)]
     boundaries = [None]

@@ -26,12 +26,17 @@ and each matched pair has incidence ±1, so the critical cells span a
 complex with the nerve's integral homology.  Its boundary follows the
 gradient flow from each face of a critical cell, memoized; the flow
 checks both conditions as it goes.
+
+With every_generator, each non-identity morphism is a generator and its
+own one-letter normal form.  No two-letter word is then a normal form, so
+every chain is an Anick chain, no chain is matched, and the complex is the
+normalized nerve itself, in sorted order: `homology.nerve` builds it so.
 """
 
 from __future__ import annotations
 
 
-def morse_complex(C, top):
+def morse_complex(C, top, every_generator=False):
     """The critical cells in degrees 0..top (top >= 1) and the Morse
     boundaries.
 
@@ -39,9 +44,11 @@ def morse_complex(C, top):
     k-cells in sorted order (the objects in degree 0, chains as tuples of
     morphisms above it), and boundaries[k][j], for 1 <= k <= top, maps the
     index in critical[k-1] of each cell to its nonzero coefficient in the
-    Morse boundary of critical[k][j].
+    Morse boundary of critical[k][j].  With every_generator, every
+    non-identity morphism is a generator: no chain is matched, and this is
+    the normalized nerve itself.
     """
-    rw = _Rewriting(C)
+    rw = _Rewriting(C, every_generator)
     critical = [list(C.objects), [(s,) for s in rw.generators]]
     for _ in range(2, top + 1):
         critical.append([cell + (b,) for cell in critical[-1]
@@ -77,7 +84,7 @@ class _Rewriting:
     """Shortlex normal forms of C's morphisms over its generators, the
     matching they define on the nerve's chains, and the gradient flow."""
 
-    def __init__(self, C):
+    def __init__(self, C, every_generator=False):
         self.comp = comp = C._comp
         self.identities = set(C.identity.values())
         non_id = sorted(C.non_identity_morphisms())
@@ -86,15 +93,22 @@ class _Rewriting:
             leaving[C.src[m]].append(m)
         self.leaving = leaving
         self.tgt = C.tgt
-        composites = {comp[(g, f)] for f in non_id for g in leaving[C.tgt[f]]}
-        chosen = {m for m in non_id if m not in composites}
-        while True:
-            self._shortlex(C, chosen)
-            missing = [m for m in non_id if m not in self.nf]
-            if not missing:
-                break
-            chosen.add(missing[0])
-        self.generators = [m for m in non_id if m in chosen]
+        if every_generator:
+            # each morphism is its own one-letter normal form, read off no
+            # composite: no two-letter word is one, so no chain is matched
+            self.nf = self.prefixes = {m: (m,) for m in non_id}
+            self.generators = non_id
+        else:
+            composites = {comp[(g, f)] for f in non_id
+                          for g in leaving[C.tgt[f]]}
+            chosen = {m for m in non_id if m not in composites}
+            while True:
+                self._shortlex(C, chosen)
+                missing = [m for m in non_id if m not in self.nf]
+                if not missing:
+                    break
+                chosen.add(missing[0])
+            self.generators = [m for m in non_id if m in chosen]
         # the morphism each normal form names, then memos of reducing
         # prefixes, Anick tails and flows
         self.named = {w: m for m, w in self.nf.items()}

@@ -1309,8 +1309,12 @@ class TestConePointCountsOracle:
         decided = {True: 0, False: 0}
         for pi in cone_oracle_sample():
             for phi, psi, lifts in fib._composable_lifts(pi):
-                coned = fib._coend_classes(pi, phi, psi, True)[2]
-                assert fib._coend_classes(pi, phi, psi)[2] == ()
+                certified = fib._coend_classes(pi, phi, psi, True)
+                plain = fib._coend_classes(pi, phi, psi)
+                # both walks count the same classes
+                assert certified[:2] == plain[:2], (phi, psi)
+                coned = certified[2]
+                assert plain[2] == ()
                 for lift in lifts:
                     cat = fib.factorization_category(pi, phi, psi, lift)
                     cone = core._cone_point(cat) is not None
@@ -1327,6 +1331,9 @@ class TestConePointCountsOracle:
                                      core.opposite_functor(pi)))):
                 squares = []
                 uf = homology._element_classes(C, over, act, squares)
+                # the squares change no class
+                assert uf.class_map() == \
+                    homology._element_classes(C, over, act).class_map()
                 if not over or len({uf.find(x) for x in over}) != 1:
                     continue
                 cone = core._squares_have_cone(list(over), squares,

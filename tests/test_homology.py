@@ -75,29 +75,16 @@ class TestNerve:
     def test_face_relations_hold(self):
         homology.nerve(core.retract_category(), 2)  # raises on violation
 
-    @pytest.mark.parametrize("C", [
-        core.cyclic_group_category(3), core.cyclic_group_category(4),
-        core.idempotent_category(), core.retract_category(),
-        core.walking_isomorphism(), core.interval(3)])
-    def test_boundaries_are_alternating_sums_of_faces(self, C):
-        # face i of a chain composes its entries i-1 and i, or drops an
-        # end; a face that holds an identity is degenerate and dropped
-        nrv = homology.nerve(C, 3)
-        for k in range(1, 5):
-            at = {s: i for i, s in enumerate(nrv.simplices[k - 1])}
-            for j, chain in enumerate(nrv.simplices[k]):
-                if k == 1:
-                    faces = [C.tgt[chain[0]], C.src[chain[0]]]
-                else:
-                    inner = [chain[:i - 1] + (C._comp[chain[i], chain[i - 1]],)
-                             + chain[i + 1:] for i in range(1, k)]
-                    faces = [chain[1:]] + inner + [chain[:-1]]
-                total = {}
-                for i, face in enumerate(faces):
-                    if k == 1 or not any(map(C.is_identity, face)):
-                        total[at[face]] = total.get(at[face], 0) + (-1) ** i
-                assert nrv.boundaries[k][j] == \
-                    {r: v for r, v in total.items() if v}, (k, chain)
+    @pytest.mark.parametrize("name", [
+        "Z/3", "Z/4", "idempotent", "retract", "walking iso", "[3]",
+        "fixtures", "random"])
+    def test_boundaries_are_alternating_sums_of_faces(self, name):
+        # the nerve comes from morse.morse_complex; the chains are
+        # enumerated here, and each boundary recomputed from raw faces
+        categories = nerve_oracle_categories(name)
+        for C in categories:
+            assert_nerve_from_raw_faces(C, 3)
+        assert len(categories) == {"fixtures": 31, "random": 100}.get(name, 1)
 
     def test_face_relation_violation_raises(self, monkeypatch):
         # g1∘g1 := g0 breaks associativity: (g1∘g1)∘g2 = g2 but
@@ -108,7 +95,78 @@ class TestNerve:
             homology.nerve(C, 2)
 
 
+def nerve_oracle_categories(name):
+    named = {"Z/3": lambda: core.cyclic_group_category(3),
+             "Z/4": lambda: core.cyclic_group_category(4),
+             "idempotent": core.idempotent_category,
+             "retract": core.retract_category,
+             "walking iso": core.walking_isomorphism,
+             "[3]": lambda: core.interval(3)}
+    if name == "fixtures":
+        return [C for C in fixture_categories() if nerve_builds(C, 3)]
+    if name == "random":
+        rng = random.Random(30)
+        return [randgen.random_category(rng, 3, 8) for _ in range(100)]
+    return [named[name]()]
+
+
+def nerve_builds(C, d):
+    """False for the two defect fixtures, whose nerve fails to build."""
+    try:
+        homology.nerve(C, d)
+    except (KeyError, AssertionError):
+        return False
+    return True
+
+
+def identity_free_chains(C, k):
+    """The k-simplices of C's normalized nerve, sorted: the objects for
+    k = 0, otherwise every chain of k composable non-identity morphisms,
+    grown one morphism at a time."""
+    if k == 0:
+        return sorted(C.objects)
+    non_id = [m for m in C.morphisms if not C.is_identity(m)]
+    chains = [(m,) for m in non_id]
+    for _ in range(k - 1):
+        chains = [chain + (m,) for chain in chains for m in non_id
+                  if C.src[m] == C.tgt[chain[-1]]]
+    return sorted(chains)
+
+
+def assert_nerve_from_raw_faces(C, d):
+    # face i of a chain composes its entries i-1 and i, or drops an end; a
+    # face that holds an identity is degenerate and dropped
+    nrv = homology.nerve(C, d)
+    assert len(nrv.simplices) == d + 2
+    for k in range(d + 2):
+        assert list(nrv.simplices[k]) == identity_free_chains(C, k), k
+    for k in range(1, d + 2):
+        at = {s: i for i, s in enumerate(nrv.simplices[k - 1])}
+        for j, chain in enumerate(nrv.simplices[k]):
+            if k == 1:
+                faces = [C.tgt[chain[0]], C.src[chain[0]]]
+            else:
+                faces = chain_faces(C, chain)
+            total = {}
+            for i, face in enumerate(faces):
+                if k == 1 or not any(map(C.is_identity, face)):
+                    total[at[face]] = total.get(at[face], 0) + (-1) ** i
+            assert nrv.boundaries[k][j] == \
+                {r: v for r, v in total.items() if v}, (k, chain)
+
+
 # -- the nerve's face check against every relation in every dimension -------
+
+
+def chain_faces(C, chain):
+    """All faces of a composable chain (a tuple), as raw chains (before
+    normalizing)."""
+    out = [chain[1:]]
+    for i in range(1, len(chain)):
+        comp = C.compose(chain[i], chain[i - 1])
+        out.append(chain[:i - 1] + (comp,) + chain[i + 1:])
+    out.append(chain[:-1])
+    return out
 
 
 def raw_face_relations(C, nrv):
@@ -117,7 +175,7 @@ def raw_face_relations(C, nrv):
     for k in range(2, nrv.max_dim + 2):
         for chain in nrv.simplices[k]:
             ffs = [faces_of_face(C, face)
-                   for face in homology._chain_faces(C, chain)]
+                   for face in chain_faces(C, chain)]
             for j in range(1, k + 1):
                 for i in range(j):
                     if ffs[j][i] != ffs[i][j - 1]:
@@ -128,7 +186,7 @@ def raw_face_relations(C, nrv):
 def faces_of_face(C, chain):
     if len(chain) == 1:
         return [C.tgt[chain[0]], C.src[chain[0]]]
-    return homology._chain_faces(C, chain)
+    return chain_faces(C, chain)
 
 
 def unchecked_nerve(C, d, monkeypatch):
@@ -1039,6 +1097,20 @@ class TestConeOracle:
             refused.append(isinstance(mine, str))
         assert refused[1] and refused[3]  # Z/3 and Z/4 at d = 2
         assert any(refused) and not all(refused)
+
+    @pytest.mark.parametrize("m, d, shape", [
+        (5, 3, "1792x8448"), (6, 3, "4250x25000"), (4, 4, "2106x7290"),
+        (8, 2, "1862x15778")])
+    def test_refused_before_either_nerve_is_built(self, m, d, shape,
+                                                  monkeypatch):
+        # the caps are read off the walk counts, at the real cap
+        def refuse_to_build(C, d):
+            raise AssertionError("a nerve was built before the cap check")
+
+        monkeypatch.setattr(homology, "nerve", refuse_to_build)
+        with pytest.raises(homology.MatrixCapExceeded,
+                           match=f"^boundary matrix {shape} exceeds cap$"):
+            homology.chain_map_induces_homology_iso(group_inclusion(m), d)
 
 
 # -- perfbench's work counters on real calls --------------------------------
