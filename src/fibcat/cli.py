@@ -260,17 +260,20 @@ def cmd_homology(args):
 
 
 def _suite_cases(seed, size):
-    """A deterministic list of (name, thunk) pairs; each thunk returns
-    (ok, artifacts) where artifacts maps filename -> document."""
+    """A deterministic list of (name, thunk) pairs.  A thunk takes an
+    empty dict, puts each input it draws there under the file name of its
+    failure artifact (a Functor or a Profunctor) as soon as it has it,
+    and returns whether the case holds; its documents are built only if
+    the case fails or raises."""
     cases = []
 
     def triangle(i):
-        def run():
+        def run(inputs):
             rng = random.Random(f"{seed}:triangle:{i}")
             A = randgen.random_category(rng, 3, 7, prefix="a.")
             B = randgen.random_category(rng, 3, 7, prefix="b.")
-            P = randgen.random_profunctor(rng, A, B)
-            art = {"profunctor.json": docs.profunctor_to_doc(P)}
+            P = inputs["profunctor.json"] = randgen.random_profunctor(
+                rng, A, B)
             c = corrs.collage(P)
             X = corrs.profunctor_to_bifib(P)
             corrs.roundtrip_prof_corr(P)
@@ -279,21 +282,20 @@ def _suite_cases(seed, size):
             corrs.roundtrip_corr_bifib(c)
             corrs.roundtrip_bifib_prof(X)
             corrs.roundtrip_bifib_corr(X)
-            return True, art
+            return True
         return run
 
     def routes(i):
-        def run():
+        def run(inputs):
             rng = random.Random(f"{seed}:routes:{i}")
             P01, P12 = randgen.random_composable_profunctors(rng)
-            art = {"p01.json": docs.profunctor_to_doc(P01),
-                   "p12.json": docs.profunctor_to_doc(P12)}
+            inputs["p01.json"], inputs["p12.json"] = P01, P12
             corrs.composition_routes(P01, P12)
-            return True, art
+            return True
         return run
 
     def profile(i):
-        def run():
+        def run(inputs):
             rng = random.Random(f"{seed}:profile:{i}")
             n = rng.choice([1, 2, 3])
             if n == 1:
@@ -304,7 +306,7 @@ def _suite_cases(seed, size):
                                                    max_generators=1)
             else:
                 pi = randgen.random_functor_over(rng, core.interval(3))
-            art = {"functor.json": docs.functor_to_doc(pi)}
+            inputs["functor.json"] = pi
             prof = fibrations.classify(pi)
             dual = fibrations.classify(core.opposite_functor(pi))
             swap = {
@@ -318,38 +320,34 @@ def _suite_cases(seed, size):
                 "left_final": "right_initial",
                 "right_initial": "left_final",
             }
-            ok = all(prof.verdicts[k] == dual.verdicts[swap[k]]
-                     for k in prof.verdicts)
-            return ok, art
+            return all(prof.verdicts[k] == dual.verdicts[swap[k]]
+                       for k in prof.verdicts)
         return run
 
     def finality(i):
-        def run():
+        def run(inputs):
             rng = random.Random(f"{seed}:finality:{i}")
-            f = randgen.random_final_functor(rng)
-            art = {"functor.json": docs.functor_to_doc(f)}
+            f = inputs["functor.json"] = randgen.random_final_functor(rng)
             ok = homology.is_final(f).ok
             # compose with the component collapse, itself final; the
             # composite must come out final (two-out-of-three)
             to_point = core.constant_functor(f.target, core.terminal(), "*")
             g = transport.rfib_replacement(to_point).unit
             ok = ok and homology.is_final(g).ok
-            ok = ok and homology.is_final(f.then(g)).ok
-            return ok, art
+            return ok and homology.is_final(f.then(g)).ok
         return run
 
     def replacement(i):
-        def run():
+        def run(inputs):
             rng = random.Random(f"{seed}:replacement:{i}")
             K = randgen.random_poset(rng, 3, prefix="k")
-            pi = randgen.random_functor_over(rng, K)
-            art = {"functor.json": docs.functor_to_doc(pi)}
+            pi = inputs["functor.json"] = randgen.random_functor_over(rng, K)
             # each replacement checks its projection (coCartesian, strict
             # discrete opfibration) and raises InternalInvariantError, a
             # failed case, when it is not
             transport.cocart_replacement(pi)
             transport.lfib_replacement(pi)
-            return True, art
+            return True
         return run
 
     for i in range(size):
@@ -371,6 +369,10 @@ def _failure(exc):
             f"{os.path.basename(at.filename)}:{at.lineno} in {at.name})")
 
 
+_INPUT_DOCS = {core.Functor: docs.functor_to_doc,
+               corrs.Profunctor: docs.profunctor_to_doc}
+
+
 def cmd_suite(args):
     cases = _suite_cases(args.seed, args.size)
     results = [None] * len(cases)
@@ -378,11 +380,12 @@ def cmd_suite(args):
     def run_cases(first, step):
         for i in range(first, len(cases), step):
             name, thunk = cases[i]
+            inputs = {}
             try:
-                ok, artifacts = thunk()
-                results[i] = name, ok, None, artifacts
+                ok, err = thunk(inputs), None
             except Exception as exc:  # property failure with context
-                results[i] = name, False, _failure(exc), {}
+                ok, err = False, _failure(exc)
+            results[i] = name, ok, err, None if ok else inputs
 
     # plain threads: concurrent.futures would import logging and queue on
     # every such run, and under the GIL no pool runs the cases faster
@@ -396,14 +399,15 @@ def cmd_suite(args):
             t.join()
     else:
         run_cases(0, 1)
-    failures = [(n, err, art) for (n, ok, err, art) in results if not ok]
+    failures = [(n, err, inputs) for (n, ok, err, inputs) in results
+                if not ok]
     if failures and args.artifacts:
         os.makedirs(args.artifacts, exist_ok=True)
-        for name, err, art in failures:
-            for fname, doc in art.items():
+        for name, err, inputs in failures:
+            for fname, value in inputs.items():
                 path = os.path.join(args.artifacts, f"{name}__{fname}")
                 with open(path, "w", encoding="utf-8") as fh:
-                    fh.write(docs.dumps(doc))
+                    fh.write(docs.dumps(_INPUT_DOCS[type(value)](value)))
     _report(args, {
         "cases": len(results),
         "failures": len(failures),

@@ -113,10 +113,16 @@ def validate_category(objects, morphisms, identities, composition):
     out_of = {}
     for m in mors:
         out_of.setdefault(src[m], []).append(m)
-    for f in mors:
-        for g in out_of.get(tgt[f], ()):
-            if (g, f) not in composition:
-                report.append(f"missing composite for pair ({g},{f})")
+    # with no fault so far, every key is a composable pair and every
+    # object has its identity in out_of, so a composite is missing
+    # exactly when there are fewer keys than composable pairs: the pairs
+    # are walked only then, to name it, or when a fault is already found
+    if report or len(composition) < sum(
+            map(len, map(out_of.__getitem__, tgt.values()))):
+        for f in mors:
+            for g in out_of.get(tgt[f], ()):
+                if (g, f) not in composition:
+                    report.append(f"missing composite for pair ({g},{f})")
     if report:
         return report
     # in a thin category (at most one morphism per hom-set) both sides of

@@ -13,6 +13,8 @@ bimodule or set-valued table that name nothing, raise ValidationFailure.
 from __future__ import annotations
 
 import json
+from itertools import chain
+from operator import itemgetter
 
 from . import core, correspondences as corrs
 from .core import FiniteCategory, Functor
@@ -38,8 +40,21 @@ def dumps(doc):
 
     With an indent, json encodes in pure Python, node by node.  Strings,
     lists, tuples and dicts with str keys, nearly all of a document, are
-    written here by joins instead, a row of strings in one join; every
-    other value is handed to json.
+    written here by joins instead, and three shapes of table are written
+    whole, in one join over their rows:
+
+    - a list or tuple of non-empty lists or tuples of strings (a
+      category's compose rows), one join per row inside one join;
+    - a list of dicts with the same str keys and only str values (its
+      morphism entries), through itemgetter and one % pattern;
+    - a dict of str to str (identities, a functor's maps, actions).
+
+    A table is written so only when json would write each of its strings
+    as it is, between quotes.  That is checked once per table: the
+    table's distinct strings are joined, and encode_basestring must
+    lengthen the text by its two quotes alone.  A table of fewer than
+    eight entries is written entry by entry, which is quicker for it.  A
+    row of strings is one join too; every other value is handed to json.
     """
     parts = []
     encode = json.JSONEncoder(sort_keys=True, indent=2,
@@ -51,6 +66,60 @@ def dumps(doc):
 
 _encode_str = json.encoder.encode_basestring
 _SCALARS = (int, float, bool, type(None))
+_ROWS = {list, tuple}
+_STR = {str}
+_ENTRIES = {list, tuple, dict}
+_MIN_ROWS = 8
+
+
+def _plain(text):
+    """Whether json writes each string whose characters text holds as it
+    is, between quotes: no quote, backslash or control character."""
+    return len(_encode_str(text)) == len(text) + 2
+
+
+def _bulk(value, kind, newline):
+    """(head, body, tail): the canonical text of value, a table of plain
+    strings, with its body written in one join; None when value, a
+    non-empty list, tuple or dict, is no such table."""
+    inner = newline + "  "
+    try:
+        if kind is dict:
+            if not (_plain("".join(value))
+                    and _plain("".join(value.values()))):
+                return None
+            return ("{" + inner + '"',
+                    ('",' + inner + '"').join(
+                        map('": "'.join, sorted(value.items()))),
+                    '"' + newline + "}")
+        kinds = set(map(type, value))
+        if kinds <= _ROWS:
+            if not (all(value) and type(value[0][0]) is str
+                    and _plain("".join(set(chain.from_iterable(value))))):
+                return None
+            cell = inner + "  "
+            return ("[" + inner + "[" + cell + '"',
+                    ('"' + inner + "]," + inner + "[" + cell + '"').join(
+                        map(('",' + cell + '"').join, value)),
+                    '"' + inner + "]" + newline + "]")
+        first = value[0]
+        if (kinds != {dict} or not first
+                or set(map(type, first.values())) != _STR
+                or len(set(map(len, value))) != 1):
+            return None
+        keys = sorted(first)
+        rows = list(map(itemgetter(*keys), value))
+        if not _plain("".join(set(
+                chain.from_iterable(rows) if len(keys) > 1 else rows))):
+            return None
+        field = inner + "  "
+        record = ("{" + field + ("," + field).join(
+            _encode_str(k).replace("%", "%%") + ': "%s"' for k in keys)
+            + inner + "}")
+        return "[" + inner, ("," + inner).join(map(record.__mod__, rows)), \
+            newline + "]"
+    except (TypeError, KeyError):  # a non-str key or cell, or a key missing
+        return None
 
 
 def _dump(value, newline, encode, out):
@@ -60,9 +129,22 @@ def _dump(value, newline, encode, out):
     if kind is str:
         out(_encode_str(value))
         return
-    if (kind is list or kind is tuple or kind is dict) and not value:
-        out("{}" if kind is dict else "[]")
-        return
+    if kind is list or kind is tuple or kind is dict:
+        if not value:
+            out("{}" if kind is dict else "[]")
+            return
+        # a short table is quicker entry by entry, and a glance at the
+        # types turns most other values away before _bulk
+        if len(value) >= _MIN_ROWS and (
+                set(map(type, value.values())) == _STR if kind is dict
+                else type(value[0]) in _ENTRIES):
+            table = _bulk(value, kind, newline)
+            if table:
+                head, body, tail = table
+                out(head)
+                out(body)
+                out(tail)
+                return
     inner = newline + "  "
     sep = "," + inner
     if kind is list or kind is tuple:

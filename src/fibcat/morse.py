@@ -31,6 +31,7 @@ With every_generator, each non-identity morphism is a generator and its
 own one-letter normal form.  No two-letter word is then a normal form, so
 every chain is an Anick chain, no chain is matched, and the complex is the
 normalized nerve itself, in sorted order: `homology.nerve` builds it so.
+Its boundaries read the faces directly, with no matching and no flow.
 """
 
 from __future__ import annotations
@@ -49,10 +50,17 @@ def morse_complex(C, top, every_generator=False):
     the normalized nerve itself.
     """
     rw = _Rewriting(C, every_generator)
+    if every_generator:
+        # every chain is critical: it extends by each morphism leaving its
+        # end, and the flow of each of its faces is that face itself
+        leaving, tgt = rw.leaving, C.tgt
+        tails = lambda a: leaving[tgt[a]]
+    else:
+        tails = rw.tails
     critical = [list(C.objects), [(s,) for s in rw.generators]]
     for _ in range(2, top + 1):
         critical.append([cell + (b,) for cell in critical[-1]
-                         for b in rw.tails(cell[-1])])
+                         for b in tails(cell[-1])])
     at = {x: i for i, x in enumerate(critical[0])}
     boundaries = [None, [_endpoints(at[C.tgt[s]], at[C.src[s]])
                          for (s,) in critical[1]]]
@@ -62,7 +70,8 @@ def morse_complex(C, top, every_generator=False):
         for cell in critical[k]:
             total = {}
             for face, sign in rw.faces(cell):
-                for c, v in rw.flow(face).items():
+                for c, v in (((face, 1),) if every_generator
+                             else rw.flow(face).items()):
                     i = at[c]
                     total[i] = total.get(i, 0) + sign * v
             level.append({i: v for i, v in total.items() if v})

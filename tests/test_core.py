@@ -259,6 +259,44 @@ class TestIndexedValidationOracle:
         assert report and all(line.startswith("associativity fails on ")
                               for line in report)
 
+    # validate_category walks the composable pairs for a missing
+    # composite only when the table has fewer keys than there are such
+    # pairs, or has a fault already
+
+    def test_missing_composite_beside_a_stray_key(self):
+        C = core.interval(3)
+        for stray in [("0->1", "1->2"), ("nope", "0->1")]:
+            comp = C.composition_table()
+            del comp[("1->2", "0->1")]
+            comp[stray] = "0->2"
+            pairs = sum(C.tgt[f] == C.src[g]
+                        for f in C.morphisms for g in C.morphisms)
+            assert len(comp) == pairs
+            report = assert_reports_agree(
+                (C.objects, C.morphism_triples(), C.identity, comp))
+            assert report == [
+                "composition defined on non-composable pair (0->1,1->2)"
+                if stray[0] == "0->1" else
+                "composition of unknown morphisms (nope,0->1)",
+                "missing composite for pair (1->2,0->1)"]
+
+    @pytest.mark.parametrize("name", ["thin", "dense"])
+    def test_one_composite_missing(self, name):
+        # Ar([3]) has at most one morphism per hom-set; Z/4 x [1] has
+        # four in most and a composite for nearly every pair
+        C = (core.arrow_category(core.interval(3))[0] if name == "thin"
+             else core.product(core.cyclic_group_category(4),
+                               core.interval(1)))
+        comp = C.composition_table()
+        for g, f in sorted(comp)[::7]:
+            if f in C.identity.values() or g in C.identity.values():
+                continue
+            missing = dict(comp)
+            del missing[(g, f)]
+            report = assert_reports_agree(
+                (C.objects, C.morphism_triples(), C.identity, missing))
+            assert report == [f"missing composite for pair ({g},{f})"]
+
     def test_redirected_morphism_image(self):
         Z = core.cyclic_group_category(4)
         F = redirected(core.identity_functor(Z), "g1", "g3")

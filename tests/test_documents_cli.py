@@ -1037,9 +1037,14 @@ class TestSuiteRunner:
         # force a failing case by running a size-0 suite with a stubbed case
         from fibcat import cli as cli_mod
         art = tmp_path / "artifacts"
-        cases = [("planted", lambda: (False, {
-            "instance.json": docs.category_to_doc(core.interval(1))}))]
-        monkeypatch.setattr(cli_mod, "_suite_cases", lambda seed, size: cases)
+        F = core.identity_functor(core.interval(1))
+
+        def planted(inputs):
+            inputs["instance.json"] = F
+            return False
+
+        monkeypatch.setattr(cli_mod, "_suite_cases",
+                            lambda seed, size: [("planted", planted)])
         parser = cli_mod.build_parser()
         args = parser.parse_args(["suite", "--seed", "0", "--size", "1",
                                   "--artifacts", str(art)])
@@ -1050,12 +1055,50 @@ class TestSuiteRunner:
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
             code = args.func(args)
-        assert (art / "planted__instance.json").exists()
+        assert (art / "planted__instance.json").read_text("utf-8") == \
+            docs.dumps(docs.functor_to_doc(F))
+
+    def test_a_raising_case_writes_its_inputs(self, tmp_path, monkeypatch):
+        rng = random.Random(3)
+        A = randgen.random_category(rng, 2, 5, prefix="a.")
+        B = randgen.random_category(rng, 2, 5, prefix="b.")
+        P = randgen.random_profunctor(rng, A, B)
+
+        def raises(inputs):
+            inputs["profunctor.json"] = P
+            core.point(core.terminal(), "nope")
+
+        def passes(inputs):
+            inputs["unwritten.json"] = P
+            return True
+
+        cases = [("passes", passes), ("raises", raises)]
+        monkeypatch.setattr(cli, "_suite_cases", lambda seed, size: cases)
+        art = tmp_path / "artifacts"
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert cli.main(["suite", "--size", "1",
+                             "--artifacts", str(art)]) == 0
+        assert json.loads(out.getvalue())["verdicts"]["failures"] == 1
+        assert sorted(os.listdir(art)) == ["raises__profunctor.json"]
+        assert (art / "raises__profunctor.json").read_text("utf-8") == \
+            docs.dumps(docs.profunctor_to_doc(P))
+
+    def test_passing_cases_build_no_documents(self, monkeypatch):
+        built = []
+        for name in ("functor_to_doc", "profunctor_to_doc"):
+            real = getattr(docs, name)
+            monkeypatch.setattr(docs, name, lambda x, real=real: (
+                built.append(x), real(x))[1])
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert cli.main(["suite", "--seed", "5", "--size", "1"]) == 0
+        assert json.loads(out.getvalue())["verdicts"]["all_passed"]
+        assert built == []
 
     def test_failure_records_name_the_innermost_fibcat_frame(self,
                                                              monkeypatch):
-        cases = [("passes", lambda: (True, {})),
-                 ("planted", lambda: core.point(core.terminal(), "nope"))]
+        cases = [("passes", lambda inputs: True),
+                 ("planted", lambda inputs: core.point(core.terminal(),
+                                                       "nope"))]
         monkeypatch.setattr(cli, "_suite_cases", lambda seed, size: cases)
         with contextlib.redirect_stdout(io.StringIO()) as out:
             assert cli.main(["suite", "--size", "1"]) == 0
@@ -1191,8 +1234,130 @@ _documents = st.recursive(
         | st.dictionaries(_text | st.integers(), children, max_size=3)),
     max_leaves=16)
 
+# cells json writes as they are: docs.dumps takes its row path on tables
+# of these, and falls back on tables with a cell of _text that needs
+# escaping
+_plain_text = st.text(alphabet=st.sampled_from(
+    ['a', 'b', ',', ' ', ':', '%', 'é', '\U0001f600']), max_size=4)
+_non_strings = st.none() | st.booleans() | st.integers() | st.just([])
+# table lengths, mostly at or past the row path's least length
+_lengths = st.sampled_from([0, 1, 7, 8, 9, 12])
+
+
+@st.composite
+def _string_tables(draw):
+    """A table of equal-length string rows, shorter and longer than the
+    row path's least length, of plain cells or of cells that may need
+    escaping; now and then one row is empty or has one non-string cell."""
+    cells = draw(st.sampled_from([_plain_text, _text]))
+    width = draw(st.integers(1, 4))
+    rows = [draw(st.lists(cells, min_size=width, max_size=width))
+            for _ in range(draw(_lengths))]
+    odd = draw(st.sampled_from([None, None, None, "empty", "non-string"]))
+    if rows and odd:
+        i = draw(st.integers(0, len(rows) - 1))
+        if odd == "empty":
+            rows[i] = []
+        else:
+            rows[i][draw(st.integers(0, width - 1))] = draw(_non_strings)
+    if draw(st.booleans()):
+        rows = tuple(tuple(row) for row in rows)
+    return rows
+
+
+@st.composite
+def _records(draw):
+    """A list of dicts with the same keys (one to three, which may need
+    escaping) and string values; now and then one record lacks a key,
+    has another, or has a non-string value."""
+    keys = draw(st.lists(_plain_text | _text, min_size=1, max_size=3,
+                         unique=True))
+    cells = draw(st.sampled_from([_plain_text, _text]))
+    records = [{k: draw(cells) for k in keys}
+               for _ in range(draw(_lengths))]
+    odd = draw(st.sampled_from([None, None, None, "lacks", "extra",
+                                 "non-string"]))
+    if records and odd:
+        record = records[draw(st.integers(0, len(records) - 1))]
+        key = draw(st.sampled_from(keys))
+        if odd == "lacks":
+            del record[key]
+        elif odd == "extra":
+            record[key + "+"] = draw(cells)
+        else:
+            record[key] = draw(_non_strings)
+    return records
+
+
+@st.composite
+def _string_maps(draw):
+    """A dict of strings to strings, keys or values or both of which may
+    need escaping, now and then with one non-string value."""
+    either = st.sampled_from([_plain_text, _text])
+    keys, cells = draw(st.tuples(either, either))
+    n = draw(_lengths)
+    table = draw(st.dictionaries(keys, cells, min_size=n, max_size=n))
+    if table and draw(st.integers(0, 3)) == 0:
+        table[draw(st.sampled_from(sorted(table)))] = draw(_non_strings)
+    return table
+
+
+_tables = _string_tables() | _records() | _string_maps()
+
 
 class TestCanonicalEmitter:
+    @settings(max_examples=400, deadline=None)
+    @given(_tables, st.sampled_from(["bare", "in a dict", "in a list"]))
+    def test_tables_emit_as_json_does(self, table, where):
+        value = {"bare": table, "in a dict": {"t": table, "u": [table]},
+                 "in a list": [table, "x"]}[where]
+        assert outcome(docs.dumps, value) == outcome(stdlib_dumps, value)
+
+    @pytest.mark.parametrize("value", [
+        [{"a%": f"{i}%s", "b": "%"} for i in range(9)],
+        [{"%s": f"{i}", "%%": "%d"} for i in range(9)],
+        [{"one": f"{i}"} for i in range(9)],
+        [{'"k"\n': f"{i}", "\\": "\U0001f600"} for i in range(9)],
+        [{"a": "x", "b": "y"}] * 8 + [{"a": "x", "c": "y"}],
+        [{"a": "x", "b": "y"}] * 8 + [{"a": "x"}],
+        [{"a": "x"}] * 8 + [{"a": 1}],
+        [["a", "b"]] * 8 + [[]], [["a", "b"]] * 8 + [["a", None]],
+        [("a", "b")] * 8 + [["c", '"']], [["é"]] * 7 + [["\x00"]],
+        {f"%{i}": f'{i}"' for i in range(8)},
+        {f'"{i}': f"{i}" for i in range(8)}])
+    def test_edge_tables(self, value):
+        assert outcome(docs.dumps, value) == outcome(stdlib_dumps, value)
+
+    @pytest.mark.parametrize("value", [
+        [[f"{i}->{j}", "a", f"{j}->{i}"] for i in range(100)
+         for j in range(100)],
+        [[f"{i}", "a\U0001f600b", "é"] for i in range(10_000)]
+        + [["\x1f", "\\", '"']],
+        [{"id": f"m{i}", "src": "x", "tgt": f"y{i % 7}"}
+         for i in range(10_000)],
+        {f"k{i}": f"v{i}%s" for i in range(10_000)}])
+    def test_ten_thousand_rows(self, value):
+        assert docs.dumps(value) == stdlib_dumps(value)
+        assert docs.dumps({"t": value}) == stdlib_dumps({"t": value})
+
+    def test_category_tables_take_the_row_path(self, monkeypatch):
+        real = docs._bulk
+        written = []
+
+        def spy(value, kind, newline):
+            table = real(value, kind, newline)
+            if table:
+                written.append(len(value))
+            return table
+
+        monkeypatch.setattr(docs, "_bulk", spy)
+        Ar = core.arrow_category(core.interval(3))[0]
+        doc = docs.category_to_doc(Ar)
+        assert docs.dumps(doc) == stdlib_dumps(doc)
+        # compose rows, morphism records and identities
+        assert written == [len(doc["compose"]), len(doc["identities"]),
+                           len(doc["morphisms"])]
+
     @settings(max_examples=400, deadline=None)
     @given(_documents)
     def test_values_emit_as_json_does(self, value):

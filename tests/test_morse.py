@@ -308,3 +308,16 @@ class TestFlowChecks:
         with pytest.raises(fibrations.InternalInvariantError,
                            match="Morse matching has a cycle"):
             homology.homology(core.cyclic_group_category(3), 2)
+
+
+class TestEveryGenerator:
+    def test_the_nerve_reads_faces_without_the_matching(self, monkeypatch):
+        # every chain is critical, so the flow of a face is the face itself
+        def unused(*args):
+            raise AssertionError("the nerve ran the matching")
+
+        for name in ("match", "reducing_prefix", "tails", "flow"):
+            monkeypatch.setattr(morse._Rewriting, name, unused)
+        C = core.product(core.cyclic_group_category(3), core.interval(1))
+        nrv = homology.nerve(C, 3)
+        assert nrv.counts() == homology._walk_counts(C, 4)
