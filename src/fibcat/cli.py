@@ -18,7 +18,6 @@ import random
 import sys
 import threading
 import time
-import traceback
 
 from . import core, correspondences as corrs, documents as docs
 from . import fibrations, homology, randgen, transport
@@ -29,13 +28,17 @@ EXIT_PRECONDITION = 4
 EXIT_INTERNAL = 5
 
 
+_PLAIN = (str, int)
+
+
 def _json_safe(value):
-    # strings, and lists of them, are most of a report: they pass as they are
+    # strings, and lists of strings or ints (homology rows), are most of a
+    # report: they pass as they are
     if type(value) is str:
         return value
     if isinstance(value, dict):
         return {str(k): _json_safe(v) for k, v in value.items()}
-    if type(value) is list and all(type(v) is str for v in value):
+    if type(value) is list and all(type(v) in _PLAIN for v in value):
         return value
     if isinstance(value, (list, tuple, set, frozenset)):
         items = [_json_safe(v) for v in value]
@@ -361,7 +364,10 @@ def _suite_cases(seed, size):
 
 def _failure(exc):
     """Type: message (at fibcat/module.py:line in function), at the
-    innermost frame in this package, named relative to the package."""
+    innermost frame in this package, named relative to the package.
+    traceback is imported here, once a case has failed: no passing run
+    needs it."""
+    import traceback
     package = os.path.dirname(os.path.abspath(__file__))
     at = [f for f in traceback.extract_tb(exc.__traceback__)
           if os.path.dirname(os.path.abspath(f.filename)) == package][-1]

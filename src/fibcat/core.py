@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import weakref
 from collections import Counter
-from dataclasses import dataclass
+from .records import FrozenRecord
 
 
 class CategoryError(ValueError):
@@ -626,11 +626,11 @@ def pairing_functor(F, G):
                    _validate=False)
 
 
-@dataclass(frozen=True)
-class PullbackSquare:
-    total: FiniteCategory
-    to_left: Functor   # projection to the source of F
-    to_right: Functor  # projection to the source of G
+class PullbackSquare(FrozenRecord):
+    __slots__ = ("total", "to_left", "to_right")  # to the sources of F, G
+
+    def __init__(self, total, to_left, to_right):
+        self._fill(total, to_left, to_right)
 
 
 def pullback(F, G):

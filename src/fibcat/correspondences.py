@@ -23,19 +23,18 @@ relation, with lexicographically least representatives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from collections import namedtuple
 
 from . import bifib_squares, core, fibrations, homology
 from .core import FiniteCategory, Functor, PreconditionError
+from .records import Record
 from .unionfind import UnionFind
 
 
 # -- profunctors ------------------------------------------------------------
 
 
-@dataclass
-class Profunctor:
+class Profunctor(Record):
     """A finite-set-valued bimodule between finite categories.
 
     elements[(a, b)] is a sorted tuple of element ids.  For alpha: a' -> a,
@@ -43,11 +42,11 @@ class Profunctor:
     beta: b -> b', ract[(a, beta)] maps elements(a, b) to elements(a, b').
     Both actions are functorial and commute.
     """
-    source: FiniteCategory
-    target: FiniteCategory
-    elements: dict
-    lact: dict
-    ract: dict
+    __slots__ = ("source", "target", "elements", "lact", "ract")
+
+    def __init__(self, source, target, elements, lact, ract):
+        self.source, self.target = source, target
+        self.elements, self.lact, self.ract = elements, lact, ract
 
     def validate(self):
         A, B = self.source, self.target
@@ -198,12 +197,13 @@ def transpose_profunctor(P):
     return Profunctor(Bop, Aop, elements, lact, ract)
 
 
-@dataclass
-class ProfunctorIso:
+class ProfunctorIso(Record):
     """A family of bijections between element sets, natural on both sides."""
-    source: Profunctor
-    target: Profunctor
-    components: dict  # (a, b) -> dict x -> y
+    __slots__ = ("source", "target", "components")
+
+    def __init__(self, source, target, components):
+        self.source, self.target = source, target
+        self.components = components  # (a, b) -> dict x -> y
 
     def validate(self):
         P, Q = self.source, self.target
@@ -246,15 +246,15 @@ def profunctor_iso_from_map(P, Q, mapping):
 # -- correspondences ---------------------------------------------------------
 
 
-@dataclass
-class Correspondence:
+class Correspondence(Record):
     """A finite category over the 1-cell with identified strict fibers."""
-    total: FiniteCategory
-    projection: Functor
-    fiber_s: FiniteCategory
-    fiber_t: FiniteCategory
-    _bimodule: Profunctor = field(default=None, init=False, repr=False,
-                                  compare=False)
+    __slots__ = ("total", "projection", "fiber_s", "fiber_t", "_bimodule")
+    _hidden = ("_bimodule",)
+
+    def __init__(self, total, projection, fiber_s, fiber_t):
+        self.total, self.projection = total, projection
+        self.fiber_s, self.fiber_t = fiber_s, fiber_t
+        self._bimodule = None
 
     def bimodule(self):
         """The cross-hom bimodule, corr_to_profunctor(self), read once."""
@@ -397,16 +397,18 @@ def corr_to_profunctor(c):
 # -- two-sided discrete fibrations -------------------------------------------
 
 
-@dataclass
-class TwoSidedDiscreteFibration:
+class TwoSidedDiscreteFibration(Record):
     """A span A <- X -> B with unique source-fixed lifts in the
     B-direction, unique target-fixed lifts in the A-direction, and
     discrete homs over each base pair."""
-    total: FiniteCategory
-    to_left: Functor   # X -> A
-    to_right: Functor  # X -> B
-    # (rho, lam): the transports along the unique lifts, kept by validate
-    transports: tuple = field(default=None, repr=False, compare=False)
+    __slots__ = ("total", "to_left", "to_right", "transports")
+    _hidden = ("transports",)
+
+    def __init__(self, total, to_left, to_right, transports=None):
+        self.total = total
+        self.to_left, self.to_right = to_left, to_right  # X -> A, X -> B
+        # (rho, lam): the transports along the unique lifts, kept by validate
+        self.transports = transports
 
     @property
     def left(self):
@@ -678,10 +680,9 @@ def roundtrip_bifib_corr(X):
 # -- gluing over the triangle and the three composition rules -----------------
 
 
-class GluedTriangle(NamedTuple):
-    total: FiniteCategory
-    projection: Functor  # to interval(2)
-    cross_class: dict    # (p, q) -> morphism id of the glued cross class
+# projection: to interval(2); cross_class: (p, q) -> morphism id of the
+# glued cross class
+GluedTriangle = namedtuple("GluedTriangle", "total projection cross_class")
 
 
 def coend_pairs(P01, P12, a, c):

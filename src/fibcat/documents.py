@@ -54,18 +54,19 @@ def dumps(doc):
     table's distinct strings are joined, and encode_basestring must
     lengthen the text by its two quotes alone.  A table of fewer than
     eight entries is written entry by entry, which is quicker for it.  A
-    row of strings is one join too; every other value is handed to json.
+    row of strings, or of ints, is one join too.  Ints, booleans and None
+    are written here as json writes them; every other value is handed to
+    json, whose encoder is built the first time one needs it.
     """
     parts = []
-    encode = json.JSONEncoder(sort_keys=True, indent=2,
-                              ensure_ascii=False).encode
-    _dump(doc, "\n", encode, parts.append)
+    _dump(doc, "\n", parts.append)
     parts.append("\n")
     return "".join(parts)
 
 
 _encode_str = json.encoder.encode_basestring
-_SCALARS = (int, float, bool, type(None))
+_encode = None  # json's canonical encoder, once a value has needed it
+_INT = {int}
 _ROWS = {list, tuple}
 _STR = {str}
 _ENTRIES = {list, tuple, dict}
@@ -122,12 +123,16 @@ def _bulk(value, kind, newline):
         return None
 
 
-def _dump(value, newline, encode, out):
+def _dump(value, newline, out):
     """Write value's canonical text through out.  newline is a line break
     and the indent of the line that value starts on."""
+    global _encode
     kind = type(value)
     if kind is str:
         out(_encode_str(value))
+        return
+    if kind is int:  # a bool is no int here: json writes it true or false
+        out(int.__repr__(value))
         return
     if kind is list or kind is tuple or kind is dict:
         if not value:
@@ -154,11 +159,15 @@ def _dump(value, newline, encode, out):
             return
         except TypeError:
             pass
+        if _INT.issuperset(map(type, value)):  # a row of ints
+            out("[" + inner + sep.join(map(int.__repr__, value)) + newline
+                + "]")
+            return
         head = "[" + inner
         for item in value:
             out(head)
             head = sep
-            _dump(item, inner, encode, out)
+            _dump(item, inner, out)
         out(newline + "]")
         return
     if kind is dict:
@@ -172,15 +181,21 @@ def _dump(value, newline, encode, out):
             for key, (_, item) in zip(keys, items):
                 out(head + key + ": ")
                 head = sep
-                _dump(item, inner, encode, out)
+                _dump(item, inner, out)
             out(newline + "}")
             return
-    if kind in _SCALARS:
-        out(json.dumps(value))
+    if kind is bool:
+        out("true" if value else "false")
         return
+    if value is None:
+        out("null")
+        return
+    if _encode is None:
+        _encode = json.JSONEncoder(sort_keys=True, indent=2,
+                                   ensure_ascii=False).encode
     # json's text starts at indent 0; its raw newlines are separators only,
     # never inside a string, so the indent is added after each of them
-    out(encode(value).replace("\n", newline))
+    out(_encode(value).replace("\n", newline))
 
 
 def loads(text):

@@ -29,20 +29,20 @@ repaired.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import core, homology
 from .core import Functor, PreconditionError
+from .records import Record
 
 
 class InternalInvariantError(RuntimeError):
     """An implication between independently computed verdicts failed."""
 
 
-@dataclass
-class Verdict:
-    ok: bool
-    witness: object = None
+class Verdict(Record):
+    __slots__ = ("ok", "witness")
+
+    def __init__(self, ok, witness=None):
+        self.ok, self.witness = ok, witness
 
     def __bool__(self):
         return self.ok
@@ -594,10 +594,12 @@ def fiber_inclusion_over_arrow(pi, phi, end):
 # -- the profile -------------------------------------------------------------
 
 
-@dataclass
-class FibrationProfile:
-    verdicts: dict
-    witnesses: dict = field(default_factory=dict)
+class FibrationProfile(Record):
+    __slots__ = ("verdicts", "witnesses")
+
+    def __init__(self, verdicts, witnesses=None):
+        self.verdicts = verdicts
+        self.witnesses = {} if witnesses is None else witnesses
 
     def __getitem__(self, key):
         return self.verdicts[key]

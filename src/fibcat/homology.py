@@ -33,12 +33,12 @@ never claims anything beyond degree d.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import compress, product
 
 from . import core, morse
 from .core import PreconditionError
+from .records import Record
 from .unionfind import UnionFind
 
 
@@ -52,17 +52,19 @@ _MATRIX_CAP = 4_000_000  # entries per boundary matrix
 # -- truncated nerve ------------------------------------------------------
 
 
-@dataclass
-class TruncatedNerve:
-    max_dim: int
-    # simplices[k] for k in 0..max_dim+1; a k-simplex is a tuple of k
-    # composable non-identity morphisms (objects in dimension 0)
-    simplices: list
-    # boundaries[k][j], for 1 <= k <= max_dim+1, maps the index in
-    # simplices[k-1] of each face of simplices[k][j] to its nonzero
-    # coefficient; degenerate faces are dropped (as morse.morse_complex
-    # returns them, with every chain critical)
-    boundaries: list
+class TruncatedNerve(Record):
+    __slots__ = ("max_dim", "simplices", "boundaries")
+
+    def __init__(self, max_dim, simplices, boundaries):
+        self.max_dim = max_dim
+        # simplices[k] for k in 0..max_dim+1; a k-simplex is a tuple of k
+        # composable non-identity morphisms (objects in dimension 0)
+        self.simplices = simplices
+        # boundaries[k][j], for 1 <= k <= max_dim+1, maps the index in
+        # simplices[k-1] of each face of simplices[k][j] to its nonzero
+        # coefficient; degenerate faces are dropped (as morse.morse_complex
+        # returns them, with every chain critical)
+        self.boundaries = boundaries
 
     def counts(self):
         return [len(s) for s in self.simplices]
@@ -310,12 +312,13 @@ def _dense_smith_normal_form(M):
 # -- homology reports ------------------------------------------------------
 
 
-@dataclass
-class HomologyReport:
-    max_dim: int
-    betti: list
-    torsion: list  # per degree, sorted list of invariant factors > 1
-    simplex_counts: list
+class HomologyReport(Record):
+    __slots__ = ("max_dim", "betti", "torsion", "simplex_counts")
+
+    def __init__(self, max_dim, betti, torsion, simplex_counts):
+        self.max_dim, self.betti = max_dim, betti
+        self.torsion = torsion  # per degree, sorted invariant factors > 1
+        self.simplex_counts = simplex_counts
 
     def reduced_trivial_up_to(self, d):
         """Reduced integral homology vanishes in degrees <= d."""
@@ -449,11 +452,13 @@ def _elements_verdict(C, over, act, cert_dim):
     return entry["homology_ok"], entry
 
 
-@dataclass
-class FinalityVerdict:
-    per_object: dict     # object -> dict(nonempty, connected, homology_ok)
-    ok: bool
-    witness: object = None
+class FinalityVerdict(Record):
+    __slots__ = ("per_object", "ok", "witness")
+
+    def __init__(self, per_object, ok, witness=None):
+        # object -> dict(nonempty, connected, homology_ok)
+        self.per_object = per_object
+        self.ok, self.witness = ok, witness
 
 
 def is_final(F, certify_dim=None):
@@ -495,16 +500,16 @@ def _refuse_negative_degree(d):
 # -- set-valued diagrams and the colimit oracle ----------------------------
 
 
-@dataclass
-class SetValuedFunctor:
+class SetValuedFunctor(Record):
     """A functor from a finite category to finite sets.
 
     values[x] is a tuple of element ids; transports[m] maps values at the
     source of m to values at its target.
     """
-    base: object
-    values: dict
-    transports: dict
+    __slots__ = ("base", "values", "transports")
+
+    def __init__(self, base, values, transports):
+        self.base, self.values, self.transports = base, values, transports
 
     def validate(self):
         K = self.base

@@ -14,25 +14,27 @@ lexicographically least candidate, so outputs are reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple
+from collections import namedtuple
 
 from . import core, fibrations, homology
 from .core import FiniteCategory, Functor, PreconditionError, pair_id
 from .fibrations import InternalInvariantError
 from .homology import SetValuedFunctor
+from .records import Record
 
 
-@dataclass
-class CatValuedFunctor:
+class CatValuedFunctor(Record):
     """A strictly functorial assignment of categories and functors.
 
     Models split fibrations only: transports[m] for composable pairs must
     compose on the nose.
     """
-    base: FiniteCategory
-    values: dict       # object -> FiniteCategory
-    transports: dict   # morphism -> Functor
+    __slots__ = ("base", "values", "transports")
+
+    def __init__(self, base, values, transports):
+        self.base = base
+        self.values = values            # object -> FiniteCategory
+        self.transports = transports    # morphism -> Functor
 
     def validate(self):
         K = self.base
@@ -57,23 +59,22 @@ class CatValuedFunctor:
         return self
 
 
-@dataclass
-class CleavageReport:
-    chosen_lifts: dict      # (object, base morphism) -> morphism id
-    comparisons: dict       # (phi, psi, object) -> comparison iso in a fiber
-    split: bool
+class CleavageReport(Record):
+    __slots__ = ("chosen_lifts", "comparisons", "split")
+
+    def __init__(self, chosen_lifts, comparisons, split):
+        self.chosen_lifts = chosen_lifts  # (object, base morphism) -> morphism
+        self.comparisons = comparisons    # (phi, psi, object) -> iso in a fiber
+        self.split = split
 
 
-class Replacement(NamedTuple):
-    projection: Functor     # the replaced fibration over K
-    unit: Functor           # from the input total category
-
-
-class RelativeClassifyingSpace(NamedTuple):
-    projection: Functor
-    quotient: Functor       # from the input total category
-    straightened: object    # SetValuedFunctor (covariant or contravariant data)
-    handed: str             # "left" or "right"
+# projection: the replaced fibration over K; unit: from the input total
+# category
+Replacement = namedtuple("Replacement", "projection unit")
+# quotient: from the input total category; straightened: a SetValuedFunctor
+# (covariant or contravariant data); handed: "left" or "right"
+RelativeClassifyingSpace = namedtuple(
+    "RelativeClassifyingSpace", "projection quotient straightened handed")
 
 
 # -- coCartesian / Cartesian replacement -----------------------------------
@@ -330,10 +331,9 @@ def _check_cleavage_cocycle(K, E, fibers, transports, comparisons):
 # -- left/right fibration replacement ----------------------------------------
 
 
-class LfibReplacement(NamedTuple):
-    straightened: SetValuedFunctor
-    projection: Functor      # the unstraightened discrete opfibration
-    unit: Functor            # canonical functor from the input total
+# projection: the unstraightened discrete opfibration; unit: the canonical
+# functor from the input total
+LfibReplacement = namedtuple("LfibReplacement", "straightened projection unit")
 
 
 def lfib_replacement(pi):
@@ -481,10 +481,10 @@ def maximal_right_subfibration(pi):
 # -- pushforward along an exponentiable fibration ------------------------------
 
 
-class Pushforward(NamedTuple):
-    projection: Functor     # pi_* Z -> K
-    obj_functors: dict      # object id -> Functor (fiber -> Z)
-    mor_functors: dict      # morphism id -> Functor (base-changed arrow -> Z)
+# projection: pi_* Z -> K; obj_functors: object id -> Functor (fiber -> Z);
+# mor_functors: morphism id -> Functor (base-changed arrow -> Z)
+Pushforward = namedtuple("Pushforward",
+                         "projection obj_functors mor_functors")
 
 
 def pushforward_exponentiable(pi, zeta):

@@ -1024,6 +1024,21 @@ class TestSuiteRunner:
             capture_output=True, text=True)
         assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
+    def test_importing_the_cli_leaves_out_dataclasses_typing_and_traceback(
+            self):
+        # -S: no site, which may import typing itself; the package is
+        # found on PYTHONPATH, which -S keeps
+        package = os.path.dirname(os.path.dirname(os.path.abspath(
+            cli.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c",
+             "import sys; before = set(sys.modules); import fibcat.cli; "
+             "print(sorted({'dataclasses', 'inspect', 'typing', 'traceback'}"
+             " & (set(sys.modules) - before)))"],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": package})
+        assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
     def test_suite_passes_and_is_thread_invariant(self, tmp_path):
         code1, out1, err1 = run_cli("suite", "--seed", "5", "--size", "1")
         assert code1 == 0, err1
@@ -1370,6 +1385,29 @@ class TestCanonicalEmitter:
         {"k": {2: [{"a": "b"}], 10: None}}, {"x": {2: "a", "1": "b"}}])
     def test_edge_values(self, value):
         assert outcome(docs.dumps, value) == outcome(stdlib_dumps, value)
+
+    @pytest.mark.parametrize("value", [
+        0, -1, 7, 2 ** 64, -(10 ** 30), True, False, None,
+        [0, 1, -2, 2 ** 70], (3, 4), [5], [True, False], [None],
+        [1, True, 0, False], [True, 1], [1, None, 2], [[1, 2], [3], []],
+        [[[1], [2, 3]], [[], []]], [], [[]], [[], [], []],
+        {"betti": [1, 0, 0, 0], "torsion": [[], [2], [], [2]],
+         "simplex_counts": [2, 3, 4, 5], "ok": True, "witness": None},
+        [[i, i + 1] for i in range(9)], [list(range(9))] * 9,
+        [[1, 2]] * 8 + [[True, 2]], {"a": 1, "b": [1, 2], "c": [False]},
+        [1, "a", 2], [1, 1.5, 2], [1.0, 2.0]])
+    def test_ints_booleans_and_none(self, value):
+        assert docs.dumps(value) == stdlib_dumps(value)
+        assert docs.dumps({"t": value}) == stdlib_dumps({"t": value})
+        assert docs.dumps([value, [value]]) == stdlib_dumps([value, [value]])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.recursive(
+        st.integers() | st.booleans() | st.none(),
+        lambda rows: st.lists(rows, max_size=10) | st.lists(
+            st.integers(), min_size=0, max_size=10), max_leaves=40))
+    def test_rows_of_ints_emit_as_json_does(self, value):
+        assert docs.dumps(value) == stdlib_dumps(value)
 
     def test_every_fixture_document(self):
         for name, doc in sorted(fixtures.build_fixtures().items()):
