@@ -12,12 +12,13 @@ its cap included), 5 violated internal invariant.
 
 from __future__ import annotations
 
-import argparse
+import gc
 import os
 import random
 import sys
 import threading
 import time
+import types
 
 from . import core, correspondences as corrs, documents as docs
 from . import fibrations, homology, randgen, transport
@@ -426,13 +427,21 @@ def cmd_suite(args):
 # -- entry point ----------------------------------------------------------------
 
 
+def _argparse():
+    """argparse, imported once a command line needs it: to refuse a value
+    or to parse what leaves the plain grammar.  A plain one does not."""
+    import argparse
+    return argparse
+
+
 def _positive_int(text):
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        raise _argparse().ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+        raise _argparse().ArgumentTypeError(f"must be at least 1, got {value}")
     return value
 
 
@@ -482,7 +491,7 @@ def _subcommands():
 
 def build_parser():
     """The CLI's argument parser, built from the command table."""
-    parser = argparse.ArgumentParser(
+    parser = _argparse().ArgumentParser(
         prog="fibcat",
         description="Exact workbench for finite categories: fibration "
                     "classifiers, the correspondence calculus, and "
@@ -511,7 +520,7 @@ def _parse_plain(argv):
     not start with -, and the positionals as one block.
 
     On this grammar argparse reads each token the same way, so the
-    namespace is the one build_parser would give; where a value fails its
+    namespace holds what build_parser's would; where a value fails its
     type or choices, or an argument is missing or extra, None leaves the
     message to argparse."""
     timings = argv[:1] == ["--timings"]
@@ -554,12 +563,13 @@ def _parse_plain(argv):
         convert = keywords.get("type")
         try:
             value = given[flag] if convert is None else convert(given[flag])
-        except (TypeError, ValueError, argparse.ArgumentTypeError):
+        # an except clause is evaluated only when the try body raises
+        except (TypeError, ValueError, _argparse().ArgumentTypeError):
             return None
         if value not in keywords.get("choices", (value,)):
             return None
         values[dest] = value
-    return argparse.Namespace(**values)
+    return types.SimpleNamespace(**values)
 
 
 def _parse_args(argv):
@@ -609,6 +619,11 @@ def main(argv=None):
     args = _parse_args(argv)
     args._echo = _echo(argv, args.command)
     args._t0 = time.perf_counter()
+    # the package builds no reference cycles (tests/test_cycles.py), so
+    # reference counting frees what a command drops, and the cyclic
+    # collector would only walk its live tables over and over
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except docs.DocumentError as exc:
@@ -634,6 +649,9 @@ def main(argv=None):
     except fibrations.InternalInvariantError as exc:
         sys.stderr.write(f"internal invariant violated: {exc}\n")
         return EXIT_INTERNAL
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -941,6 +941,32 @@ def _explorer(what):
     return explore
 
 
+def _depth_first(state, keys, candidates, holds, leaf, explore=lambda: None):
+    """Backtrack on an explicit stack: state[keys[i]] takes each of
+    candidates(i) in turn, going deeper where holds(i), with leaf() at
+    each complete assignment and explore() on entering each partial one,
+    the empty one first; state ends as it began.  No recursion, no cycle."""
+    explore()
+    if not keys:
+        return leaf()
+    stack = [iter(candidates(0))]
+    while stack:
+        i = len(stack) - 1
+        for value in stack[i]:
+            state[keys[i]] = value
+            if holds(i):
+                break
+        else:
+            state.pop(keys[i], None)
+            stack.pop()
+            continue
+        explore()
+        if i + 1 == len(keys):
+            leaf()
+        else:
+            stack.append(iter(candidates(i + 1)))
+
+
 def all_functors(C, D, ob_constraint=None, mor_constraint=None):
     """Every functor C -> D, by backtracking over generators: objects,
     then non-identity morphisms, each over its candidates in sorted order,
@@ -955,46 +981,32 @@ def all_functors(C, D, ob_constraint=None, mor_constraint=None):
     non_id = C.non_identity_morphisms()
     homs_due = _due(objects, ((xy, xy) for xy in C._hom if xy[0] != xy[1]))
     pairs_due = _due(non_id, _pair_laws(C))
-    results = []
+    results, ob_map, mor_map = [], {}, {}
     explore = _explorer("functor")
+    ob_constraint = ob_constraint or (lambda x: D.objects)
 
-    def extend_morphisms(ob_map):
-        mor_map = {C.identity[x]: D.identity[ob_map[x]] for x in objects}
+    def images(i):
+        m = non_id[i]
+        found = D.hom(ob_map[C.src[m]], ob_map[C.tgt[m]])
+        if mor_constraint:
+            allowed = set(mor_constraint(m))
+            found = [n for n in found if n in allowed]
+        return found
 
-        def backtrack(i):
-            explore()
-            if i == len(non_id):
-                results.append(Functor(C, D, dict(ob_map), dict(mor_map),
-                                       _validate=False))
-                return
-            m = non_id[i]
-            images = D.hom(ob_map[C.src[m]], ob_map[C.tgt[m]])
-            if mor_constraint:
-                allowed = set(mor_constraint(m))
-                images = [n for n in images if n in allowed]
-            for n in images:
-                mor_map[m] = n
-                if all(mor_map[C._comp[(g, f)]]
-                       == D._comp[(mor_map[g], mor_map[f])]
-                       for g, f in pairs_due[i]):
-                    backtrack(i + 1)
-                del mor_map[m]
+    def extend_morphisms():
+        mor_map.update((C.identity[x], D.identity[ob_map[x]]) for x in objects)
+        _depth_first(mor_map, non_id, images,
+                     lambda i: all(mor_map[C._comp[(g, f)]]
+                                   == D._comp[(mor_map[g], mor_map[f])]
+                                   for g, f in pairs_due[i]),
+                     lambda: results.append(Functor(
+                         C, D, dict(ob_map), dict(mor_map), _validate=False)),
+                     explore)
 
-        backtrack(0)
-
-    def assign_objects(i, ob_map):
-        explore()
-        if i == len(objects):
-            extend_morphisms(ob_map)
-            return
-        x = objects[i]
-        for d in ob_constraint(x) if ob_constraint else D.objects:
-            ob_map[x] = d
-            if all(D.hom(ob_map[a], ob_map[b]) for a, b in homs_due[i]):
-                assign_objects(i + 1, ob_map)
-            del ob_map[x]
-
-    assign_objects(0, {})
+    _depth_first(ob_map, objects, lambda i: ob_constraint(objects[i]),
+                 lambda i: all(D.hom(ob_map[a], ob_map[b])
+                               for a, b in homs_due[i]),
+                 extend_morphisms, explore)
     return results
 
 
@@ -1025,24 +1037,15 @@ def natural_transformations(F, G, component_filter=None):
     objects = list(C.objects)
     squares_due = _due(objects, (((C.src[m], C.tgt[m]), m)
                                  for m in C.morphisms))
-    results = []
-
-    def backtrack(i, comps):
-        if i == len(objects):
-            results.append(dict(comps))
-            return
-        x = objects[i]
-        for eta in D.hom(F.ob_map[x], G.ob_map[x]):
-            if component_filter and not component_filter(x, eta):
-                continue
-            comps[x] = eta
-            if all(D.compose(comps[C.tgt[m]], F.mor_map[m])
-                   == D.compose(G.mor_map[m], comps[C.src[m]])
-                   for m in squares_due[i]):
-                backtrack(i + 1, comps)
-            del comps[x]
-
-    backtrack(0, {})
+    results, comps = [], {}
+    keep = component_filter or (lambda x, eta: True)
+    _depth_first(comps, objects,
+                 lambda i: D.hom(F.ob_map[objects[i]], G.ob_map[objects[i]]),
+                 lambda i: keep(objects[i], comps[objects[i]]) and all(
+                     D.compose(comps[C.tgt[m]], F.mor_map[m])
+                     == D.compose(G.mor_map[m], comps[C.src[m]])
+                     for m in squares_due[i]),
+                 lambda: results.append(dict(comps)))
     return results
 
 
@@ -1053,14 +1056,10 @@ def sections_category(p, q):
     identities in K.  Two functors or two transformations whose ids print
     alike are refused, never merged.
     """
-    funs = functors_over(p, q)
-    K = p.target
-    E = q.source
-
-    def over_K(x, eta):
-        return q.mor_map[eta] == K.identity[p.ob_map[x]]
-
-    return _functor_category_from(funs, p.source, E, component_filter=over_K)
+    identity = p.target.identity
+    return _functor_category_from(
+        functors_over(p, q), p.source, q.source,
+        component_filter=lambda x, eta: q.mor_map[eta] == identity[p.ob_map[x]])
 
 
 def _functor_category_from(funs, C, D, component_filter=None):

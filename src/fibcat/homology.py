@@ -593,21 +593,11 @@ def set_limit(G):
     K = G.base
     objects = list(K.objects)
     due = core._due(objects, (((K.src[m], K.tgt[m]), m) for m in K.morphisms))
-    families = []
-
-    def backtrack(i, fam):
-        if i == len(objects):
-            families.append(tuple(sorted(fam.items())))
-            return
-        x = objects[i]
-        for a in G.values[x]:
-            fam[x] = a
-            if all(G.transports[m][fam[K.src[m]]] == fam[K.tgt[m]]
-                   for m in due[i]):
-                backtrack(i + 1, fam)
-            del fam[x]
-
-    backtrack(0, {})
+    families, fam = [], {}
+    core._depth_first(fam, objects, lambda i: G.values[objects[i]],
+                      lambda i: all(G.transports[m][fam[K.src[m]]]
+                                    == fam[K.tgt[m]] for m in due[i]),
+                      lambda: families.append(tuple(sorted(fam.items()))))
     return sorted(families)
 
 
@@ -622,45 +612,28 @@ def all_set_valued_functors(K, max_size=2):
     objects = list(K.objects)
     non_id = K.non_identity_morphisms()
     pairs_due = core._due(non_id, core._pair_laws(K))
-    results = []
+    results, values, transports = [], {}, {}
 
-    def assign_transports(values):
-        transports = {K.identity[x]: {a: a for a in values[x]}
-                      for x in objects}
+    def assign_transports():
+        transports.update((K.identity[x], {a: a for a in values[x]})
+                          for x in objects)
+        core._depth_first(
+            transports, non_id,
+            lambda i: _all_maps(values[K.src[non_id[i]]],
+                                values[K.tgt[non_id[i]]]),
+            lambda i: all(transports[K._comp[(g, f)]][a]
+                          == transports[g][transports[f][a]]
+                          for g, f in pairs_due[i] for a in values[K.src[f]]),
+            lambda: results.append(SetValuedFunctor(
+                K, {x: tuple(values[x]) for x in objects},
+                {m: dict(t) for m, t in transports.items()})),
+            explore)
 
-        def backtrack(i):
-            explore()
-            if i == len(non_id):
-                results.append(SetValuedFunctor(
-                    K, {x: tuple(values[x]) for x in objects},
-                    {m: dict(t) for m, t in transports.items()}))
-                return
-            m = non_id[i]
-            dom = values[K.src[m]]
-            cod = values[K.tgt[m]]
-            if dom and not cod:
-                return
-            for assignment in _all_maps(dom, cod):
-                transports[m] = assignment
-                if all(transports[K._comp[(g, f)]][a]
-                       == transports[g][transports[f][a]]
-                       for g, f in pairs_due[i] for a in values[K.src[f]]):
-                    backtrack(i + 1)
-                del transports[m]
-
-        backtrack(0)
-
-    def assign_values(i, values):
-        if i == len(objects):
-            assign_transports(values)
-            return
-        x = objects[i]
-        for n in range(max_size + 1):
-            values[x] = tuple(f"{x}#{j}" for j in range(n))
-            assign_values(i + 1, values)
-        del values[x]
-
-    assign_values(0, {})
+    core._depth_first(
+        values, objects,
+        lambda i: [tuple(f"{objects[i]}#{j}" for j in range(n))
+                   for n in range(max_size + 1)],
+        lambda i: True, assign_transports)
     return results
 
 

@@ -1033,8 +1033,8 @@ class TestSuiteRunner:
         proc = subprocess.run(
             [sys.executable, "-S", "-c",
              "import sys; before = set(sys.modules); import fibcat.cli; "
-             "print(sorted({'dataclasses', 'inspect', 'typing', 'traceback'}"
-             " & (set(sys.modules) - before)))"],
+             "print(sorted({'argparse', 'dataclasses', 'inspect', 'typing',"
+             " 'traceback'} & (set(sys.modules) - before)))"],
             capture_output=True, text=True,
             env={**os.environ, "PYTHONPATH": package})
         assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
@@ -1436,11 +1436,12 @@ class TestCanonicalEmitter:
 
 
 def parse_outcome(parse, argv):
-    """(stdout, stderr, exit status or the parsed namespace) of parse."""
+    """(stdout, stderr, exit status or the parsed namespace's attributes)
+    of parse: the plain parse's namespace is not argparse's class."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            result = parse(argv)
+            result = vars(parse(argv))
         except SystemExit as exc:
             result = ("exit", exc.code)
     return out.getvalue(), err.getvalue(), result
@@ -1590,13 +1591,14 @@ class TestSubcommandParser:
             files, jobs = workloads.build(workload, 0)
             paths = workloads.input_paths(files, "inputs")
             argvs += [workloads.resolve_argv(job.argv, paths) for job in jobs]
-        expected = [cli.build_parser().parse_args(argv) for argv in argvs]
+        expected = [vars(cli.build_parser().parse_args(argv))
+                    for argv in argvs]
 
         def refuse(*args, **kwargs):
             raise AssertionError("an argparse parser was built")
 
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
-        assert [cli._parse_args(argv) for argv in argvs] == expected
+        assert [vars(cli._parse_args(argv)) for argv in argvs] == expected
         assert len(argvs) > 150
 
     @pytest.mark.parametrize("argv", [["homology", "c.json"],
