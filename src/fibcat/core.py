@@ -5,8 +5,8 @@ homology certificates) consumes the two types defined here.  A
 FiniteCategory stores its objects, morphisms, identities and the *total*
 composition table; validity is checked exhaustively at construction,
 except where a builder guarantees it: square_category checks guards, and
-categories derived from a valid one are built by FiniteCategory._derived
-from tables that are already sorted and indexed.
+categories derived from a valid one, or read from a document that passed
+its checks, are built by FiniteCategory._derived from sorted tables.
 Object and morphism ids are opaque strings, and every construction orders
 its output lexicographically so that results are reproducible.  Compound
 ids (pairs, comma objects, coend classes, functors, lifts) are named
@@ -68,21 +68,17 @@ def _named(what, kind, items):
 
 
 def validate_category(objects, morphisms, identities, composition):
-    """Check the category axioms on raw table data.
-
-    Violations are returned as a list of strings naming witnesses; the
-    report is empty exactly when the data is a category.  Violations are
-    data here, not errors: planted defects are inspected through this.
-    """
+    """Check the category axioms on raw table data: the violations, as
+    strings naming witnesses, are data, not errors (planted defects are
+    inspected through this), and none are found exactly on a category."""
     report = []
     obj_set = set(objects)
     if len(obj_set) != len(objects):
         report.append("duplicate object ids")
-    mor_ids = [m for m, _, _ in morphisms]
-    if len(set(mor_ids)) != len(mor_ids):
-        report.append("duplicate morphism ids")
     src = {m: s for m, s, _ in morphisms}
     tgt = {m: t for m, _, t in morphisms}
+    if len(src) != len(morphisms):
+        report.append("duplicate morphism ids")
     for m, s, t in morphisms:
         if s not in obj_set:
             report.append(f"morphism {m} has unknown source {s}")
@@ -99,11 +95,9 @@ def validate_category(objects, morphisms, identities, composition):
     for (g, f), h in composition.items():
         if g not in src or f not in src:
             report.append(f"composition of unknown morphisms ({g},{f})")
-            continue
-        if tgt[f] != src[g]:
+        elif tgt[f] != src[g]:
             report.append(f"composition defined on non-composable pair ({g},{f})")
-            continue
-        if h not in src:
+        elif h not in src:
             report.append(f"composite of ({g},{f}) is unknown: {h}")
         elif not (src[h] == src[f] and tgt[h] == tgt[g]):
             report.append(f"composite of ({g},{f}) has wrong endpoints: {h}")
@@ -130,6 +124,12 @@ def validate_category(objects, morphisms, identities, composition):
     # the laws hold once the endpoints above are right
     if len({(src[m], tgt[m]) for m in mors}) == len(mors):
         return report
+    return _law_faults(mors, src, tgt, identities, composition, out_of)
+
+
+def _law_faults(mors, src, tgt, identities, composition, out_of):
+    """Unit and associativity faults of a table total on composable pairs."""
+    report = []
     # after[f] lists g∘f for g in out_of[tgt f], so rows of morphisms with
     # the same target line up
     after = {f: [composition[(g, f)] for g in out_of[tgt[f]]] for f in mors}

@@ -2,10 +2,13 @@
 
 Emission always canonicalizes: sorted keys, two-space indent, a trailing
 newline, UTF-8 text.  parse -> emit is therefore byte-stable, and two
-documents describing the same value serialize identically.
+documents describing the same value serialize identically.  Parsed ids
+are shared objects: one str per id, held by every table, map and action
+that names it, so lookups match keys by identity.  Canonical tables are
+emitted in index order: written from the sorted index, never sorted.
 
 Schema errors (shape, types) raise DocumentError; axiom violations are
-surfaced through validate_category so the caller can report witnesses.
+reported as validate_category words them, with their witnesses.
 Repeated ids, and keys of an identity table, a functor's maps or a
 bimodule or set-valued table that name nothing, raise ValidationFailure.
 """
@@ -13,6 +16,7 @@ bimodule or set-valued table that name nothing, raise ValidationFailure.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from itertools import chain
 from operator import itemgetter
 
@@ -38,25 +42,9 @@ def dumps(doc):
     """Canonical text: exactly json.dumps(doc, sort_keys=True, indent=2,
     ensure_ascii=False) plus a newline.
 
-    With an indent, json encodes in pure Python, node by node.  Strings,
-    lists, tuples and dicts with str keys, nearly all of a document, are
-    written here by joins instead, and three shapes of table are written
-    whole, in one join over their rows:
-
-    - a list or tuple of non-empty lists or tuples of strings (a
-      category's compose rows), one join per row inside one join;
-    - a list of dicts with the same str keys and only str values (its
-      morphism entries), through itemgetter and one % pattern;
-    - a dict of str to str (identities, a functor's maps, actions).
-
-    A table is written so only when json would write each of its strings
-    as it is, between quotes.  That is checked once per table: the
-    table's distinct strings are joined, and encode_basestring must
-    lengthen the text by its two quotes alone.  A table of fewer than
-    eight entries is written entry by entry, which is quicker for it.  A
-    row of strings, or of ints, is one join too.  Ints, booleans and None
-    are written here as json writes them; every other value is handed to
-    json, whose encoder is built the first time one needs it.
+    Strings, rows and str-keyed dicts are written by joins, a table of at
+    least eight plain-string entries in one join over its rows (_bulk),
+    and other values by json's encoder (README, "Documents").
     """
     parts = []
     _dump(doc, "\n", parts.append)
@@ -66,7 +54,6 @@ def dumps(doc):
 
 _encode_str = json.encoder.encode_basestring
 _encode = None  # json's canonical encoder, once a value has needed it
-_INT = {int}
 _ROWS = {list, tuple}
 _STR = {str}
 _ENTRIES = {list, tuple, dict}
@@ -145,10 +132,8 @@ def _dump(value, newline, out):
                 else type(value[0]) in _ENTRIES):
             table = _bulk(value, kind, newline)
             if table:
-                head, body, tail = table
-                out(head)
-                out(body)
-                out(tail)
+                for part in table:  # head, body and tail
+                    out(part)
                 return
     inner = newline + "  "
     sep = "," + inner
@@ -159,10 +144,6 @@ def _dump(value, newline, out):
             return
         except TypeError:
             pass
-        if _INT.issuperset(map(type, value)):  # a row of ints
-            out("[" + inner + sep.join(map(int.__repr__, value)) + newline
-                + "]")
-            return
         head = "[" + inner
         for item in value:
             out(head)
@@ -236,18 +217,24 @@ def _distinct(ids, where):
     return tuple(ids)
 
 
+def _shared(ids):
+    """{id: the one str object kept for it} over ids."""
+    return dict(zip(ids, ids))
+
+
 def _known(key, known, where):
-    """A key of a document must name one of the ids of known, an
-    (ids, kind) pair."""
+    """The shared object of key, which must name one of the ids of known,
+    an ({id: shared object}, kind) pair."""
     ids, kind = known
     if key not in ids:
         raise ValidationFailure([f"{where} {key} names no {kind}"])
+    return ids[key]
 
 
-def _table(doc, field, rows, columns):
-    """doc[field], a JSON object of rows that are JSON objects.  Its keys
-    must name rows and its rows' keys columns, each an (ids, kind) pair;
-    the first key in document order that names nothing is refused."""
+def _grid(doc, field, rows, columns, read, default):
+    """{(r, c): read(r, c, cell or default)} in index order; doc[field] is
+    a JSON object of JSON objects keyed by rows and columns (see _known),
+    and the first key in document order that names nothing is refused."""
     table = _require(doc, field, dict)
     for r, row in table.items():
         _known(r, rows, f"{field} row")
@@ -255,69 +242,92 @@ def _table(doc, field, rows, columns):
             raise DocumentError(f"{field} row {r!r} must be a JSON object")
         for c in row:
             _known(c, columns, f"{field} row {r} column")
-    return table
+    return {(r, c): read(r, c, table.get(r, {}).get(c, default))
+            for r in rows[0] for c in columns[0]}
 
 
-def _id_map(table, where):
-    """A JSON object mapping ids to ids."""
+def _id_map(table, where, keys, values):
+    """A JSON object of ids to ids, put onto their objects in keys, values."""
     if not isinstance(table, dict):
         raise DocumentError(f"{where} must be a JSON object")
     _require_ids(table.values(), where)
-    return dict(table)
+    keys, values = _shared(keys), _shared(values)
+    return {keys.get(k, k): values.get(v, v) for k, v in table.items()}
 
 
 # -- categories ---------------------------------------------------------------
 
 
 def category_to_doc(C):
+    # C._to follows the sorted C.morphisms, so rows come sorted by (g, f)
+    src, comp = C.src, C._comp
     return {
         "format_version": FORMAT_VERSION,
         "type": "category",
-        "objects": sorted(C.objects),
-        "morphisms": [{"id": m, "src": C.src[m], "tgt": C.tgt[m]}
-                      for m in sorted(C.morphisms)],
+        "objects": list(C.objects),
+        "morphisms": [{"id": m, "src": src[m], "tgt": C.tgt[m]}
+                      for m in C.morphisms],
         "identities": {x: C.identity[x] for x in C.objects},
-        "compose": sorted([g, f, h] for (g, f), h in
-                          C.composition_table().items()),
+        "compose": [[g, f, comp[g, f]] for g in C.morphisms
+                    for f in C._to[src[g]]],
     }
 
 
 def category_from_doc(doc):
+    """Each table is read once: ids go onto shared objects, endpoints are
+    checked by identity and pairs counted.  A clean table is kept (a
+    non-thin one walks its laws); validate_category reports a fault."""
     _expect(doc, "category")
     objects = _require(doc, "objects", list)
     _require_ids(objects, "objects")
-    raw_morphisms = _require(doc, "morphisms", list)
-    morphisms = []
-    for entry in raw_morphisms:
-        if not isinstance(entry, dict) or not {"id", "src", "tgt"} <= set(entry):
-            raise DocumentError(f"bad morphism entry: {entry!r}")
-        m, x, y = triple = (entry["id"], entry["src"], entry["tgt"])
-        if not (isinstance(m, str) and isinstance(x, str)
-                and isinstance(y, str)):
+    obj = _shared(objects)
+    fault = len(obj) != len(objects)
+    ends, src, tgt, triples = {}, {}, {}, []
+    for entry in _require(doc, "morphisms", list):
+        try:
+            m, x, y = triple = entry["id"], entry["src"], entry["tgt"]
+        except (TypeError, KeyError):
+            raise DocumentError(f"bad morphism entry: {entry!r}") from None
+        if {type(m), type(x), type(y)} != _STR:
             _require_ids(triple, "morphisms")
-        morphisms.append(triple)
+        triples.append(triple)
+        s, t = obj.get(x), obj.get(y)
+        fault = fault or m in ends or s is None or t is None
+        src[m], tgt[m], ends[m] = s, t, (m, s, t)
     identities = _require(doc, "identities", dict)
     _require_ids(identities.values(), "identities")
-    known_objects = (set(objects), "object")
-    for x in identities:
-        _known(x, known_objects, "identities key")
-    compose_list = _require(doc, "compose", list)
-    composition = {}
-    for entry in compose_list:
+    get = ends.get
+    identity = {_known(x, (obj, "object"), "identities key"): get(i, (i,))[0]
+                for x, i in identities.items()}
+    fault = fault or len(identity) != len(obj) or not all(
+        src.get(i) is x is tgt.get(i) for x, i in identity.items())
+    out_of, comp = Counter(src.values()), {}
+    for entry in _require(doc, "compose", list):
         if not (isinstance(entry, list) and len(entry) == 3):
             raise DocumentError(f"bad compose entry: {entry!r}")
         g, f, h = entry
-        if not (isinstance(g, str) and isinstance(f, str)
-                and isinstance(h, str)):
+        try:
+            (g, sg, tg), (f, sf, tf), (h, sh, th) = get(g), get(f), get(h)
+        except TypeError:  # an id that is no str, or names no morphism
             _require_ids(entry, "compose")
-        if (g, f) in composition:
+            g, f, h = [get(k, (k,))[0] for k in entry]
+            fault = True
+        else:
+            fault = fault or not (tf is sg and sh is sf and th is tg)
+        n = len(comp)
+        comp[g, f] = h
+        if len(comp) == n:
             raise DocumentError(f"composable pair listed twice: ({g},{f})")
-        composition[(g, f)] = h
-    report = core.validate_category(objects, morphisms, identities, composition)
+    if fault or len(comp) != sum(map(out_of.__getitem__, tgt.values())):
+        raise ValidationFailure(
+            core.validate_category(objects, triples, identities, comp))
+    C = FiniteCategory._derived(tuple(sorted(obj)), tuple(sorted(ends)),
+                                src, tgt, identity, comp)
+    report = len(C._hom) != len(C.morphisms) and core._law_faults(
+        C.morphisms, C.src, C.tgt, identity, comp, C._from)
     if report:
         raise ValidationFailure(report)
-    return FiniteCategory(objects, morphisms, identities, composition,
-                          _validate=False)
+    return C
 
 
 # -- functors -------------------------------------------------------------------
@@ -329,8 +339,8 @@ def functor_to_doc(F):
         "type": "functor",
         "source": category_to_doc(F.source),
         "target": category_to_doc(F.target),
-        "object_map": dict(sorted(F.ob_map.items())),
-        "morphism_map": dict(sorted(F.mor_map.items())),
+        "object_map": {x: F.ob_map[x] for x in F.source.objects},
+        "morphism_map": {m: F.mor_map[m] for m in F.source.morphisms},
     }
 
 
@@ -338,15 +348,19 @@ def functor_from_doc(doc):
     _expect(doc, "functor")
     source = category_from_doc(_require(doc, "source", dict))
     target = category_from_doc(_require(doc, "target", dict))
+    s_obj, s_mor = _shared(source.objects), _shared(source.morphisms)
+    t_obj, t_mor = _shared(target.objects), _shared(target.morphisms)
     ob_map = _require(doc, "object_map", dict)
     mor_map = _require(doc, "morphism_map", dict)
     _require_ids(ob_map.values(), "object_map")
     _require_ids(mor_map.values(), "morphism_map")
     # in the order of a canonical document: morphism_map, then object_map
-    for m in mor_map:
-        _known(m, (source.src, "morphism of the source"), "morphism_map key")
-    for x in ob_map:
-        _known(x, (source.identity, "object of the source"), "object_map key")
+    known = (s_mor, "morphism of the source")
+    mor_map = {_known(m, known, "morphism_map key"): t_mor.get(n, n)
+               for m, n in mor_map.items()}
+    known = (s_obj, "object of the source")
+    ob_map = {_known(x, known, "object_map key"): t_obj.get(y, y)
+              for x, y in ob_map.items()}
     try:
         return Functor(source, target, ob_map, mor_map)
     except core.FunctorError as exc:
@@ -357,61 +371,48 @@ def functor_from_doc(doc):
 
 
 def profunctor_to_doc(P):
-    elements = {}
-    for (a, b), xs in sorted(P.elements.items()):
-        elements.setdefault(a, {})[b] = sorted(xs)
-    left_action = {}
-    for (alpha, b), t in sorted(P.lact.items()):
-        left_action.setdefault(alpha, {})[b] = dict(sorted(t.items()))
-    right_action = {}
-    for (a, beta), t in sorted(P.ract.items()):
-        right_action.setdefault(a, {})[beta] = dict(sorted(t.items()))
+    A, B = P.source, P.target
     return {
         "format_version": FORMAT_VERSION,
         "type": "profunctor",
-        "source": category_to_doc(P.source),
-        "target": category_to_doc(P.target),
-        "elements": elements,
-        "left_action": left_action,
-        "right_action": right_action,
+        "source": category_to_doc(A),
+        "target": category_to_doc(B),
+        "elements": {a: {b: sorted(P.elements[a, b]) for b in B.objects}
+                     for a in A.objects if B.objects},
+        "left_action": {alpha: {b: dict(P.lact[alpha, b]) for b in B.objects}
+                        for alpha in A.morphisms if B.objects},
+        "right_action": {a: {beta: dict(P.ract[a, beta])
+                             for beta in B.morphisms}
+                         for a in A.objects if B.morphisms},
     }
 
 
 def profunctor_from_doc(doc):
     _expect(doc, "profunctor")
-    source = category_from_doc(_require(doc, "source", dict))
-    target = category_from_doc(_require(doc, "target", dict))
-    objects_A = (set(source.objects), "object of the source")
-    objects_B = (set(target.objects), "object of the target")
-    raw_elements = _table(doc, "elements", objects_A, objects_B)
-    elements = {}
-    for a in source.objects:
-        row = raw_elements.get(a, {})
-        for b in target.objects:
-            xs = row.get(b, [])
-            if not isinstance(xs, list):
-                raise DocumentError(f"element set at ({a},{b}) must be a list")
-            elements[(a, b)] = tuple(sorted(_distinct(
-                xs, f"elements at ({a},{b})")))
-    raw_left = _table(doc, "left_action",
-                      (set(source.morphisms), "morphism of the source"),
-                      objects_B)
-    lact = {}
-    for alpha in source.morphisms:
-        row = raw_left.get(alpha, {})
-        for b in target.objects:
-            lact[(alpha, b)] = _id_map(row.get(b, {}),
-                                       f"left_action at ({alpha},{b})")
-    raw_right = _table(doc, "right_action", objects_A,
-                       (set(target.morphisms), "morphism of the target"))
-    ract = {}
-    for a in source.objects:
-        row = raw_right.get(a, {})
-        for beta in target.morphisms:
-            ract[(a, beta)] = _id_map(row.get(beta, {}),
-                                      f"right_action at ({a},{beta})")
+    A = category_from_doc(_require(doc, "source", dict))
+    B = category_from_doc(_require(doc, "target", dict))
+    objects_A = (_shared(A.objects), "object of the source")
+    objects_B = (_shared(B.objects), "object of the target")
+
+    def element_set(a, b, xs):
+        if not isinstance(xs, list):
+            raise DocumentError(f"element set at ({a},{b}) must be a list")
+        return tuple(sorted(_distinct(xs, f"elements at ({a},{b})")))
+
+    elements = _grid(doc, "elements", objects_A, objects_B, element_set, [])
+    lact = _grid(doc, "left_action",
+                 (_shared(A.morphisms), "morphism of the source"), objects_B,
+                 lambda alpha, b, t: _id_map(
+                     t, f"left_action at ({alpha},{b})",
+                     elements[A.tgt[alpha], b], elements[A.src[alpha], b]),
+                 {})
+    ract = _grid(doc, "right_action", objects_A,
+                 (_shared(B.morphisms), "morphism of the target"),
+                 lambda a, beta, t: _id_map(
+                     t, f"right_action at ({a},{beta})",
+                     elements[a, B.src[beta]], elements[a, B.tgt[beta]]), {})
     try:
-        return Profunctor(source, target, elements, lact, ract).validate()
+        return Profunctor(A, B, elements, lact, ract).validate()
     except core.PreconditionError as exc:
         raise ValidationFailure([str(exc)]) from exc
 
@@ -450,26 +451,25 @@ def set_valued_to_doc(F):
         "format_version": FORMAT_VERSION,
         "type": "set_valued_functor",
         "base": category_to_doc(F.base),
-        "values": {x: sorted(v) for x, v in sorted(F.values.items())},
-        "transports": {m: dict(sorted(t.items()))
-                       for m, t in sorted(F.transports.items())},
+        "values": {x: sorted(v) for x, v in F.values.items()},
+        "transports": {m: dict(t) for m, t in F.transports.items()},
     }
 
 
 def set_valued_from_doc(doc):
     _expect(doc, "set_valued_functor")
     base = category_from_doc(_require(doc, "base", dict))
-    objects = (set(base.objects), "object of the base")
-    morphisms = (set(base.morphisms), "morphism of the base")
+    objects = (_shared(base.objects), "object of the base")
+    morphisms = (_shared(base.morphisms), "morphism of the base")
     raw_values = _require(doc, "values", dict)
-    values = {}
-    for x in raw_values:
-        _known(x, objects, "values key")
-        values[x] = _distinct(_require(raw_values, x, list), f"values at {x}")
-    transports = {}
-    for m, t in _require(doc, "transports", dict).items():
-        _known(m, morphisms, "transports key")
-        transports[m] = _id_map(t, f"transports at {m}")
+    # a key is checked before its value: a dict display evaluates it first
+    values = {_known(x, objects, "values key"):
+              _distinct(_require(raw_values, x, list), f"values at {x}")
+              for x in raw_values}
+    transports = {_known(m, morphisms, "transports key"): _id_map(
+        t, f"transports at {m}", values.get(base.src[m], ()),
+        values.get(base.tgt[m], ())) for m, t in
+        _require(doc, "transports", dict).items()}
     try:
         return SetValuedFunctor(base, values, transports).validate()
     except core.PreconditionError as exc:

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import copy
 import io
 import json
 import os
@@ -14,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from fibcat import cli, core, correspondences as corrs, documents as docs
 from fibcat import fixtures, randgen
 from fibcat.homology import SetValuedFunctor
+from test_exit_contract_fuzz import DOCS as FUZZ_DOCS, mutate as fuzz_mutate
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
@@ -192,6 +194,330 @@ class TestParseEmitProperty:
                 assert docs.parse_any(emitted) == (kind, value)
                 assert set(document_rows(D)) <= set(
                     document_rows(json.loads(emitted)))
+
+
+def _own_ids(ids):
+    """{id: the one object kept for it} over a category's sorted ids."""
+    return dict(zip(ids, ids))
+
+
+def assert_category_shares_ids(C):
+    """Every id C stores is C's own object for it."""
+    obj, mor = _own_ids(C.objects), _own_ids(C.morphisms)
+    assert all(obj[x] is x for x in C.objects)
+    assert all(mor[m] is m and obj[C.src[m]] is C.src[m]
+               and obj[C.tgt[m]] is C.tgt[m] for m in C.src)
+    assert all(obj[x] is x and mor[i] is i for x, i in C.identity.items())
+    assert all(mor[g] is g and mor[f] is f and mor[h] is h
+               for (g, f), h in C._comp.items())
+    return obj, mor
+
+
+def _shares(table, keys, values):
+    """Each key of table is its own object in keys, each value in values."""
+    return all(keys[k] is k and values[v] is v for k, v in table.items())
+
+
+def assert_value_shares_ids(kind, value):
+    if kind == "category":
+        assert_category_shares_ids(value)
+    elif kind == "correspondence":
+        obj, _ = assert_category_shares_ids(value.total)
+        assert all(obj[x] is x for x in value.fiber_s.objects)
+        assert all(obj[x] is x for x in value.projection.ob_map)
+    elif kind == "set_valued_functor":
+        obj, mor = assert_category_shares_ids(value.base)
+        own = {x: _own_ids(vs) for x, vs in value.values.items()}
+        assert all(obj[x] is x for x in value.values)
+        B = value.base
+        for m, t in value.transports.items():
+            assert mor[m] is m
+            assert _shares(t, own[B.src[m]], own[B.tgt[m]]), m
+    elif kind == "functor":
+        s_obj, s_mor = assert_category_shares_ids(value.source)
+        t_obj, t_mor = assert_category_shares_ids(value.target)
+        assert _shares(value.ob_map, s_obj, t_obj)
+        assert _shares(value.mor_map, s_mor, t_mor)
+    else:
+        A, B = value.source, value.target
+        a_obj, _ = assert_category_shares_ids(A)
+        b_obj, _ = assert_category_shares_ids(B)
+        own = {}
+        for (a, b), xs in value.elements.items():
+            assert a_obj[a] is a and b_obj[b] is b
+            own[a, b] = _own_ids(xs)
+        for (alpha, b), t in value.lact.items():
+            assert _shares(t, own[A.tgt[alpha], b], own[A.src[alpha], b])
+        for (a, beta), t in value.ract.items():
+            assert _shares(t, own[a, B.src[beta]], own[a, B.tgt[beta]])
+
+
+def benchmark_documents(monkeypatch):
+    """{name: canonical text} of the benchmark's families: Ar([n]) -> [n]
+    by either end for n <= 5, Z/n, the torus, and the hom bimodules and
+    collages of its compose workload."""
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import workloads
+    texts = {}
+    for n in range(1, 6):
+        for end in ("s", "t"):
+            texts[f"ev_{end}_Ar{n}"] = workloads.arrow_ev_doc(n, end)
+    for n in range(1, 7):
+        texts[f"Z{n}"] = workloads.cyclic_doc(n)
+    texts["torus"] = workloads.torus_doc()
+    for name, C in [(f"I{n}", workloads.interval_doc(n)) for n in (4, 5, 6)] \
+            + [(f"Z{m}", workloads.cyclic_doc(m)) for m in (4, 5)]:
+        for side, hom in (("left", workloads.hom_doc(C, left="a.")),
+                          ("right", workloads.hom_doc(C, right="c."))):
+            texts[f"hom_{name}_{side}"] = hom
+            texts[f"collage_{name}_{side}"] = workloads.collage_doc(hom)
+    return {name: workloads.dumps(doc) for name, doc in texts.items()}
+
+
+class TestSharedIds:
+    """A parsed value stores one str object per id: the entry of
+    `objects` for an object, the `id` of its `morphisms` entry for a
+    morphism, and the entry of its element or value list for a bimodule
+    element or a set-valued value.  A table, map or action that names an
+    id holds that object, and parse -> emit is byte-identical."""
+
+    def _check(self, texts):
+        kinds = set()
+        for name, text in sorted(texts.items()):
+            kind, value = docs.parse_any(text)
+            assert_value_shares_ids(kind, value)
+            assert docs.dumps(TO_DOC[kind](value)) == text, name
+            kinds.add(kind)
+        return kinds
+
+    def test_every_fixture(self, fixture_dir):
+        texts = {}
+        for name in sorted(os.listdir(fixture_dir)):
+            if not name.startswith("defect_"):
+                with open(os.path.join(fixture_dir, name),
+                          encoding="utf-8") as fh:
+                    texts[name] = fh.read()
+        assert self._check(texts) == set(TO_DOC)
+
+    def test_every_benchmark_family(self, monkeypatch):
+        assert self._check(benchmark_documents(monkeypatch)) == {
+            "category", "functor", "profunctor", "correspondence"}
+
+    def test_random_documents(self):
+        rng = random.Random("shared-ids")
+        for kind in sorted(TO_DOC):
+            for _ in range(6):
+                text = docs.dumps(TO_DOC[kind](random_value(rng, kind)))
+                assert self._check({kind: text}) == {kind}
+
+
+# -- the reader oracle ---------------------------------------------------------
+
+
+def per_entry_category_from_doc(doc):
+    """The reader before ids were shared: every entry is checked on its
+    own and validate_category runs on every table."""
+    docs._expect(doc, "category")
+    objects = docs._require(doc, "objects", list)
+    docs._require_ids(objects, "objects")
+    morphisms = []
+    for entry in docs._require(doc, "morphisms", list):
+        if not isinstance(entry, dict) or not {"id", "src", "tgt"} <= set(entry):
+            raise docs.DocumentError(f"bad morphism entry: {entry!r}")
+        triple = (entry["id"], entry["src"], entry["tgt"])
+        docs._require_ids(triple, "morphisms")
+        morphisms.append(triple)
+    identities = docs._require(doc, "identities", dict)
+    docs._require_ids(identities.values(), "identities")
+    for x in identities:
+        if x not in set(objects):
+            raise docs.ValidationFailure(
+                [f"identities key {x} names no object"])
+    composition = {}
+    for entry in docs._require(doc, "compose", list):
+        if not (isinstance(entry, list) and len(entry) == 3):
+            raise docs.DocumentError(f"bad compose entry: {entry!r}")
+        g, f, h = entry
+        docs._require_ids(entry, "compose")
+        if (g, f) in composition:
+            raise docs.DocumentError(f"composable pair listed twice: ({g},{f})")
+        composition[(g, f)] = h
+    report = core.validate_category(objects, morphisms, identities, composition)
+    if report:
+        raise docs.ValidationFailure(report)
+    return core.FiniteCategory(objects, morphisms, identities, composition,
+                               _validate=False)
+
+
+def _outcome(read, doc):
+    try:
+        C = read(copy.deepcopy(doc))
+    except (docs.DocumentError, docs.ValidationFailure) as exc:
+        return type(exc), str(exc), getattr(exc, "report", None)
+    return C, (C._from, C._to, C._hom)
+
+
+def assert_readers_agree(doc):
+    """Both readers raise the same exception class and message, or build
+    equal categories; returns what the new one did."""
+    new = _outcome(docs.category_from_doc, doc)
+    assert new == _outcome(per_entry_category_from_doc, doc)
+    return new
+
+
+def category_docs_of(doc):
+    """The category documents in a document, nested ones included."""
+    if not isinstance(doc, dict):
+        return []
+    if doc.get("type") == "category":
+        return [doc]
+    return [d for field in ("source", "target", "total", "base")
+            for d in category_docs_of(doc.get(field))]
+
+
+def _base_tables():
+    """Category documents to mutate: thin and non-thin, fixtures, cyclic
+    groups and random draws."""
+    rng = random.Random("reader-oracle")
+    cats = [core.interval(2), core.retract_category(),
+            core.idempotent_category(), core.walking_isomorphism(),
+            core.cyclic_group_category(3), core.cyclic_group_category(4)]
+    cats += [randgen.random_category(rng, 3, 8, prefix="r.")
+             for _ in range(8)]
+    return [docs.category_to_doc(C) for C in cats]
+
+
+BASE_TABLES = _base_tables()
+ALIEN = [5, None, 1.5, True, [], ["x"], {}, {"id": "x"}]
+
+
+def mutate_table(doc, kind, draw):
+    """doc with one planted defect of the given kind, or None when doc has
+    no place for it."""
+    doc = copy.deepcopy(doc)
+    rows, mors = doc["compose"], doc["morphisms"]
+    objects = doc["objects"]
+    if kind == "missing_composite":
+        del rows[draw(range(len(rows)))]
+    elif kind == "wrong_endpoint":
+        entry = draw(mors)
+        entry[draw(["src", "tgt"])] = draw(objects + ["zz"])
+    elif kind == "pair_twice":
+        g, f, _ = draw(rows)
+        rows.insert(draw(range(len(rows) + 1)),
+                    [g, f, draw([m["id"] for m in mors])])
+    elif kind == "alien_cell":
+        where = draw(["objects", "morphisms", "identities", "compose"])
+        if where == "objects":
+            objects[draw(range(len(objects)))] = draw(ALIEN)
+        elif where == "morphisms":
+            draw(mors)[draw(["id", "src", "tgt"])] = draw(ALIEN)
+        elif where == "identities":
+            doc["identities"][draw(sorted(doc["identities"]))] = draw(ALIEN)
+        else:
+            draw(rows)[draw(range(3))] = draw(ALIEN)
+    elif kind == "unknown_id":
+        if draw([True, False]):
+            draw(rows)[draw(range(3))] = "zz"
+        else:
+            draw(mors)["id"] = "zz"
+    elif kind == "object_named_like_a_morphism":
+        free = [m["id"] for m in mors if m["id"] not in objects]
+        if not free:
+            return None
+        old, new = draw(objects), draw(free)
+        doc["objects"] = [new if x == old else x for x in objects]
+        for m in mors:
+            for end in ("src", "tgt"):
+                if m[end] == old:
+                    m[end] = new
+        doc["identities"] = {(new if x == old else x): i
+                             for x, i in doc["identities"].items()}
+    else:  # a broken law: another composite in the same hom-set
+        ends = {m["id"]: (m["src"], m["tgt"]) for m in mors}
+        if len(set(ends.values())) == len(ends):
+            return None  # thin: nothing to swap
+        ids = set(doc["identities"].values())
+        unit = kind == "broken_unit"
+        candidates = [i for i, (g, f, _) in enumerate(rows)
+                      if (g in ids or f in ids) == unit]
+        if not candidates:
+            return None
+        i = draw(candidates)
+        g, f, h = rows[i]
+        rows[i] = [g, f, draw(sorted(m for m in ends if ends[m] == ends[h]))]
+    return doc
+
+
+class TestReaderOracle:
+    """category_from_doc against the per-entry reader it replaced, kept
+    here as its oracle: both raise the same exception and message, or
+    build equal categories, index included."""
+
+    def test_defect_fixtures(self, fixture_dir):
+        names = [n for n in sorted(os.listdir(fixture_dir))
+                 if n.startswith("defect_")]
+        assert names
+        for name in names:
+            with open(os.path.join(fixture_dir, name), encoding="utf-8") as fh:
+                outcome = assert_readers_agree(json.load(fh))
+            assert outcome[0] is docs.ValidationFailure, name
+
+    def test_every_fixture_table(self, fixture_dir):
+        for name in sorted(os.listdir(fixture_dir)):
+            with open(os.path.join(fixture_dir, name), encoding="utf-8") as fh:
+                for doc in category_docs_of(json.load(fh)):
+                    assert_readers_agree(doc)
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(data=st.data())
+    def test_exit_contract_mutations(self, data):
+        draw = lambda options: data.draw(st.sampled_from(list(options)))
+        doc = draw([d for name in sorted(FUZZ_DOCS)
+                    for d in category_docs_of(FUZZ_DOCS[name])])
+        kind = draw(["delete_key", "wrong_type", "dangling_id",
+                     "dangling_key", "added_key", "duplicate", "suffix"])
+        try:
+            mutant = fuzz_mutate(doc, kind, draw)
+        except (IndexError, ValueError):  # no place for this mutation
+            return
+        assert_readers_agree(mutant)
+
+    @settings(max_examples=400, deadline=None, derandomize=True,
+              database=None)
+    @given(data=st.data())
+    def test_mutated_tables(self, data):
+        draw = lambda options: data.draw(st.sampled_from(list(options)))
+        kind = draw(["missing_composite", "wrong_endpoint", "pair_twice",
+                     "alien_cell", "unknown_id",
+                     "object_named_like_a_morphism", "broken_unit",
+                     "broken_associativity"])
+        mutant = mutate_table(draw(BASE_TABLES), kind, draw)
+        if mutant is not None:
+            assert_readers_agree(mutant)
+
+    def test_the_mutations_reach_each_outcome(self):
+        """Faults of every route: a schema error, a failed table check, a
+        failed law walk on a non-thin table, and a table that shares an
+        id between an object and a morphism and is read."""
+        Z3 = docs.category_to_doc(core.cyclic_group_category(3))
+        twice = copy.deepcopy(Z3)
+        twice["compose"].append(list(twice["compose"][0]))
+        assert assert_readers_agree(twice)[0] is docs.DocumentError
+        missing = copy.deepcopy(Z3)
+        del missing["compose"][4]
+        assert "missing composite" in assert_readers_agree(missing)[1]
+        law = copy.deepcopy(Z3)
+        law["compose"][4][2] = "g0" if law["compose"][4][2] != "g0" else "g1"
+        outcome = assert_readers_agree(law)
+        assert outcome[0] is docs.ValidationFailure
+        assert "law fails" in outcome[1] or "associativity" in outcome[1]
+        shared = mutate_table(docs.category_to_doc(core.interval(1)),
+                              "object_named_like_a_morphism",
+                              lambda options: sorted(options)[0])
+        C, _ = assert_readers_agree(shared)
+        assert set(C.objects) & set(C.morphisms)
 
 
 class TestCliExitContract:

@@ -12,19 +12,31 @@ oracle, which runs on the builder's output the full check it skips:
   included, the one `square_category` builds by testing each square;
 * `validate_category` on the table of every collage total;
 * each derived category equals, index included, the `FiniteCategory`
-  built and validated from its table.
+  built and validated from its table, and so does every category that
+  `documents.category_from_doc` keeps as read.
 
 The oracles run over `randgen` draws and over the hom bimodules of [4],
 [5], [6], Z/4 and Z/5.  `test_trusted_registry.py` fails when a builder
 that skips its check is not listed here.
+
+Every category they build is also held to the emission-order invariant
+that `documents` relies on: objects and morphisms are sorted, and every
+`_from`/`_to` list follows morphism order, so that a canonical document
+is written from the index with no sort.  The sorting writers of earlier
+versions are kept here as the oracle of that emission.
 """
 
 import functools
+import json
+import os
 import random
 
 import pytest
 
-from fibcat import bifib_squares, core, correspondences as corrs, randgen
+from fibcat import bifib_squares, core, correspondences as corrs
+from fibcat import documents as docs, randgen
+
+FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 
 DRAWS = 200
 
@@ -57,6 +69,9 @@ def samples():
 
 def _bimodule(P):
     assert P.validate() is P
+    # an action map is sorted by dumps, not by profunctor_to_doc
+    _same_emission(docs.profunctor_to_doc(P), sorted_profunctor_doc(P),
+                   in_order=False)
 
 
 def _two_sided(X):
@@ -73,6 +88,9 @@ def _two_sided(X):
     assert X.total == total
     assert (X.total._from, X.total._to, X.total._hom) == \
         (total._from, total._to, total._hom)
+    _in_index_order(X.total)
+    for leg in (L, R):
+        _same_emission(docs.functor_to_doc(leg), sorted_functor_doc(leg))
     assert (L.ob_map, L.mor_map, R.ob_map, R.mor_map) == \
         (to_A.ob_map, to_A.mor_map, to_B.ob_map, to_B.mor_map)
 
@@ -82,6 +100,76 @@ def _category(C):
                                 C.composition_table())
     assert C == built
     assert (C._from, C._to, C._hom) == (built._from, built._to, built._hom)
+    _in_index_order(C)
+
+
+# -- emission order ------------------------------------------------------------
+
+
+def sorted_category_doc(C):
+    """A category's document as it was written by sorting its tables."""
+    return {
+        "format_version": docs.FORMAT_VERSION,
+        "type": "category",
+        "objects": sorted(C.objects),
+        "morphisms": [{"id": m, "src": C.src[m], "tgt": C.tgt[m]}
+                      for m in sorted(C.morphisms)],
+        "identities": {x: C.identity[x] for x in C.objects},
+        "compose": sorted([g, f, h] for (g, f), h in
+                          C.composition_table().items()),
+    }
+
+
+def sorted_functor_doc(F):
+    return {
+        "format_version": docs.FORMAT_VERSION,
+        "type": "functor",
+        "source": sorted_category_doc(F.source),
+        "target": sorted_category_doc(F.target),
+        "object_map": dict(sorted(F.ob_map.items())),
+        "morphism_map": dict(sorted(F.mor_map.items())),
+    }
+
+
+def sorted_profunctor_doc(P):
+    elements, left_action, right_action = {}, {}, {}
+    for (a, b), xs in sorted(P.elements.items()):
+        elements.setdefault(a, {})[b] = sorted(xs)
+    for (alpha, b), t in sorted(P.lact.items()):
+        left_action.setdefault(alpha, {})[b] = dict(sorted(t.items()))
+    for (a, beta), t in sorted(P.ract.items()):
+        right_action.setdefault(a, {})[beta] = dict(sorted(t.items()))
+    return {
+        "format_version": docs.FORMAT_VERSION,
+        "type": "profunctor",
+        "source": sorted_category_doc(P.source),
+        "target": sorted_category_doc(P.target),
+        "elements": elements,
+        "left_action": left_action,
+        "right_action": right_action,
+    }
+
+
+def _same_emission(new, old, in_order=True):
+    """new equals old, list order included, and both write the same
+    bytes; in_order: the dicts are built in the same order too."""
+    assert new == old
+    if in_order:
+        assert json.dumps(new) == json.dumps(old)
+    assert docs.dumps(new) == docs.dumps(old)
+
+
+def _in_index_order(C):
+    """C's objects and morphisms are sorted, each _from/_to list follows
+    morphism order, and its document is the sorted one."""
+    assert list(C.objects) == sorted(C.objects)
+    assert list(C.morphisms) == sorted(C.morphisms)
+    rank = {m: i for i, m in enumerate(C.morphisms)}
+    for index in (C._from, C._to):
+        assert set(index) == set(C.objects)
+        for ms in index.values():
+            assert [rank[m] for m in ms] == sorted(rank[m] for m in ms)
+    _same_emission(docs.category_to_doc(C), sorted_category_doc(C))
 
 
 def _reversing(C, prefix):
@@ -192,6 +280,13 @@ def _discrete_category(P01, P12):
         list(reversed(corrs.collage(P01).total.objects))))
 
 
+def _category_from_doc(P01, P12):
+    for C in (P01.source, P12.target, corrs.collage(P01).total):
+        parsed = docs.category_from_doc(docs.category_to_doc(C))
+        assert parsed == C
+        _category(parsed)
+
+
 TRUSTED = (
     ("correspondences.hom_profunctor_along", _hom_profunctor_along),
     ("correspondences.empty_profunctor", _empty_profunctor),
@@ -210,6 +305,7 @@ TRUSTED = (
     ("core.relabel", _relabel),
     ("core.disjoint_union", _disjoint_union),
     ("core.discrete_category", _discrete_category),
+    ("documents.category_from_doc", _category_from_doc),
 )
 
 
@@ -227,3 +323,45 @@ def test_samples_cover_the_draws_and_the_homs():
                for pair in pairs[:DRAWS] for P in pair)
     assert any(not xs for P01, _ in pairs for xs in P01.elements.values())
     assert any(xs for P01, _ in pairs for xs in P01.elements.values())
+
+
+def _fixture_values():
+    """Every value parsed from a fixture that is no planted defect."""
+    for name in sorted(os.listdir(FIXTURES)):
+        if not name.startswith("defect_"):
+            with open(os.path.join(FIXTURES, name), encoding="utf-8") as fh:
+                yield docs.parse_any(fh.read())
+
+
+def _categories_of(kind, value):
+    if kind == "category":
+        return [value]
+    if kind == "correspondence":
+        return [value.total]
+    if kind == "set_valued_functor":
+        return [value.base]
+    return [value.source, value.target]
+
+
+def test_parsed_fixtures_emit_in_index_order():
+    kinds = set()
+    for kind, value in _fixture_values():
+        kinds.add(kind)
+        for C in _categories_of(kind, value):
+            _in_index_order(C)
+        if kind == "functor":
+            _same_emission(docs.functor_to_doc(value),
+                           sorted_functor_doc(value))
+        if kind == "profunctor":
+            _same_emission(docs.profunctor_to_doc(value),
+                           sorted_profunctor_doc(value), in_order=False)
+    assert kinds == {"category", "functor", "profunctor", "correspondence",
+                     "set_valued_functor"}
+
+
+def test_random_categories_emit_in_index_order():
+    rng = random.Random("emission-order")
+    for i in range(DRAWS):
+        C = randgen.random_category(rng, 4, 10, prefix=f"{i % 3}.")
+        _in_index_order(C)
+        _in_index_order(docs.category_from_doc(docs.category_to_doc(C)))
